@@ -50,11 +50,6 @@ class TuningTarget:
         return self.target_resistance / (1.0 + self.relaxation_reserve)
 
 
-def compute_threshold(target: TuningTarget) -> float:
-    """Stop threshold: the target deflated by the relaxation reserve."""
-    return target.threshold
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything a tuning campaign needs besides the qubits themselves."""
@@ -131,7 +126,6 @@ def tune_qubit(
         rng = qubit_rng(config.master_seed, target.qubit_id)
     threshold = target.threshold
     r_untuned = state.resistance
-    noise = config.measurement.noise_sigma
 
     first_read = measure_resistance(state, config.measurement, rng)
     if first_read >= threshold:
@@ -147,14 +141,9 @@ def tune_qubit(
             already_above_target=True,
         )
 
-    if noise == 0:
-        r, pulses, r_a = _pulse_to_threshold_noiseless(
-            state.resistance, threshold, config, rng, target.qubit_id
-        )
-    else:
-        r, pulses, r_a = _pulse_to_threshold_noisy(
-            state.resistance, threshold, config, rng, target.qubit_id
-        )
+    r, pulses, r_a = _pulse_to_threshold(
+        state.resistance, threshold, config, rng, target.qubit_id
+    )
 
     stopped = JunctionState(
         resistance=r,
@@ -175,12 +164,18 @@ def tune_qubit(
     )
 
 
-def _pulse_to_threshold_noiseless(r0, threshold, config, rng, qubit_id):
-    # Noiseless monitoring lets steps be drawn in batches: the crossing
-    # pulse index depends only on the cumulative sum.
+def _pulse_to_threshold(r0, threshold, config, rng, qubit_id):
+    """Pulse from r0 until a monitored read reaches the threshold.
+
+    Steps are drawn in batches and the stop is the first pulse whose
+    read crosses. A noisy probe draws one read error per pulse after the
+    batch's steps; a noiseless probe draws nothing and reads the true
+    resistance. Returns (true resistance, pulses, read at the stop).
+    """
+    noise = config.measurement.noise_sigma
     r = r0
     pulses = 0
-    while r < threshold:
+    while True:
         n = min(_STEP_BATCH, config.max_pulses - pulses)
         if n <= 0:
             raise ControllerError(
@@ -195,39 +190,13 @@ def _pulse_to_threshold_noiseless(r0, threshold, config, rng, qubit_id):
                 ),
             )
         cum = r + np.cumsum(config.step.sample_batch(rng, n))
-        hit = np.searchsorted(cum, threshold, side="left")
-        if hit < n:
-            pulses += int(hit) + 1
-            r = float(cum[hit])
-        else:
-            pulses += n
-            r = float(cum[-1])
-    return r, pulses, r
-
-
-def _pulse_to_threshold_noisy(r0, threshold, config, rng, qubit_id):
-    from .junction import apply_pulse  # local to avoid cycle at module load
-
-    state = JunctionState(resistance=r0, relax_fraction=0.0, resistance_at_last_pulse=r0)
-    pulses = 0
-    while True:
-        read = measure_resistance(state, config.measurement, rng)
-        if read >= threshold:
-            return state.resistance, pulses, read
-        if pulses >= config.max_pulses:
-            raise ControllerError(
-                f"qubit {qubit_id}: max_pulses={config.max_pulses} exceeded",
-                partial_record=QubitTuneRecord(
-                    qubit_id=qubit_id,
-                    r_untuned=r0,
-                    threshold=threshold,
-                    r_last_pulse=state.resistance,
-                    r_tuned=state.resistance,
-                    pulses=pulses,
-                ),
-            )
-        state = apply_pulse(state, config.step, rng)
-        pulses += 1
+        read = cum + rng.normal(0.0, noise, n) if noise > 0 else cum
+        crossed = read >= threshold
+        hit = int(crossed.argmax())
+        if crossed[hit]:
+            return float(cum[hit]), pulses + hit + 1, float(read[hit])
+        pulses += n
+        r = float(cum[-1])
 
 
 def run_campaign(

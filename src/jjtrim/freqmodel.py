@@ -145,14 +145,18 @@ def fit_segmented_power_law(
 ) -> SegmentedPowerLaw:
     """Per-segment log-log least squares on a relaxation trace.
 
-    With ``breakpoints=None`` a two-changepoint search runs exhaustively
-    over a log-spaced candidate grid, minimizing the total squared
-    log-residual; the series are short, so exactness beats speed.
+    With ``breakpoints=None`` a two-changepoint search runs over every
+    pair of a log-spaced candidate grid, minimizing the total squared
+    log-residual. Prefix sums give each pair's residual in closed form;
+    only the pairs tied with the best within rounding are refitted, and
+    the first of them in grid order with the smallest residual wins.
     """
     t = np.asarray(t_hr, dtype=float)
     y = np.asarray(delta_r, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise FitError("t_hr and delta_r must be 1-D arrays of equal length")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise FitError("times and resistance changes must be finite")
     if np.any(t <= 0) or np.any(y <= 0):
         raise FitError("times and resistance changes must be positive")
     order = np.argsort(t)
@@ -163,20 +167,33 @@ def fit_segmented_power_law(
         return _fit_with_breakpoints(t, y, bps, min_points)
 
     grid = np.geomspace(t[0], t[-1], n_candidates + 2)[1:-1]
-    best = None
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            bps = (float(grid[i]), float(grid[j]))
-            try:
-                fit = _fit_with_breakpoints(t, y, bps, min_points)
-            except FitError:
-                continue
-            sse = _segmented_log_sse(t, y, fit)
-            if best is None or sse < best[0]:
-                best = (sse, fit)
-    if best is None:
+    i, j = np.triu_indices(len(grid), k=1)
+    cut = np.searchsorted(t, grid, side="right")
+    bounds = np.stack([np.zeros_like(i), cut[i], cut[j], np.full_like(i, len(t))])
+    valid = np.all(np.diff(bounds, axis=0) >= min_points, axis=0)
+    if not valid.any():
         raise FitError("no breakpoint pair leaves enough points per segment")
-    return best[1]
+    i, j, bounds = i[valid], j[valid], bounds[:, valid]
+
+    # Sums of (1, x, v, x^2, xv, v^2) over centred logs, for every prefix.
+    x, v = np.log(t), np.log(y)
+    x, v = x - x.mean(), v - v.mean()
+    prefix = np.zeros((6, len(t) + 1))
+    prefix[:, 1:] = np.cumsum([np.ones_like(x), x, v, x * x, x * v, v * v], axis=1)
+    n, sx, sv, sxx, sxv, svv = prefix[:, bounds[1:]] - prefix[:, bounds[:-1]]
+    cxx, cxv = sxx - sx * sx / n, sxv - sx * sv / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        explained = np.where(cxx > 0, cxv * cxv / cxx, 0.0)
+    score = (svv - sv * sv / n - explained).sum(axis=0)
+    # The closed form rounds differently from the refit, so every pair that
+    # may tie the best after rounding is refitted.
+    near = score <= score.min() * (1 + 1e-6) + 1e-9 * prefix[5, -1]
+
+    fits = [
+        _fit_with_breakpoints(t, y, (float(grid[a]), float(grid[b])), min_points)
+        for a, b in zip(i[near], j[near])
+    ]
+    return min(fits, key=lambda fit: _segmented_log_sse(t, y, fit))
 
 
 def _fit_with_breakpoints(t, y, bps, min_points) -> SegmentedPowerLaw:

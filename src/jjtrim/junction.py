@@ -173,8 +173,8 @@ class MeasurementModel:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

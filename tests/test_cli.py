@@ -35,6 +35,14 @@ class TestSimulateTuning:
             run_metrics["precision_sigma_frac"], abs=1e-6
         )
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_noise_exit_2(self, tmp_path, noise, capsys):
+        rc = main(["simulate-tuning", "--qubits", "3", "--seed", "1", "--noise", noise,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "campaign.json").exists()
+
 
 class TestCalibrateAssign:
     def test_calibrate_then_assign(self, tmp_path):
@@ -101,6 +109,22 @@ class TestFitRelaxation:
         assert rc == 0
         fit = json.loads((out / "relaxation_fit.json").read_text())
         assert fit["breakpoints_hr"] == [0.2, 2.0]
+
+    @pytest.mark.parametrize("column", ["t_hr", "delta_r_ohm"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_trace_exit_2(self, tmp_path, column, bad, capsys):
+        with open(DATA_DIR / "relaxation_demo.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[10][column] = bad
+        data = tmp_path / "trace.csv"
+        with open(data, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+        out = tmp_path / "fit"
+        assert main(["fit-relaxation", "--data", str(data), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "relaxation_fit.json").exists()
 
 
 class TestLatticeCommands:

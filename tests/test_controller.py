@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from jjtrim.controller import (
     CampaignConfig,
     CampaignResult,
     TuningTarget,
+    _STEP_BATCH,
     calibrate_reserve,
-    compute_threshold,
     overshoot_stats,
     precision_stats,
     qubit_rng,
@@ -44,15 +46,15 @@ def make_batch(n, design=4587.8, seed=7, reserve=0.0289, target_frac=0.98):
 class TestThreshold:
     def test_paper_scale_arithmetic(self):
         t = TuningTarget(qubit_id="q", target_resistance=4625.9, relaxation_reserve=0.0289)
-        assert compute_threshold(t) == pytest.approx(4496.0, abs=0.05)
+        assert t.threshold == pytest.approx(4496.0, abs=0.05)
 
     def test_zero_reserve(self):
         t = TuningTarget(qubit_id="q", target_resistance=4500.0, relaxation_reserve=0.0)
-        assert compute_threshold(t) == 4500.0
+        assert t.threshold == 4500.0
 
     def test_exact_quarter(self):
         t = TuningTarget(qubit_id="q", target_resistance=1000.0, relaxation_reserve=0.25)
-        assert compute_threshold(t) == pytest.approx(800.0)
+        assert t.threshold == pytest.approx(800.0)
 
     def test_invalid_reserve(self):
         with pytest.raises(ValidationError):
@@ -100,8 +102,37 @@ class TestTuneQubit:
             master_seed=0, max_pulses=10,
             measurement=MeasurementModel(noise_sigma=0.1),
         )
-        with pytest.raises(ControllerError):
+        with pytest.raises(ControllerError) as err:
             tune_qubit(state, target, config)
+        assert err.value.partial_record.pulses == config.max_pulses
+
+    def test_noisy_stop_matches_per_pulse_oracle(self):
+        # the crossing spans several step batches; a scalar walk over the
+        # same draws must stop on the same pulse
+        target = TuningTarget(qubit_id="far", target_resistance=4625.9)
+        r0 = target.threshold - 2000.0
+        state = JunctionState(resistance=r0, relax_fraction=0.0289, resistance_at_last_pulse=r0)
+        meas = MeasurementModel(noise_sigma=0.5)
+        config = CampaignConfig(master_seed=3, measurement=meas)
+        rec = tune_qubit(state, target, config)
+
+        rng = qubit_rng(3, "far")
+        assert r0 + rng.normal(0.0, 0.5) < target.threshold  # the first read
+
+        def pulses_and_read_errors():
+            while True:
+                steps = config.step.sample_batch(rng, _STEP_BATCH)
+                yield from zip(steps, rng.normal(0.0, 0.5, _STEP_BATCH))
+
+        r = r0
+        for pulses, (step, err) in enumerate(pulses_and_read_errors(), start=1):
+            r += step
+            if r + err >= target.threshold:
+                break
+        assert pulses > _STEP_BATCH
+        assert rec.pulses == pulses
+        assert rec.r_last_pulse == pytest.approx(r + err, rel=1e-12)
+        assert rec.r_last_pulse >= rec.threshold
 
 
 class TestCampaign:
@@ -113,6 +144,41 @@ class TestCampaign:
         qubits, targets = make_batch(3)
         with pytest.raises(ValidationError):
             run_campaign(qubits, targets[:2], CampaignConfig(master_seed=0))
+
+    def test_noiseless_records_pinned(self):
+        # digests of the records at a fixed seed, recorded before the pulse
+        # loops were merged: any drift of the noiseless stream fails here.
+        # Targets at 120% of design take several step batches per qubit.
+        pinned = [
+            (StepKind.EXPONENTIAL, 0.98, 7335,
+             "fac618ebe8462f0aaf99da2ce659667256bcdffb3b479c7832a3b8f52c146c19"),
+            (StepKind.EXPONENTIAL, 1.2, 33007,
+             "e0a95dd82544d1cfe88cdbe5abadae920b6c2614b8f5758f7c5470c1c34da6f6"),
+            (StepKind.UNIFORM, 1.2, 33195,
+             "a1f80dcf9c6df9e66c958505793a72a14950015fa47a536c5553aa52d4bbe732"),
+        ]
+        for kind, target_frac, pulses, digest in pinned:
+            qubits, targets = make_batch(50, seed=11, target_frac=target_frac)
+            config = CampaignConfig(master_seed=11, step=StepModel(kind=kind))
+            result = run_campaign(qubits, targets, config)
+            rows = [
+                (r.qubit_id, r.r_untuned, r.threshold, r.r_last_pulse, r.r_tuned,
+                 r.pulses, r.already_above_target)
+                for r in result.records
+            ]
+            assert result.summary()["pulses_total"] == pulses
+            assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+    def test_noisy_campaign_stops_above_threshold(self):
+        qubits, targets = make_batch(221)
+        config = CampaignConfig(master_seed=7, measurement=MeasurementModel(noise_sigma=0.5))
+        result = run_campaign(qubits, targets, config)
+        for rec in result.records:
+            if not rec.already_above_target:
+                assert rec.pulses > 0
+                assert rec.r_last_pulse >= rec.threshold
+        stats = precision_stats(result, targets)
+        assert 0.0025 <= stats.sigma_frac <= 0.0045
 
     def test_precision_band(self):
         qubits, targets = make_batch(221)

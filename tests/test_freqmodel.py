@@ -1,9 +1,14 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from jjtrim.errors import FitError, ValidationError
 from jjtrim.freqmodel import (
     PowerLawModel,
+    _fit_with_breakpoints,
+    _segmented_log_sse,
     assign_target_R,
     compose_sigma,
     fit_gaussian,
@@ -16,6 +21,8 @@ from jjtrim.freqmodel import (
     tunability,
 )
 from jjtrim.junction import RelaxationProfile
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def exact_model(alpha=0.5, beta=300000.0):
@@ -136,31 +143,58 @@ class TestFreqEquivSigma:
             assert freq_equiv_sigma(model, f, sig_rel) == pytest.approx(fd, rel=1e-3)
 
 
-class TestSegmentedFit:
-    def _trace(self, noise=0.0, n=500, seed=0):
-        prof = RelaxationProfile()
-        t = np.geomspace(0.02, 15.0, n)
-        y = np.array([prof.shape(x) for x in t])
-        if noise:
-            rng = np.random.default_rng(seed)
-            y = y * np.exp(rng.normal(0, noise, y.size))
-        return t, y
+def _relaxation_trace(noise=0.0, n=500, seed=0):
+    prof = RelaxationProfile()
+    t = np.geomspace(0.02, 15.0, n)
+    y = np.array([prof.shape(x) for x in t])
+    if noise:
+        rng = np.random.default_rng(seed)
+        y = y * np.exp(rng.normal(0, noise, y.size))
+    return t, y
 
+
+def _grid_search_oracle(t_hr, delta_r, n_candidates=50, min_points=3):
+    """The automatic breakpoint search as a plain nested loop: refit every
+    grid pair and keep the first with the smallest residual."""
+    order = np.argsort(t_hr)
+    t = np.asarray(t_hr, dtype=float)[order]
+    y = np.asarray(delta_r, dtype=float)[order]
+    grid = np.geomspace(t[0], t[-1], n_candidates + 2)[1:-1]
+    best = None
+    for i in range(len(grid)):
+        for j in range(i + 1, len(grid)):
+            try:
+                fit = _fit_with_breakpoints(t, y, (float(grid[i]), float(grid[j])), min_points)
+            except FitError:
+                continue
+            sse = _segmented_log_sse(t, y, fit)
+            if best is None or sse < best[0]:
+                best = (sse, fit)
+    return best[1]
+
+
+def _demo_trace():
+    with open(DATA_DIR / "relaxation_demo.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [float(r["t_hr"]) for r in rows], [float(r["delta_r_ohm"]) for r in rows]
+
+
+class TestSegmentedFit:
     def test_noiseless_given_breakpoints(self):
-        t, y = self._trace()
+        t, y = _relaxation_trace()
         fit = fit_segmented_power_law(t, y, breakpoints=[0.2, 2.0])
         for got, want in zip(fit.exponents, (0.30, 0.24, 0.16)):
             assert got == pytest.approx(want, abs=1e-6)
         assert fit.continuity_residual < 1e-9
 
     def test_noisy_given_breakpoints(self):
-        t, y = self._trace(noise=0.02)
+        t, y = _relaxation_trace(noise=0.02)
         fit = fit_segmented_power_law(t, y, breakpoints=[0.2, 2.0])
         for got, want in zip(fit.exponents, (0.30, 0.24, 0.16)):
             assert got == pytest.approx(want, abs=0.02)
 
     def test_auto_changepoints(self):
-        t, y = self._trace(noise=0.02)
+        t, y = _relaxation_trace(noise=0.02)
         fit = fit_segmented_power_law(t, y)
         assert 0.2 / 1.5 <= fit.breakpoints[0] <= 0.2 * 1.5
         assert 2.0 / 1.5 <= fit.breakpoints[1] <= 2.0 * 1.5
@@ -168,6 +202,53 @@ class TestSegmentedFit:
     def test_insufficient_points(self):
         with pytest.raises(FitError):
             fit_segmented_power_law([0.1, 1.0, 10.0], [1.0, 2.0, 3.0], breakpoints=[0.5, 5.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        t, y = _relaxation_trace(n=40)
+        spoiled = np.arange(40) == 7
+        with pytest.raises(FitError, match="finite"):
+            fit_segmented_power_law(np.where(spoiled, bad, t), y)
+        with pytest.raises(FitError, match="finite"):
+            fit_segmented_power_law(t, np.where(spoiled, bad, y))
+
+
+class TestSegmentedFitOracle:
+    """The prefix-sum search must pick exactly the grid pair the nested
+    loop picks, ties included."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_noisy_traces(self, seed):
+        t, y = _relaxation_trace(noise=0.02, seed=seed)
+        assert fit_segmented_power_law(t, y) == _grid_search_oracle(t, y)
+
+    def test_noiseless_trace(self):
+        t, y = _relaxation_trace()
+        assert fit_segmented_power_law(t, y) == _grid_search_oracle(t, y)
+
+    def test_bundled_trace(self):
+        t, y = _demo_trace()
+        assert fit_segmented_power_law(t, y) == _grid_search_oracle(t, y)
+
+    def test_short_trace(self):
+        t, y = _relaxation_trace(noise=0.02, n=40, seed=99)
+        assert fit_segmented_power_law(t, y) == _grid_search_oracle(t, y)
+
+    def test_every_pair_tied(self):
+        # a single exact power law fits every pair to rounding, so the
+        # search must fall back to refitting them all in grid order
+        t = np.geomspace(0.1, 10.0, 80)
+        y = 3.0 * t**0.3
+        assert fit_segmented_power_law(t, y) == _grid_search_oracle(t, y)
+
+    def test_unsorted_input(self):
+        t, y = _relaxation_trace(noise=0.02, seed=3)
+        perm = np.random.default_rng(0).permutation(t.size)
+        assert fit_segmented_power_law(t[perm], y[perm]) == _grid_search_oracle(t, y)
+
+    def test_no_valid_pair(self):
+        with pytest.raises(FitError):
+            fit_segmented_power_law([0.1, 0.2, 0.3, 1.0, 2.0], [1.0, 1.1, 1.2, 1.5, 1.7])
 
 
 class TestGaussianFit:
