@@ -38,6 +38,13 @@ def _parse_pair(text: str, sep: str, what: str) -> tuple[float, float]:
         raise ValidationError(f"{what} must be numeric: {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: a non-negative integer, as SeedSequence needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_cells(text: str) -> tuple[int, int]:
     m, n = _parse_pair(text, "x", "--cells")
     if m != int(m) or n != int(n) or m < 1 or n < 1:
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-tuning", help="run a simulated tuning campaign")
     p.add_argument("--qubits", type=int, default=DEFAULT_QUBITS)
     p.add_argument("--design-resistance", type=float, default=DEFAULT_DESIGN_RESISTANCE)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--reserve", type=float, default=0.0289)
     p.add_argument("--aging-budget", type=float, default=0.02)
     p.add_argument("--noise", type=float, default=0.0)
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--cells", default="1x1", help="unit-cell tiling, e.g. 2x6")
     p.add_argument("--trials", type=int, default=10**5)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--window", default="20,130", help="lo,hi in MHz")
     p.add_argument("--design", default=None, help="optional 3x3 unit-cell design JSON")
     p.add_argument("--dice", type=int, default=yieldmc.DEFAULT_DICE_PER_WAFER)

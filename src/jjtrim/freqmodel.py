@@ -9,7 +9,6 @@ Gaussian fitting live here too.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -247,19 +246,3 @@ def compose_sigma(components) -> float:
     if np.any(c < 0):
         raise ValidationError("sigma components must be non-negative")
     return float(np.sqrt(np.sum(c**2)))
-
-
-def loss_tangent(t1_us: float, f_ghz: float) -> float:
-    """Frequency-normalized loss tangent 1/(T1 * 2*pi*f)."""
-    if t1_us <= 0 or f_ghz <= 0:
-        raise ValidationError("T1 and frequency must be positive")
-    return 1.0 / (t1_us * 1e-6 * 2.0 * math.pi * f_ghz * 1e9)
-
-
-def tunability(f_max_mhz: float, f_min_mhz: float) -> float:
-    """Frequency excursion range f01max - f01min."""
-    if f_max_mhz < f_min_mhz:
-        raise ValidationError(
-            f"f_max ({f_max_mhz}) must be >= f_min ({f_min_mhz})"
-        )
-    return f_max_mhz - f_min_mhz

@@ -207,6 +207,33 @@ class TestYieldCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "-1"), ("--window", "nan,130"),
+         ("--window", "20,inf"), ("--window", "130,20")],
+    )
+    def test_bad_sigma_or_window_exit_2(self, tmp_path, flag, value, capsys):
+        argv = {"--sigma": "7.7", "--window": "20,130"}
+        argv[flag] = value
+        rc = main(["yield", "--sigma", argv["--sigma"], "--window", argv["--window"],
+                   "--trials", "2000", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "yield.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["yield", "--sigma", "7.7", "--trials", "10"],
+         ["simulate-tuning", "--qubits", "3"]],
+        ids=["yield", "simulate-tuning"],
+    )
+    def test_negative_seed_exit_2(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["analyze-lattice", "--design", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o")])

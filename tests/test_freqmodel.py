@@ -16,9 +16,7 @@ from jjtrim.freqmodel import (
     fit_segmented_power_law,
     freq_equiv_sigma,
     invert_R,
-    loss_tangent,
     predict_f,
-    tunability,
 )
 from jjtrim.junction import RelaxationProfile
 
@@ -284,18 +282,3 @@ class TestScalars:
     def test_compose_rejects_negative(self):
         with pytest.raises(ValidationError):
             compose_sigma([3.0, -1.0])
-
-    def test_loss_tangent_magnitude(self):
-        assert loss_tangent(35.2, 4.6) == pytest.approx(9.83e-7, rel=1e-3)
-
-    def test_loss_tangent_scaling(self):
-        assert loss_tangent(70.4, 4.6) == pytest.approx(loss_tangent(35.2, 4.6) / 2.0)
-
-    def test_loss_tangent_identity_point(self):
-        assert loss_tangent(1e6 / (2.0 * np.pi * 1e9), 1.0) == pytest.approx(1.0)
-
-    def test_tunability(self):
-        assert tunability(5000.0, 4000.0) == 1000.0
-        assert tunability(4200.0, 4200.0) == 0.0
-        with pytest.raises(ValidationError):
-            tunability(4000.0, 5000.0)

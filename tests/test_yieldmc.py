@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from jjtrim import yieldmc
 from jjtrim.errors import InfeasibleError, ValidationError
-from jjtrim.lattice import edge_detunings
+from jjtrim.lattice import QubitLattice, edge_detunings
 from jjtrim.yieldmc import (
     UnitCellDesign,
     YieldConfig,
@@ -116,6 +117,97 @@ class TestMonteCarloYield:
         assert 0.08 <= yields[18.4] <= 0.30
         assert 0.75 <= yields[7.7] <= 0.95
         assert yields[93.5] < 0.005
+
+
+def gather_passes(lattice, config):
+    """Oracle: the fancy-index gather kernel that the slice kernel replaced.
+
+    Each chunk is one (trials, qubits) draw; the edges are gathered by
+    node id and tested in one pass.
+    """
+    freqs = np.array(lattice.design_f01max)
+    edges = lattice.edges()
+    ia = np.array([a for a, _ in edges], dtype=int)
+    ib = np.array([b for _, b in edges], dtype=int)
+    lo, hi = config.window_mhz
+    passes = 0
+    for c in range(-(-config.trials // config.chunk_trials)):
+        nt = min(config.chunk_trials, config.trials - c * config.chunk_trials)
+        rng = np.random.default_rng(np.random.SeedSequence([int(config.master_seed), c]))
+        if config.sigma_f_mhz > 0:
+            pert = rng.normal(0.0, config.sigma_f_mhz, size=(nt, freqs.size))
+        else:
+            pert = np.zeros((nt, freqs.size))
+        f = freqs[None, :] + pert
+        d = np.abs(f[:, ia] - f[:, ib])
+        passes += int(np.all((d >= lo) & (d <= hi), axis=1).sum())
+    return passes
+
+
+def alternating_lattice(rows, cols, seed):
+    """Neighbours about 70 MHz apart with 10 MHz of seeded design scatter."""
+    rng = np.random.default_rng(seed)
+    freqs = [
+        4500.0 + 70.0 * ((r + c) % 2) + rng.normal(0.0, 10.0)
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    return QubitLattice(rows=rows, cols=cols, design_f01max=tuple(freqs))
+
+
+ORACLE_LATTICES = {
+    "tiled1x1": lambda: tile(generate_unit_cell(seed=7), 1, 1),
+    "tiled2x6": lambda: tile(generate_unit_cell(seed=7), 2, 6),
+    "tiled6x6": lambda: tile(generate_unit_cell(seed=7), 6, 6),
+    "grid1x5": lambda: alternating_lattice(1, 5, seed=15),
+    "grid5x1": lambda: alternating_lattice(5, 1, seed=51),
+    "grid4x7": lambda: alternating_lattice(4, 7, seed=47),
+}
+
+
+class TestSliceKernelOracle:
+    @pytest.mark.parametrize("sigma", [0.0, 7.7, 18.4, 93.5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
+    def test_passes_match_gather_kernel(self, name, sigma):
+        lat = ORACLE_LATTICES[name]()
+        # neither chunk_trials (4096) nor any block size divides 4097 or 5000
+        for trials in (1, 4097, 5000):
+            expected = gather_passes(
+                lat, YieldConfig(sigma_f_mhz=sigma, master_seed=13, trials=trials)
+            )
+            for threads in (1, 2):
+                cfg = YieldConfig(
+                    sigma_f_mhz=sigma, master_seed=13, trials=trials, n_threads=threads
+                )
+                assert mc_chip_yield(lat, cfg).passes == expected
+
+    @pytest.mark.parametrize("block_values", [1, 100, 4096])
+    def test_block_size_does_not_change_passes(self, monkeypatch, block_values):
+        lat = tile(generate_unit_cell(seed=7), 2, 2)
+        cfg = YieldConfig(sigma_f_mhz=18.4, master_seed=3, trials=5000)
+        expected = mc_chip_yield(lat, cfg).passes
+        monkeypatch.setattr(yieldmc, "BLOCK_VALUES", block_values)
+        assert mc_chip_yield(lat, cfg).passes == expected
+
+
+class TestLatticesWithFewEdges:
+    def test_single_qubit_passes_every_trial(self):
+        lat = QubitLattice(rows=1, cols=1, design_f01max=(4500.0,))
+        res = mc_chip_yield(lat, YieldConfig(sigma_f_mhz=18.4, master_seed=1, trials=5000))
+        assert res.passes == 5000
+        assert res.yield_estimate == 1.0
+
+    @pytest.mark.parametrize(
+        "rows, cols, seed, pinned",
+        [(1, 5, 15, (4997, 4025, 458)), (5, 1, 51, (5000, 4235, 452))],
+    )
+    def test_single_row_and_column_pinned(self, rows, cols, seed, pinned):
+        lat = alternating_lattice(rows, cols, seed)
+        got = tuple(
+            mc_chip_yield(lat, YieldConfig(sigma_f_mhz=s, master_seed=11, trials=5000)).passes
+            for s in (7.7, 18.4, 93.5)
+        )
+        assert got == pinned
 
 
 class TestYieldCurve:
