@@ -5,37 +5,38 @@ input digests, tool version) next to its outputs, so any run can be
 reproduced bit-identically. Seeds are mandatory for stochastic
 commands; there is no wall-clock fallback.
 
-Exit codes: 0 success, 2 validation/schema error, 3 infeasibility.
+Exit codes: 0 success, 2 invalid input or unreadable file, 3 infeasibility.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, controller, fileio, freqmodel, junction, lattice, yieldmc
-from .errors import (
-    ControllerError,
-    FitError,
-    InfeasibleError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import ControllerError, FitError, InfeasibleError, SchemaError, ValidationError
 
 DEFAULT_QUBITS = 221
 DEFAULT_DESIGN_RESISTANCE = 4587.8
 
 
-def _parse_pair(text: str, sep: str, what: str) -> tuple[float, float]:
-    parts = text.split(sep)
-    if len(parts) != 2:
-        raise ValidationError(f"{what} must look like 'a{sep}b', got {text!r}")
+def _parse_floats(text: str, sep: str, what: str) -> list[float]:
     try:
-        return float(parts[0]), float(parts[1])
+        values = [float(v) for v in text.split(sep)]
     except ValueError as exc:
         raise ValidationError(f"{what} must be numeric: {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{what} must be finite, got {text!r}")
+    return values
+
+
+def _parse_pair(text: str, sep: str, what: str) -> tuple[float, float]:
+    values = _parse_floats(text, sep, what)
+    if len(values) != 2:
+        raise ValidationError(f"{what} must look like 'a{sep}b', got {text!r}")
+    return values[0], values[1]
 
 
 def _seed(text: str) -> int:
@@ -53,13 +54,13 @@ def _parse_cells(text: str) -> tuple[int, int]:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created just before a command's first write."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_simulate_tuning(args) -> int:
-    out = _out_dir(args)
     fab = junction.FabricationModel(design_resistance=args.design_resistance)
     config = controller.CampaignConfig(
         master_seed=args.seed,
@@ -80,6 +81,7 @@ def cmd_simulate_tuning(args) -> int:
             )
         )
     result = controller.run_campaign(qubits, targets, config)
+    out = _out_dir(args)
     fileio.save_campaign(out / "campaign.json", result, targets, config)
 
     prec = controller.precision_stats(result, targets)
@@ -122,9 +124,9 @@ def cmd_simulate_tuning(args) -> int:
 
 
 def cmd_calibrate_freq(args) -> int:
-    out = _out_dir(args)
-    points = _read_points_csv(args.data, "resistance_ohm", "f01max_mhz")
+    points = fileio.read_points_csv(args.data, "resistance_ohm", "f01max_mhz")
     model = freqmodel.fit_power_law(points)
+    out = _out_dir(args)
     fileio.save_calibration(out / "calibration.json", model)
     fileio.write_manifest(out, "calibrate-freq", {"data": str(args.data)}, None, [args.data])
     print(
@@ -136,13 +138,13 @@ def cmd_calibrate_freq(args) -> int:
 
 
 def cmd_assign_targets(args) -> int:
-    out = _out_dir(args)
     model = fileio.load_calibration(args.calibration)
     lat, _window = fileio.load_design(args.design)
     rows = []
     for i, f_design in enumerate(lat.design_f01max):
         rt = freqmodel.assign_target_R(model, f_design, args.aging_budget)
         rows.append((f"Q{i:03d}", f_design, rt))
+    out = _out_dir(args)
     fileio.write_csv(
         out / "targets.csv",
         ["qubit_id", "design_f_mhz", "target_resistance_ohm"],
@@ -161,14 +163,12 @@ def cmd_assign_targets(args) -> int:
 
 
 def cmd_fit_relaxation(args) -> int:
-    out = _out_dir(args)
-    points = _read_points_csv(args.data, "t_hr", "delta_r_ohm")
+    points = fileio.read_points_csv(args.data, "t_hr", "delta_r_ohm")
     t = [p[0] for p in points]
     dr = [p[1] for p in points]
-    breakpoints = None
-    if args.breakpoints:
-        breakpoints = [float(b) for b in args.breakpoints.split(",")]
-    fit = freqmodel.fit_segmented_power_law(t, dr, breakpoints=breakpoints)
+    bps = _parse_floats(args.breakpoints, ",", "--breakpoints") if args.breakpoints else None
+    fit = freqmodel.fit_segmented_power_law(t, dr, breakpoints=bps)
+    out = _out_dir(args)
     fileio.dump_json(
         out / "relaxation_fit.json",
         {
@@ -189,11 +189,11 @@ def cmd_fit_relaxation(args) -> int:
 
 
 def cmd_analyze_lattice(args) -> int:
-    out = _out_dir(args)
     lat, design_window = fileio.load_design(args.design)
     window = _parse_pair(args.window, ",", "--window") if args.window else None
     report = lattice.edge_detunings(lat, window=window)
     assign = lattice.modulation_assignment(report)
+    out = _out_dir(args)
     fileio.write_csv(
         out / "detunings.csv",
         ["node_a", "node_b", "signed_mhz", "abs_mhz", "modulated_qubit", "in_window"],
@@ -223,13 +223,13 @@ def cmd_analyze_lattice(args) -> int:
 
 
 def cmd_park(args) -> int:
-    out = _out_dir(args)
     lat, _ = fileio.load_design(args.design)
     window = _parse_pair(args.window, ",", "--window")
     plan = lattice.optimize_parking(
         lat, window, max_park_mhz=args.max_park, step_mhz=args.step,
         symmetric=args.symmetric,
     )
+    out = _out_dir(args)
     fileio.dump_json(
         out / "parking.json",
         {
@@ -254,7 +254,6 @@ def cmd_park(args) -> int:
 
 
 def cmd_yield(args) -> int:
-    out = _out_dir(args)
     window = _parse_pair(args.window, ",", "--window")
     inputs = []
     if args.design:
@@ -265,10 +264,7 @@ def cmd_yield(args) -> int:
             [lat3.design_f01max[r * 3 + c] - min(lat3.design_f01max) for c in range(3)]
             for r in range(3)
         ]
-        cell = yieldmc.UnitCellDesign(
-            offsets_mhz=tuple(tuple(row) for row in offsets),
-            design_window_mhz=tuple(design_window),
-        )
+        cell = yieldmc.UnitCellDesign(offsets_mhz=offsets, design_window_mhz=design_window)
         inputs.append(args.design)
     else:
         cell = yieldmc.generate_unit_cell(seed=args.seed)
@@ -283,6 +279,7 @@ def cmd_yield(args) -> int:
     )
     result = yieldmc.mc_chip_yield(lat, config)
     wafer = yieldmc.wafer_projection(result, dice=args.dice)
+    out = _out_dir(args)
     fileio.save_design(out / "unit_cell.json", cell)
     fileio.write_csv(
         out / "yield.csv",
@@ -308,11 +305,11 @@ def cmd_yield(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
     result, targets, _config = fileio.load_campaign(args.campaign)
     prec = controller.precision_stats(result, targets)
     over = controller.overshoot_stats(result)
     reserve = controller.calibrate_reserve(result.records)
+    out = _out_dir(args)
     fileio.write_csv(
         out / "report.csv",
         ["metric", "value"],
@@ -332,25 +329,6 @@ def cmd_report(args) -> int:
         f"mean {100 * prec.mean_frac:+.3f}%"
     )
     return 0
-
-
-def _read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:
-    points = []
-    problems = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or col_x not in reader.fieldnames or col_y not in reader.fieldnames:
-            raise SchemaError(
-                f"{path}: expected columns {col_x!r} and {col_y!r}, got {reader.fieldnames}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                points.append((float(rec[col_x]), float(rec[col_y])))
-            except (TypeError, ValueError):
-                problems.append(f"line {lineno}: non-numeric {col_x}/{col_y}")
-    if problems:
-        raise SchemaError(f"{path}: {len(problems)} invalid rows", details=problems)
-    return points
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,20 +408,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, ValidationError, FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for line in exc.details:
+        for line in getattr(exc, "details", ()):
             print(f"  {line}", file=sys.stderr)
-        return 2
-    except (ValidationError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InfeasibleError, ControllerError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

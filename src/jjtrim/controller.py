@@ -58,12 +58,9 @@ class CampaignConfig:
     step: StepModel = field(default_factory=StepModel)
     measurement: MeasurementModel = field(default_factory=MeasurementModel)
     relaxation: RelaxationProfile = field(default_factory=RelaxationProfile)
-    probe_delay_hr: float = 5.0
     max_pulses: int = 10**6
 
     def __post_init__(self):
-        if self.probe_delay_hr < 0:
-            raise ValidationError(f"probe_delay_hr must be >= 0, got {self.probe_delay_hr}")
         if not self.max_pulses > 0:
             raise ValidationError(f"max_pulses must be > 0, got {self.max_pulses}")
 
@@ -116,7 +113,7 @@ def tune_qubit(
     rng: np.random.Generator | None = None,
 ) -> QubitTuneRecord:
     """Pulse until the monitored resistance crosses the stop threshold,
-    then probe after the configured delay.
+    then probe after the relaxation profile's probe delay.
 
     ``r_last_pulse`` is the first monitored value at or above the
     threshold. Qubits already above threshold are recorded with zero
@@ -129,7 +126,7 @@ def tune_qubit(
 
     first_read = measure_resistance(state, config.measurement, rng)
     if first_read >= threshold:
-        settled = advance_time(state, config.relaxation, config.probe_delay_hr)
+        settled = advance_time(state, config.relaxation, config.relaxation.probe_delay_hr)
         r_tuned = measure_resistance(settled, config.measurement, rng)
         return QubitTuneRecord(
             qubit_id=target.qubit_id,
@@ -152,7 +149,7 @@ def tune_qubit(
         hours_since_last_pulse=0.0,
         pulse_count=state.pulse_count + pulses,
     )
-    settled = advance_time(stopped, config.relaxation, config.probe_delay_hr)
+    settled = advance_time(stopped, config.relaxation, config.relaxation.probe_delay_hr)
     r_tuned = measure_resistance(settled, config.measurement, rng)
     return QubitTuneRecord(
         qubit_id=target.qubit_id,
@@ -216,10 +213,8 @@ def run_campaign(
     return CampaignResult(records=tuple(records))
 
 
-def _tuned_records(records, include_untuned: bool):
-    records = list(records)
-    if not include_untuned:
-        records = [r for r in records if not r.already_above_target]
+def _tuned_records(records):
+    records = [r for r in records if not r.already_above_target]
     if not records:
         raise ValidationError("no tuned records to aggregate")
     return records
@@ -232,14 +227,14 @@ class ReserveCalibration:
     count: int
 
 
-def calibrate_reserve(records, include_untuned: bool = False) -> ReserveCalibration:
+def calibrate_reserve(records) -> ReserveCalibration:
     """Relaxation fraction realized between last pulse and probe:
     statistics of (r_tuned - r_last_pulse) / r_last_pulse.
 
     Qubits flagged already-above-target were never pulsed and are
-    excluded unless ``include_untuned`` is set.
+    excluded.
     """
-    records = _tuned_records(records, include_untuned)
+    records = _tuned_records(records)
     fracs = np.array(
         [(r.r_tuned - r.r_last_pulse) / r.r_last_pulse for r in records]
     )
@@ -256,18 +251,16 @@ class PrecisionStats:
     max_frac: float
 
 
-def precision_stats(
-    result: CampaignResult, targets, include_untuned: bool = False
-) -> PrecisionStats:
+def precision_stats(result: CampaignResult, targets) -> PrecisionStats:
     """Tuned-resistance error relative to target, (r_tuned - R_T)/R_T.
 
-    Records flagged already-above-target are excluded unless
-    ``include_untuned`` is set; they were never tuned.
+    Records flagged already-above-target are excluded; they were never
+    tuned.
     """
     targets = list(targets)
     if not targets:
         raise ValidationError("precision_stats needs a non-empty target list")
-    records = _tuned_records(result.records, include_untuned)
+    records = _tuned_records(result.records)
     by_id = {t.qubit_id: t for t in targets}
     fracs = []
     for rec in records:
@@ -290,8 +283,8 @@ class OvershootStats:
     sigma: float
 
 
-def overshoot_stats(result: CampaignResult, include_untuned: bool = False) -> OvershootStats:
+def overshoot_stats(result: CampaignResult) -> OvershootStats:
     """Last-pulse excess above the stop threshold, set by step size."""
-    records = _tuned_records(result.records, include_untuned)
+    records = _tuned_records(result.records)
     over = np.array([r.r_last_pulse - r.threshold for r in records])
     return OvershootStats(mean=float(over.mean()), sigma=float(over.std()))

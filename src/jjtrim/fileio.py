@@ -1,141 +1,145 @@
 """File formats and run manifests.
 
-CSV for tabular logs and reports (mandatory header, UTF-8, '.' decimal,
-fixed per-column formatting), JSON for designs, calibrations, campaigns,
-and manifests. Parsing is strict: every schema violation is reported
-with its line and field, nothing is silently skipped.
+CSV for numeric point inputs and reports (mandatory header, UTF-8, '.'
+decimal, fixed per-column formatting), JSON for designs, calibrations,
+campaigns, and manifests. Parsing is strict: one schema walker checks
+every JSON input and names the offending field's path, every bad CSV
+line is reported, and nothing is silently skipped.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
-from dataclasses import asdict, dataclass
+import math
+import reprlib
+from dataclasses import asdict, astuple
+from enum import EnumMeta
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .controller import CampaignConfig, CampaignResult, QubitTuneRecord, TuningTarget
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError
 from .freqmodel import PowerLawModel
 from .junction import MeasurementModel, RelaxationProfile, StepKind, StepModel
 from .lattice import QubitLattice
 from .yieldmc import UnitCellDesign
 
-RESISTANCE_LOG_HEADER = ["qubit_id", "t_hr", "resistance_ohm", "phase"]
-_PHASES = ("untuned", "pulse", "probe")
+
+class _Nullable(NamedTuple):
+    schema: object  # schema marker: ``schema`` or JSON null; an absent key reads as null
 
 
-@dataclass(frozen=True)
-class ResistanceLogRow:
-    qubit_id: str
-    t_hr: float
-    resistance_ohm: float
-    phase: str
-
-    def __post_init__(self):
-        if self.t_hr < 0:
-            raise ValidationError(f"t_hr must be >= 0, got {self.t_hr}")
-        if not self.resistance_ohm > 0:
-            raise ValidationError(f"resistance must be > 0, got {self.resistance_ohm}")
-        if self.phase not in _PHASES:
-            raise ValidationError(f"phase must be one of {_PHASES}, got {self.phase!r}")
+class _Mismatch(Exception):
+    """Args (problem, path): a value does not match its schema; the path grows innermost first."""
 
 
-def parse_resistance_log(path) -> list[ResistanceLogRow]:
-    rows = []
-    problems = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESISTANCE_LOG_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {RESISTANCE_LOG_HEADER}, got {header}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 4:
-                problems.append(f"line {lineno}: expected 4 fields, got {len(rec)}")
+_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
+             str: "a string", dict: "an object", list: "a list"}
+
+
+def _walk(value, schema):
+    """``value`` checked against ``schema``, with numbers made float and enums resolved.
+
+    A schema is ``float`` (a finite number; an int is accepted, a bool is
+    not), ``int``, ``bool`` or ``str`` (exactly that JSON type), an Enum
+    class (matched by value), ``[schema]`` (a list), ``{key: schema}`` (an
+    object with exactly those keys) or ``_Nullable(schema)``. Containers
+    are converted in place; members that already have their scalar type
+    are not visited, which keeps a 2000-record campaign cheap.
+    """
+    kind = type(value)
+    if schema is float:
+        if (kind is float or kind is int) and math.isfinite(value):
+            return float(value)
+    elif kind is schema:
+        return value
+    elif kind is type(schema):  # a list or an object
+        if kind is list:
+            members = zip(range(len(value)), repeat(schema[0]))
+        else:
+            if value.keys() != schema.keys():
+                for key in [k for k in schema if k not in value]:
+                    if type(schema[key]) is not _Nullable:
+                        raise _Mismatch("missing", [key])
+                    value[key] = None
+                unknown = [k for k in value if k not in schema]
+                if unknown:
+                    raise _Mismatch("unknown key", unknown[:1])
+            members = schema.items()
+        for key, sub in members:
+            item = value[key]
+            if type(item) is sub and (sub is not float or math.isfinite(item)):
                 continue
-            qid, t_s, r_s, phase = rec
             try:
-                t = float(t_s)
-            except ValueError:
-                problems.append(f"line {lineno}: t_hr {t_s!r} is not a number")
-                continue
-            try:
-                r = float(r_s)
-            except ValueError:
-                problems.append(f"line {lineno}: resistance_ohm {r_s!r} is not a number")
-                continue
-            try:
-                rows.append(ResistanceLogRow(qid, t, r, phase))
-            except ValidationError as exc:
-                problems.append(f"line {lineno}: {exc}")
-    if problems:
-        raise SchemaError(f"{path}: {len(problems)} invalid rows", details=problems)
-    return rows
+                new = _walk(item, sub)
+            except _Mismatch as exc:
+                exc.args[1].append(key)
+                raise
+            if new is not item:
+                value[key] = new
+        return value
+    elif type(schema) is _Nullable:
+        return None if value is None else _walk(value, schema.schema)
+    elif isinstance(schema, EnumMeta):
+        try:
+            return schema(value)
+        except ValueError:
+            expected = "one of " + ", ".join(repr(m.value) for m in schema)
+            raise _Mismatch(f"expected {expected}, got {reprlib.repr(value)}", []) from None
+    expected = _EXPECTED[schema if isinstance(schema, type) else type(schema)]
+    raise _Mismatch(f"expected {expected}, got {reprlib.repr(value)}", [])
 
 
-def serialize_resistance_log(rows) -> str:
-    """Canonical form: 6-decimal t_hr, 4-decimal resistance, LF endings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESISTANCE_LOG_HEADER)
-    for row in rows:
-        writer.writerow(
-            [row.qubit_id, f"{row.t_hr:.6f}", f"{row.resistance_ohm:.4f}", row.phase]
-        )
-    return buf.getvalue()
+def _load(path, schema):
+    """A JSON file checked against ``schema`` (see ``_walk``); a mismatch names its field."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8") from exc
+    try:
+        return _walk(data, schema)
+    except _Mismatch as exc:
+        problem, keys = exc.args
+        fields = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(keys))
+        where = f"{fields.removeprefix('.')}: " if fields else ""
+        raise SchemaError(f"{path}: {where}{problem}") from None
 
 
-def save_resistance_log(path, rows) -> None:
-    Path(path).write_text(serialize_resistance_log(rows), encoding="utf-8")
+def _grid(path, data, key, what) -> tuple:
+    """``data[key]``, a rows x cols grid or null, flattened; a null cell names its node."""
+    rows, cols, grid = data["rows"], data["cols"], data[key]
+    if grid is None:
+        return None
+    if len(grid) != rows or any(len(row) != cols for row in grid):
+        raise SchemaError(f"{path}: {key} must be a {rows}x{cols} grid")
+    missing = [f"({r},{c})" for r, row in enumerate(grid) for c, v in enumerate(row) if v is None]
+    if missing:
+        raise SchemaError(f"{path}: missing {what} at nodes {', '.join(missing)}")
+    return tuple(v for row in grid for v in row)
+
+
+_GRID = [[_Nullable(float)]]
+_DESIGN = {"rows": int, "cols": int, "base_frequency_mhz": float, "offsets_mhz": _GRID,
+           "design_window_mhz": [float], "measured_mhz": _Nullable(_GRID)}
 
 
 def load_design(path) -> tuple[QubitLattice, tuple[float, float]]:
-    """Design JSON -> (lattice, design window).
-
-    Schema: {rows, cols, base_frequency_mhz, offsets_mhz: [[...]],
-    design_window_mhz: [lo, hi]} with optional measured_mhz: [[...]].
-    A null offset is an error naming the node.
-    """
-    data = load_json(path)
-    for key in ("rows", "cols", "base_frequency_mhz", "offsets_mhz", "design_window_mhz"):
-        if key not in data:
-            raise SchemaError(f"{path}: missing key {key!r}")
-    rows, cols = int(data["rows"]), int(data["cols"])
-    base = float(data["base_frequency_mhz"])
-    offsets = data["offsets_mhz"]
-    if len(offsets) != rows or any(len(r) != cols for r in offsets):
-        raise SchemaError(f"{path}: offsets_mhz must be a {rows}x{cols} grid")
-    missing = [
-        f"({r},{c})"
-        for r in range(rows)
-        for c in range(cols)
-        if offsets[r][c] is None
-    ]
-    if missing:
-        raise SchemaError(f"{path}: missing frequency offset at nodes {', '.join(missing)}")
-    design = tuple(base + float(offsets[r][c]) for r in range(rows) for c in range(cols))
-    measured = None
-    if data.get("measured_mhz") is not None:
-        meas = data["measured_mhz"]
-        if len(meas) != rows or any(len(r) != cols for r in meas):
-            raise SchemaError(f"{path}: measured_mhz must be a {rows}x{cols} grid")
-        missing = [
-            f"({r},{c})" for r in range(rows) for c in range(cols) if meas[r][c] is None
-        ]
-        if missing:
-            raise SchemaError(
-                f"{path}: missing measured frequency at nodes {', '.join(missing)}"
-            )
-        measured = tuple(float(meas[r][c]) for r in range(rows) for c in range(cols))
-    window = tuple(float(w) for w in data["design_window_mhz"])
+    """Design JSON (``_DESIGN``) -> (lattice, design window)."""
+    data = _load(path, _DESIGN)
+    base = data["base_frequency_mhz"]
+    design = tuple(base + f for f in _grid(path, data, "offsets_mhz", "frequency offset"))
+    measured = _grid(path, data, "measured_mhz", "measured frequency")
+    window = tuple(data["design_window_mhz"])
     if len(window) != 2:
         raise SchemaError(f"{path}: design_window_mhz must be [lo, hi]")
-    lattice = QubitLattice(rows=rows, cols=cols, design_f01max=design, measured_f01max=measured)
-    return lattice, window
+    return QubitLattice(data["rows"], data["cols"], design, measured), window
 
 
 def save_design(path, cell: UnitCellDesign) -> None:
@@ -149,98 +153,98 @@ def save_design(path, cell: UnitCellDesign) -> None:
     dump_json(path, data)
 
 
+# The JSON keys in PowerLawModel's field order.
+_CALIBRATION = dict.fromkeys(("beta", "alpha", "residual_sigma_mhz", "r_min", "r_max"), float)
+
+
 def load_calibration(path) -> PowerLawModel:
-    data = load_json(path)
-    for key in ("beta", "alpha", "residual_sigma_mhz", "r_min", "r_max"):
-        if key not in data:
-            raise SchemaError(f"{path}: missing key {key!r}")
-    return PowerLawModel(
-        beta=float(data["beta"]),
-        alpha=float(data["alpha"]),
-        residual_sigma=float(data["residual_sigma_mhz"]),
-        r_min=float(data["r_min"]),
-        r_max=float(data["r_max"]),
-    )
+    data = _load(path, _CALIBRATION)
+    return PowerLawModel(*(data[key] for key in _CALIBRATION))
 
 
 def save_calibration(path, model: PowerLawModel) -> None:
-    dump_json(
-        path,
-        {
-            "beta": model.beta,
-            "alpha": model.alpha,
-            "residual_sigma_mhz": model.residual_sigma,
-            "r_min": model.r_min,
-            "r_max": model.r_max,
-        },
-    )
+    dump_json(path, dict(zip(_CALIBRATION, astuple(model))))
+
+
+_CAMPAIGN = {
+    "config": {
+        "master_seed": int,
+        "step": {"kind": StepKind, "mean_step": float, "low": _Nullable(float),
+                 "high": _Nullable(float)},
+        "noise_sigma": float,
+        "relaxation": {"breakpoints_hr": [float], "exponents": [float], "probe_delay_hr": float},
+        "max_pulses": int,
+    },
+    "targets": [{"qubit_id": str, "target_resistance": float, "relaxation_reserve": float}],
+    "records": [{"qubit_id": str, "r_untuned": float, "threshold": float, "r_last_pulse": float,
+                 "r_tuned": float, "pulses": int, "already_above_target": bool}],
+}
 
 
 def save_campaign(path, result: CampaignResult, targets, config: CampaignConfig) -> None:
     data = {
         "config": {
             "master_seed": config.master_seed,
-            "step": {
-                "kind": config.step.kind.value,
-                "mean_step": config.step.mean_step,
-                "low": config.step.low,
-                "high": config.step.high,
-            },
+            "step": {**asdict(config.step), "kind": config.step.kind.value},
             "noise_sigma": config.measurement.noise_sigma,
-            "relaxation": {
-                "breakpoints_hr": list(config.relaxation.breakpoints_hr),
-                "exponents": list(config.relaxation.exponents),
-                "probe_delay_hr": config.relaxation.probe_delay_hr,
-            },
-            "probe_delay_hr": config.probe_delay_hr,
+            "relaxation": asdict(config.relaxation),
             "max_pulses": config.max_pulses,
         },
-        "targets": [
-            {
-                "qubit_id": t.qubit_id,
-                "target_resistance": t.target_resistance,
-                "relaxation_reserve": t.relaxation_reserve,
-            }
-            for t in targets
-        ],
-        "records": [asdict(r) for r in result.records],
+        # Per-qubit dataclasses are flat, so their __dict__ is asdict's result
+        # without its deep copy, which costs about 10 us per object.
+        "targets": [vars(t) for t in targets],
+        "records": [vars(r) for r in result.records],
     }
     dump_json(path, data)
 
 
 def load_campaign(path) -> tuple[CampaignResult, list[TuningTarget], CampaignConfig]:
-    data = load_json(path)
-    for key in ("config", "targets", "records"):
-        if key not in data:
-            raise SchemaError(f"{path}: missing key {key!r}")
+    data = _load(path, _CAMPAIGN)
     cfg = data["config"]
     config = CampaignConfig(
-        master_seed=int(cfg["master_seed"]),
-        step=StepModel(
-            kind=StepKind(cfg["step"]["kind"]),
-            mean_step=float(cfg["step"]["mean_step"]),
-            low=cfg["step"]["low"],
-            high=cfg["step"]["high"],
-        ),
-        measurement=MeasurementModel(noise_sigma=float(cfg["noise_sigma"])),
-        relaxation=RelaxationProfile(
-            breakpoints_hr=tuple(cfg["relaxation"]["breakpoints_hr"]),
-            exponents=tuple(cfg["relaxation"]["exponents"]),
-            probe_delay_hr=float(cfg["relaxation"]["probe_delay_hr"]),
-        ),
-        probe_delay_hr=float(cfg["probe_delay_hr"]),
-        max_pulses=int(cfg["max_pulses"]),
+        master_seed=cfg["master_seed"],
+        step=StepModel(**cfg["step"]),
+        measurement=MeasurementModel(noise_sigma=cfg["noise_sigma"]),
+        relaxation=RelaxationProfile(**cfg["relaxation"]),
+        max_pulses=cfg["max_pulses"],
     )
-    targets = [
-        TuningTarget(
-            qubit_id=t["qubit_id"],
-            target_resistance=float(t["target_resistance"]),
-            relaxation_reserve=float(t["relaxation_reserve"]),
-        )
-        for t in data["targets"]
-    ]
+    targets = [TuningTarget(**t) for t in data["targets"]]
     records = tuple(QubitTuneRecord(**r) for r in data["records"])
     return CampaignResult(records=records), targets, config
+
+
+def read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:
+    """(x, y) pairs from two named columns of a headed UTF-8 CSV.
+
+    Every row needs the header's field count and finite numbers in both
+    columns; all bad lines are reported at once. Undecodable bytes read
+    as U+FFFD, so a line holding them fails as not numeric.
+    """
+    points, problems = [], []
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if col_x not in header or col_y not in header:
+            raise SchemaError(f"{path}: expected columns {col_x!r} and {col_y!r}, got {header}")
+        ix, iy = header.index(col_x), header.index(col_y)
+        for rec in reader:
+            if not rec:
+                continue  # a blank line
+            if len(rec) != len(header):
+                problems.append(f"line {reader.line_num}: {len(rec)} fields, want {len(header)}")
+                continue
+            try:
+                point = float(rec[ix]), float(rec[iy])
+            except ValueError:
+                point = (math.nan,)
+            if all(map(math.isfinite, point)):
+                points.append(point)
+            else:
+                problems.append(f"line {reader.line_num}: {col_x}/{col_y} "
+                                f"{rec[ix]!r}, {rec[iy]!r} are not finite numbers")
+    if problems:
+        raise SchemaError(f"{path}: {len(problems)} invalid rows", details=problems)
+    return points
 
 
 def sha256_file(path) -> str:
@@ -251,26 +255,18 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    master_seed: int | None
-    input_digests: dict
-    tool_version: str = __version__
-
-
 def write_manifest(out_dir, command: str, config: dict, master_seed, inputs=()) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        master_seed=master_seed,
-        input_digests={str(p): sha256_file(p) for p in inputs},
-    )
+    manifest = {
+        "command": command,
+        "config": config,
+        "master_seed": master_seed,
+        "input_digests": {str(p): sha256_file(p) for p in inputs},
+        "tool_version": __version__,
+    }
     path = out_dir / "manifest.json"
-    dump_json(path, asdict(manifest))
+    dump_json(path, manifest)
     return path
 
 
@@ -288,14 +284,6 @@ def write_csv(path, header, rows, formats=None) -> None:
                 else:
                     out.append(val)
             writer.writerow(out)
-
-
-def load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def dump_json(path, data) -> None:

@@ -9,6 +9,7 @@ Gaussian fitting live here too.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,6 +74,8 @@ def fit_power_law(points) -> PowerLawModel:
     r, f = pts[:, 0], pts[:, 1]
     if np.any(r <= 0) or np.any(f <= 0):
         raise FitError("all resistances and frequencies must be positive")
+    if np.all(r == r[0]):
+        raise FitError(f"need >= 2 distinct resistances, got only {r[0]}")
     slope, intercept = np.polyfit(np.log(r), np.log(f), 1)
     alpha = -float(slope)
     beta = float(np.exp(intercept))
@@ -109,6 +112,8 @@ def invert_R(model: PowerLawModel, f):
 def assign_target_R(model: PowerLawModel, f_design: float, aging_budget: float = 0.02) -> float:
     """Target resistance for a design frequency, deflated by the aging
     budget so post-tuning drift lands the qubit on frequency."""
+    if not (math.isfinite(aging_budget) and 0 <= aging_budget < 1):
+        raise ValidationError(f"aging_budget must be finite and in [0, 1), got {aging_budget}")
     r = invert_R(model, f_design)
     if not model.r_min <= r <= model.r_max:
         warnings.warn(
@@ -152,8 +157,8 @@ def fit_segmented_power_law(
     """
     t = np.asarray(t_hr, dtype=float)
     y = np.asarray(delta_r, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise FitError("t_hr and delta_r must be 1-D arrays of equal length")
+    if t.shape != y.shape or t.ndim != 1 or t.size < min_points:
+        raise FitError(f"need equal-length 1-D t_hr and delta_r of >= {min_points} points")
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise FitError("times and resistance changes must be finite")
     if np.any(t <= 0) or np.any(y <= 0):

@@ -248,8 +248,10 @@ def optimize_parking(
     """
     if window[0] >= window[1]:
         raise ValidationError(f"window must satisfy lo < hi, got {window}")
-    if step_mhz <= 0 or max_park_mhz < 0:
-        raise ValidationError("step must be > 0 and max_park >= 0")
+    if not (math.isfinite(step_mhz) and step_mhz > 0):
+        raise ValidationError(f"step must be finite and > 0, got {step_mhz}")
+    if not (math.isfinite(max_park_mhz) and max_park_mhz >= 0):
+        raise ValidationError(f"max_park must be finite and >= 0, got {max_park_mhz}")
     if lattice.n_qubits > max_qubits:
         raise ValidationError(
             f"exact parking search is limited to {max_qubits} qubits, "

@@ -1,11 +1,17 @@
 import csv
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jjtrim import fileio
 from jjtrim.cli import main
+from jjtrim.freqmodel import PowerLawModel
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -41,7 +47,7 @@ class TestSimulateTuning:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "noise_sigma" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "campaign.json").exists()
+        assert not (tmp_path / "o").exists()
 
 
 class TestCalibrateAssign:
@@ -206,6 +212,7 @@ class TestYieldCommand:
         rc = main(["yield", "--sigma", "7.7", "--cells", "banana", "--seed", "7",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -219,7 +226,7 @@ class TestYieldCommand:
                    "--trials", "2000", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "yield.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -238,3 +245,230 @@ class TestYieldCommand:
         rc = main(["analyze-lattice", "--design", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+DESIGN = {
+    "rows": 3,
+    "cols": 3,
+    "base_frequency_mhz": 4500.0,
+    "offsets_mhz": [[0.0, 50.0, 100.0], [100.0, 150.0, 200.0], [50.0, 100.0, 150.0]],
+    "design_window_mhz": [40.0, 110.0],
+    "measured_mhz": [[4501.0, 4552.0, 4597.0], [4603.0, 4648.0, 4701.0], [4552.0, 4600.5, 4653.0]],
+}
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """One valid input of each kind the CLI reads, keyed by kind."""
+    d = tmp_path_factory.mktemp("valid")
+    (d / "design.json").write_text(json.dumps(DESIGN))
+    fileio.save_calibration(
+        d / "calibration.json",
+        PowerLawModel(beta=280000.0, alpha=0.51, residual_sigma=2.0, r_min=3000.0, r_max=7000.0),
+    )
+    assert main(["simulate-tuning", "--qubits", "4", "--seed", "1", "--out", str(d / "sim")]) == 0
+    r = np.linspace(3500.0, 6500.0, 8)
+    (d / "points.csv").write_text(
+        "resistance_ohm,f01max_mhz\n" + "".join(f"{a!r},{280000.0 * a**-0.51!r}\n" for a in r)
+    )
+    return {"design": d / "design.json", "calibration": d / "calibration.json",
+            "campaign": d / "sim" / "campaign.json", "points": d / "points.csv"}
+
+
+def run_with(kind, path, valid, out):
+    """Run the command that reads an input of ``kind`` from ``path``."""
+    argv = {
+        "design": ["analyze-lattice", "--design", path, "--window", "20,130"],
+        "calibration": ["assign-targets", "--calibration", path, "--design", valid["design"]],
+        "campaign": ["report", "--campaign", path],
+        "points": ["calibrate-freq", "--data", path],
+    }[kind]
+    return main([str(a) for a in argv] + ["--out", str(out)])
+
+
+def _edit(kind, valid, tmp_path, edit):
+    """A copy of the valid ``kind`` input with ``edit`` applied to its JSON."""
+    data = json.loads(valid[kind].read_text())
+    edit(data)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _set(keys, value):
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        del data[keys[-1]]
+    return edit
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("design", _set(["rows"], "x"), "rows: expected an integer, got 'x'"),
+            ("design", _set(["rows"], 2.5), "rows: expected an integer, got 2.5"),
+            ("design", _set(["offsets_mhz", 1, 0], "a"),
+             "offsets_mhz[1][0]: expected a finite number, got 'a'"),
+            ("design", _set(["offsets_mhz"], 5), "offsets_mhz: expected a list, got 5"),
+            ("design", _set(["design_window_mhz"], 5),
+             "design_window_mhz: expected a list, got 5"),
+            ("design", _set(["measured_mhz", 0, 1], "b"),
+             "measured_mhz[0][1]: expected a finite number, got 'b'"),
+            ("design", _set(["base_frequency_mhz"], math.nan),
+             "base_frequency_mhz: expected a finite number, got nan"),
+            ("calibration", _set(["beta"], "x"), "beta: expected a finite number, got 'x'"),
+            ("campaign", _drop("config", "step"), "config.step: missing"),
+            ("campaign", _set(["records", 0, "extra"], 1), "records[0].extra: unknown key"),
+            ("campaign", _drop("targets", 2, "relaxation_reserve"),
+             "targets[2].relaxation_reserve: missing"),
+            ("campaign", _set(["config", "step", "kind"], "gauss"),
+             "config.step.kind: expected one of 'exponential', 'uniform', 'constant', got 'gauss'"),
+            ("campaign", _set(["records"], 7), "records: expected a list, got 7"),
+            ("campaign", _set(["records", 1, "r_tuned"], "abc"),
+             "records[1].r_tuned: expected a finite number, got 'abc'"),
+            ("campaign", _set(["config", "probe_delay_hr"], 5.0),
+             "config.probe_delay_hr: unknown key"),
+        ],
+    )
+    def test_json_field_named(self, tmp_path, valid, capsys, kind, edit, message):
+        path = _edit(kind, valid, tmp_path, edit)
+        assert run_with(kind, path, valid, tmp_path / "o") == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "rows, detail",
+        [
+            (b"3500.0,4000.0\n4000.0,3800.0,1.0\n", "line 3: 3 fields, want 2"),
+            (b"3500.0,4000.0\n4000.0,38\xff0.0\n", "line 3:"),
+            (b"3500.0,4000.0\n4000.0,inf\n", "line 3:"),
+        ],
+        ids=["three-fields", "byte-0xff", "inf"],
+    )
+    def test_points_csv_line_named(self, tmp_path, valid, capsys, rows, detail):
+        path = tmp_path / "points.csv"
+        path.write_bytes(b"resistance_ohm,f01max_mhz\n" + rows)
+        assert run_with("points", path, valid, tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: 1 invalid rows" in err
+        assert f"  {detail}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_path_exit_2(self, tmp_path, valid):
+        assert run_with("points", tmp_path, valid, tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
+
+class TestArgumentBoundaries:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["park", "--window", "20,130", "--max-park", "inf"], "max_park must be finite"),
+            (["park", "--window", "20,130", "--step", "nan"], "step must be finite"),
+            (["park", "--window", "nan,130"], "--window must be finite"),
+            (["analyze-lattice", "--window", "nan,130"], "--window must be finite"),
+            (["assign-targets", "--aging-budget", "nan"], "aging_budget must be finite"),
+            (["assign-targets", "--aging-budget", "2"], "aging_budget must be finite"),
+            (["yield", "--sigma", "7.7", "--seed", "1", "--threads", "0"], "n_threads"),
+        ],
+    )
+    def test_rejected(self, tmp_path, valid, capsys, argv, message):
+        inputs = {"park": ["--design", valid["design"]],
+                  "analyze-lattice": ["--design", valid["design"]],
+                  "assign-targets": ["--design", valid["design"],
+                                     "--calibration", valid["calibration"]],
+                  "yield": []}[argv[0]]
+        rc = main([str(a) for a in argv + inputs] + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_distinct_resistance(self, tmp_path, valid, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("resistance_ohm,f01max_mhz\n4000,4300\n4000,4310\n")
+        assert run_with("points", path, valid, tmp_path / "o") == 2
+        assert "need >= 2 distinct resistances" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("breakpoints", [[], ["--breakpoints", "0.2,2.0"]])
+    def test_empty_trace(self, tmp_path, capsys, breakpoints):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_hr,delta_r_ohm\n")
+        rc = main(["fit-relaxation", "--data", str(path), *breakpoints, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "need equal-length 1-D t_hr and delta_r of >= 3 points" in capsys.readouterr().err
+
+    def test_breakpoints_not_numeric(self, tmp_path, capsys):
+        rc = main(["fit-relaxation", "--data", str(DATA_DIR / "relaxation_demo.csv"),
+                   "--breakpoints", "0.2,a", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "--breakpoints must be numeric" in capsys.readouterr().err
+
+
+def _nodes(data, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    if isinstance(data, dict):
+        children = data.items()
+    elif isinstance(data, list):
+        children = enumerate(data)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+SWAPS = ["x", None, math.nan, [], [1.0], True, 1e308]
+
+
+class TestFuzzedInputs:
+    """Mutated inputs exit 0, 2 or 3 and never raise out of ``main``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(kind=st.sampled_from(["design", "calibration", "campaign"]), data=st.data())
+    def test_json(self, valid, kind, data):
+        box = [json.loads(valid[kind].read_text())]  # so the document itself has a parent
+        *parents, key = data.draw(st.sampled_from(list(_nodes(box))[1:]))
+        parent = box
+        for k in parents:
+            parent = parent[k]
+        op = data.draw(st.sampled_from(["drop", "add", "swap"]))
+        if op == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif op == "add" and isinstance(parent[key], dict):
+            parent[key]["unexpected"] = 1
+        else:
+            parent[key] = data.draw(st.sampled_from(SWAPS))
+        self._run(kind, json.dumps(box[0]).encode(), valid)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_points_csv(self, valid, data):
+        rows = [line.split(",") for line in valid["points"].read_text().splitlines()]
+        r = data.draw(st.integers(0, len(rows) - 1))
+        op = data.draw(st.sampled_from(["drop", "add", "swap"]))
+        if op == "drop":
+            del rows[r][data.draw(st.integers(0, 1))]
+        elif op == "add":
+            rows[r].append("1.0")
+        else:
+            cell = data.draw(st.sampled_from(["x", "", "nan", "inf", "-1", "1e308", "\udcff"]))
+            rows[r][data.draw(st.integers(0, 1))] = cell
+        text = "".join(",".join(row) + "\n" for row in rows)
+        self._run("points", text.encode("utf-8", "surrogateescape"), valid)
+
+    @staticmethod
+    def _run(kind, content, valid):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"input.{'csv' if kind == 'points' else 'json'}"
+            path.write_bytes(content)
+            assert run_with(kind, path, valid, Path(tmp) / "o") in (0, 2, 3)

@@ -220,6 +220,19 @@ class TestCampaign:
             rec = tune_qubit(state, target, config)
             assert abs(rec.r_tuned - 4625.9) / 4625.9 < tol
 
+    @pytest.mark.parametrize("probe_delay_hr", [0.5, 5.0, 30.0])
+    def test_probe_waits_the_profile_delay(self, probe_delay_hr):
+        # the probe happens at the profile's own normalisation point, so the
+        # realised relaxation equals the qubit's rho whatever the delay
+        target = TuningTarget(qubit_id="q", target_resistance=4625.9)
+        state = JunctionState(resistance=4400.0, relax_fraction=0.031, resistance_at_last_pulse=4400.0)
+        config = CampaignConfig(
+            master_seed=0, relaxation=RelaxationProfile(probe_delay_hr=probe_delay_hr)
+        )
+        rec = tune_qubit(state, target, config)
+        assert rec.pulses > 0
+        assert (rec.r_tuned - rec.r_last_pulse) / rec.r_last_pulse == pytest.approx(0.031, rel=1e-12)
+
     def test_variance_composition(self):
         # precision variance decomposes into relaxation-draw variance plus
         # relative overshoot variance (within 20%)

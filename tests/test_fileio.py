@@ -10,54 +10,9 @@ from jjtrim.controller import (
     run_campaign,
 )
 from jjtrim.errors import SchemaError
-from jjtrim.fileio import ResistanceLogRow
 from jjtrim.freqmodel import PowerLawModel
 from jjtrim.junction import FabricationModel, sample_fabricated
 from jjtrim.yieldmc import UnitCellDesign
-
-
-def make_log_rows(n=1000):
-    rows = []
-    for i in range(n):
-        rows.append(
-            ResistanceLogRow(
-                qubit_id=f"Q{i % 20:03d}",
-                t_hr=0.01 * i,
-                resistance_ohm=4000.0 + 0.37 * i,
-                phase=("untuned", "pulse", "probe")[i % 3],
-            )
-        )
-    return rows
-
-
-class TestResistanceLog:
-    def test_round_trip_byte_identical(self, tmp_path):
-        rows = make_log_rows()
-        path = tmp_path / "log.csv"
-        fileio.save_resistance_log(path, rows)
-        first = path.read_bytes()
-        reparsed = fileio.parse_resistance_log(path)
-        assert fileio.serialize_resistance_log(reparsed).encode() == first
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "log.csv"
-        path.write_text("a,b,c,d\nq,1,2,pulse\n")
-        with pytest.raises(SchemaError, match="header"):
-            fileio.parse_resistance_log(path)
-
-    def test_all_problems_reported(self, tmp_path):
-        path = tmp_path / "log.csv"
-        path.write_text(
-            "qubit_id,t_hr,resistance_ohm,phase\n"
-            "q0,notanumber,4000,pulse\n"
-            "q1,1.0,4000,pulse\n"
-            "q2,1.0,-5,pulse\n"
-            "q3,1.0,4000,warmup\n"
-        )
-        with pytest.raises(SchemaError) as err:
-            fileio.parse_resistance_log(path)
-        assert len(err.value.details) == 3
-        assert any("line 2" in d for d in err.value.details)
 
 
 class TestDesignJson:
@@ -91,6 +46,42 @@ class TestDesignJson:
         with pytest.raises(SchemaError, match="rows"):
             fileio.load_design(path)
 
+    def test_measured_grid_optional_or_null(self, tmp_path):
+        lat, _ = fileio.load_design(self._write(tmp_path, measured_mhz=None))
+        assert lat.measured_f01max is None
+        lat, _ = fileio.load_design(
+            self._write(tmp_path, measured_mhz=[[4501, 4552.5], [4548, 4601]])
+        )
+        assert lat.measured_f01max == (4501.0, 4552.5, 4548.0, 4601.0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"rows": 2.5}, "rows: expected an integer, got 2.5"),
+            ({"rows": True}, "rows: expected an integer, got True"),
+            ({"base_frequency_mhz": False}, "base_frequency_mhz: expected a finite number"),
+            ({"base_frequency_mhz": float("nan")}, "base_frequency_mhz: expected a finite number"),
+            ({"offsets_mhz": [[0.0, 50.0], ["a", 100.0]]},
+             r"offsets_mhz\[1\]\[0\]: expected a finite number, got 'a'"),
+            ({"offsets_mhz": [[0.0, 50.0]]}, "offsets_mhz must be a 2x2 grid"),
+            ({"measured_mhz": [[1.0, None], [1.0, 1.0]]}, r"measured frequency at nodes \(0,1\)"),
+            ({"design_window_mhz": [40.0]}, r"design_window_mhz must be \[lo, hi\]"),
+            ({"extra": 1}, "extra: unknown key"),
+        ],
+    )
+    def test_schema_errors_name_the_field(self, tmp_path, overrides, message):
+        path = self._write(tmp_path, **overrides)
+        with pytest.raises(SchemaError, match=message) as err:
+            fileio.load_design(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_integers_read_as_floats(self, tmp_path):
+        lat, window = fileio.load_design(
+            self._write(tmp_path, base_frequency_mhz=4500, offsets_mhz=[[0, 50], [50, 100]],
+                        design_window_mhz=[40, 110])
+        )
+        assert all(type(f) is float for f in (*lat.design_f01max, *window))
+
     def test_invalid_json_has_line(self, tmp_path):
         path = tmp_path / "design.json"
         path.write_text("{\n  broken\n}")
@@ -114,6 +105,28 @@ class TestCalibrationJson:
         path = tmp_path / "cal.json"
         fileio.save_calibration(path, model)
         assert fileio.load_calibration(path) == model
+
+
+class TestPointsCsv:
+    def test_reads_named_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("note,y,x\na,2.5,1\n\nb,4,3e2\n")
+        assert fileio.read_points_csv(path, "x", "y") == [(1.0, 2.5), (300.0, 4.0)]
+
+    def test_every_bad_line_reported(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_bytes(b"x,y\n1,2\n1,2,3\n1,nan\n1,\xff\n1\n")
+        with pytest.raises(SchemaError, match="4 invalid rows") as err:
+            fileio.read_points_csv(path, "x", "y")
+        assert [d.split(":")[0] for d in err.value.details] == [
+            "line 3", "line 4", "line 5", "line 6"
+        ]
+
+    def test_missing_column(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x,z\n1,2\n")
+        with pytest.raises(SchemaError, match="expected columns 'x' and 'y'"):
+            fileio.read_points_csv(path, "x", "y")
 
 
 class TestCampaignPersistence:
