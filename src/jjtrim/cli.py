@@ -60,7 +60,27 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _campaign_metrics(result, targets) -> dict:
+    """The precision, overshoot and reserve statistics both campaign reports
+    draw their rows from; raises before anything is written."""
+    prec = controller.precision_stats(result, targets)
+    over = controller.overshoot_stats(result)
+    reserve = controller.calibrate_reserve(result.records)
+    return {
+        "precision_mean_frac": prec.mean_frac,
+        "precision_sigma_frac": prec.sigma_frac,
+        "precision_min_frac": prec.min_frac,
+        "precision_max_frac": prec.max_frac,
+        "overshoot_mean_ohm": over.mean,
+        "overshoot_sigma_ohm": over.sigma,
+        "reserve_mean": reserve.mean,
+        "reserve_sigma": reserve.sigma,
+    }
+
+
 def cmd_simulate_tuning(args) -> int:
+    if args.qubits < 1:
+        raise ValidationError(f"--qubits must be >= 1, got {args.qubits}")
     fab = junction.FabricationModel(design_resistance=args.design_resistance)
     config = controller.CampaignConfig(
         master_seed=args.seed,
@@ -81,25 +101,13 @@ def cmd_simulate_tuning(args) -> int:
             )
         )
     result = controller.run_campaign(qubits, targets, config)
+    metrics = _campaign_metrics(result, targets)
     out = _out_dir(args)
     fileio.save_campaign(out / "campaign.json", result, targets, config)
-
-    prec = controller.precision_stats(result, targets)
-    over = controller.overshoot_stats(result)
-    reserve = controller.calibrate_reserve(result.records)
     fileio.write_csv(
         out / "precision_report.csv",
         ["metric", "value"],
-        [
-            ("precision_mean_frac", prec.mean_frac),
-            ("precision_sigma_frac", prec.sigma_frac),
-            ("precision_min_frac", prec.min_frac),
-            ("precision_max_frac", prec.max_frac),
-            ("overshoot_mean_ohm", over.mean),
-            ("overshoot_sigma_ohm", over.sigma),
-            ("reserve_mean", reserve.mean),
-            ("reserve_sigma", reserve.sigma),
-        ],
+        metrics.items(),
         formats={"value": ".6f"},
     )
     fileio.write_manifest(
@@ -116,10 +124,17 @@ def cmd_simulate_tuning(args) -> int:
     )
     print(f"tuned {len(result)} qubits to target {target_r:.1f} Ohm")
     print(
-        f"precision: mean {100 * prec.mean_frac:+.3f}%  sigma {100 * prec.sigma_frac:.3f}%"
+        f"precision: mean {100 * metrics['precision_mean_frac']:+.3f}%  "
+        f"sigma {100 * metrics['precision_sigma_frac']:.3f}%"
     )
-    print(f"overshoot: mean {over.mean:.2f} Ohm  sigma {over.sigma:.2f} Ohm")
-    print(f"reserve:   mean {100 * reserve.mean:.3f}%  sigma {100 * reserve.sigma:.3f}%")
+    print(
+        f"overshoot: mean {metrics['overshoot_mean_ohm']:.2f} Ohm  "
+        f"sigma {metrics['overshoot_sigma_ohm']:.2f} Ohm"
+    )
+    print(
+        f"reserve:   mean {100 * metrics['reserve_mean']:.3f}%  "
+        f"sigma {100 * metrics['reserve_sigma']:.3f}%"
+    )
     return 0
 
 
@@ -306,27 +321,14 @@ def cmd_yield(args) -> int:
 
 def cmd_report(args) -> int:
     result, targets, _config = fileio.load_campaign(args.campaign)
-    prec = controller.precision_stats(result, targets)
-    over = controller.overshoot_stats(result)
-    reserve = controller.calibrate_reserve(result.records)
+    metrics = _campaign_metrics(result, targets)
     out = _out_dir(args)
-    fileio.write_csv(
-        out / "report.csv",
-        ["metric", "value"],
-        [
-            ("qubits", len(result)),
-            ("precision_mean_frac", prec.mean_frac),
-            ("precision_sigma_frac", prec.sigma_frac),
-            ("overshoot_mean_ohm", over.mean),
-            ("overshoot_sigma_ohm", over.sigma),
-            ("reserve_mean", reserve.mean),
-            ("reserve_sigma", reserve.sigma),
-        ],
-    )
+    rows = [(k, v) for k, v in metrics.items() if k not in ("precision_min_frac", "precision_max_frac")]
+    fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", len(result)), *rows])
     fileio.write_manifest(out, "report", {}, None, [args.campaign])
     print(
-        f"{len(result)} qubits  precision sigma {100 * prec.sigma_frac:.3f}%  "
-        f"mean {100 * prec.mean_frac:+.3f}%"
+        f"{len(result)} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
+        f"mean {100 * metrics['precision_mean_frac']:+.3f}%"
     )
     return 0
 

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ControllerError, ValidationError
-from .junction import (
-    JunctionState,
-    MeasurementModel,
-    RelaxationProfile,
-    StepModel,
-    advance_time,
-    measure_resistance,
-)
+from .junction import JunctionState, MeasurementModel, StepModel
 
 _STEP_BATCH = 512
 
@@ -57,7 +50,6 @@ class CampaignConfig:
     master_seed: int
     step: StepModel = field(default_factory=StepModel)
     measurement: MeasurementModel = field(default_factory=MeasurementModel)
-    relaxation: RelaxationProfile = field(default_factory=RelaxationProfile)
     max_pulses: int = 10**6
 
     def __post_init__(self):
@@ -83,20 +75,6 @@ class CampaignResult:
     def __len__(self):
         return len(self.records)
 
-    def summary(self) -> dict:
-        if not self.records:
-            return {"qubits": 0}
-        tuned = np.array([r.r_tuned for r in self.records])
-        pulses = np.array([r.pulses for r in self.records])
-        return {
-            "qubits": len(self.records),
-            "r_tuned_mean": float(tuned.mean()),
-            "r_tuned_sigma": float(tuned.std()),
-            "r_tuned_min": float(tuned.min()),
-            "r_tuned_max": float(tuned.max()),
-            "pulses_total": int(pulses.sum()),
-        }
-
 
 def qubit_rng(master_seed: int, qubit_id: str) -> np.random.Generator:
     """Per-qubit stream keyed by (campaign seed, qubit id), not position,
@@ -107,57 +85,37 @@ def qubit_rng(master_seed: int, qubit_id: str) -> np.random.Generator:
 
 
 def tune_qubit(
-    state: JunctionState,
-    target: TuningTarget,
-    config: CampaignConfig,
-    rng: np.random.Generator | None = None,
+    state: JunctionState, target: TuningTarget, config: CampaignConfig
 ) -> QubitTuneRecord:
     """Pulse until the monitored resistance crosses the stop threshold,
-    then probe after the relaxation profile's probe delay.
+    then probe once relaxation has added the qubit's own fraction.
 
-    ``r_last_pulse`` is the first monitored value at or above the
-    threshold. Qubits already above threshold are recorded with zero
-    pulses and flagged, never pulsed downward.
+    The probe waits the relaxation profile's probe delay, where the
+    profile is normalised, so the settled resistance is exactly
+    ``r + relax_fraction * r``. ``r_last_pulse`` is the first monitored
+    value at or above the threshold. Qubits already above threshold are
+    recorded with zero pulses and flagged, never pulsed downward.
     """
-    if rng is None:
-        rng = qubit_rng(config.master_seed, target.qubit_id)
+    rng = qubit_rng(config.master_seed, target.qubit_id)
+    noise = config.measurement.noise_sigma
+
+    def probe(r):
+        return r + float(rng.normal(0.0, noise)) if noise > 0 else r
+
     threshold = target.threshold
-    r_untuned = state.resistance
-
-    first_read = measure_resistance(state, config.measurement, rng)
-    if first_read >= threshold:
-        settled = advance_time(state, config.relaxation, config.relaxation.probe_delay_hr)
-        r_tuned = measure_resistance(settled, config.measurement, rng)
-        return QubitTuneRecord(
-            qubit_id=target.qubit_id,
-            r_untuned=r_untuned,
-            threshold=threshold,
-            r_last_pulse=first_read,
-            r_tuned=r_tuned,
-            pulses=0,
-            already_above_target=True,
-        )
-
-    r, pulses, r_a = _pulse_to_threshold(
-        state.resistance, threshold, config, rng, target.qubit_id
-    )
-
-    stopped = JunctionState(
-        resistance=r,
-        relax_fraction=state.relax_fraction,
-        resistance_at_last_pulse=r,
-        hours_since_last_pulse=0.0,
-        pulse_count=state.pulse_count + pulses,
-    )
-    settled = advance_time(stopped, config.relaxation, config.relaxation.probe_delay_hr)
-    r_tuned = measure_resistance(settled, config.measurement, rng)
+    r = state.resistance
+    read = probe(r)
+    pulses = 0
+    if read < threshold:
+        r, pulses, read = _pulse_to_threshold(r, threshold, config, rng, target.qubit_id)
     return QubitTuneRecord(
         qubit_id=target.qubit_id,
-        r_untuned=r_untuned,
+        r_untuned=state.resistance,
         threshold=threshold,
-        r_last_pulse=r_a,
-        r_tuned=r_tuned,
+        r_last_pulse=read,
+        r_tuned=probe(r + state.relax_fraction * r),
         pulses=pulses,
+        already_above_target=pulses == 0,
     )
 
 

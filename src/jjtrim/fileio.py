@@ -24,7 +24,7 @@ from . import __version__
 from .controller import CampaignConfig, CampaignResult, QubitTuneRecord, TuningTarget
 from .errors import SchemaError
 from .freqmodel import PowerLawModel
-from .junction import MeasurementModel, RelaxationProfile, StepKind, StepModel
+from .junction import MeasurementModel, StepKind, StepModel
 from .lattice import QubitLattice
 from .yieldmc import UnitCellDesign
 
@@ -172,7 +172,6 @@ _CAMPAIGN = {
         "step": {"kind": StepKind, "mean_step": float, "low": _Nullable(float),
                  "high": _Nullable(float)},
         "noise_sigma": float,
-        "relaxation": {"breakpoints_hr": [float], "exponents": [float], "probe_delay_hr": float},
         "max_pulses": int,
     },
     "targets": [{"qubit_id": str, "target_resistance": float, "relaxation_reserve": float}],
@@ -187,7 +186,6 @@ def save_campaign(path, result: CampaignResult, targets, config: CampaignConfig)
             "master_seed": config.master_seed,
             "step": {**asdict(config.step), "kind": config.step.kind.value},
             "noise_sigma": config.measurement.noise_sigma,
-            "relaxation": asdict(config.relaxation),
             "max_pulses": config.max_pulses,
         },
         # Per-qubit dataclasses are flat, so their __dict__ is asdict's result
@@ -205,7 +203,6 @@ def load_campaign(path) -> tuple[CampaignResult, list[TuningTarget], CampaignCon
         master_seed=cfg["master_seed"],
         step=StepModel(**cfg["step"]),
         measurement=MeasurementModel(noise_sigma=cfg["noise_sigma"]),
-        relaxation=RelaxationProfile(**cfg["relaxation"]),
         max_pulses=cfg["max_pulses"],
     )
     targets = [TuningTarget(**t) for t in data["targets"]]

@@ -105,7 +105,12 @@ def invert_R(model: PowerLawModel, f):
     f = np.asarray(f, dtype=float)
     if np.any(f <= 0):
         raise ValidationError("frequency must be positive")
-    out = (model.beta / f) ** (1.0 / model.alpha)
+    with np.errstate(over="ignore"):
+        out = (model.beta / f) ** (1.0 / model.alpha)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(
+            f"inverted resistance overflows for beta={model.beta}, alpha={model.alpha}"
+        )
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,15 +1,16 @@
 """Stochastic model of a tunable-transmon qubit's room-temperature resistance.
 
 Covers the full life of one junction pair viewed as a single lumped
-resistance: as-fabricated spread, per-pulse increments during active
-trimming, post-pulse relaxation over hours, and the slow aging
-continuation over days. Relaxation and aging are one continuous
+resistance: as-fabricated spread, the pulse-step law used during active
+trimming, probe noise, post-pulse relaxation over hours, and the slow
+aging continuation over days. Relaxation and aging are one continuous
 piecewise power-law trajectory; the regimes differ only in exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -21,13 +22,6 @@ from .errors import ValidationError
 # recovered by relaxation between the final pulse and the probe.
 RELAX_FRACTION_MEAN = 0.0289
 RELAX_FRACTION_SIGMA = 0.0030
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -45,12 +39,18 @@ class FabricationModel:
     sigma_frac: float = 0.035
 
     def __post_init__(self):
-        if not self.design_resistance > 0:
+        if not (math.isfinite(self.design_resistance) and self.design_resistance > 0):
             raise ValidationError(
-                f"design_resistance must be > 0, got {self.design_resistance}"
+                f"design_resistance must be finite and > 0, got {self.design_resistance}"
             )
-        if self.sigma_frac < 0:
-            raise ValidationError(f"sigma_frac must be >= 0, got {self.sigma_frac}")
+        if not (math.isfinite(self.sigma_frac) and self.sigma_frac >= 0):
+            raise ValidationError(f"sigma_frac must be finite and >= 0, got {self.sigma_frac}")
+        # A mean at or below zero with no spread would never draw a
+        # positive resistance, so sample_fabricated would loop forever.
+        if not (math.isfinite(self.mean_offset_frac) and self.mean_offset_frac > -1):
+            raise ValidationError(
+                f"mean_offset_frac must be finite and > -1, got {self.mean_offset_frac}"
+            )
 
     @property
     def mean_resistance(self) -> float:
@@ -151,13 +151,6 @@ class StepModel:
             object.__setattr__(self, "low", lo)
             object.__setattr__(self, "high", hi)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.kind is StepKind.CONSTANT:
-            return self.mean_step
-        if self.kind is StepKind.UNIFORM:
-            return float(rng.uniform(self.low, self.high))
-        return float(rng.exponential(self.mean_step))
-
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind is StepKind.CONSTANT:
             return np.full(n, self.mean_step)
@@ -179,17 +172,11 @@ class MeasurementModel:
 
 @dataclass(frozen=True)
 class JunctionState:
-    """One qubit's true resistance and its trajectory bookkeeping.
-
-    ``resistance`` always equals ``resistance_at_last_pulse`` plus the
-    relaxation accumulated over ``hours_since_last_pulse``.
-    """
+    """One qubit's true resistance and the fraction of it that relaxation
+    adds between its last pulse and the probe."""
 
     resistance: float
     relax_fraction: float
-    resistance_at_last_pulse: float
-    hours_since_last_pulse: float = 0.0
-    pulse_count: int = 0
 
     def __post_init__(self):
         if not self.resistance > 0:
@@ -198,44 +185,22 @@ class JunctionState:
             raise ValidationError(f"relax_fraction must be >= 0, got {self.relax_fraction}")
 
 
-def sample_fabricated(
-    fab: FabricationModel,
-    seed,
-    relax_mean: float = RELAX_FRACTION_MEAN,
-    relax_sigma: float = RELAX_FRACTION_SIGMA,
-) -> JunctionState:
+def sample_fabricated(fab: FabricationModel, seed) -> JunctionState:
     """Draw one as-fabricated junction state.
 
     Resistance ~ Normal(mean, sigma) truncated at > 0; the per-qubit
     relaxation fraction is an independent truncated-normal draw.
     """
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         r = rng.normal(fab.mean_resistance, fab.sigma_resistance)
         if r > 0:
             break
     while True:
-        rho = rng.normal(relax_mean, relax_sigma)
+        rho = rng.normal(RELAX_FRACTION_MEAN, RELAX_FRACTION_SIGMA)
         if rho >= 0:
             break
-    return JunctionState(
-        resistance=float(r),
-        relax_fraction=float(rho),
-        resistance_at_last_pulse=float(r),
-    )
-
-
-def apply_pulse(state: JunctionState, step: StepModel, seed) -> JunctionState:
-    """Apply one trimming pulse: resistance jumps up, clock resets."""
-    rng = as_rng(seed)
-    r = state.resistance + step.sample(rng)
-    return replace(
-        state,
-        resistance=r,
-        resistance_at_last_pulse=r,
-        hours_since_last_pulse=0.0,
-        pulse_count=state.pulse_count + 1,
-    )
+    return JunctionState(resistance=float(r), relax_fraction=float(rho))
 
 
 def relaxation_delta(
@@ -254,23 +219,3 @@ def relaxation_delta(
         raise ValidationError(f"r_stop must be > 0, got {r_stop}")
     return rho * r_stop * profile.shape(t_hr)
 
-
-def advance_time(
-    state: JunctionState, profile: RelaxationProfile, dt_hr: float
-) -> JunctionState:
-    """Advance the clock; resistance follows the relaxation trajectory."""
-    if dt_hr < 0:
-        raise ValidationError(f"dt_hr must be >= 0, got {dt_hr}")
-    t = state.hours_since_last_pulse + dt_hr
-    r = state.resistance_at_last_pulse + relaxation_delta(
-        profile, state.relax_fraction, state.resistance_at_last_pulse, t
-    )
-    return replace(state, resistance=r, hours_since_last_pulse=t)
-
-
-def measure_resistance(state: JunctionState, meas: MeasurementModel, seed) -> float:
-    """Probe the resistance; adds Gaussian noise, never mutates state."""
-    if meas.noise_sigma == 0:
-        return state.resistance
-    rng = as_rng(seed)
-    return state.resistance + float(rng.normal(0.0, meas.noise_sigma))

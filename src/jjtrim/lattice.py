@@ -16,6 +16,10 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 from .freqmodel import GaussianFit, fit_gaussian
 
+# Candidate park offsets per qubit (max_park / step) beyond which the
+# search is refused rather than left to grow without bound.
+MAX_PARK_OFFSETS = 10_000
+
 
 @dataclass(frozen=True)
 class QubitLattice:
@@ -252,6 +256,11 @@ def optimize_parking(
         raise ValidationError(f"step must be finite and > 0, got {step_mhz}")
     if not (math.isfinite(max_park_mhz) and max_park_mhz >= 0):
         raise ValidationError(f"max_park must be finite and >= 0, got {max_park_mhz}")
+    if max_park_mhz / step_mhz > MAX_PARK_OFFSETS:
+        raise ValidationError(
+            f"max_park / step must be <= {MAX_PARK_OFFSETS} offsets per qubit, "
+            f"got {max_park_mhz} / {step_mhz}"
+        )
     if lattice.n_qubits > max_qubits:
         raise ValidationError(
             f"exact parking search is limited to {max_qubits} qubits, "

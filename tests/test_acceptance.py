@@ -28,14 +28,7 @@ from jjtrim.freqmodel import (
     invert_R,
     predict_f,
 )
-from jjtrim.junction import (
-    FabricationModel,
-    RelaxationProfile,
-    StepModel,
-    advance_time,
-    apply_pulse,
-    sample_fabricated,
-)
+from jjtrim.junction import FabricationModel, RelaxationProfile, sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
@@ -275,18 +268,18 @@ def brute_force_parking(lattice, window, max_park, step):
 def test_10_property_suites():
     checks = []
 
-    # monotone resistance trajectory under mixed pulses and waits
-    profile, step = RelaxationProfile(), StepModel()
-    rng = np.random.default_rng(1)
-    state = sample_fabricated(FabricationModel(design_resistance=DESIGN_R), rng)
-    monotone = True
-    for _ in range(200):
-        prev = state.resistance
-        if rng.random() < 0.5:
-            state = apply_pulse(state, step, rng)
-        else:
-            state = advance_time(state, profile, float(rng.uniform(0.01, 10.0)))
-        monotone &= state.resistance >= prev - 1e-9
+    # monotone resistance trajectory: each noiseless record rises from
+    # fabrication through the last pulse to the probe, and the relaxation
+    # profile never falls over 200 seeded times up to 300 hr
+    result, _ = tuned_batch(61)
+    monotone = all(
+        r.r_untuned <= r.r_last_pulse <= r.r_tuned and (r.pulses == 0) == r.already_above_target
+        for r in result.records
+    )
+    profile = RelaxationProfile()
+    times = np.sort(np.random.default_rng(1).uniform(0.0, 300.0, 200))
+    shape = [profile.shape(float(t)) for t in times]
+    monotone &= all(b >= a for a, b in zip(shape, shape[1:]))
     checks.append(("monotone trajectory", monotone))
 
     # predict/invert round trip at 1e-9

@@ -338,6 +338,10 @@ class TestMalformedInputs:
              "records[1].r_tuned: expected a finite number, got 'abc'"),
             ("campaign", _set(["config", "probe_delay_hr"], 5.0),
              "config.probe_delay_hr: unknown key"),
+            ("campaign", _set(["config", "relaxation"],
+                              {"breakpoints_hr": [0.2, 2.0, 24.0],
+                               "exponents": [0.30, 0.24, 0.16, 0.11], "probe_delay_hr": 5.0}),
+             "config.relaxation: unknown key"),
         ],
     )
     def test_json_field_named(self, tmp_path, valid, capsys, kind, edit, message):
@@ -380,6 +384,11 @@ class TestArgumentBoundaries:
             (["assign-targets", "--aging-budget", "nan"], "aging_budget must be finite"),
             (["assign-targets", "--aging-budget", "2"], "aging_budget must be finite"),
             (["yield", "--sigma", "7.7", "--seed", "1", "--threads", "0"], "n_threads"),
+            (["park", "--window", "20,130", "--step", "1e-300"], "offsets per qubit"),
+            (["simulate-tuning", "--seed", "1", "--qubits", "0"], "--qubits must be >= 1"),
+            (["simulate-tuning", "--seed", "1", "--qubits", "-3"], "--qubits must be >= 1"),
+            (["simulate-tuning", "--seed", "1", "--design-resistance", "inf"],
+             "design_resistance must be finite"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):
@@ -387,10 +396,16 @@ class TestArgumentBoundaries:
                   "analyze-lattice": ["--design", valid["design"]],
                   "assign-targets": ["--design", valid["design"],
                                      "--calibration", valid["calibration"]],
-                  "yield": []}[argv[0]]
+                  "yield": [], "simulate-tuning": []}[argv[0]]
         rc = main([str(a) for a in argv + inputs] + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_target_resistance(self, tmp_path, valid, capsys):
+        path = _edit("calibration", valid, tmp_path, _set(["beta"], 1e308))
+        assert run_with("calibration", path, valid, tmp_path / "o") == 2
+        assert "inverted resistance overflows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_one_distinct_resistance(self, tmp_path, valid, capsys):

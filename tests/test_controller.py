@@ -20,7 +20,6 @@ from jjtrim.junction import (
     FabricationModel,
     JunctionState,
     MeasurementModel,
-    RelaxationProfile,
     StepKind,
     StepModel,
     sample_fabricated,
@@ -63,7 +62,7 @@ class TestThreshold:
 
 class TestTuneQubit:
     def test_deterministic_single_pulse(self):
-        state = JunctionState(resistance=4494.0, relax_fraction=0.0, resistance_at_last_pulse=4494.0)
+        state = JunctionState(resistance=4494.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=4496.0, relaxation_reserve=0.0)
         config = CampaignConfig(
             master_seed=0, step=StepModel(kind=StepKind.CONSTANT, mean_step=2.0)
@@ -74,14 +73,14 @@ class TestTuneQubit:
         assert rec.r_tuned == pytest.approx(4496.0)
 
     def test_already_above_threshold(self):
-        state = JunctionState(resistance=5000.0, relax_fraction=0.0, resistance_at_last_pulse=5000.0)
+        state = JunctionState(resistance=5000.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=4500.0)
         rec = tune_qubit(state, target, CampaignConfig(master_seed=0))
         assert rec.pulses == 0
         assert rec.already_above_target
 
     def test_max_pulses_guard_carries_partial_record(self):
-        state = JunctionState(resistance=100.0, relax_fraction=0.0, resistance_at_last_pulse=100.0)
+        state = JunctionState(resistance=100.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=10000.0)
         config = CampaignConfig(master_seed=0, max_pulses=10)
         with pytest.raises(ControllerError) as err:
@@ -96,7 +95,7 @@ class TestTuneQubit:
             assert rec.r_tuned >= rec.r_last_pulse
 
     def test_max_pulses_guard_noisy_path(self):
-        state = JunctionState(resistance=100.0, relax_fraction=0.0, resistance_at_last_pulse=100.0)
+        state = JunctionState(resistance=100.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=10000.0)
         config = CampaignConfig(
             master_seed=0, max_pulses=10,
@@ -111,7 +110,7 @@ class TestTuneQubit:
         # same draws must stop on the same pulse
         target = TuningTarget(qubit_id="far", target_resistance=4625.9)
         r0 = target.threshold - 2000.0
-        state = JunctionState(resistance=r0, relax_fraction=0.0289, resistance_at_last_pulse=r0)
+        state = JunctionState(resistance=r0, relax_fraction=0.0289)
         meas = MeasurementModel(noise_sigma=0.5)
         config = CampaignConfig(master_seed=3, measurement=meas)
         rec = tune_qubit(state, target, config)
@@ -145,28 +144,41 @@ class TestCampaign:
         with pytest.raises(ValidationError):
             run_campaign(qubits, targets[:2], CampaignConfig(master_seed=0))
 
-    def test_noiseless_records_pinned(self):
-        # digests of the records at a fixed seed, recorded before the pulse
-        # loops were merged: any drift of the noiseless stream fails here.
-        # Targets at 120% of design take several step batches per qubit.
+    def test_noiseless_and_noisy_records_pinned(self):
+        # digests of the records at a fixed seed: the noiseless ones were
+        # recorded before the pulse loops were merged, the noisy ones
+        # (0.5 Ohm probe noise) before the scalar junction model was
+        # retired. Any drift of either stream fails here. Targets at 120%
+        # of design take several step batches per qubit.
         pinned = [
-            (StepKind.EXPONENTIAL, 0.98, 7335,
+            (StepKind.EXPONENTIAL, 0.0, 0.98, 7335,
              "fac618ebe8462f0aaf99da2ce659667256bcdffb3b479c7832a3b8f52c146c19"),
-            (StepKind.EXPONENTIAL, 1.2, 33007,
+            (StepKind.EXPONENTIAL, 0.0, 1.2, 33007,
              "e0a95dd82544d1cfe88cdbe5abadae920b6c2614b8f5758f7c5470c1c34da6f6"),
-            (StepKind.UNIFORM, 1.2, 33195,
+            (StepKind.UNIFORM, 0.0, 1.2, 33195,
              "a1f80dcf9c6df9e66c958505793a72a14950015fa47a536c5553aa52d4bbe732"),
+            (StepKind.EXPONENTIAL, 0.5, 0.98, 7326,
+             "e910c7b256e4e97c48ea4af874fec9706739f211459d33891fb3dac262885f2a"),
+            (StepKind.EXPONENTIAL, 0.5, 1.2, 33094,
+             "e4ddef9c2b02137508ef7f350a298e55c443f251a93362f1e3348dd023118c80"),
+            (StepKind.UNIFORM, 0.5, 0.98, 7412,
+             "2cb44201c86dedbdf8b564178d72a4cd46ccf30d6719341a6c2b34f827054bd3"),
+            (StepKind.UNIFORM, 0.5, 1.2, 33157,
+             "7adb2e82cd354c3461fb5c17715e10279ff23d4ad9115a59eeac59ec2db4ce6a"),
         ]
-        for kind, target_frac, pulses, digest in pinned:
+        for kind, noise, target_frac, pulses, digest in pinned:
             qubits, targets = make_batch(50, seed=11, target_frac=target_frac)
-            config = CampaignConfig(master_seed=11, step=StepModel(kind=kind))
+            config = CampaignConfig(
+                master_seed=11, step=StepModel(kind=kind),
+                measurement=MeasurementModel(noise_sigma=noise),
+            )
             result = run_campaign(qubits, targets, config)
             rows = [
                 (r.qubit_id, r.r_untuned, r.threshold, r.r_last_pulse, r.r_tuned,
                  r.pulses, r.already_above_target)
                 for r in result.records
             ]
-            assert result.summary()["pulses_total"] == pulses
+            assert sum(r.pulses for r in result.records) == pulses
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
     def test_noisy_campaign_stops_above_threshold(self):
@@ -191,10 +203,13 @@ class TestCampaign:
         # 18.5% below the stop threshold tunes without error
         target = TuningTarget(qubit_id="far", target_resistance=4625.9)
         r0 = target.threshold / 1.185
-        state = JunctionState(resistance=r0, relax_fraction=0.0289, resistance_at_last_pulse=r0)
+        state = JunctionState(resistance=r0, relax_fraction=0.0289)
         rec = tune_qubit(state, target, CampaignConfig(master_seed=3))
         assert (rec.threshold - rec.r_untuned) / rec.r_untuned > 0.18
         assert rec.r_last_pulse >= rec.threshold
+        # the probe waits the relaxation profile's own normalisation point,
+        # so the realised relaxation is exactly the qubit's rho
+        assert (rec.r_tuned - rec.r_last_pulse) / rec.r_last_pulse == pytest.approx(0.0289, rel=1e-12)
 
     def test_order_independence(self):
         qubits, targets = make_batch(40)
@@ -212,7 +227,7 @@ class TestCampaign:
         # vanishing step size, the tuned resistance converges to the target
         target = TuningTarget(qubit_id="q", target_resistance=4625.9, relaxation_reserve=0.0289)
         r0 = 4400.0
-        state = JunctionState(resistance=r0, relax_fraction=0.0289, resistance_at_last_pulse=r0)
+        state = JunctionState(resistance=r0, relax_fraction=0.0289)
         for step, tol in [(1.0, 5e-4), (0.05, 2.5e-5)]:
             config = CampaignConfig(
                 master_seed=0, step=StepModel(kind=StepKind.CONSTANT, mean_step=step)
@@ -220,18 +235,17 @@ class TestCampaign:
             rec = tune_qubit(state, target, config)
             assert abs(rec.r_tuned - 4625.9) / 4625.9 < tol
 
-    @pytest.mark.parametrize("probe_delay_hr", [0.5, 5.0, 30.0])
-    def test_probe_waits_the_profile_delay(self, probe_delay_hr):
-        # the probe happens at the profile's own normalisation point, so the
-        # realised relaxation equals the qubit's rho whatever the delay
-        target = TuningTarget(qubit_id="q", target_resistance=4625.9)
-        state = JunctionState(resistance=4400.0, relax_fraction=0.031, resistance_at_last_pulse=4400.0)
-        config = CampaignConfig(
-            master_seed=0, relaxation=RelaxationProfile(probe_delay_hr=probe_delay_hr)
-        )
-        rec = tune_qubit(state, target, config)
-        assert rec.pulses > 0
-        assert (rec.r_tuned - rec.r_last_pulse) / rec.r_last_pulse == pytest.approx(0.031, rel=1e-12)
+    def test_probe_noise_on_unpulsed_qubits(self):
+        # with rho = 0 an unpulsed qubit's probe differs from its true
+        # resistance only by the read error, which has the probe's sigma
+        qubits = [JunctionState(resistance=5000.0, relax_fraction=0.0)] * 10**4
+        targets = [TuningTarget(qubit_id=f"q{i}", target_resistance=4500.0) for i in range(10**4)]
+        config = CampaignConfig(master_seed=4, measurement=MeasurementModel(noise_sigma=0.5))
+        result = run_campaign(qubits, targets, config)
+        assert all(r.already_above_target and r.pulses == 0 for r in result.records)
+        errors = np.array([r.r_tuned - r.r_untuned for r in result.records])
+        assert errors.std() == pytest.approx(0.5, abs=0.02)
+        assert abs(errors.mean()) < 0.02
 
     def test_variance_composition(self):
         # precision variance decomposes into relaxation-draw variance plus

@@ -10,16 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jjtrim.controller import TuningTarget, qubit_rng
+from jjtrim.controller import CampaignConfig, TuningTarget, qubit_rng, tune_qubit
 from jjtrim.freqmodel import PowerLawModel, fit_power_law, invert_R, predict_f
-from jjtrim.junction import (
-    FabricationModel,
-    RelaxationProfile,
-    StepModel,
-    advance_time,
-    apply_pulse,
-    sample_fabricated,
-)
+from jjtrim.junction import FabricationModel, StepKind, StepModel, sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     edge_detunings,
@@ -32,42 +25,22 @@ from jjtrim.yieldmc import UnitCellDesign, tile, wilson_interval
 ADDITIVE_CELL = ((0.0, 50.0, 100.0), (100.0, 150.0, 200.0), (50.0, 100.0, 150.0))
 
 
-class TestTrajectoryMonotonicity:
+class TestTuneQubitProperties:
     @given(
         seed=st.integers(0, 2**32 - 1),
-        ops=st.lists(
-            st.one_of(st.just("pulse"), st.floats(0.01, 30.0)), min_size=1, max_size=40
-        ),
+        kind=st.sampled_from(StepKind),
+        target_frac=st.floats(0.9, 1.3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_resistance_never_decreases(self, seed, ops):
-        profile = RelaxationProfile()
-        step = StepModel()
-        rng = np.random.default_rng(seed)
-        state = sample_fabricated(FabricationModel(design_resistance=4587.8), rng)
-        prev = state.resistance
-        for op in ops:
-            if op == "pulse":
-                state = apply_pulse(state, step, rng)
-            else:
-                state = advance_time(state, profile, op)
-            assert state.resistance >= prev - 1e-9
-            prev = state.resistance
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dts=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=10),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_advance_composes(self, seed, dts):
-        # advancing in pieces lands on the same trajectory point as one jump
-        profile = RelaxationProfile()
-        state = sample_fabricated(FabricationModel(design_resistance=4587.8), seed)
-        piecewise = state
-        for dt in dts:
-            piecewise = advance_time(piecewise, profile, dt)
-        direct = advance_time(state, profile, sum(dts))
-        assert piecewise.resistance == direct.resistance
+    def test_noiseless_record_is_monotone(self, seed, kind, target_frac):
+        # fabrication, last pulse and probe never step down, and a qubit is
+        # left unpulsed exactly when it starts above its threshold
+        design = 4587.8
+        state = sample_fabricated(FabricationModel(design_resistance=design), seed)
+        target = TuningTarget(qubit_id="q", target_resistance=design * target_frac)
+        rec = tune_qubit(state, target, CampaignConfig(master_seed=seed, step=StepModel(kind=kind)))
+        assert rec.r_untuned <= rec.r_last_pulse <= rec.r_tuned
+        assert (rec.pulses == 0) == rec.already_above_target
 
 
 class TestPowerLawProperties:
