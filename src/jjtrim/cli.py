@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, controller, fileio, freqmodel, junction, lattice, yieldmc
 from .errors import ControllerError, FitError, InfeasibleError, SchemaError, ValidationError
 
@@ -63,10 +65,11 @@ def _out_dir(args) -> Path:
 def _campaign_metrics(result, targets) -> dict:
     """The precision, overshoot and reserve statistics both campaign reports
     draw their rows from; raises before anything is written."""
-    prec = controller.precision_stats(result, targets)
-    over = controller.overshoot_stats(result)
-    reserve = controller.calibrate_reserve(result.records)
-    return {
+    with np.errstate(over="ignore", invalid="ignore"):
+        prec = controller.precision_stats(result, targets)
+        over = controller.overshoot_stats(result)
+        reserve = controller.calibrate_reserve(result.records)
+    metrics = {
         "precision_mean_frac": prec.mean_frac,
         "precision_sigma_frac": prec.sigma_frac,
         "precision_min_frac": prec.min_frac,
@@ -76,6 +79,12 @@ def _campaign_metrics(result, targets) -> dict:
         "reserve_mean": reserve.mean,
         "reserve_sigma": reserve.sigma,
     }
+    bad = [name for name, value in metrics.items() if not math.isfinite(value)]
+    if bad:
+        raise ValidationError(
+            f"campaign statistics overflow ({', '.join(bad)}): a record is out of range"
+        )
+    return metrics
 
 
 def cmd_simulate_tuning(args) -> int:

@@ -10,7 +10,6 @@ Gaussian fitting live here too.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +120,9 @@ def assign_target_R(model: PowerLawModel, f_design: float, aging_budget: float =
         raise ValidationError(f"aging_budget must be finite and in [0, 1), got {aging_budget}")
     r = invert_R(model, f_design)
     if not model.r_min <= r <= model.r_max:
-        warnings.warn(
-            f"inverted resistance {r:.1f} Ohm is outside the calibrated "
-            f"domain [{model.r_min:.1f}, {model.r_max:.1f}]",
-            stacklevel=2,
+        raise ValidationError(
+            f"inverted resistance {r:.1f} Ohm for {f_design} MHz is outside the "
+            f"calibrated domain [{model.r_min:.1f}, {model.r_max:.1f}] Ohm"
         )
     return r * (1.0 - aging_budget)
 

@@ -192,6 +192,30 @@ class TestLatticeCommands:
         )
         assert rc == 3
 
+    # All nine qubits at one frequency: every edge is out of window until
+    # the four edge-centre qubits park 20 MHz down.
+    UNIFORM = {"rows": 3, "cols": 3, "base_frequency_mhz": 5000.0,
+               "offsets_mhz": [[0.0] * 3] * 3, "design_window_mhz": [40.0, 110.0]}
+
+    def test_park_fine_step_finishes(self, tmp_path):
+        design = self._design(tmp_path, self.UNIFORM)
+        out = tmp_path / "out"
+        rc = main(["park", "--design", str(design), "--window", "20,130", "--step", "0.01",
+                   "--out", str(out)])
+        assert rc == 0
+        plan = json.loads((out / "parking.json").read_text())
+        assert plan["offsets_mhz"] == [0.0, -20.0, 0.0, -20.0, 0.0, -20.0, 0.0, -20.0, 0.0]
+
+    def test_park_fine_step_no_plan_exit_3(self, tmp_path, capsys):
+        # No offset reaches the 20 MHz window floor, so no plan exists.
+        design = self._design(tmp_path, self.UNIFORM)
+        rc = main(["park", "--design", str(design), "--window", "20,130", "--step", "0.01",
+                   "--max-park", "19.99", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestYieldCommand:
     def test_yield_band_and_outputs(self, tmp_path):
@@ -408,6 +432,19 @@ class TestArgumentBoundaries:
         assert "inverted resistance overflows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_target_outside_calibrated_domain(self, tmp_path, valid, capsys):
+        # alpha 1e308 maps every frequency to 1 Ohm, far below r_min.
+        path = _edit("calibration", valid, tmp_path, _set(["alpha"], 1e308))
+        assert run_with("calibration", path, valid, tmp_path / "o") == 2
+        assert "outside the calibrated domain" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_campaign_statistics(self, tmp_path, valid, capsys):
+        path = _edit("campaign", valid, tmp_path, _set(["records", 1, "threshold"], 1e308))
+        assert run_with("campaign", path, valid, tmp_path / "o") == 2
+        assert "campaign statistics overflow (overshoot_sigma_ohm)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_one_distinct_resistance(self, tmp_path, valid, capsys):
         path = tmp_path / "points.csv"
         path.write_text("resistance_ohm,f01max_mhz\n4000,4300\n4000,4310\n")
@@ -448,22 +485,31 @@ SWAPS = ["x", None, math.nan, [], [1.0], True, 1e308]
 class TestFuzzedInputs:
     """Mutated inputs exit 0, 2 or 3 and never raise out of ``main``."""
 
-    @settings(derandomize=True, deadline=None, max_examples=120)
-    @given(kind=st.sampled_from(["design", "calibration", "campaign"]), data=st.data())
-    def test_json(self, valid, kind, data):
-        box = [json.loads(valid[kind].read_text())]  # so the document itself has a parent
-        *parents, key = data.draw(st.sampled_from(list(_nodes(box))[1:]))
-        parent = box
-        for k in parents:
-            parent = parent[k]
-        op = data.draw(st.sampled_from(["drop", "add", "swap"]))
-        if op == "drop" and isinstance(parent, dict):
-            del parent[key]
-        elif op == "add" and isinstance(parent[key], dict):
-            parent[key]["unexpected"] = 1
-        else:
-            parent[key] = data.draw(st.sampled_from(SWAPS))
-        self._run(kind, json.dumps(box[0]).encode(), valid)
+    def test_json(self, valid):
+        # One hypothesis run per kind, so a change to one valid input leaves
+        # the other kinds' examples as they were.
+        for kind in ("design", "calibration", "campaign"):
+            self._fuzz_json(kind, valid)
+
+    def _fuzz_json(self, kind, valid):
+        @settings(derandomize=True, deadline=None, max_examples=40)
+        @given(data=st.data())
+        def mutate(data):
+            box = [json.loads(valid[kind].read_text())]  # so the document itself has a parent
+            *parents, key = data.draw(st.sampled_from(list(_nodes(box))[1:]))
+            parent = box
+            for k in parents:
+                parent = parent[k]
+            op = data.draw(st.sampled_from(["drop", "add", "swap"]))
+            if op == "drop" and isinstance(parent, dict):
+                del parent[key]
+            elif op == "add" and isinstance(parent[key], dict):
+                parent[key]["unexpected"] = 1
+            else:
+                parent[key] = data.draw(st.sampled_from(SWAPS))
+            self._run(kind, json.dumps(box[0]).encode(), valid)
+
+        mutate()
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(data=st.data())

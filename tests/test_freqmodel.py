@@ -117,9 +117,9 @@ class TestTargetAssignment:
         aged = rt / (1.0 - 0.02)
         assert predict_f(model, aged) == pytest.approx(f_design, rel=1e-9)
 
-    def test_warns_outside_domain(self):
+    def test_rejects_outside_domain(self):
         model = exact_model()
-        with pytest.warns(UserWarning):
+        with pytest.raises(ValidationError, match="outside the calibrated domain"):
             assign_target_R(model, predict_f(model, 20000.0))
 
 

@@ -1,8 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jjtrim import lattice
 from jjtrim.errors import InfeasibleError, ValidationError
 from jjtrim.lattice import (
     QubitLattice,
@@ -14,6 +15,7 @@ from jjtrim.lattice import (
     spread_after_centering,
     subtract_global_offset,
 )
+from jjtrim.yieldmc import generate_unit_cell, tile
 
 # Additive unit cell: row offsets (0,100,50) + column offsets (0,50,100).
 CELL_FREQS = [0.0, 50.0, 100.0, 100.0, 150.0, 200.0, 50.0, 100.0, 150.0]
@@ -168,7 +170,11 @@ class TestDeviationStats:
 
 
 def brute_force_parking(lattice, window, max_park, step):
-    """Exhaustive enumeration over all offset assignments."""
+    """Exhaustive enumeration over all downward offset assignments.
+
+    Returns the first plan of least (count, max |offset|, sum |offset|) in
+    ``itertools.product`` order, or None when no assignment fits.
+    """
     lo, hi = window
     candidates = [0.0]
     k = 1
@@ -176,20 +182,81 @@ def brute_force_parking(lattice, window, max_park, step):
         candidates.append(-k * step)
         k += 1
     freqs = lattice.measured_f01max or lattice.design_f01max
-    edges = lattice.edges()
-    best = None
-    for offsets in itertools.product(candidates, repeat=lattice.n_qubits):
-        ok = all(
-            lo <= abs(freqs[a] + offsets[a] - freqs[b] - offsets[b]) <= hi
-            for a, b in edges
-        )
-        if not ok:
-            continue
-        nz = [abs(o) for o in offsets if o != 0.0]
-        cost = (len(nz), max(nz) if nz else 0.0, sum(nz))
-        if best is None or cost < best:
-            best = cost
-    return best
+    n = lattice.n_qubits
+    # Row r is the r-th assignment of itertools.product(candidates, repeat=n).
+    index = np.indices((len(candidates),) * n).reshape(n, -1).T
+    offsets = np.array(candidates)[index]
+    ok = np.ones(len(offsets), dtype=bool)
+    for a, b in lattice.edges():
+        d = np.abs(freqs[a] + offsets[:, a] - freqs[b] - offsets[:, b])
+        ok &= (lo <= d) & (d <= hi)
+    if not ok.any():
+        return None
+    offsets = offsets[ok]
+    mags = np.abs(offsets)
+    total = np.zeros(len(offsets))
+    for col in mags.T:  # summed in node order, as the plan's cost is
+        total = total + col
+    first = np.lexsort((total, mags.max(axis=1), (offsets != 0.0).sum(axis=1)))[0]
+    return tuple(float(o) for o in offsets[first])
+
+
+def dfs_parking(lattice, window, max_park, step, symmetric=False):
+    """The depth-first parking search that preceded iterative deepening:
+    node-id order, candidates by |offset| (downward first), pruned only
+    against the best plan so far. Returns its offsets, or None."""
+    lo, hi = window
+    candidates = [0.0]
+    k = 1
+    while k * step <= max_park:
+        candidates.append(-k * step)
+        if symmetric:
+            candidates.append(k * step)
+        k += 1
+    candidates.sort(key=abs)
+    freqs = lattice.measured_f01max or lattice.design_f01max
+    n = lattice.n_qubits
+    back_edges = [[] for _ in range(n)]
+    for a, b in lattice.edges():
+        back_edges[b].append(a)
+    best = [None]
+    offsets = [0.0] * n
+
+    def cost(upto):
+        nz = [abs(offsets[i]) for i in range(upto) if offsets[i] != 0.0]
+        return (len(nz), max(nz) if nz else 0.0, sum(nz))
+
+    def dfs(q):
+        if best[0] is not None and cost(q) >= best[0][0]:
+            return
+        if q == n:
+            if best[0] is None or cost(n) < best[0][0]:
+                best[0] = (cost(n), tuple(offsets))
+            return
+        for off in candidates:
+            fq = freqs[q] + off
+            if all(lo <= abs(freqs[p] + offsets[p] - fq) <= hi for p in back_edges[q]):
+                offsets[q] = off
+                dfs(q + 1)
+                offsets[q] = 0.0
+
+    dfs(0)
+    return None if best[0] is None else best[0][1]
+
+
+def greedy_matching_size(edges):
+    used = set()
+    for a, b in edges:
+        if a not in used and b not in used:
+            used.update((a, b))
+    return len(used) // 2
+
+
+def park_or_none(lattice, window, max_park, step, symmetric=False):
+    try:
+        return optimize_parking(lattice, window, max_park, step, symmetric=symmetric).offsets_mhz
+    except InfeasibleError:
+        return None
 
 
 class TestParking:
@@ -220,10 +287,52 @@ class TestParking:
                     optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
                 continue
             plan = optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
-            assert plan.cost == oracle
+            assert plan.offsets_mhz == oracle
             parked = [f + o for f, o in zip(freqs, plan.offsets_mhz)]
             report = edge_detunings(lat, parked, window=window)
             assert all(e.in_window for e in report.edges)
+
+    @given(
+        shape=st.sampled_from([(2, 3), (3, 3), (3, 4)]),
+        levels=st.lists(st.integers(0, 10), min_size=12, max_size=12),
+        symmetric=st.booleans(),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    def test_matches_depth_first_search(self, shape, levels, symmetric):
+        rows, cols = shape
+        freqs = tuple(4500.0 + 15.0 * v for v in levels[: rows * cols])
+        lat = QubitLattice(rows=rows, cols=cols, design_f01max=freqs)
+        args = ((20.0, 130.0), 30.0, 10.0, symmetric)
+        assert park_or_none(lat, *args) == dfs_parking(lat, *args)
+
+    def test_tiled_chip_parks_within_budget(self):
+        base = tile(generate_unit_cell(seed=7), 2, 6)
+        window = (20.0, 130.0)
+        for seed in (8, 17):
+            rng = np.random.default_rng(seed)
+            freqs = tuple(np.array(base.design_f01max) + rng.normal(0.0, 7.7, base.n_qubits))
+            lat = QubitLattice(rows=6, cols=18, design_f01max=freqs)
+            report = edge_detunings(lat, window=window)
+            violating = [e.edge for e in report.edges if not e.in_window]
+            plan = optimize_parking(lat, window, max_park_mhz=50.0, step_mhz=1.0)
+            parked = [f + o for f, o in zip(freqs, plan.offsets_mhz)]
+            assert all(e.in_window for e in edge_detunings(lat, parked, window=window).edges)
+            assert plan.parked_count >= greedy_matching_size(violating) >= 4
+
+    def test_parked_count_beyond_recursion_limit(self, monkeypatch):
+        # 512 parked qubits, more than half of Python's recursion limit.
+        lat = QubitLattice(rows=32, cols=32, design_f01max=(5000.0,) * 1024)
+        monkeypatch.setattr(lattice, "MAX_PARK_NODES", 10**7)
+        plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
+        assert plan.parked_count == 512 and plan.max_abs_offset == 20.0
+        parked = [f + o for f, o in zip(lat.design_f01max, plan.offsets_mhz)]
+        assert all(e.in_window for e in edge_detunings(lat, parked, window=(20.0, 130.0)).edges)
+
+    def test_node_budget_raises(self, monkeypatch):
+        lat = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4610.0))
+        monkeypatch.setattr(lattice, "MAX_PARK_NODES", 3)
+        with pytest.raises(InfeasibleError, match="node budget"):
+            optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
 
     def test_infeasible_lists_edges(self):
         lat = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4600.0))

@@ -102,7 +102,6 @@ class TestParkingSoundness:
             plan = optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
         except InfeasibleError:
             return
-        assert plan.feasible
         for off in plan.offsets_mhz:
             assert -30.0 <= off <= 0.0
             assert abs(off / 10.0 - round(off / 10.0)) < 1e-9
