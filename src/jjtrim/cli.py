@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, controller, fileio, freqmodel, junction, lattice, yieldmc
-from .errors import ControllerError, FitError, InfeasibleError, SchemaError, ValidationError
+from .errors import (
+    ControllerError, FitError, InfeasibleError, SchemaError, ValidationError, check,
+)
 
 DEFAULT_QUBITS = 221
 DEFAULT_DESIGN_RESISTANCE = 4587.8
@@ -50,8 +52,8 @@ def _seed(text: str) -> int:
 
 def _parse_cells(text: str) -> tuple[int, int]:
     m, n = _parse_pair(text, "x", "--cells")
-    if m != int(m) or n != int(n) or m < 1 or n < 1:
-        raise ValidationError(f"--cells must be positive integers like '1x2', got {text!r}")
+    if m != int(m) or n != int(n):
+        raise ValidationError(f"--cells must be integers like '1x2', got {text!r}")
     return int(m), int(n)
 
 
@@ -88,13 +90,10 @@ def _campaign_metrics(result, targets) -> dict:
 
 
 def cmd_simulate_tuning(args) -> int:
-    if args.qubits < 1:
-        raise ValidationError(f"--qubits must be >= 1, got {args.qubits}")
+    check("--qubits", args.qubits, ge=1)
+    check("aging_budget", args.aging_budget, ge=0, lt=1)
     fab = junction.FabricationModel(design_resistance=args.design_resistance)
-    config = controller.CampaignConfig(
-        master_seed=args.seed,
-        measurement=junction.MeasurementModel(noise_sigma=args.noise),
-    )
+    config = controller.CampaignConfig(master_seed=args.seed, noise_sigma=args.noise)
     target_r = args.design_resistance * (1.0 - args.aging_budget)
     qubits, targets = [], []
     for i in range(args.qubits):
@@ -284,11 +283,11 @@ def cmd_yield(args) -> int:
         lat3, design_window = fileio.load_design(args.design)
         if (lat3.rows, lat3.cols) != (3, 3):
             raise ValidationError("--design must describe a 3x3 unit cell")
-        offsets = [
-            [lat3.design_f01max[r * 3 + c] - min(lat3.design_f01max) for c in range(3)]
-            for r in range(3)
-        ]
-        cell = yieldmc.UnitCellDesign(offsets_mhz=offsets, design_window_mhz=design_window)
+        base = min(lat3.design_f01max)
+        offsets = [[lat3.design_f01max[r * 3 + c] - base for c in range(3)] for r in range(3)]
+        cell = yieldmc.UnitCellDesign(
+            offsets_mhz=offsets, base_frequency_mhz=base, design_window_mhz=design_window
+        )
         inputs.append(args.design)
     else:
         cell = yieldmc.generate_unit_cell(seed=args.seed)

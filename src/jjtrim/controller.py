@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ControllerError, ValidationError
-from .junction import JunctionState, MeasurementModel, StepModel
+from .errors import ControllerError, ValidationError, check
+from .junction import JunctionState, StepModel
 
 _STEP_BATCH = 512
 
@@ -29,14 +29,8 @@ class TuningTarget:
     relaxation_reserve: float = 0.0289
 
     def __post_init__(self):
-        if not self.target_resistance > 0:
-            raise ValidationError(
-                f"target_resistance must be > 0, got {self.target_resistance}"
-            )
-        if not 0 <= self.relaxation_reserve < 1:
-            raise ValidationError(
-                f"relaxation_reserve must be in [0, 1), got {self.relaxation_reserve}"
-            )
+        check("target_resistance", self.target_resistance, gt=0)
+        check("relaxation_reserve", self.relaxation_reserve, ge=0, lt=1)
 
     @property
     def threshold(self) -> float:
@@ -49,12 +43,12 @@ class CampaignConfig:
 
     master_seed: int
     step: StepModel = field(default_factory=StepModel)
-    measurement: MeasurementModel = field(default_factory=MeasurementModel)
+    noise_sigma: float = 0.0  # room-temperature probe noise, Ohm; 0 is a noiseless probe
     max_pulses: int = 10**6
 
     def __post_init__(self):
-        if not self.max_pulses > 0:
-            raise ValidationError(f"max_pulses must be > 0, got {self.max_pulses}")
+        check("noise_sigma", self.noise_sigma, ge=0)
+        check("max_pulses", self.max_pulses, gt=0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ def tune_qubit(
     recorded with zero pulses and flagged, never pulsed downward.
     """
     rng = qubit_rng(config.master_seed, target.qubit_id)
-    noise = config.measurement.noise_sigma
+    noise = config.noise_sigma
 
     def probe(r):
         return r + float(rng.normal(0.0, noise)) if noise > 0 else r
@@ -127,7 +121,7 @@ def _pulse_to_threshold(r0, threshold, config, rng, qubit_id):
     batch's steps; a noiseless probe draws nothing and reads the true
     resistance. Returns (true resistance, pulses, read at the stop).
     """
-    noise = config.measurement.noise_sigma
+    noise = config.noise_sigma
     r = r0
     pulses = 0
     while True:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one range check
+every config field, function argument and CLI flag goes through."""
+
+import math
 
 
 class JJTrimError(Exception):
@@ -35,3 +38,33 @@ class ControllerError(JJTrimError, RuntimeError):
 
 class InfeasibleError(JJTrimError, RuntimeError):
     """A search (parking, unit-cell generation) found no solution."""
+
+
+def check(name, value, gt=None, ge=None, lt=None):
+    """``value`` if it is finite and within the given bounds, else a
+    ValidationError naming ``name`` and the rule.
+
+    A Python int is compared as it is, never converted to float, so a huge
+    integer flag fails its bounds instead of overflowing.
+    """
+    if (
+        (type(value) is int or math.isfinite(value))
+        and (gt is None or value > gt)
+        and (ge is None or value >= ge)
+        and (lt is None or value < lt)
+    ):
+        return value
+    rule = " and ".join(
+        f"{op} {bound}" for op, bound in ((">", gt), (">=", ge), ("<", lt)) if bound is not None
+    )
+    if type(value) is not int:
+        rule = f"finite and {rule}" if rule else "finite"
+    raise ValidationError(f"{name} must be {rule}, got {value}")
+
+
+def check_window(name, window):
+    """``window`` as a (lo, hi) pair if both edges are finite and lo < hi."""
+    lo, hi = window
+    if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+        return lo, hi
+    raise ValidationError(f"{name} must be finite with lo < hi, got {tuple(window)}")

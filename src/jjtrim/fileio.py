@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import reprlib
+import sys
 from dataclasses import asdict, astuple
 from enum import EnumMeta
 from itertools import repeat
@@ -24,7 +25,7 @@ from . import __version__
 from .controller import CampaignConfig, CampaignResult, QubitTuneRecord, TuningTarget
 from .errors import SchemaError
 from .freqmodel import PowerLawModel
-from .junction import MeasurementModel, StepKind, StepModel
+from .junction import StepKind, StepModel
 from .lattice import QubitLattice
 from .yieldmc import UnitCellDesign
 
@@ -53,7 +54,8 @@ def _walk(value, schema):
     """
     kind = type(value)
     if schema is float:
-        if (kind is float or kind is int) and math.isfinite(value):
+        # A comparison, not math.isfinite: an int too large for a float fails it.
+        if (kind is float or kind is int) and abs(value) <= sys.float_info.max:
             return float(value)
     elif kind is schema:
         return value
@@ -185,7 +187,7 @@ def save_campaign(path, result: CampaignResult, targets, config: CampaignConfig)
         "config": {
             "master_seed": config.master_seed,
             "step": {**asdict(config.step), "kind": config.step.kind.value},
-            "noise_sigma": config.measurement.noise_sigma,
+            "noise_sigma": config.noise_sigma,
             "max_pulses": config.max_pulses,
         },
         # Per-qubit dataclasses are flat, so their __dict__ is asdict's result
@@ -202,7 +204,7 @@ def load_campaign(path) -> tuple[CampaignResult, list[TuningTarget], CampaignCon
     config = CampaignConfig(
         master_seed=cfg["master_seed"],
         step=StepModel(**cfg["step"]),
-        measurement=MeasurementModel(noise_sigma=cfg["noise_sigma"]),
+        noise_sigma=cfg["noise_sigma"],
         max_pulses=cfg["max_pulses"],
     )
     targets = [TuningTarget(**t) for t in data["targets"]]

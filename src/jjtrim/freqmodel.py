@@ -9,12 +9,11 @@ Gaussian fitting live here too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, check
 
 # Residual term for deviations introduced between tuning and cooldown
 # (chip cleaning, packaging). Chosen so that composing it with the
@@ -34,10 +33,8 @@ class PowerLawModel:
     r_max: float
 
     def __post_init__(self):
-        if not self.beta > 0 or not self.alpha > 0:
-            raise ValidationError(
-                f"beta and alpha must be > 0, got beta={self.beta}, alpha={self.alpha}"
-            )
+        check("beta", self.beta, gt=0)
+        check("alpha", self.alpha, gt=0)
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,7 @@ def invert_R(model: PowerLawModel, f):
 def assign_target_R(model: PowerLawModel, f_design: float, aging_budget: float = 0.02) -> float:
     """Target resistance for a design frequency, deflated by the aging
     budget so post-tuning drift lands the qubit on frequency."""
-    if not (math.isfinite(aging_budget) and 0 <= aging_budget < 1):
-        raise ValidationError(f"aging_budget must be finite and in [0, 1), got {aging_budget}")
+    check("aging_budget", aging_budget, ge=0, lt=1)
     r = invert_R(model, f_design)
     if not model.r_min <= r <= model.r_max:
         raise ValidationError(
@@ -133,9 +129,7 @@ def freq_equiv_sigma(model: PowerLawModel, f_pred: float, sigma_r_rel: float) ->
     Analytic derivative of the power law: |df/dR| * sigma_R =
     alpha * f * sigma_R/R.
     """
-    if f_pred <= 0 or sigma_r_rel < 0:
-        raise ValidationError("f_pred must be > 0 and sigma_r_rel >= 0")
-    return model.alpha * f_pred * sigma_r_rel
+    return model.alpha * check("f_pred", f_pred, gt=0) * check("sigma_r_rel", sigma_r_rel, ge=0)
 
 
 def _fit_loglog_segment(t, y):
@@ -154,9 +148,9 @@ def fit_segmented_power_law(
 
     With ``breakpoints=None`` a two-changepoint search runs over every
     pair of a log-spaced candidate grid, minimizing the total squared
-    log-residual. Prefix sums give each pair's residual in closed form;
-    only the pairs tied with the best within rounding are refitted, and
-    the first of them in grid order with the smallest residual wins.
+    log-residual. Prefix sums give each pair's residual in closed form,
+    the first pair in grid order with the smallest one wins, and only
+    that pair is fitted.
     """
     t = np.asarray(t_hr, dtype=float)
     y = np.asarray(delta_r, dtype=float)
@@ -192,15 +186,8 @@ def fit_segmented_power_law(
     with np.errstate(divide="ignore", invalid="ignore"):
         explained = np.where(cxx > 0, cxv * cxv / cxx, 0.0)
     score = (svv - sv * sv / n - explained).sum(axis=0)
-    # The closed form rounds differently from the refit, so every pair that
-    # may tie the best after rounding is refitted.
-    near = score <= score.min() * (1 + 1e-6) + 1e-9 * prefix[5, -1]
-
-    fits = [
-        _fit_with_breakpoints(t, y, (float(grid[a]), float(grid[b])), min_points)
-        for a, b in zip(i[near], j[near])
-    ]
-    return min(fits, key=lambda fit: _segmented_log_sse(t, y, fit))
+    k = int(score.argmin())
+    return _fit_with_breakpoints(t, y, (float(grid[i[k]]), float(grid[j[k]])), min_points)
 
 
 def _fit_with_breakpoints(t, y, bps, min_points) -> SegmentedPowerLaw:
@@ -228,16 +215,6 @@ def _fit_with_breakpoints(t, y, bps, min_points) -> SegmentedPowerLaw:
         amplitudes=tuple(amplitudes),
         continuity_residual=max(jumps) if jumps else 0.0,
     )
-
-
-def _segmented_log_sse(t, y, fit: SegmentedPowerLaw) -> float:
-    edges = (-np.inf, *fit.breakpoints, np.inf)
-    sse = 0.0
-    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        mask = (t > lo) & (t <= hi)
-        pred = np.log(fit.amplitudes[k]) + fit.exponents[k] * np.log(t[mask])
-        sse += float(np.sum((np.log(y[mask]) - pred) ** 2))
-    return sse
 
 
 def fit_gaussian(samples) -> GaussianFit:

@@ -2,8 +2,8 @@
 
 Covers the full life of one junction pair viewed as a single lumped
 resistance: as-fabricated spread, the pulse-step law used during active
-trimming, probe noise, post-pulse relaxation over hours, and the slow
-aging continuation over days. Relaxation and aging are one continuous
+trimming, post-pulse relaxation over hours, and the slow aging
+continuation over days. Relaxation and aging are one continuous
 piecewise power-law trajectory; the regimes differ only in exponent.
 """
 
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check
 
 # Per-qubit relaxation fraction: fraction of the last-pulse resistance
 # recovered by relaxation between the final pulse and the probe.
@@ -39,18 +39,11 @@ class FabricationModel:
     sigma_frac: float = 0.035
 
     def __post_init__(self):
-        if not (math.isfinite(self.design_resistance) and self.design_resistance > 0):
-            raise ValidationError(
-                f"design_resistance must be finite and > 0, got {self.design_resistance}"
-            )
-        if not (math.isfinite(self.sigma_frac) and self.sigma_frac >= 0):
-            raise ValidationError(f"sigma_frac must be finite and >= 0, got {self.sigma_frac}")
+        check("design_resistance", self.design_resistance, gt=0)
+        check("sigma_frac", self.sigma_frac, ge=0)
         # A mean at or below zero with no spread would never draw a
         # positive resistance, so sample_fabricated would loop forever.
-        if not (math.isfinite(self.mean_offset_frac) and self.mean_offset_frac > -1):
-            raise ValidationError(
-                f"mean_offset_frac must be finite and > -1, got {self.mean_offset_frac}"
-            )
+        check("mean_offset_frac", self.mean_offset_frac, gt=-1)
 
     @property
     def mean_resistance(self) -> float:
@@ -84,12 +77,11 @@ class RelaxationProfile:
             raise ValidationError(
                 f"need len(exponents) == len(breakpoints)+1, got {len(ex)} vs {len(bp)}"
             )
-        if any(b <= 0 for b in bp) or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValidationError(f"breakpoints must be positive and increasing: {bp}")
+        if not all(0 < b < math.inf for b in bp) or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+            raise ValidationError(f"breakpoints must be finite, positive and increasing: {bp}")
         if any(not 0 < e < 1 for e in ex):
             raise ValidationError(f"exponents must lie in (0, 1): {ex}")
-        if not self.probe_delay_hr > 0:
-            raise ValidationError(f"probe_delay_hr must be > 0, got {self.probe_delay_hr}")
+        check("probe_delay_hr", self.probe_delay_hr, gt=0)
 
     @cached_property
     def _amplitudes(self) -> tuple[float, ...]:
@@ -114,9 +106,7 @@ class RelaxationProfile:
 
     def shape(self, t_hr: float) -> float:
         """Normalized trajectory s(t): s(0)=0, s(probe_delay_hr)=1."""
-        if t_hr < 0:
-            raise ValidationError(f"time must be >= 0, got {t_hr}")
-        return self._shape_unnormalized(t_hr) / self._norm
+        return self._shape_unnormalized(check("t_hr", t_hr, ge=0)) / self._norm
 
 
 class StepKind(Enum):
@@ -141,13 +131,10 @@ class StepModel:
     high: float | None = None
 
     def __post_init__(self):
-        if not self.mean_step > 0:
-            raise ValidationError(f"mean_step must be > 0, got {self.mean_step}")
+        check("mean_step", self.mean_step, gt=0)
         if self.kind is StepKind.UNIFORM:
-            lo = 0.0 if self.low is None else self.low
-            hi = 2.0 * self.mean_step if self.high is None else self.high
-            if not (0 <= lo < hi):
-                raise ValidationError(f"uniform bounds must satisfy 0 <= low < high: {lo}, {hi}")
+            lo = check("low", 0.0 if self.low is None else self.low, ge=0)
+            hi = check("high", 2.0 * self.mean_step if self.high is None else self.high, gt=lo)
             object.__setattr__(self, "low", lo)
             object.__setattr__(self, "high", hi)
 
@@ -160,17 +147,6 @@ class StepModel:
 
 
 @dataclass(frozen=True)
-class MeasurementModel:
-    """Room-temperature probe noise; the default is a noiseless probe."""
-
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-
-
-@dataclass(frozen=True)
 class JunctionState:
     """One qubit's true resistance and the fraction of it that relaxation
     adds between its last pulse and the probe."""
@@ -179,10 +155,8 @@ class JunctionState:
     relax_fraction: float
 
     def __post_init__(self):
-        if not self.resistance > 0:
-            raise ValidationError(f"resistance must be > 0, got {self.resistance}")
-        if self.relax_fraction < 0:
-            raise ValidationError(f"relax_fraction must be >= 0, got {self.relax_fraction}")
+        check("resistance", self.resistance, gt=0)
+        check("relax_fraction", self.relax_fraction, ge=0)
 
 
 def sample_fabricated(fab: FabricationModel, seed) -> JunctionState:
@@ -211,11 +185,7 @@ def relaxation_delta(
     Equals rho * r_stop * s(t); by normalization the full per-qubit
     relaxation fraction is realized exactly at the probe delay.
     """
-    if t_hr < 0:
-        raise ValidationError(f"time must be >= 0, got {t_hr}")
-    if rho < 0:
-        raise ValidationError(f"rho must be >= 0, got {rho}")
-    if not r_stop > 0:
-        raise ValidationError(f"r_stop must be > 0, got {r_stop}")
+    check("rho", rho, ge=0)
+    check("r_stop", r_stop, gt=0)
     return rho * r_stop * profile.shape(t_hr)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, check, check_window
 from .freqmodel import GaussianFit, fit_gaussian
 
 # Candidate park offsets per qubit (max_park / step) beyond which the
@@ -41,8 +41,8 @@ class QubitLattice:
     measured_f01max: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValidationError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+        check("rows", self.rows, ge=1)
+        check("cols", self.cols, ge=1)
         n = self.rows * self.cols
         design = tuple(float(f) for f in self.design_f01max)
         object.__setattr__(self, "design_f01max", design)
@@ -118,6 +118,8 @@ def edge_detunings(
     missing = [i for i in range(lattice.n_qubits) if i not in freqs or freqs[i] is None]
     if missing:
         raise ValidationError(f"missing frequency for nodes {missing}")
+    if window is not None:
+        window = check_window("window", window)
     out = []
     for a, b in lattice.edges():
         fa, fb = float(freqs[a]), float(freqs[b])
@@ -183,8 +185,7 @@ class SpreadReport:
 def spread_after_centering(chips, mean_design_f_mhz: float) -> SpreadReport:
     """Pool per-chip-centered deviations and fit a Gaussian; the spread
     is also reported as a fraction of the average design frequency."""
-    if mean_design_f_mhz <= 0:
-        raise ValidationError("mean design frequency must be positive")
+    check("mean_design_f_mhz", mean_design_f_mhz, gt=0)
     pooled = np.concatenate(subtract_global_offset(chips))
     fit = fit_gaussian(pooled)
     return SpreadReport(fit=fit, sigma_frac_of_design=fit.sigma / mean_design_f_mhz)
@@ -192,9 +193,7 @@ def spread_after_centering(chips, mean_design_f_mhz: float) -> SpreadReport:
 
 def detuning_error_sigma(sigma_f_mhz: float) -> float:
     """Edge-detuning spread from independent Gaussian endpoint errors."""
-    if sigma_f_mhz < 0:
-        raise ValidationError("sigma must be >= 0")
-    return math.sqrt(2.0) * sigma_f_mhz
+    return math.sqrt(2.0) * check("sigma_f_mhz", sigma_f_mhz, ge=0)
 
 
 def detuning_deviation_stats(
@@ -260,12 +259,9 @@ def optimize_parking(
     InfeasibleError when no assignment exists, or when the search spends
     ``MAX_PARK_NODES`` nodes first.
     """
-    if window[0] >= window[1]:
-        raise ValidationError(f"window must satisfy lo < hi, got {window}")
-    if not (math.isfinite(step_mhz) and step_mhz > 0):
-        raise ValidationError(f"step must be finite and > 0, got {step_mhz}")
-    if not (math.isfinite(max_park_mhz) and max_park_mhz >= 0):
-        raise ValidationError(f"max_park must be finite and >= 0, got {max_park_mhz}")
+    window = check_window("window", window)
+    check("step", step_mhz, gt=0)
+    check("max_park", max_park_mhz, ge=0)
     if max_park_mhz / step_mhz > MAX_PARK_OFFSETS:
         raise ValidationError(
             f"max_park / step must be <= {MAX_PARK_OFFSETS} offsets per qubit, "

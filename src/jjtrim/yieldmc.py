@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, check, check_window
 from .lattice import QubitLattice
 
 DESIGN_WINDOW_MHZ = (40.0, 110.0)
@@ -23,6 +23,9 @@ DEFAULT_DICE_PER_WAFER = 212
 # Float64 frequencies per Monte Carlo trial block (512 KiB): a block's draw,
 # its transposed copy and its edge differences stay inside a 2 MiB L2 cache.
 BLOCK_VALUES = 1 << 16
+# Largest tiled chip, in qubits: 100x the paper's 1000-qubit scale. A larger
+# tiling is refused before its frequency list is built.
+MAX_TILE_QUBITS = 100_000
 
 
 def unit_cell_violations(offsets, window=DESIGN_WINDOW_MHZ) -> list[str]:
@@ -35,20 +38,20 @@ def unit_cell_violations(offsets, window=DESIGN_WINDOW_MHZ) -> list[str]:
     lo, hi = window
     bad = []
 
-    def check(label, d):
+    def flag(label, d):
         if not lo <= abs(d) <= hi:
             bad.append(f"{label}: |{d:.1f}| MHz outside [{lo}, {hi}]")
 
     for r in range(3):
         for c in range(3):
             if c + 1 < 3:
-                check(f"internal ({r},{c})-({r},{c+1})", f[r, c + 1] - f[r, c])
+                flag(f"internal ({r},{c})-({r},{c+1})", f[r, c + 1] - f[r, c])
             if r + 1 < 3:
-                check(f"internal ({r},{c})-({r+1},{c})", f[r + 1, c] - f[r, c])
+                flag(f"internal ({r},{c})-({r+1},{c})", f[r + 1, c] - f[r, c])
     for r in range(3):
-        check(f"row stitch ({r},2)-({r},0)", f[r, 2] - f[r, 0])
+        flag(f"row stitch ({r},2)-({r},0)", f[r, 2] - f[r, 0])
     for c in range(3):
-        check(f"col stitch (2,{c})-(0,{c})", f[2, c] - f[0, c])
+        flag(f"col stitch (2,{c})-(0,{c})", f[2, c] - f[0, c])
     return bad
 
 
@@ -135,8 +138,10 @@ def generate_unit_cell(
 
 def tile(cell: UnitCellDesign, m: int, n: int) -> QubitLattice:
     """(3m)x(3n) lattice of identical translated copies of the cell."""
-    if m < 1 or n < 1:
-        raise ValidationError(f"tiling counts must be >= 1, got {m}x{n}")
+    check("m", m, ge=1)
+    check("n", n, ge=1)
+    if 9 * m * n > MAX_TILE_QUBITS:
+        raise ValidationError(f"a {m}x{n} tiling has more than {MAX_TILE_QUBITS} qubits")
     rows, cols = 3 * m, 3 * n
     offs = cell.offsets_mhz
     freqs = [
@@ -157,17 +162,11 @@ class YieldConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_f_mhz) and self.sigma_f_mhz >= 0):
-            raise ValidationError(f"sigma_f must be finite and >= 0, got {self.sigma_f_mhz}")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        lo, hi = self.window_mhz
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValidationError(
-                f"window must be finite with lo < hi, got {self.window_mhz}"
-            )
-        if self.chunk_trials < 1 or self.n_threads < 1:
-            raise ValidationError("chunk_trials and n_threads must be >= 1")
+        check("sigma_f", self.sigma_f_mhz, ge=0)
+        check("trials", self.trials, ge=1)
+        check_window("window", self.window_mhz)
+        check("chunk_trials", self.chunk_trials, ge=1)
+        check("n_threads", self.n_threads, ge=1)
 
 
 @dataclass(frozen=True)
@@ -216,15 +215,18 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> YieldResult:
             np.random.SeedSequence([int(config.master_seed), c])
         )
         passes = 0
-        for start in range(0, nt, block):
-            b = min(block, nt - start)
-            pert = rng.normal(0.0, config.sigma_f_mhz, size=(b, lattice.rows, lattice.cols))
-            f = np.add(pert.transpose(1, 2, 0), design, order="C")
-            ok = np.ones(b, dtype=bool)
-            for d in (f[:, 1:] - f[:, :-1], f[1:] - f[:-1]):
-                np.abs(d, out=d)
-                ok &= ((d >= lo) & (d <= hi)).all(axis=(0, 1))
-            passes += int(np.count_nonzero(ok))
+        # At a huge sigma a difference can overflow or be inf - inf; the inf
+        # or NaN then fails its trial, which is the right answer.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, nt, block):
+                b = min(block, nt - start)
+                pert = rng.normal(0.0, config.sigma_f_mhz, size=(b, lattice.rows, lattice.cols))
+                f = np.add(pert.transpose(1, 2, 0), design, order="C")
+                ok = np.ones(b, dtype=bool)
+                for d in (f[:, 1:] - f[:, :-1], f[1:] - f[:-1]):
+                    np.abs(d, out=d)
+                    ok &= ((d >= lo) & (d <= hi)).all(axis=(0, 1))
+                passes += int(np.count_nonzero(ok))
         return passes
 
     if config.n_threads == 1:
@@ -290,7 +292,6 @@ class WaferProjection:
 
 def wafer_projection(result: YieldResult, dice: int = DEFAULT_DICE_PER_WAFER) -> WaferProjection:
     """Expected yielded chips (and their qubits) per wafer."""
-    if dice < 0:
-        raise ValidationError("dice must be >= 0")
+    check("dice", dice, ge=0)
     chips = round(result.yield_estimate * dice)
     return WaferProjection(chips=chips, qubits=chips * result.qubit_count, dice=dice)

@@ -270,6 +270,36 @@ class TestYieldCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_huge_sigma_yields_zero(self, tmp_path):
+        # Differences of draws near 1e308 overflow; those trials fail, and no
+        # RuntimeWarning escapes (pyproject's filterwarnings makes one an error).
+        out = tmp_path / "o"
+        rc = main(["yield", "--sigma", "1e308", "--trials", "10", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "yield.csv", newline="") as fh:
+            assert float(next(csv.DictReader(fh))["yield"]) == 0.0
+
+    def test_design_cell_keeps_its_frequencies(self, tmp_path):
+        design = tmp_path / "cell.json"
+        offsets = [[100.0, 150.0, 200.0], [200.0, 250.0, 300.0], [150.0, 200.0, 250.0]]
+        design.write_text(json.dumps({"rows": 3, "cols": 3, "base_frequency_mhz": 3600.0,
+                                      "offsets_mhz": offsets,
+                                      "design_window_mhz": [40.0, 110.0]}))
+        out = tmp_path / "o"
+        rc = main(["yield", "--sigma", "7.7", "--cells", "1x2", "--trials", "20000",
+                   "--seed", "3", "--design", str(design), "--out", str(out)])
+        assert rc == 0
+        cell = json.loads((out / "unit_cell.json").read_text())
+        assert [[cell["base_frequency_mhz"] + o for o in row] for row in cell["offsets_mhz"]] == [
+            [3600.0 + o for o in row] for row in offsets
+        ]
+        # Detunings of integer-MHz frequencies are exact at any base, so the
+        # yield is the one written when the cell was rebased to 4500 MHz.
+        assert (out / "yield.csv").read_text() == (
+            "qubits,sigma_mhz,yield,ci_lo,ci_hi\n18,7.7000,0.924650,0.920910,0.928227\n"
+        )
+
 
 DESIGN = {
     "rows": 3,
@@ -350,6 +380,8 @@ class TestMalformedInputs:
              "measured_mhz[0][1]: expected a finite number, got 'b'"),
             ("design", _set(["base_frequency_mhz"], math.nan),
              "base_frequency_mhz: expected a finite number, got nan"),
+            ("design", _set(["base_frequency_mhz"], 10**400),
+             "base_frequency_mhz: expected a finite number, got 1000"),
             ("calibration", _set(["beta"], "x"), "beta: expected a finite number, got 'x'"),
             ("campaign", _drop("config", "step"), "config.step: missing"),
             ("campaign", _set(["records", 0, "extra"], 1), "records[0].extra: unknown key"),
@@ -413,6 +445,13 @@ class TestArgumentBoundaries:
             (["simulate-tuning", "--seed", "1", "--qubits", "-3"], "--qubits must be >= 1"),
             (["simulate-tuning", "--seed", "1", "--design-resistance", "inf"],
              "design_resistance must be finite"),
+            (["analyze-lattice", "--window", "130,20"], "window must be finite with lo < hi"),
+            (["simulate-tuning", "--seed", "1", "--aging-budget=-0.5"],
+             "aging_budget must be finite"),
+            (["simulate-tuning", "--seed", "1", "--aging-budget=-1e308"],
+             "aging_budget must be finite"),
+            (["yield", "--sigma", "7.7", "--seed", "1", "--cells", "1e308x1"],
+             "tiling has more than 100000 qubits"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):
@@ -481,6 +520,30 @@ def _nodes(data, path=()):
 
 SWAPS = ["x", None, math.nan, [], [1.0], True, 1e308]
 
+# Flag values the argv fuzz swaps in. No integer above 2, so no example asks
+# for many qubits, trials or threads.
+TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-300", "x", ""]
+WINDOW_TOKENS = [*TOKENS, "130,20", "-1e308,1e308"]
+
+
+def valid_argv(valid):
+    """A small valid run of every subcommand, as flag -> value (no --out)."""
+    return {
+        "simulate-tuning": {"--qubits": "5", "--design-resistance": "4587.8", "--seed": "1",
+                            "--reserve": "0.0289", "--aging-budget": "0.02", "--noise": "0.5"},
+        "calibrate-freq": {"--data": valid["points"]},
+        "assign-targets": {"--calibration": valid["calibration"], "--design": valid["design"],
+                           "--aging-budget": "0.02"},
+        "fit-relaxation": {"--data": DATA_DIR / "relaxation_demo.csv",
+                           "--breakpoints": "0.2,2.0"},
+        "analyze-lattice": {"--design": valid["design"], "--window": "20,130"},
+        "park": {"--design": valid["design"], "--window": "20,130", "--max-park": "50",
+                 "--step": "1"},
+        "yield": {"--sigma": "7.7", "--cells": "1x1", "--trials": "200", "--seed": "1",
+                  "--window": "20,130", "--dice": "212", "--threads": "1"},
+        "report": {"--campaign": valid["campaign"]},
+    }
+
 
 class TestFuzzedInputs:
     """Mutated inputs exit 0, 2 or 3 and never raise out of ``main``."""
@@ -526,6 +589,30 @@ class TestFuzzedInputs:
             rows[r][data.draw(st.integers(0, 1))] = cell
         text = "".join(",".join(row) + "\n" for row in rows)
         self._run("points", text.encode("utf-8", "surrogateescape"), valid)
+
+    def test_argv(self, valid, tmp_path, monkeypatch):
+        # A swapped-in path resolves against an empty directory.
+        monkeypatch.chdir(tmp_path)
+        for command, flags in valid_argv(valid).items():
+            self._fuzz_argv(command, flags)
+
+    @staticmethod
+    def _fuzz_argv(command, flags):
+        @settings(derandomize=True, deadline=None, max_examples=60)
+        @given(data=st.data())
+        def swap(data):
+            flag = data.draw(st.sampled_from(sorted(flags)))
+            tokens = WINDOW_TOKENS if flag in ("--window", "--breakpoints") else TOKENS
+            argv = {**flags, flag: data.draw(st.sampled_from(tokens))}
+            with tempfile.TemporaryDirectory() as tmp:
+                # "--flag=value", so a value such as "-1e308" is never read as a flag
+                args = [command, *(f"{k}={v}" for k, v in argv.items()), f"--out={tmp}/o"]
+                try:
+                    assert main(args) in (0, 2, 3)
+                except SystemExit as exc:
+                    assert exc.code == 2
+
+        swap()
 
     @staticmethod
     def _run(kind, content, valid):

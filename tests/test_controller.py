@@ -19,7 +19,6 @@ from jjtrim.errors import ControllerError, ValidationError
 from jjtrim.junction import (
     FabricationModel,
     JunctionState,
-    MeasurementModel,
     StepKind,
     StepModel,
     sample_fabricated,
@@ -97,10 +96,7 @@ class TestTuneQubit:
     def test_max_pulses_guard_noisy_path(self):
         state = JunctionState(resistance=100.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=10000.0)
-        config = CampaignConfig(
-            master_seed=0, max_pulses=10,
-            measurement=MeasurementModel(noise_sigma=0.1),
-        )
+        config = CampaignConfig(master_seed=0, max_pulses=10, noise_sigma=0.1)
         with pytest.raises(ControllerError) as err:
             tune_qubit(state, target, config)
         assert err.value.partial_record.pulses == config.max_pulses
@@ -111,8 +107,7 @@ class TestTuneQubit:
         target = TuningTarget(qubit_id="far", target_resistance=4625.9)
         r0 = target.threshold - 2000.0
         state = JunctionState(resistance=r0, relax_fraction=0.0289)
-        meas = MeasurementModel(noise_sigma=0.5)
-        config = CampaignConfig(master_seed=3, measurement=meas)
+        config = CampaignConfig(master_seed=3, noise_sigma=0.5)
         rec = tune_qubit(state, target, config)
 
         rng = qubit_rng(3, "far")
@@ -168,10 +163,7 @@ class TestCampaign:
         ]
         for kind, noise, target_frac, pulses, digest in pinned:
             qubits, targets = make_batch(50, seed=11, target_frac=target_frac)
-            config = CampaignConfig(
-                master_seed=11, step=StepModel(kind=kind),
-                measurement=MeasurementModel(noise_sigma=noise),
-            )
+            config = CampaignConfig(master_seed=11, step=StepModel(kind=kind), noise_sigma=noise)
             result = run_campaign(qubits, targets, config)
             rows = [
                 (r.qubit_id, r.r_untuned, r.threshold, r.r_last_pulse, r.r_tuned,
@@ -183,7 +175,7 @@ class TestCampaign:
 
     def test_noisy_campaign_stops_above_threshold(self):
         qubits, targets = make_batch(221)
-        config = CampaignConfig(master_seed=7, measurement=MeasurementModel(noise_sigma=0.5))
+        config = CampaignConfig(master_seed=7, noise_sigma=0.5)
         result = run_campaign(qubits, targets, config)
         for rec in result.records:
             if not rec.already_above_target:
@@ -240,7 +232,7 @@ class TestCampaign:
         # resistance only by the read error, which has the probe's sigma
         qubits = [JunctionState(resistance=5000.0, relax_fraction=0.0)] * 10**4
         targets = [TuningTarget(qubit_id=f"q{i}", target_resistance=4500.0) for i in range(10**4)]
-        config = CampaignConfig(master_seed=4, measurement=MeasurementModel(noise_sigma=0.5))
+        config = CampaignConfig(master_seed=4, noise_sigma=0.5)
         result = run_campaign(qubits, targets, config)
         assert all(r.already_above_target and r.pulses == 0 for r in result.records)
         errors = np.array([r.r_tuned - r.r_untuned for r in result.records])
