@@ -5,12 +5,14 @@ input digests, tool version) next to its outputs, so any run can be
 reproduced bit-identically. Seeds are mandatory for stochastic
 commands; there is no wall-clock fallback.
 
-Exit codes: 0 success, 2 invalid input or unreadable file, 3 infeasibility.
+Exit codes: 0 success, 2 invalid input or unreadable file, 3 infeasibility
+(no plan or cell exists, or a search's or tuning loop's budget is spent).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -18,9 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, controller, fileio, freqmodel, junction, lattice, yieldmc
-from .errors import (
-    ControllerError, FitError, InfeasibleError, SchemaError, ValidationError, check,
-)
+from .errors import FitError, InfeasibleError, SchemaError, ValidationError, check
 
 DEFAULT_QUBITS = 221
 DEFAULT_DESIGN_RESISTANCE = 4587.8
@@ -91,6 +91,10 @@ def _campaign_metrics(result, targets) -> dict:
 
 def cmd_simulate_tuning(args) -> int:
     check("--qubits", args.qubits, ge=1)
+    if args.qubits > controller.MAX_CAMPAIGN_QUBITS:
+        raise ValidationError(
+            f"--qubits must be <= {controller.MAX_CAMPAIGN_QUBITS}, got {args.qubits}"
+        )
     check("aging_budget", args.aging_budget, ge=0, lt=1)
     fab = junction.FabricationModel(design_resistance=args.design_resistance)
     config = controller.CampaignConfig(master_seed=args.seed, noise_sigma=args.noise)
@@ -341,6 +345,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jjtrim",
@@ -423,7 +428,7 @@ def main(argv=None) -> int:
         for line in getattr(exc, "details", ()):
             print(f"  {line}", file=sys.stderr)
         return 2
-    except (InfeasibleError, ControllerError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
 

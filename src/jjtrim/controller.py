@@ -9,14 +9,21 @@ and records per-qubit and aggregate precision statistics.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControllerError, ValidationError, check
-from .junction import JunctionState, StepModel
+from .errors import InfeasibleError, ValidationError, check
+from .junction import JunctionState
 
 _STEP_BATCH = 512
+# Mean per-pulse resistance increment, Ohm. Steps are exponential: their
+# renewal overshoot is again exponential with the same mean, which reproduces
+# the observed last-pulse overshoot statistics with this one parameter.
+MEAN_STEP_OHM = 1.9
+# Largest campaign, in qubits: about 2-4 min of tuning. A larger one is
+# refused before any qubit is sampled.
+MAX_CAMPAIGN_QUBITS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,6 @@ class CampaignConfig:
     """Everything a tuning campaign needs besides the qubits themselves."""
 
     master_seed: int
-    step: StepModel = field(default_factory=StepModel)
     noise_sigma: float = 0.0  # room-temperature probe noise, Ohm; 0 is a noiseless probe
     max_pulses: int = 10**6
 
@@ -84,8 +90,8 @@ def tune_qubit(
     """Pulse until the monitored resistance crosses the stop threshold,
     then probe once relaxation has added the qubit's own fraction.
 
-    The probe waits the relaxation profile's probe delay, where the
-    profile is normalised, so the settled resistance is exactly
+    The probe waits ``junction.PROBE_DELAY_HR``, where the relaxation
+    trajectory is normalised, so the settled resistance is exactly
     ``r + relax_fraction * r``. ``r_last_pulse`` is the first monitored
     value at or above the threshold. Qubits already above threshold are
     recorded with zero pulses and flagged, never pulsed downward.
@@ -113,32 +119,22 @@ def tune_qubit(
     )
 
 
-def _pulse_to_threshold(r0, threshold, config, rng, qubit_id):
-    """Pulse from r0 until a monitored read reaches the threshold.
+def _pulse_to_threshold(r, threshold, config, rng, qubit_id):
+    """Pulse from r until a monitored read reaches the threshold.
 
-    Steps are drawn in batches and the stop is the first pulse whose
-    read crosses. A noisy probe draws one read error per pulse after the
-    batch's steps; a noiseless probe draws nothing and reads the true
-    resistance. Returns (true resistance, pulses, read at the stop).
+    Exponential steps of mean ``MEAN_STEP_OHM`` are drawn in batches and
+    the stop is the first pulse whose read crosses. A noisy probe draws one
+    read error per pulse after the batch's steps; a noiseless probe draws
+    nothing and reads the true resistance. Returns (true resistance,
+    pulses, read at the stop).
     """
     noise = config.noise_sigma
-    r = r0
     pulses = 0
     while True:
         n = min(_STEP_BATCH, config.max_pulses - pulses)
         if n <= 0:
-            raise ControllerError(
-                f"qubit {qubit_id}: max_pulses={config.max_pulses} exceeded",
-                partial_record=QubitTuneRecord(
-                    qubit_id=qubit_id,
-                    r_untuned=r0,
-                    threshold=threshold,
-                    r_last_pulse=r,
-                    r_tuned=r,
-                    pulses=pulses,
-                ),
-            )
-        cum = r + np.cumsum(config.step.sample_batch(rng, n))
+            raise InfeasibleError(f"qubit {qubit_id}: max_pulses={config.max_pulses} exceeded")
+        cum = r + np.cumsum(rng.exponential(MEAN_STEP_OHM, n))
         read = cum + rng.normal(0.0, noise, n) if noise > 0 else cum
         crossed = read >= threshold
         hit = int(crossed.argmax())
@@ -176,7 +172,6 @@ def _tuned_records(records):
 class ReserveCalibration:
     mean: float
     sigma: float
-    count: int
 
 
 def calibrate_reserve(records) -> ReserveCalibration:
@@ -190,9 +185,7 @@ def calibrate_reserve(records) -> ReserveCalibration:
     fracs = np.array(
         [(r.r_tuned - r.r_last_pulse) / r.r_last_pulse for r in records]
     )
-    return ReserveCalibration(
-        mean=float(fracs.mean()), sigma=float(fracs.std()), count=len(records)
-    )
+    return ReserveCalibration(mean=float(fracs.mean()), sigma=float(fracs.std()))
 
 
 @dataclass(frozen=True)

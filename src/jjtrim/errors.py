@@ -28,16 +28,8 @@ class SchemaError(JJTrimError, ValueError):
         self.details = tuple(details or ())
 
 
-class ControllerError(JJTrimError, RuntimeError):
-    """Closed-loop tuning aborted; carries the partial record."""
-
-    def __init__(self, message, partial_record=None):
-        super().__init__(message)
-        self.partial_record = partial_record
-
-
 class InfeasibleError(JJTrimError, RuntimeError):
-    """A search (parking, unit-cell generation) found no solution."""
+    """A search (parking, unit cell) or a tuning loop found no solution in its bounds."""
 
 
 def check(name, value, gt=None, ge=None, lt=None):

@@ -15,8 +15,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import asdict, astuple
-from enum import EnumMeta
+from dataclasses import astuple
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -25,7 +24,6 @@ from . import __version__
 from .controller import CampaignConfig, CampaignResult, QubitTuneRecord, TuningTarget
 from .errors import SchemaError
 from .freqmodel import PowerLawModel
-from .junction import StepKind, StepModel
 from .lattice import QubitLattice
 from .yieldmc import UnitCellDesign
 
@@ -43,14 +41,14 @@ _EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
 
 
 def _walk(value, schema):
-    """``value`` checked against ``schema``, with numbers made float and enums resolved.
+    """``value`` checked against ``schema``, with numbers made float.
 
     A schema is ``float`` (a finite number; an int is accepted, a bool is
-    not), ``int``, ``bool`` or ``str`` (exactly that JSON type), an Enum
-    class (matched by value), ``[schema]`` (a list), ``{key: schema}`` (an
-    object with exactly those keys) or ``_Nullable(schema)``. Containers
-    are converted in place; members that already have their scalar type
-    are not visited, which keeps a 2000-record campaign cheap.
+    not), ``int``, ``bool`` or ``str`` (exactly that JSON type), ``[schema]``
+    (a list), ``{key: schema}`` (an object with exactly those keys) or
+    ``_Nullable(schema)``. Containers are converted in place; members that
+    already have their scalar type are not visited, which keeps a
+    2000-record campaign cheap.
     """
     kind = type(value)
     if schema is float:
@@ -86,12 +84,6 @@ def _walk(value, schema):
         return value
     elif type(schema) is _Nullable:
         return None if value is None else _walk(value, schema.schema)
-    elif isinstance(schema, EnumMeta):
-        try:
-            return schema(value)
-        except ValueError:
-            expected = "one of " + ", ".join(repr(m.value) for m in schema)
-            raise _Mismatch(f"expected {expected}, got {reprlib.repr(value)}", []) from None
     expected = _EXPECTED[schema if isinstance(schema, type) else type(schema)]
     raise _Mismatch(f"expected {expected}, got {reprlib.repr(value)}", [])
 
@@ -171,8 +163,6 @@ def save_calibration(path, model: PowerLawModel) -> None:
 _CAMPAIGN = {
     "config": {
         "master_seed": int,
-        "step": {"kind": StepKind, "mean_step": float, "low": _Nullable(float),
-                 "high": _Nullable(float)},
         "noise_sigma": float,
         "max_pulses": int,
     },
@@ -186,7 +176,6 @@ def save_campaign(path, result: CampaignResult, targets, config: CampaignConfig)
     data = {
         "config": {
             "master_seed": config.master_seed,
-            "step": {**asdict(config.step), "kind": config.step.kind.value},
             "noise_sigma": config.noise_sigma,
             "max_pulses": config.max_pulses,
         },
@@ -203,7 +192,6 @@ def load_campaign(path) -> tuple[CampaignResult, list[TuningTarget], CampaignCon
     cfg = data["config"]
     config = CampaignConfig(
         master_seed=cfg["master_seed"],
-        step=StepModel(**cfg["step"]),
         noise_sigma=cfg["noise_sigma"],
         max_pulses=cfg["max_pulses"],
     )

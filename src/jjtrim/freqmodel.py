@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import FitError, ValidationError, check
 
-# Residual term for deviations introduced between tuning and cooldown
-# (chip cleaning, packaging). Chosen so that composing it with the
-# resistance-tuning, prediction, and measurement terms reproduces the
-# empirically observed on-chip frequency spread.
-DEFAULT_PRECOOLDOWN_SIGMA_MHZ = 10.5
+# The automatic breakpoint search tries every pair of FIT_CANDIDATES
+# log-spaced times, and every segment needs FIT_MIN_POINTS points.
+FIT_CANDIDATES = 50
+FIT_MIN_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ def fit_power_law(points) -> PowerLawModel:
 def predict_f(model: PowerLawModel, r):
     """Predicted frequency (MHz) at resistance r (Ohm)."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValidationError("resistance must be positive")
+    if not np.all(np.isfinite(r) & (r > 0)):
+        raise ValidationError("resistance must be finite and positive")
     out = model.beta * r**(-model.alpha)
     return float(out) if out.ndim == 0 else out
 
@@ -99,8 +98,8 @@ def predict_f(model: PowerLawModel, r):
 def invert_R(model: PowerLawModel, f):
     """Resistance (Ohm) whose predicted frequency is f (MHz)."""
     f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
-        raise ValidationError("frequency must be positive")
+    if not np.all(np.isfinite(f) & (f > 0)):
+        raise ValidationError("frequency must be finite and positive")
     with np.errstate(over="ignore"):
         out = (model.beta / f) ** (1.0 / model.alpha)
     if not np.all(np.isfinite(out)):
@@ -137,13 +136,7 @@ def _fit_loglog_segment(t, y):
     return float(slope), float(np.exp(intercept))
 
 
-def fit_segmented_power_law(
-    t_hr,
-    delta_r,
-    breakpoints=None,
-    n_candidates: int = 50,
-    min_points: int = 3,
-) -> SegmentedPowerLaw:
+def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> SegmentedPowerLaw:
     """Per-segment log-log least squares on a relaxation trace.
 
     With ``breakpoints=None`` a two-changepoint search runs over every
@@ -154,8 +147,8 @@ def fit_segmented_power_law(
     """
     t = np.asarray(t_hr, dtype=float)
     y = np.asarray(delta_r, dtype=float)
-    if t.shape != y.shape or t.ndim != 1 or t.size < min_points:
-        raise FitError(f"need equal-length 1-D t_hr and delta_r of >= {min_points} points")
+    if t.shape != y.shape or t.ndim != 1 or t.size < FIT_MIN_POINTS:
+        raise FitError(f"need equal-length 1-D t_hr and delta_r of >= {FIT_MIN_POINTS} points")
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise FitError("times and resistance changes must be finite")
     if np.any(t <= 0) or np.any(y <= 0):
@@ -165,13 +158,13 @@ def fit_segmented_power_law(
 
     if breakpoints is not None:
         bps = tuple(float(b) for b in breakpoints)
-        return _fit_with_breakpoints(t, y, bps, min_points)
+        return _fit_with_breakpoints(t, y, bps)
 
-    grid = np.geomspace(t[0], t[-1], n_candidates + 2)[1:-1]
+    grid = np.geomspace(t[0], t[-1], FIT_CANDIDATES + 2)[1:-1]
     i, j = np.triu_indices(len(grid), k=1)
     cut = np.searchsorted(t, grid, side="right")
     bounds = np.stack([np.zeros_like(i), cut[i], cut[j], np.full_like(i, len(t))])
-    valid = np.all(np.diff(bounds, axis=0) >= min_points, axis=0)
+    valid = np.all(np.diff(bounds, axis=0) >= FIT_MIN_POINTS, axis=0)
     if not valid.any():
         raise FitError("no breakpoint pair leaves enough points per segment")
     i, j, bounds = i[valid], j[valid], bounds[:, valid]
@@ -187,19 +180,19 @@ def fit_segmented_power_law(
         explained = np.where(cxx > 0, cxv * cxv / cxx, 0.0)
     score = (svv - sv * sv / n - explained).sum(axis=0)
     k = int(score.argmin())
-    return _fit_with_breakpoints(t, y, (float(grid[i[k]]), float(grid[j[k]])), min_points)
+    return _fit_with_breakpoints(t, y, (float(grid[i[k]]), float(grid[j[k]])))
 
 
-def _fit_with_breakpoints(t, y, bps, min_points) -> SegmentedPowerLaw:
+def _fit_with_breakpoints(t, y, bps) -> SegmentedPowerLaw:
     if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
         raise FitError(f"breakpoints must be increasing: {bps}")
     edges = (-np.inf, *bps, np.inf)
     exponents, amplitudes = [], []
     for lo, hi in zip(edges, edges[1:]):
         mask = (t > lo) & (t <= hi)
-        if mask.sum() < min_points:
+        if mask.sum() < FIT_MIN_POINTS:
             raise FitError(
-                f"segment ({lo}, {hi}] has {int(mask.sum())} points, need {min_points}"
+                f"segment ({lo}, {hi}] has {int(mask.sum())} points, need {FIT_MIN_POINTS}"
             )
         slope, amp = _fit_loglog_segment(t[mask], y[mask])
         exponents.append(slope)
@@ -228,6 +221,6 @@ def fit_gaussian(samples) -> GaussianFit:
 def compose_sigma(components) -> float:
     """Root-sum-square of independent spread components."""
     c = np.asarray(list(components), dtype=float)
-    if np.any(c < 0):
-        raise ValidationError("sigma components must be non-negative")
+    if not np.all(np.isfinite(c) & (c >= 0)):
+        raise ValidationError("sigma components must be finite and non-negative")
     return float(np.sqrt(np.sum(c**2)))

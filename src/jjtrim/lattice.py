@@ -81,7 +81,6 @@ class EdgeDetuning:
     abs_mhz: float
     modulated_qubit: int        # higher-frequency endpoint
     in_window: bool | None
-    tie: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ def edge_detunings(
     for a, b in lattice.edges():
         fa, fb = float(freqs[a]), float(freqs[b])
         signed = fa - fb
-        tie = fa == fb
         modulated = a if fa >= fb else b
         in_window = None
         if window is not None:
@@ -136,7 +134,6 @@ def edge_detunings(
                 abs_mhz=abs(signed),
                 modulated_qubit=modulated,
                 in_window=in_window,
-                tie=tie,
             )
         )
     return DetuningReport(edges=tuple(out))
@@ -147,22 +144,16 @@ class ModulationAssignment:
     counts: dict
     max_count: int
     valid: bool                 # no qubit modulates more than two edges
-    ties: tuple[tuple[int, int], ...]
 
 
 def modulation_assignment(report: DetuningReport) -> ModulationAssignment:
     """Count edges activated by modulating each qubit; at most two per
     qubit keeps gate-activation collisions manageable."""
     counts: dict[int, int] = {}
-    ties = []
     for e in report.edges:
         counts[e.modulated_qubit] = counts.get(e.modulated_qubit, 0) + 1
-        if e.tie:
-            ties.append(e.edge)
     max_count = max(counts.values()) if counts else 0
-    return ModulationAssignment(
-        counts=counts, max_count=max_count, valid=max_count <= 2, ties=tuple(ties)
-    )
+    return ModulationAssignment(counts=counts, max_count=max_count, valid=max_count <= 2)
 
 
 def subtract_global_offset(chips) -> list[np.ndarray]:
@@ -194,20 +185,6 @@ def spread_after_centering(chips, mean_design_f_mhz: float) -> SpreadReport:
 def detuning_error_sigma(sigma_f_mhz: float) -> float:
     """Edge-detuning spread from independent Gaussian endpoint errors."""
     return math.sqrt(2.0) * check("sigma_f_mhz", sigma_f_mhz, ge=0)
-
-
-def detuning_deviation_stats(
-    measured: DetuningReport, design: DetuningReport
-) -> tuple[float, float]:
-    """Mean and sigma of (measured - design) signed detuning over edges."""
-    m_edges = [e.edge for e in measured.edges]
-    d_edges = [e.edge for e in design.edges]
-    if m_edges != d_edges:
-        raise ValidationError("reports cover different edge sets")
-    diffs = np.array(
-        [m.signed_mhz - d.signed_mhz for m, d in zip(measured.edges, design.edges)]
-    )
-    return float(diffs.mean()), float(diffs.std())
 
 
 @dataclass(frozen=True)

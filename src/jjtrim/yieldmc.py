@@ -26,6 +26,11 @@ BLOCK_VALUES = 1 << 16
 # Largest tiled chip, in qubits: 100x the paper's 1000-qubit scale. A larger
 # tiling is refused before its frequency list is built.
 MAX_TILE_QUBITS = 100_000
+# Largest Monte Carlo run, in trials x qubits: 100x the paper's 1000-qubit
+# scale at 1e5 trials. A larger run is refused before any draw.
+MAX_QUBIT_TRIALS = 10**10
+# Backtracking nodes after which the unit-cell search gives up with exit 3.
+CELL_SEARCH_NODES = 200_000
 
 
 def unit_cell_violations(offsets, window=DESIGN_WINDOW_MHZ) -> list[str]:
@@ -74,66 +79,53 @@ class UnitCellDesign:
             )
 
 
-def generate_unit_cell(
-    window=DESIGN_WINDOW_MHZ,
-    seed=0,
-    grid_step_mhz: float = 10.0,
-    grid_max_mhz: float = 250.0,
-    base_frequency_mhz: float = 4500.0,
-    max_restarts: int = 200,
-    node_budget: int = 200_000,
-) -> UnitCellDesign:
-    """Backtracking search for a valid cell on a grid of offsets.
+def generate_unit_cell(window=DESIGN_WINDOW_MHZ, seed=0) -> UnitCellDesign:
+    """Backtracking search for a valid cell on offsets 0-250 MHz in 10 MHz steps.
 
-    Candidate orderings are reshuffled per restart from the seeded rng,
-    so the result is deterministic under a fixed seed.
+    Offsets are tried in one order shuffled from the seeded rng, so the
+    result is deterministic under a fixed seed. The search is exhaustive:
+    when it ends without a cell, no other order finds one either.
     """
     lo, hi = window
     if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window}")
-    rng = np.random.default_rng(seed)
-    values = np.arange(0.0, grid_max_mhz + 0.5 * grid_step_mhz, grid_step_mhz)
+    grid = np.arange(0.0, 255.0, 10.0)
+    order = grid[np.random.default_rng(seed).permutation(len(grid))]
+    cell = np.zeros((3, 3))
+    nodes = 0
 
-    for _ in range(max_restarts):
-        order = values[rng.permutation(len(values))]
-        cell = np.zeros((3, 3))
-        nodes = [0]
-
-        def ok(r, c, v):
-            if c > 0 and not lo <= abs(v - cell[r, c - 1]) <= hi:
-                return False
-            if r > 0 and not lo <= abs(v - cell[r - 1, c]) <= hi:
-                return False
-            if c == 2 and not lo <= abs(v - cell[r, 0]) <= hi:
-                return False
-            if r == 2 and not lo <= abs(v - cell[0, c]) <= hi:
-                return False
-            return True
-
-        def place(idx):
-            if nodes[0] > node_budget:
-                return False
-            nodes[0] += 1
-            if idx == 9:
-                return True
-            r, c = divmod(idx, 3)
-            for v in order:
-                if ok(r, c, v):
-                    cell[r, c] = v
-                    if place(idx + 1):
-                        return True
+    def ok(r, c, v):
+        if c > 0 and not lo <= abs(v - cell[r, c - 1]) <= hi:
             return False
+        if r > 0 and not lo <= abs(v - cell[r - 1, c]) <= hi:
+            return False
+        if c == 2 and not lo <= abs(v - cell[r, 0]) <= hi:
+            return False
+        if r == 2 and not lo <= abs(v - cell[0, c]) <= hi:
+            return False
+        return True
 
-        if place(0):
-            return UnitCellDesign(
-                offsets_mhz=tuple(tuple(row) for row in cell),
-                base_frequency_mhz=base_frequency_mhz,
-                design_window_mhz=(lo, hi),
+    def place(idx):
+        nonlocal nodes
+        if nodes > CELL_SEARCH_NODES:
+            raise InfeasibleError(
+                f"unit-cell search for window {window} hit its node budget "
+                f"({CELL_SEARCH_NODES} search nodes)"
             )
-    raise InfeasibleError(
-        f"no unit cell found for window {window} on a {grid_step_mhz} MHz "
-        f"grid within {max_restarts} restarts"
-    )
+        nodes += 1
+        if idx == 9:
+            return True
+        r, c = divmod(idx, 3)
+        for v in order:
+            if ok(r, c, v):
+                cell[r, c] = v
+                if place(idx + 1):
+                    return True
+        return False
+
+    if not place(0):
+        raise InfeasibleError(f"no unit cell on the 10 MHz grid fits window {window}")
+    return UnitCellDesign(tuple(tuple(row) for row in cell), design_window_mhz=(lo, hi))
 
 
 def tile(cell: UnitCellDesign, m: int, n: int) -> QubitLattice:
@@ -203,6 +195,11 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> YieldResult:
     window test runs over whole rows of trials. A lattice without edges
     passes every trial.
     """
+    if config.trials * lattice.n_qubits > MAX_QUBIT_TRIALS:
+        raise ValidationError(
+            f"{config.trials} trials on {lattice.n_qubits} qubits exceed "
+            f"{MAX_QUBIT_TRIALS} qubit-trials"
+        )
     design = np.array(lattice.design_f01max).reshape(lattice.rows, lattice.cols, 1)
     lo, hi = config.window_mhz
     block = max(1, BLOCK_VALUES // design.size)
@@ -292,6 +289,6 @@ class WaferProjection:
 
 def wafer_projection(result: YieldResult, dice: int = DEFAULT_DICE_PER_WAFER) -> WaferProjection:
     """Expected yielded chips (and their qubits) per wafer."""
-    check("dice", dice, ge=0)
+    check("dice", dice, ge=0, lt=2**53)
     chips = round(result.yield_estimate * dice)
     return WaferProjection(chips=chips, qubits=chips * result.qubit_count, dice=dice)

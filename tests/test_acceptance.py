@@ -27,7 +27,7 @@ from jjtrim.freqmodel import (
     invert_R,
     predict_f,
 )
-from jjtrim.junction import FabricationModel, RelaxationProfile, sample_fabricated
+from jjtrim.junction import FabricationModel, relaxation_shape, sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
@@ -161,9 +161,8 @@ def test_5_power_law_calibration():
 
 
 def test_6_segmented_relaxation_fit():
-    profile = RelaxationProfile()
     t = np.geomspace(0.02, 15.0, 500)
-    y = np.array([profile.shape(x) for x in t])
+    y = np.array([relaxation_shape(x) for x in t])
     rng = np.random.default_rng(0)
     y = y * np.exp(rng.normal(0, 0.02, y.size))
     fit = fit_segmented_power_law(t, y)
@@ -279,9 +278,8 @@ def test_10_property_suites():
         r.r_untuned <= r.r_last_pulse <= r.r_tuned and (r.pulses == 0) == r.already_above_target
         for r in result.records
     )
-    profile = RelaxationProfile()
     times = np.sort(np.random.default_rng(1).uniform(0.0, 300.0, 200))
-    shape = [profile.shape(float(t)) for t in times]
+    shape = [relaxation_shape(float(t)) for t in times]
     monotone &= all(b >= a for a, b in zip(shape, shape[1:]))
     checks.append(("monotone trajectory", monotone))
 

@@ -11,14 +11,10 @@ import pytest
 
 from jjtrim.controller import TuningTarget
 from jjtrim.errors import ValidationError, check, check_window
-from jjtrim.freqmodel import PowerLawModel, freq_equiv_sigma
-from jjtrim.junction import (
-    JunctionState,
-    RelaxationProfile,
-    StepKind,
-    StepModel,
-    relaxation_delta,
+from jjtrim.freqmodel import (
+    PowerLawModel, compose_sigma, freq_equiv_sigma, invert_R, predict_f,
 )
+from jjtrim.junction import JunctionState, relaxation_delta, relaxation_shape
 from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
 
 NAN, INF = math.nan, math.inf
@@ -67,18 +63,9 @@ class TestCheck:
                      id="JunctionState-relax_fraction-nan"),
         pytest.param(lambda: JunctionState(resistance=INF, relax_fraction=0.03),
                      id="JunctionState-resistance-inf"),
-        pytest.param(lambda: StepModel(mean_step=INF), id="StepModel-mean_step-inf"),
-        pytest.param(lambda: StepModel(kind=StepKind.UNIFORM, high=INF),
-                     id="StepModel-uniform-high-inf"),
-        pytest.param(lambda: RelaxationProfile(probe_delay_hr=INF),
-                     id="RelaxationProfile-probe_delay_hr-inf"),
-        pytest.param(lambda: RelaxationProfile(breakpoints_hr=(0.2, 2.0, INF)),
-                     id="RelaxationProfile-breakpoint-inf"),
-        pytest.param(lambda: RelaxationProfile().shape(NAN), id="shape-t_hr-nan"),
-        pytest.param(lambda: relaxation_delta(RelaxationProfile(), NAN, 4500.0, 5.0),
-                     id="relaxation_delta-rho-nan"),
-        pytest.param(lambda: relaxation_delta(RelaxationProfile(), 0.03, 4500.0, NAN),
-                     id="relaxation_delta-t_hr-nan"),
+        pytest.param(lambda: relaxation_shape(NAN), id="shape-t_hr-nan"),
+        pytest.param(lambda: relaxation_delta(NAN, 4500.0, 5.0), id="relaxation_delta-rho-nan"),
+        pytest.param(lambda: relaxation_delta(0.03, 4500.0, NAN), id="relaxation_delta-t_hr-nan"),
         pytest.param(lambda: TuningTarget(qubit_id="q", target_resistance=INF),
                      id="TuningTarget-target_resistance-inf"),
         pytest.param(lambda: PowerLawModel(beta=INF, alpha=0.5, residual_sigma=1.0,
@@ -86,6 +73,11 @@ class TestCheck:
                      id="PowerLawModel-beta-inf"),
         pytest.param(lambda: freq_equiv_sigma(MODEL, 4556.0, NAN),
                      id="freq_equiv_sigma-sigma_r_rel-nan"),
+        pytest.param(lambda: predict_f(MODEL, NAN), id="predict_f-r-nan"),
+        pytest.param(lambda: predict_f(MODEL, [4500.0, NAN]), id="predict_f-array-nan"),
+        pytest.param(lambda: predict_f(MODEL, INF), id="predict_f-r-inf"),
+        pytest.param(lambda: compose_sigma([7.7, NAN]), id="compose_sigma-nan"),
+        pytest.param(lambda: compose_sigma([INF]), id="compose_sigma-inf"),
         pytest.param(lambda: detuning_error_sigma(NAN), id="detuning_error_sigma-nan"),
         pytest.param(lambda: optimize_parking(PAIR, (NAN, 130.0), 50.0, 1.0),
                      id="optimize_parking-window-nan"),
@@ -94,3 +86,10 @@ class TestCheck:
 def test_non_finite_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize("f", [NAN, [4500.0, NAN], INF], ids=["nan", "array-nan", "inf"])
+def test_invert_R_names_non_finite_frequency(f):
+    # a NaN was once reported as an overflow, and inf inverted to 0 Ohm
+    with pytest.raises(ValidationError, match="frequency must be finite and positive"):
+        invert_R(MODEL, f)

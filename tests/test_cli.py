@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jjtrim import fileio
-from jjtrim.cli import main
+from jjtrim import controller, fileio, yieldmc
+from jjtrim.cli import build_parser, main
 from jjtrim.freqmodel import PowerLawModel
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -321,7 +321,7 @@ def valid(tmp_path_factory):
         PowerLawModel(beta=280000.0, alpha=0.51, residual_sigma=2.0, r_min=3000.0, r_max=7000.0),
     )
     assert main(["simulate-tuning", "--qubits", "4", "--seed", "1", "--out", str(d / "sim")]) == 0
-    r = np.linspace(3500.0, 6500.0, 8)
+    r = np.linspace(3500.0, 6500.0, 8).tolist()  # floats, whose repr is a plain number
     (d / "points.csv").write_text(
         "resistance_ohm,f01max_mhz\n" + "".join(f"{a!r},{280000.0 * a**-0.51!r}\n" for a in r)
     )
@@ -383,12 +383,12 @@ class TestMalformedInputs:
             ("design", _set(["base_frequency_mhz"], 10**400),
              "base_frequency_mhz: expected a finite number, got 1000"),
             ("calibration", _set(["beta"], "x"), "beta: expected a finite number, got 'x'"),
-            ("campaign", _drop("config", "step"), "config.step: missing"),
+            ("campaign", _drop("config", "noise_sigma"), "config.noise_sigma: missing"),
             ("campaign", _set(["records", 0, "extra"], 1), "records[0].extra: unknown key"),
             ("campaign", _drop("targets", 2, "relaxation_reserve"),
              "targets[2].relaxation_reserve: missing"),
-            ("campaign", _set(["config", "step", "kind"], "gauss"),
-             "config.step.kind: expected one of 'exponential', 'uniform', 'constant', got 'gauss'"),
+            ("campaign", _set(["config", "master_seed"], 2.5),
+             "config.master_seed: expected an integer, got 2.5"),
             ("campaign", _set(["records"], 7), "records: expected a list, got 7"),
             ("campaign", _set(["records", 1, "r_tuned"], "abc"),
              "records[1].r_tuned: expected a finite number, got 'abc'"),
@@ -398,6 +398,10 @@ class TestMalformedInputs:
                               {"breakpoints_hr": [0.2, 2.0, 24.0],
                                "exponents": [0.30, 0.24, 0.16, 0.11], "probe_delay_hr": 5.0}),
              "config.relaxation: unknown key"),
+            # the step law is a constant; a campaign written with it exits 2
+            ("campaign", _set(["config", "step"], {"kind": "exponential", "mean_step": 1.9,
+                                                   "low": None, "high": None}),
+             "config.step: unknown key"),
         ],
     )
     def test_json_field_named(self, tmp_path, valid, capsys, kind, edit, message):
@@ -452,6 +456,8 @@ class TestArgumentBoundaries:
              "aging_budget must be finite"),
             (["yield", "--sigma", "7.7", "--seed", "1", "--cells", "1e308x1"],
              "tiling has more than 100000 qubits"),
+            (["yield", "--sigma", "7.7", "--seed", "1", "--trials", "10", "--dice", "1" + "0" * 400],
+             "dice must be >= 0 and < 9007199254740992"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):
@@ -463,6 +469,30 @@ class TestArgumentBoundaries:
         rc = main([str(a) for a in argv + inputs] + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "module, cap, argv, at_cap, message",
+        [
+            (controller, "MAX_CAMPAIGN_QUBITS", ["simulate-tuning", "--seed", "1", "--qubits"],
+             lambda cap: cap, "--qubits must be <= "),
+            # a 1x1 tiling has 9 qubits
+            (yieldmc, "MAX_QUBIT_TRIALS", ["yield", "--sigma", "7.7", "--seed", "1", "--trials"],
+             lambda cap: cap // 9, "qubit-trials"),
+        ],
+        ids=["campaign-qubits", "yield-qubit-trials"],
+    )
+    def test_run_size_capped_before_work(self, tmp_path, capsys, monkeypatch, module, cap, argv,
+                                         at_cap, message):
+        # A run at the real cap takes minutes, so the rule is exercised at a
+        # small cap first; the real cap's first size past it is refused at once.
+        real = getattr(module, cap)
+        monkeypatch.setattr(module, cap, 18)
+        assert main([*argv, str(at_cap(18)), "--out", str(tmp_path / "ok")]) == 0
+        assert main([*argv, str(at_cap(18) + 1), "--out", str(tmp_path / "o")]) == 2
+        monkeypatch.setattr(module, cap, real)
+        assert main([*argv, str(at_cap(real) + 1), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count(message) == 2
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_target_resistance(self, tmp_path, valid, capsys):
@@ -620,3 +650,43 @@ class TestFuzzedInputs:
             path = Path(tmp) / f"input.{'csv' if kind == 'points' else 'json'}"
             path.write_bytes(content)
             assert run_with(kind, path, valid, Path(tmp) / "o") in (0, 2, 3)
+
+
+class TestParserReuse:
+    # Flags each subcommand needs; every other flag falls back to its default.
+    REQUIRED = {
+        "simulate-tuning": ["--seed"], "calibrate-freq": ["--data"],
+        "assign-targets": ["--calibration", "--design"], "fit-relaxation": ["--data"],
+        "analyze-lattice": ["--design"], "park": ["--design", "--window"],
+        "yield": ["--sigma", "--seed"], "report": ["--campaign"],
+    }
+
+    def test_no_parsed_value_carries_over(self, valid, tmp_path, monkeypatch):
+        # main reuses one parser per process. Each subcommand runs with every
+        # flag and then with only its required ones, and each parse must equal
+        # a fresh parser's.
+        parser = build_parser()
+        assert build_parser() is parser
+        parses, parse = [], parser.parse_args
+
+        def spy(argv):
+            parses.append(parse(argv))
+            return parses[-1]
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        full = valid_argv(valid)
+        full["yield"]["--design"] = valid["design"]
+        runs = []
+        for command, flags in full.items():
+            runs += [(command, flags), (command, {k: flags[k] for k in self.REQUIRED[command]})]
+        for i, (command, flags) in enumerate(runs):
+            out = f"--out={tmp_path / str(i)}"
+            argv = [command, *(f"{k}={v}" for k, v in flags.items()), out]
+            assert main(argv) == 0
+            assert vars(parses[-1]) == vars(build_parser.__wrapped__().parse_args(argv))
+        assert len(parses) == 16
+        lattice_config = json.loads((tmp_path / "9" / "manifest.json").read_text())["config"]
+        assert lattice_config == {"window": None}
+        yield_manifest = json.loads((tmp_path / "13" / "manifest.json").read_text())
+        assert yield_manifest["config"]["design"] is None
+        assert yield_manifest["input_digests"] == {}

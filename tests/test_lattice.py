@@ -7,7 +7,6 @@ from jjtrim import lattice
 from jjtrim.errors import InfeasibleError, ValidationError
 from jjtrim.lattice import (
     QubitLattice,
-    detuning_deviation_stats,
     detuning_error_sigma,
     edge_detunings,
     modulation_assignment,
@@ -38,7 +37,6 @@ class TestEdgeDetunings:
         lat = QubitLattice(rows=2, cols=3, design_f01max=(4500.0,) * 6)
         report = edge_detunings(lat)
         assert np.all(report.abs_detunings() == 0.0)
-        assert all(e.tie for e in report.edges)
 
     def test_summary_reflects_inputs(self):
         # detunings spanning 20-80 MHz, as on a full design Hamiltonian
@@ -135,38 +133,6 @@ class TestDetuningError:
         a = rng.normal(0, 18.4, 10**5)
         b = rng.normal(0, 18.4, 10**5)
         assert np.std(a - b) == pytest.approx(26.0, abs=0.3)
-
-
-class TestDeviationStats:
-    def test_identical_reports(self):
-        rep = edge_detunings(cell_lattice())
-        mean, sigma = detuning_deviation_stats(rep, rep)
-        assert mean == 0.0 and sigma == 0.0
-
-    def test_single_edge_offset(self):
-        design = QubitLattice(rows=1, cols=2, design_f01max=(4500.0, 4550.0))
-        measured = QubitLattice(rows=1, cols=2, design_f01max=(4500.0, 4560.8))
-        mean, _ = detuning_deviation_stats(edge_detunings(measured), edge_detunings(design))
-        assert mean == pytest.approx(-10.8)
-
-    def test_endpoint_noise_propagation(self):
-        design = cell_lattice()
-        rng = np.random.default_rng(3)
-        sigmas = []
-        for _ in range(200):
-            noisy = tuple(f + rng.normal(0, 18.4) for f in design.design_f01max)
-            measured = QubitLattice(rows=3, cols=3, design_f01max=noisy)
-            _, sigma = detuning_deviation_stats(
-                edge_detunings(measured), edge_detunings(design)
-            )
-            sigmas.append(sigma)
-        assert 20.0 <= np.mean(sigmas) <= 32.0
-
-    def test_mismatched_edges(self):
-        a = edge_detunings(cell_lattice())
-        b = edge_detunings(QubitLattice(rows=1, cols=2, design_f01max=(1.0, 2.0)))
-        with pytest.raises(ValidationError):
-            detuning_deviation_stats(a, b)
 
 
 def brute_force_parking(lattice, window, max_park, step):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from jjtrim.controller import CampaignConfig, TuningTarget, qubit_rng, tune_qubit
 from jjtrim.freqmodel import PowerLawModel, fit_power_law, invert_R, predict_f
-from jjtrim.junction import FabricationModel, StepKind, StepModel, sample_fabricated
+from jjtrim.junction import FabricationModel, sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     edge_detunings,
@@ -28,17 +28,16 @@ ADDITIVE_CELL = ((0.0, 50.0, 100.0), (100.0, 150.0, 200.0), (50.0, 100.0, 150.0)
 class TestTuneQubitProperties:
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(StepKind),
         target_frac=st.floats(0.9, 1.3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_noiseless_record_is_monotone(self, seed, kind, target_frac):
+    def test_noiseless_record_is_monotone(self, seed, target_frac):
         # fabrication, last pulse and probe never step down, and a qubit is
         # left unpulsed exactly when it starts above its threshold
         design = 4587.8
         state = sample_fabricated(FabricationModel(design_resistance=design), seed)
         target = TuningTarget(qubit_id="q", target_resistance=design * target_frac)
-        rec = tune_qubit(state, target, CampaignConfig(master_seed=seed, step=StepModel(kind=kind)))
+        rec = tune_qubit(state, target, CampaignConfig(master_seed=seed))
         assert rec.r_untuned <= rec.r_last_pulse <= rec.r_tuned
         assert (rec.pulses == 0) == rec.already_above_target
 

@@ -37,7 +37,7 @@ class TestUnitCell:
 
     def test_overconstrained_window_fails_search(self):
         with pytest.raises(InfeasibleError):
-            generate_unit_cell(window=(40.0, 40.0), seed=0, max_restarts=5)
+            generate_unit_cell(window=(40.0, 40.0), seed=0)
 
     def test_generated_cells_pass_independent_checker(self):
         for seed in range(100):
