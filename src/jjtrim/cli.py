@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, controller, fileio, freqmodel, junction, lattice, yieldmc
 from .errors import FitError, InfeasibleError, SchemaError, ValidationError, check
 
@@ -64,31 +62,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _campaign_metrics(result, targets) -> dict:
-    """The precision, overshoot and reserve statistics both campaign reports
-    draw their rows from; raises before anything is written."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        prec = controller.precision_stats(result, targets)
-        over = controller.overshoot_stats(result)
-        reserve = controller.calibrate_reserve(result.records)
-    metrics = {
-        "precision_mean_frac": prec.mean_frac,
-        "precision_sigma_frac": prec.sigma_frac,
-        "precision_min_frac": prec.min_frac,
-        "precision_max_frac": prec.max_frac,
-        "overshoot_mean_ohm": over.mean,
-        "overshoot_sigma_ohm": over.sigma,
-        "reserve_mean": reserve.mean,
-        "reserve_sigma": reserve.sigma,
-    }
-    bad = [name for name, value in metrics.items() if not math.isfinite(value)]
-    if bad:
-        raise ValidationError(
-            f"campaign statistics overflow ({', '.join(bad)}): a record is out of range"
-        )
-    return metrics
-
-
 def cmd_simulate_tuning(args) -> int:
     check("--qubits", args.qubits, ge=1)
     if args.qubits > controller.MAX_CAMPAIGN_QUBITS:
@@ -112,10 +85,10 @@ def cmd_simulate_tuning(args) -> int:
                 relaxation_reserve=args.reserve,
             )
         )
-    result = controller.run_campaign(qubits, targets, config)
-    metrics = _campaign_metrics(result, targets)
+    records = controller.run_campaign(qubits, targets, config)
+    metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
-    fileio.save_campaign(out / "campaign.json", result, targets, config)
+    fileio.save_campaign(out / "campaign.json", records, targets, config)
     fileio.write_csv(
         out / "precision_report.csv",
         ["metric", "value"],
@@ -134,7 +107,7 @@ def cmd_simulate_tuning(args) -> int:
         },
         args.seed,
     )
-    print(f"tuned {len(result)} qubits to target {target_r:.1f} Ohm")
+    print(f"tuned {len(records)} qubits to target {target_r:.1f} Ohm")
     print(
         f"precision: mean {100 * metrics['precision_mean_frac']:+.3f}%  "
         f"sigma {100 * metrics['precision_sigma_frac']:.3f}%"
@@ -296,6 +269,7 @@ def cmd_yield(args) -> int:
     else:
         cell = yieldmc.generate_unit_cell(seed=args.seed)
     m, n = _parse_cells(args.cells)
+    check("dice", args.dice, ge=0, lt=yieldmc.MAX_DICE)
     lat = yieldmc.tile(cell, m, n)
     config = yieldmc.YieldConfig(
         sigma_f_mhz=args.sigma,
@@ -332,14 +306,14 @@ def cmd_yield(args) -> int:
 
 
 def cmd_report(args) -> int:
-    result, targets, _config = fileio.load_campaign(args.campaign)
-    metrics = _campaign_metrics(result, targets)
+    records, targets, _config = fileio.load_campaign(args.campaign)
+    metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
     rows = [(k, v) for k, v in metrics.items() if k not in ("precision_min_frac", "precision_max_frac")]
-    fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", len(result)), *rows])
+    fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", len(records)), *rows])
     fileio.write_manifest(out, "report", {}, None, [args.campaign])
     print(
-        f"{len(result)} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
+        f"{len(records)} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
         f"mean {100 * metrics['precision_mean_frac']:+.3f}%"
     )
     return 0
@@ -359,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, default=DEFAULT_QUBITS)
     p.add_argument("--design-resistance", type=float, default=DEFAULT_DESIGN_RESISTANCE)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--reserve", type=float, default=0.0289)
-    p.add_argument("--aging-budget", type=float, default=0.02)
+    p.add_argument("--reserve", type=float, default=junction.RELAX_FRACTION_MEAN)
+    p.add_argument("--aging-budget", type=float, default=freqmodel.AGING_BUDGET)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate_tuning)
@@ -373,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assign-targets", help="map design frequencies to target resistances")
     p.add_argument("--calibration", required=True)
     p.add_argument("--design", required=True)
-    p.add_argument("--aging-budget", type=float, default=0.02)
+    p.add_argument("--aging-budget", type=float, default=freqmodel.AGING_BUDGET)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_assign_targets)
 
@@ -403,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", default="1x1", help="unit-cell tiling, e.g. 2x6")
     p.add_argument("--trials", type=int, default=10**5)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--window", default="20,130", help="lo,hi in MHz")
+    p.add_argument("--window", default=",".join(f"{f:g}" for f in yieldmc.YIELD_WINDOW_MHZ),
+                   help="lo,hi in MHz")
     p.add_argument("--design", default=None, help="optional 3x3 unit-cell design JSON")
     p.add_argument("--dice", type=int, default=yieldmc.DEFAULT_DICE_PER_WAFER)
     p.add_argument("--threads", type=int, default=1)

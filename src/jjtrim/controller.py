@@ -9,12 +9,13 @@ and records per-qubit and aggregate precision statistics.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError, check
-from .junction import JunctionState
+from .junction import RELAX_FRACTION_MEAN, JunctionState
 
 _STEP_BATCH = 512
 # Mean per-pulse resistance increment, Ohm. Steps are exponential: their
@@ -33,7 +34,7 @@ class TuningTarget:
 
     qubit_id: str
     target_resistance: float
-    relaxation_reserve: float = 0.0289
+    relaxation_reserve: float = RELAX_FRACTION_MEAN
 
     def __post_init__(self):
         check("target_resistance", self.target_resistance, gt=0)
@@ -66,14 +67,6 @@ class QubitTuneRecord:
     r_tuned: float
     pulses: int
     already_above_target: bool = False
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    records: tuple[QubitTuneRecord, ...]
-
-    def __len__(self):
-        return len(self.records)
 
 
 def qubit_rng(master_seed: int, qubit_id: str) -> np.random.Generator:
@@ -148,88 +141,55 @@ def run_campaign(
     qubits: list[JunctionState],
     targets: list[TuningTarget],
     config: CampaignConfig,
-) -> CampaignResult:
+) -> tuple[QubitTuneRecord, ...]:
     """Tune qubits one at a time; each qubit's probe happens the probe
     delay after its own last pulse."""
     if len(qubits) != len(targets):
         raise ValidationError(
             f"qubit/target length mismatch: {len(qubits)} vs {len(targets)}"
         )
-    records = []
-    for state, target in zip(qubits, targets):
-        records.append(tune_qubit(state, target, config))
-    return CampaignResult(records=tuple(records))
+    return tuple(tune_qubit(state, target, config) for state, target in zip(qubits, targets))
 
 
-def _tuned_records(records):
-    records = [r for r in records if not r.already_above_target]
-    if not records:
+def campaign_stats(records, targets) -> dict[str, float]:
+    """Precision, overshoot and realised-reserve statistics of a campaign.
+
+    Precision is the tuned-resistance error relative to target,
+    (r_tuned - R_T) / R_T, with each target looked up by qubit id. Overshoot
+    is the last-pulse excess above the stop threshold, set by step size.
+    The reserve is the relaxation fraction realised between last pulse and
+    probe, (r_tuned - r_last_pulse) / r_last_pulse. Sigmas are population
+    standard deviations. Qubits flagged already-above-target were never
+    pulsed and are excluded. A statistic that is not finite (a record out
+    of range) raises, as does a campaign with no tuned qubit.
+    """
+    tuned = [r for r in records if not r.already_above_target]
+    if not tuned:
         raise ValidationError("no tuned records to aggregate")
-    return records
-
-
-@dataclass(frozen=True)
-class ReserveCalibration:
-    mean: float
-    sigma: float
-
-
-def calibrate_reserve(records) -> ReserveCalibration:
-    """Relaxation fraction realized between last pulse and probe:
-    statistics of (r_tuned - r_last_pulse) / r_last_pulse.
-
-    Qubits flagged already-above-target were never pulsed and are
-    excluded.
-    """
-    records = _tuned_records(records)
-    fracs = np.array(
-        [(r.r_tuned - r.r_last_pulse) / r.r_last_pulse for r in records]
-    )
-    return ReserveCalibration(mean=float(fracs.mean()), sigma=float(fracs.std()))
-
-
-@dataclass(frozen=True)
-class PrecisionStats:
-    mean_frac: float
-    sigma_frac: float
-    min_frac: float
-    max_frac: float
-
-
-def precision_stats(result: CampaignResult, targets) -> PrecisionStats:
-    """Tuned-resistance error relative to target, (r_tuned - R_T)/R_T.
-
-    Records flagged already-above-target are excluded; they were never
-    tuned.
-    """
-    targets = list(targets)
-    if not targets:
-        raise ValidationError("precision_stats needs a non-empty target list")
-    records = _tuned_records(result.records)
-    by_id = {t.qubit_id: t for t in targets}
-    fracs = []
-    for rec in records:
-        if rec.qubit_id not in by_id:
+    target_r = {t.qubit_id: t.target_resistance for t in targets}
+    for rec in tuned:
+        if rec.qubit_id not in target_r:
             raise ValidationError(f"no target for qubit {rec.qubit_id}")
-        rt = by_id[rec.qubit_id].target_resistance
-        fracs.append((rec.r_tuned - rt) / rt)
-    fracs = np.array(fracs)
-    return PrecisionStats(
-        mean_frac=float(fracs.mean()),
-        sigma_frac=float(fracs.std()),
-        min_frac=float(fracs.min()),
-        max_frac=float(fracs.max()),
-    )
-
-
-@dataclass(frozen=True)
-class OvershootStats:
-    mean: float
-    sigma: float
-
-
-def overshoot_stats(result: CampaignResult) -> OvershootStats:
-    """Last-pulse excess above the stop threshold, set by step size."""
-    records = _tuned_records(result.records)
-    over = np.array([r.r_last_pulse - r.threshold for r in records])
-    return OvershootStats(mean=float(over.mean()), sigma=float(over.std()))
+    r_tuned, r_last, threshold, r_target = np.array(
+        [(r.r_tuned, r.r_last_pulse, r.threshold, target_r[r.qubit_id]) for r in tuned]
+    ).T
+    with np.errstate(all="ignore"):
+        precision = (r_tuned - r_target) / r_target
+        overshoot = r_last - threshold
+        reserve = (r_tuned - r_last) / r_last
+        stats = {
+            "precision_mean_frac": float(precision.mean()),
+            "precision_sigma_frac": float(precision.std()),
+            "precision_min_frac": float(precision.min()),
+            "precision_max_frac": float(precision.max()),
+            "overshoot_mean_ohm": float(overshoot.mean()),
+            "overshoot_sigma_ohm": float(overshoot.std()),
+            "reserve_mean": float(reserve.mean()),
+            "reserve_sigma": float(reserve.std()),
+        }
+    bad = [name for name, value in stats.items() if not math.isfinite(value)]
+    if bad:
+        raise ValidationError(
+            f"campaign statistics overflow ({', '.join(bad)}): a record is out of range"
+        )
+    return stats

@@ -15,13 +15,13 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from . import __version__
-from .controller import CampaignConfig, CampaignResult, QubitTuneRecord, TuningTarget
+from .controller import CampaignConfig, QubitTuneRecord, TuningTarget
 from .errors import SchemaError
 from .freqmodel import PowerLawModel
 from .lattice import QubitLattice
@@ -160,44 +160,29 @@ def save_calibration(path, model: PowerLawModel) -> None:
     dump_json(path, dict(zip(_CALIBRATION, astuple(model))))
 
 
-_CAMPAIGN = {
-    "config": {
-        "master_seed": int,
-        "noise_sigma": float,
-        "max_pulses": int,
-    },
-    "targets": [{"qubit_id": str, "target_resistance": float, "relaxation_reserve": float}],
-    "records": [{"qubit_id": str, "r_untuned": float, "threshold": float, "r_last_pulse": float,
-                 "r_tuned": float, "pulses": int, "already_above_target": bool}],
-}
+def _schema_of(cls) -> dict:
+    """A flat dataclass's fields as a schema (see ``_walk``): name -> annotated type."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def save_campaign(path, result: CampaignResult, targets, config: CampaignConfig) -> None:
-    data = {
-        "config": {
-            "master_seed": config.master_seed,
-            "noise_sigma": config.noise_sigma,
-            "max_pulses": config.max_pulses,
-        },
-        # Per-qubit dataclasses are flat, so their __dict__ is asdict's result
-        # without its deep copy, which costs about 10 us per object.
-        "targets": [vars(t) for t in targets],
-        "records": [vars(r) for r in result.records],
-    }
-    dump_json(path, data)
+_CAMPAIGN = {"config": _schema_of(CampaignConfig), "targets": [_schema_of(TuningTarget)],
+             "records": [_schema_of(QubitTuneRecord)]}
 
 
-def load_campaign(path) -> tuple[CampaignResult, list[TuningTarget], CampaignConfig]:
+def save_campaign(path, records, targets, config: CampaignConfig) -> None:
+    # The dataclasses are flat, so their __dict__ is asdict's result without
+    # its deep copy, which costs about 10 us per object.
+    dump_json(path, {"config": vars(config), "targets": [vars(t) for t in targets],
+                     "records": [vars(r) for r in records]})
+
+
+def load_campaign(path) -> tuple[tuple[QubitTuneRecord, ...], list[TuningTarget], CampaignConfig]:
+    """Campaign JSON (``_CAMPAIGN``) -> (records, targets, config)."""
     data = _load(path, _CAMPAIGN)
-    cfg = data["config"]
-    config = CampaignConfig(
-        master_seed=cfg["master_seed"],
-        noise_sigma=cfg["noise_sigma"],
-        max_pulses=cfg["max_pulses"],
-    )
+    config = CampaignConfig(**data["config"])
     targets = [TuningTarget(**t) for t in data["targets"]]
-    records = tuple(QubitTuneRecord(**r) for r in data["records"])
-    return CampaignResult(records=records), targets, config
+    return tuple(QubitTuneRecord(**r) for r in data["records"]), targets, config
 
 
 def read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:

@@ -19,6 +19,9 @@ from .errors import FitError, ValidationError, check
 # log-spaced times, and every segment needs FIT_MIN_POINTS points.
 FIT_CANDIDATES = 50
 FIT_MIN_POINTS = 3
+# Fraction below the on-frequency resistance that a target aims for, so
+# that the resistance's aging drift after tuning lands it on frequency.
+AGING_BUDGET = 0.02
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,9 @@ def invert_R(model: PowerLawModel, f):
     return float(out) if out.ndim == 0 else out
 
 
-def assign_target_R(model: PowerLawModel, f_design: float, aging_budget: float = 0.02) -> float:
+def assign_target_R(
+    model: PowerLawModel, f_design: float, aging_budget: float = AGING_BUDGET
+) -> float:
     """Target resistance for a design frequency, deflated by the aging
     budget so post-tuning drift lands the qubit on frequency."""
     check("aging_budget", aging_budget, ge=0, lt=1)

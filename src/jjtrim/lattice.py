@@ -107,16 +107,13 @@ def edge_detunings(
 ) -> DetuningReport:
     """Per-edge detunings with the modulated (higher-frequency) endpoint.
 
-    ``freqs`` may be a mapping node id -> MHz or a flat sequence; it
-    defaults to the lattice's measured frequencies, else design.
+    ``freqs`` is a sequence of MHz values in node-id order; it defaults to
+    the lattice's measured frequencies, else design.
     """
     if freqs is None:
         freqs = lattice.measured_f01max or lattice.design_f01max
-    if not isinstance(freqs, dict):
-        freqs = {i: f for i, f in enumerate(freqs)}
-    missing = [i for i in range(lattice.n_qubits) if i not in freqs or freqs[i] is None]
-    if missing:
-        raise ValidationError(f"missing frequency for nodes {missing}")
+    if len(freqs) != lattice.n_qubits:
+        raise ValidationError(f"expected {lattice.n_qubits} frequencies, got {len(freqs)}")
     if window is not None:
         window = check_window("window", window)
     out = []

@@ -20,6 +20,8 @@ from .lattice import QubitLattice
 DESIGN_WINDOW_MHZ = (40.0, 110.0)
 YIELD_WINDOW_MHZ = (20.0, 130.0)
 DEFAULT_DICE_PER_WAFER = 212
+# Dice per wafer stay below 2**53, where round(yield * dice) is still exact.
+MAX_DICE = 2**53
 # Float64 frequencies per Monte Carlo trial block (512 KiB): a block's draw,
 # its transposed copy and its edge differences stay inside a 2 MiB L2 cache.
 BLOCK_VALUES = 1 << 16
@@ -289,6 +291,6 @@ class WaferProjection:
 
 def wafer_projection(result: YieldResult, dice: int = DEFAULT_DICE_PER_WAFER) -> WaferProjection:
     """Expected yielded chips (and their qubits) per wafer."""
-    check("dice", dice, ge=0, lt=2**53)
+    check("dice", dice, ge=0, lt=MAX_DICE)
     chips = round(result.yield_estimate * dice)
     return WaferProjection(chips=chips, qubits=chips * result.qubit_count, dice=dice)

@@ -12,8 +12,7 @@ import numpy as np
 from jjtrim.controller import (
     CampaignConfig,
     TuningTarget,
-    overshoot_stats,
-    precision_stats,
+    campaign_stats,
     qubit_rng,
     run_campaign,
     tune_qubit,
@@ -63,28 +62,29 @@ def tuned_batch(n=61, seed=7):
         TuningTarget(qubit_id=f"Q{i:03d}", target_resistance=DESIGN_R * 0.98)
         for i in range(n)
     ]
-    result = run_campaign(qubits, targets, CampaignConfig(master_seed=seed))
-    return result, targets
+    records = run_campaign(qubits, targets, CampaignConfig(master_seed=seed))
+    return records, targets
 
 
 def test_1_overshoot_statistics():
     start = time.perf_counter()
-    result, _ = tuned_batch(61)
-    stats = overshoot_stats(result)
+    records, targets = tuned_batch(61)
+    stats = campaign_stats(records, targets)
+    mean, sigma = stats["overshoot_mean_ohm"], stats["overshoot_sigma_ohm"]
     elapsed = time.perf_counter() - start
-    ok = abs(stats.mean - 1.9) <= 0.5 and abs(stats.sigma - 1.7) <= 0.5 and elapsed < 1.0
+    ok = abs(mean - 1.9) <= 0.5 and abs(sigma - 1.7) <= 0.5 and elapsed < 1.0
     report(
-        f"1 overshoot: mean {stats.mean:.2f} Ohm (1.9±0.5), "
-        f"sigma {stats.sigma:.2f} Ohm (1.7±0.5), {elapsed:.2f} s",
+        f"1 overshoot: mean {mean:.2f} Ohm (1.9±0.5), "
+        f"sigma {sigma:.2f} Ohm (1.7±0.5), {elapsed:.2f} s",
         ok,
     )
 
 
 def test_2_relaxation_shift():
     start = time.perf_counter()
-    result, _ = tuned_batch(61)
+    records, _ = tuned_batch(61)
     shifts = np.array(
-        [r.r_tuned - r.r_last_pulse for r in result.records if not r.already_above_target]
+        [r.r_tuned - r.r_last_pulse for r in records if not r.already_above_target]
     )
     elapsed = time.perf_counter() - start
     ok = 110.0 <= shifts.mean() <= 145.0 and 10.0 <= shifts.std() <= 25.0 and elapsed < 1.0
@@ -97,8 +97,9 @@ def test_2_relaxation_shift():
 
 def test_3_targeted_precision():
     start = time.perf_counter()
-    result, targets = tuned_batch(221)
-    stats = precision_stats(result, targets)
+    records, targets = tuned_batch(221)
+    stats = campaign_stats(records, targets)
+    sigma, mean = stats["precision_sigma_frac"], stats["precision_mean_frac"]
     # one long-haul qubit starting 18.5% below its target
     far_target = TuningTarget(qubit_id="FAR", target_resistance=DESIGN_R * 0.98)
     far_state = sample_fabricated(
@@ -110,15 +111,15 @@ def test_3_targeted_precision():
     distance = (far_target.target_resistance - far.r_untuned) / far_target.target_resistance
     elapsed = time.perf_counter() - start
     ok = (
-        0.0025 <= stats.sigma_frac <= 0.0045
-        and -0.001 <= stats.mean_frac <= 0.004
+        0.0025 <= sigma <= 0.0045
+        and -0.001 <= mean <= 0.004
         and distance >= 0.18
         and far.pulses > 0
         and elapsed < 10.0
     )
     report(
-        f"3 precision: sigma {100 * stats.sigma_frac:.2f}% ([0.25,0.45]), "
-        f"mean {100 * stats.mean_frac:.2f}% ([-0.1,0.4]), "
+        f"3 precision: sigma {100 * sigma:.2f}% ([0.25,0.45]), "
+        f"mean {100 * mean:.2f}% ([-0.1,0.4]), "
         f"distance {100 * distance:.1f}% tuned in {far.pulses} pulses, {elapsed:.2f} s",
         ok,
     )
@@ -273,10 +274,10 @@ def test_10_property_suites():
     # monotone resistance trajectory: each noiseless record rises from
     # fabrication through the last pulse to the probe, and the relaxation
     # profile never falls over 200 seeded times up to 300 hr
-    result, _ = tuned_batch(61)
+    records, _ = tuned_batch(61)
     monotone = all(
         r.r_untuned <= r.r_last_pulse <= r.r_tuned and (r.pulses == 0) == r.already_above_target
-        for r in result.records
+        for r in records
     )
     times = np.sort(np.random.default_rng(1).uniform(0.0, 300.0, 200))
     shape = [relaxation_shape(float(t)) for t in times]

@@ -514,6 +514,23 @@ class TestArgumentBoundaries:
         assert "campaign statistics overflow (overshoot_sigma_ohm)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_zero_read_campaign_statistics(self, tmp_path, valid, capsys):
+        # the realised reserve divides by the last read
+        path = _edit("campaign", valid, tmp_path, _set(["records", 1, "r_last_pulse"], 0.0))
+        assert run_with("campaign", path, valid, tmp_path / "o") == 2
+        assert "overflow (reserve_mean, reserve_sigma)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_dice_rejected_before_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("mc_chip_yield ran before --dice was checked")
+
+        monkeypatch.setattr(yieldmc, "mc_chip_yield", never)
+        argv = ["yield", "--sigma", "7.7", "--seed", "1", "--cells", "4x12", "--dice=-1"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "dice must be >= 0 and < 9007199254740992, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_one_distinct_resistance(self, tmp_path, valid, capsys):
         path = tmp_path / "points.csv"
         path.write_text("resistance_ohm,f01max_mhz\n4000,4300\n4000,4310\n")

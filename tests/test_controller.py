@@ -5,13 +5,11 @@ import pytest
 
 from jjtrim.controller import (
     CampaignConfig,
-    CampaignResult,
     MEAN_STEP_OHM,
+    QubitTuneRecord,
     TuningTarget,
     _STEP_BATCH,
-    calibrate_reserve,
-    overshoot_stats,
-    precision_stats,
+    campaign_stats,
     qubit_rng,
     run_campaign,
     tune_qubit,
@@ -71,8 +69,8 @@ class TestTuneQubit:
 
     def test_stop_correctness(self):
         qubits, targets = make_batch(30)
-        result = run_campaign(qubits, targets, CampaignConfig(master_seed=7))
-        for rec in result.records:
+        records = run_campaign(qubits, targets, CampaignConfig(master_seed=7))
+        for rec in records:
             assert rec.r_last_pulse >= rec.threshold
             assert rec.r_tuned >= rec.r_last_pulse
 
@@ -113,8 +111,7 @@ class TestTuneQubit:
 
 class TestCampaign:
     def test_empty_campaign(self):
-        result = run_campaign([], [], CampaignConfig(master_seed=0))
-        assert len(result) == 0
+        assert run_campaign([], [], CampaignConfig(master_seed=0)) == ()
 
     def test_length_mismatch(self):
         qubits, targets = make_batch(3)
@@ -140,32 +137,32 @@ class TestCampaign:
         for noise, target_frac, pulses, digest in pinned:
             qubits, targets = make_batch(50, seed=11, target_frac=target_frac)
             config = CampaignConfig(master_seed=11, noise_sigma=noise)
-            result = run_campaign(qubits, targets, config)
+            records = run_campaign(qubits, targets, config)
             rows = [
                 (r.qubit_id, r.r_untuned, r.threshold, r.r_last_pulse, r.r_tuned,
                  r.pulses, r.already_above_target)
-                for r in result.records
+                for r in records
             ]
-            assert sum(r.pulses for r in result.records) == pulses
+            assert sum(r.pulses for r in records) == pulses
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
     def test_noisy_campaign_stops_above_threshold(self):
         qubits, targets = make_batch(221)
         config = CampaignConfig(master_seed=7, noise_sigma=0.5)
-        result = run_campaign(qubits, targets, config)
-        for rec in result.records:
+        records = run_campaign(qubits, targets, config)
+        for rec in records:
             if not rec.already_above_target:
                 assert rec.pulses > 0
                 assert rec.r_last_pulse >= rec.threshold
-        stats = precision_stats(result, targets)
-        assert 0.0025 <= stats.sigma_frac <= 0.0045
+        stats = campaign_stats(records, targets)
+        assert 0.0025 <= stats["precision_sigma_frac"] <= 0.0045
 
     def test_precision_band(self):
         qubits, targets = make_batch(221)
-        result = run_campaign(qubits, targets, CampaignConfig(master_seed=7))
-        stats = precision_stats(result, targets)
-        assert 0.0025 <= stats.sigma_frac <= 0.0045
-        assert -0.001 <= stats.mean_frac <= 0.004
+        records = run_campaign(qubits, targets, CampaignConfig(master_seed=7))
+        stats = campaign_stats(records, targets)
+        assert 0.0025 <= stats["precision_sigma_frac"] <= 0.0045
+        assert -0.001 <= stats["precision_mean_frac"] <= 0.004
 
     def test_long_tuning_distance(self):
         # 18.5% below the stop threshold tunes without error
@@ -184,11 +181,10 @@ class TestCampaign:
         config = CampaignConfig(master_seed=5)
         fwd = run_campaign(qubits, targets, config)
         rev = run_campaign(qubits[::-1], targets[::-1], config)
-        fwd_stats = precision_stats(fwd, targets)
-        rev_stats = precision_stats(rev, targets)
-        assert fwd_stats.mean_frac == pytest.approx(rev_stats.mean_frac, rel=1e-12)
-        assert fwd_stats.sigma_frac == pytest.approx(rev_stats.sigma_frac, rel=1e-12)
-        assert sorted(r.r_tuned for r in fwd.records) == sorted(r.r_tuned for r in rev.records)
+        fwd_stats = campaign_stats(fwd, targets)
+        rev_stats = campaign_stats(rev, targets)
+        assert fwd_stats == pytest.approx(rev_stats, rel=1e-12)
+        assert sorted(r.r_tuned for r in fwd) == sorted(r.r_tuned for r in rev)
 
     def test_probe_noise_on_unpulsed_qubits(self):
         # with rho = 0 an unpulsed qubit's probe differs from its true
@@ -196,9 +192,9 @@ class TestCampaign:
         qubits = [JunctionState(resistance=5000.0, relax_fraction=0.0)] * 10**4
         targets = [TuningTarget(qubit_id=f"q{i}", target_resistance=4500.0) for i in range(10**4)]
         config = CampaignConfig(master_seed=4, noise_sigma=0.5)
-        result = run_campaign(qubits, targets, config)
-        assert all(r.already_above_target and r.pulses == 0 for r in result.records)
-        errors = np.array([r.r_tuned - r.r_untuned for r in result.records])
+        records = run_campaign(qubits, targets, config)
+        assert all(r.already_above_target and r.pulses == 0 for r in records)
+        errors = np.array([r.r_tuned - r.r_untuned for r in records])
         assert errors.std() == pytest.approx(0.5, abs=0.02)
         assert abs(errors.mean()) < 0.02
 
@@ -206,72 +202,94 @@ class TestCampaign:
         # precision variance decomposes into relaxation-draw variance plus
         # relative overshoot variance (within 20%)
         qubits, targets = make_batch(10**4, seed=13)
-        result = run_campaign(qubits, targets, CampaignConfig(master_seed=13))
-        stats = precision_stats(result, targets)
-        over = overshoot_stats(result)
+        records = run_campaign(qubits, targets, CampaignConfig(master_seed=13))
+        stats = campaign_stats(records, targets)
         rhos = np.array([q.relax_fraction for q in qubits])
-        r_mean = np.mean([r.r_last_pulse for r in result.records])
-        predicted = np.sqrt(rhos.std() ** 2 + (over.sigma / r_mean) ** 2)
-        assert abs(stats.sigma_frac**2 - predicted**2) / predicted**2 < 0.20
+        r_mean = np.mean([r.r_last_pulse for r in records])
+        predicted = np.sqrt(rhos.std() ** 2 + (stats["overshoot_sigma_ohm"] / r_mean) ** 2)
+        sigma = stats["precision_sigma_frac"]
+        assert abs(sigma**2 - predicted**2) / predicted**2 < 0.20
 
 
 class TestStatistics:
-    def test_calibrate_reserve_recovers_draws(self):
+    def test_reserve_recovers_draws(self):
         qubits, targets = make_batch(221)
-        result = run_campaign(qubits, targets, CampaignConfig(master_seed=7))
-        cal = calibrate_reserve(result.records)
-        assert cal.mean == pytest.approx(0.0289, abs=0.0010)
-        assert cal.sigma == pytest.approx(0.0030, abs=0.0010)
+        stats = campaign_stats(run_campaign(qubits, targets, CampaignConfig(master_seed=7)), targets)
+        assert stats["reserve_mean"] == pytest.approx(0.0289, abs=0.0010)
+        assert stats["reserve_sigma"] == pytest.approx(0.0030, abs=0.0010)
 
     def test_single_record_zero_spread(self):
-        rec = _record(r_last=4500.0, r_tuned=4500.0)
-        cal = calibrate_reserve([rec])
-        assert cal.mean == 0.0 and cal.sigma == 0.0
+        stats = campaign_stats([_record(r_last=4500.0, r_tuned=4500.0)], [_target()])
+        assert stats["reserve_mean"] == 0.0 and stats["reserve_sigma"] == 0.0
 
     def test_two_record_hand_statistics(self):
         recs = [
             _record(r_last=1000.0, r_tuned=1010.0),
             _record(r_last=1000.0, r_tuned=1030.0),
         ]
-        cal = calibrate_reserve(recs)
-        assert cal.mean == pytest.approx(0.02)
-        assert cal.sigma == pytest.approx(0.01)  # population convention
+        stats = campaign_stats(recs, [_target()])
+        assert stats["reserve_mean"] == pytest.approx(0.02)
+        assert stats["reserve_sigma"] == pytest.approx(0.01)  # population convention
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ValidationError):
-            calibrate_reserve([])
-        with pytest.raises(ValidationError):
-            overshoot_stats(CampaignResult(records=()))
-        with pytest.raises(ValidationError):
-            precision_stats(CampaignResult(records=()), [])
+        with pytest.raises(ValidationError, match="no tuned records to aggregate"):
+            campaign_stats((), [_target()])
+        untuned = QubitTuneRecord("q", 5000.0, 4400.0, 5000.0, 5000.0, 0, True)
+        with pytest.raises(ValidationError, match="no tuned records to aggregate"):
+            campaign_stats([untuned], [_target()])
+        with pytest.raises(ValidationError, match="no target for qubit q"):
+            campaign_stats([_record()], [])
 
     def test_precision_all_on_target(self):
-        targets = [TuningTarget(qubit_id=f"q{i}", target_resistance=4500.0) for i in range(3)]
-        recs = tuple(_record(qid=f"q{i}", r_tuned=4500.0) for i in range(3))
-        stats = precision_stats(CampaignResult(records=recs), targets)
-        assert stats.mean_frac == 0.0 and stats.sigma_frac == 0.0
+        targets = [_target(f"q{i}", 4500.0) for i in range(3)]
+        recs = [_record(qid=f"q{i}", r_tuned=4500.0) for i in range(3)]
+        stats = campaign_stats(recs, targets)
+        assert stats["precision_mean_frac"] == 0.0 and stats["precision_sigma_frac"] == 0.0
 
     def test_precision_symmetric_pair(self):
-        targets = [TuningTarget(qubit_id=f"q{i}", target_resistance=1000.0) for i in range(2)]
-        recs = (
-            _record(qid="q0", r_tuned=1010.0),
-            _record(qid="q1", r_tuned=990.0),
-        )
-        stats = precision_stats(CampaignResult(records=recs), targets)
-        assert stats.mean_frac == pytest.approx(0.0)
-        assert stats.sigma_frac == pytest.approx(0.01)
+        targets = [_target(f"q{i}", 1000.0) for i in range(2)]
+        recs = [_record(qid="q0", r_tuned=1010.0), _record(qid="q1", r_tuned=990.0)]
+        stats = campaign_stats(recs, targets)
+        assert stats["precision_mean_frac"] == pytest.approx(0.0)
+        assert stats["precision_sigma_frac"] == pytest.approx(0.01)
+        assert stats["precision_min_frac"] == pytest.approx(-0.01)
+        assert stats["precision_max_frac"] == pytest.approx(0.01)
 
     def test_overshoot_exponential_mean_matches_sigma(self):
         qubits, targets = make_batch(2000, seed=21)
-        result = run_campaign(qubits, targets, CampaignConfig(master_seed=21))
-        stats = overshoot_stats(result)
-        assert stats.mean == pytest.approx(1.9, abs=0.15)
-        assert stats.sigma == pytest.approx(stats.mean, rel=0.10)
+        records = run_campaign(qubits, targets, CampaignConfig(master_seed=21))
+        stats = campaign_stats(records, targets)
+        assert stats["overshoot_mean_ohm"] == pytest.approx(1.9, abs=0.15)
+        assert stats["overshoot_sigma_ohm"] == pytest.approx(stats["overshoot_mean_ohm"], rel=0.10)
+
+    def test_statistics_pinned(self):
+        # sha256 of the repr of the eight statistics, keys in report order,
+        # for the 221-qubit seed-7 batch; recorded from the statistics code
+        # that the one campaign_stats replaced, so any drift of a value, a
+        # key or their order fails here.
+        pinned = {
+            0.0: "723b03a123ed1f875f03757b94077fe1a0321019da49d6fc4da24cc763c68c03",
+            0.5: "1f0a6d458167eb60ac1c2eb5e0cf34526649eee368a8fcca412c647ed18e6787",
+        }
+        qubits, targets = make_batch(221)
+        for noise, digest in pinned.items():
+            config = CampaignConfig(master_seed=7, noise_sigma=noise)
+            stats = campaign_stats(run_campaign(qubits, targets, config), targets)
+            assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+
+    def test_out_of_range_record_rejected(self):
+        # a zero read divides by zero in the reserve; the statistic is
+        # rejected by name, not returned or raised as ZeroDivisionError
+        recs = [_record(r_last=0.0), _record()]
+        with pytest.raises(ValidationError, match=r"overflow \(reserve_mean, reserve_sigma\)"):
+            campaign_stats(recs, [_target()])
+
+
+def _target(qid="q", target=4500.0):
+    return TuningTarget(qubit_id=qid, target_resistance=target)
 
 
 def _record(qid="q", r_last=4500.0, r_tuned=4510.0):
-    from jjtrim.controller import QubitTuneRecord
-
     return QubitTuneRecord(
         qubit_id=qid,
         r_untuned=4000.0,

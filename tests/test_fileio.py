@@ -6,7 +6,7 @@ from jjtrim import fileio
 from jjtrim.controller import (
     CampaignConfig,
     TuningTarget,
-    precision_stats,
+    campaign_stats,
     run_campaign,
 )
 from jjtrim.errors import SchemaError
@@ -138,14 +138,14 @@ class TestCampaignPersistence:
             for i in range(25)
         ]
         config = CampaignConfig(master_seed=3)
-        result = run_campaign(qubits, targets, config)
+        records = run_campaign(qubits, targets, config)
         path = tmp_path / "campaign.json"
-        fileio.save_campaign(path, result, targets, config)
-        loaded_result, loaded_targets, loaded_config = fileio.load_campaign(path)
-        assert loaded_result == result
+        fileio.save_campaign(path, records, targets, config)
+        loaded_records, loaded_targets, loaded_config = fileio.load_campaign(path)
+        assert loaded_records == records
         assert loaded_targets == targets
         assert loaded_config == config
-        assert precision_stats(loaded_result, loaded_targets) == precision_stats(result, targets)
+        assert campaign_stats(loaded_records, loaded_targets) == campaign_stats(records, targets)
 
 
 class TestManifest:

@@ -46,11 +46,10 @@ class TestEdgeDetunings:
         assert s["max_mhz"] == 80.0
         assert s["median_mhz"] == 55.0
 
-    def test_missing_frequency_listed(self):
-        lat = cell_lattice()
-        freqs = {i: 4500.0 for i in range(8)}
-        with pytest.raises(ValidationError, match=r"\[8\]"):
-            edge_detunings(lat, freqs)
+    def test_wrong_frequency_count(self):
+        for n in (8, 10):
+            with pytest.raises(ValidationError, match=f"expected 9 frequencies, got {n}"):
+                edge_detunings(cell_lattice(), [4500.0] * n)
 
     def test_modulated_endpoint_is_higher(self):
         report = edge_detunings(cell_lattice())
