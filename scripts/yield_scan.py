@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep chip yield versus lattice size and frequency spread.
 
-Generates a valid 3x3 unit cell, tiles it up to 108 qubits, and runs the
+Generates a valid 3x3 unit cell, tiles it up to 972 qubits, and runs the
 detuning-window Monte Carlo at the untuned, fabrication-limited and
-trimmed spread levels. Emits one CSV ready for plotting.
+trimmed spread levels and at 5 and 4 MHz, the spreads the 1000-qubit
+scale needs. Emits one CSV ready for plotting.
 """
 
 import argparse
@@ -12,8 +13,8 @@ from pathlib import Path
 from jjtrim.fileio import write_csv
 from jjtrim.yieldmc import generate_unit_cell, yield_curve
 
-SIGMAS_MHZ = [93.5, 18.4, 7.7]
-SIZES = [(1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (2, 6)]
+SIGMAS_MHZ = [93.5, 18.4, 7.7, 5.0, 4.0]
+SIZES = [(1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (2, 6), (4, 12), (6, 18)]
 
 
 def main():

@@ -22,9 +22,6 @@ YIELD_WINDOW_MHZ = (20.0, 130.0)
 DEFAULT_DICE_PER_WAFER = 212
 # Dice per wafer stay below 2**53, where round(yield * dice) is still exact.
 MAX_DICE = 2**53
-# Float64 frequencies per Monte Carlo trial block (512 KiB): a block's draw,
-# its transposed copy and its edge differences stay inside a 2 MiB L2 cache.
-BLOCK_VALUES = 1 << 16
 # Largest tiled chip, in qubits: 100x the paper's 1000-qubit scale. A larger
 # tiling is refused before its frequency list is built.
 MAX_TILE_QUBITS = 100_000
@@ -185,26 +182,31 @@ def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[floa
 def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> YieldResult:
     """Monte Carlo estimate of the all-edges-in-window probability.
 
-    Perturbations for chunk c of trials come from a stream seeded by
-    (master_seed, c) with a fixed chunk size. A chunk is drawn and tested
-    in blocks of about ``BLOCK_VALUES`` frequencies; each block's draw
-    continues the chunk's stream, so every trial's draw is a pure function
-    of the master seed and its trial index, and results are bit-identical
-    regardless of block size, thread count or execution order.
+    Trials run in fixed-size chunks, and chunk c draws from one stream
+    seeded by (master_seed, c). A chunk sweeps the lattice column by column
+    and draws each column only for the trials still passing: column 0 is
+    one (trials, rows) normal draw, and each later column is drawn, in
+    trial order, for the survivors of the columns before it. A column's
+    vertical edges are tested first, then its horizontal edges to the
+    previous column, and the trials that fail are dropped; the chunk ends
+    when the last column is tested or no trial is left.
 
-    A block is laid out as (rows, cols, trials), and the edges are the
-    horizontal and vertical slice differences of that grid, so every
-    window test runs over whole rows of trials. A lattice without edges
-    passes every trial.
+    Every chunk is a pure function of (master_seed, c), so the result is
+    bit-identical for any thread count or execution order. A lattice
+    without edges passes every trial.
     """
     if config.trials * lattice.n_qubits > MAX_QUBIT_TRIALS:
         raise ValidationError(
             f"{config.trials} trials on {lattice.n_qubits} qubits exceed "
             f"{MAX_QUBIT_TRIALS} qubit-trials"
         )
-    design = np.array(lattice.design_f01max).reshape(lattice.rows, lattice.cols, 1)
+    design = np.array(lattice.design_f01max).reshape(lattice.rows, lattice.cols)
     lo, hi = config.window_mhz
-    block = max(1, BLOCK_VALUES // design.size)
+
+    def in_window(d: np.ndarray) -> np.ndarray:
+        """Which rows of d have every |entry| in the window; d is overwritten."""
+        np.abs(d, out=d)
+        return ((d >= lo) & (d <= hi)).all(axis=1)
 
     n_chunks = -(-config.trials // config.chunk_trials)
 
@@ -213,20 +215,22 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> YieldResult:
         rng = np.random.default_rng(
             np.random.SeedSequence([int(config.master_seed), c])
         )
-        passes = 0
         # At a huge sigma a difference can overflow or be inf - inf; the inf
         # or NaN then fails its trial, which is the right answer.
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, nt, block):
-                b = min(block, nt - start)
-                pert = rng.normal(0.0, config.sigma_f_mhz, size=(b, lattice.rows, lattice.cols))
-                f = np.add(pert.transpose(1, 2, 0), design, order="C")
-                ok = np.ones(b, dtype=bool)
-                for d in (f[:, 1:] - f[:, :-1], f[1:] - f[:-1]):
-                    np.abs(d, out=d)
-                    ok &= ((d >= lo) & (d <= hi)).all(axis=(0, 1))
-                passes += int(np.count_nonzero(ok))
-        return passes
+            prev = None
+            for j in range(lattice.cols):
+                n = nt if prev is None else len(prev)
+                col = rng.normal(0.0, config.sigma_f_mhz, size=(n, lattice.rows))
+                col += design[:, j]
+                ok = in_window(col[:, 1:] - col[:, :-1])
+                if prev is not None:
+                    prev -= col
+                    ok &= in_window(prev)
+                prev = col[ok]
+                if not len(prev):
+                    break
+        return len(prev)
 
     if config.n_threads == 1:
         passes = sum(run_chunk(c) for c in range(n_chunks))
