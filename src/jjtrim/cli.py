@@ -69,14 +69,15 @@ def cmd_simulate_tuning(args) -> int:
             f"--qubits must be <= {controller.MAX_CAMPAIGN_QUBITS}, got {args.qubits}"
         )
     check("aging_budget", args.aging_budget, ge=0, lt=1)
-    fab = junction.FabricationModel(design_resistance=args.design_resistance)
     config = controller.CampaignConfig(master_seed=args.seed, noise_sigma=args.noise)
     target_r = args.design_resistance * (1.0 - args.aging_budget)
     qubits, targets = [], []
     for i in range(args.qubits):
         qid = f"Q{i:03d}"
         qubits.append(
-            junction.sample_fabricated(fab, controller.qubit_rng(args.seed, f"fab:{qid}"))
+            junction.sample_fabricated(
+                args.design_resistance, controller.qubit_rng(args.seed, f"fab:{qid}")
+            )
         )
         targets.append(
             controller.TuningTarget(
@@ -97,7 +98,7 @@ def cmd_simulate_tuning(args) -> int:
     )
     fileio.write_manifest(
         out,
-        "simulate-tuning",
+        args.command,
         {
             "qubits": args.qubits,
             "design_resistance": args.design_resistance,
@@ -128,7 +129,7 @@ def cmd_calibrate_freq(args) -> int:
     model = freqmodel.fit_power_law(points)
     out = _out_dir(args)
     fileio.save_calibration(out / "calibration.json", model)
-    fileio.write_manifest(out, "calibrate-freq", {"data": str(args.data)}, None, [args.data])
+    fileio.write_manifest(out, args.command, {"data": str(args.data)}, None, [args.data])
     print(
         f"alpha {model.alpha:.4f}  beta {model.beta:.4f}  "
         f"residual sigma {model.residual_sigma:.2f} MHz  "
@@ -153,7 +154,7 @@ def cmd_assign_targets(args) -> int:
     )
     fileio.write_manifest(
         out,
-        "assign-targets",
+        args.command,
         {"aging_budget": args.aging_budget},
         None,
         [args.calibration, args.design],
@@ -179,7 +180,7 @@ def cmd_fit_relaxation(args) -> int:
         },
     )
     fileio.write_manifest(
-        out, "fit-relaxation", {"breakpoints": args.breakpoints}, None, [args.data]
+        out, args.command, {"breakpoints": args.breakpoints}, None, [args.data]
     )
     exps = "  ".join(f"{e:.3f}" for e in fit.exponents)
     bps = "  ".join(f"{b:.3f}" for b in fit.breakpoints)
@@ -189,7 +190,7 @@ def cmd_fit_relaxation(args) -> int:
 
 
 def cmd_analyze_lattice(args) -> int:
-    lat, design_window = fileio.load_design(args.design)
+    lat, _ = fileio.load_design(args.design)
     window = _parse_pair(args.window, ",", "--window") if args.window else None
     report = lattice.edge_detunings(lat, window=window)
     assign = lattice.modulation_assignment(report)
@@ -209,7 +210,7 @@ def cmd_analyze_lattice(args) -> int:
     summary["modulation_valid"] = assign.valid
     fileio.dump_json(out / "lattice_summary.json", summary)
     fileio.write_manifest(
-        out, "analyze-lattice", {"window": args.window}, None, [args.design]
+        out, args.command, {"window": args.window}, None, [args.design]
     )
     print(
         f"{summary['edges']} edges: min {summary['min_mhz']:.1f}  "
@@ -241,7 +242,7 @@ def cmd_park(args) -> int:
     )
     fileio.write_manifest(
         out,
-        "park",
+        args.command,
         {"window": args.window, "max_park": args.max_park, "step": args.step,
          "symmetric": args.symmetric},
         None,
@@ -279,7 +280,7 @@ def cmd_yield(args) -> int:
         n_threads=args.threads,
     )
     result = yieldmc.mc_chip_yield(lat, config)
-    wafer = yieldmc.wafer_projection(result, dice=args.dice)
+    chips = yieldmc.wafer_projection(result, dice=args.dice)
     out = _out_dir(args)
     fileio.save_design(out / "unit_cell.json", cell)
     fileio.write_csv(
@@ -287,11 +288,11 @@ def cmd_yield(args) -> int:
         ["qubits", "sigma_mhz", "yield", "ci_lo", "ci_hi"],
         [(result.qubit_count, args.sigma, result.yield_estimate, result.ci_low,
           result.ci_high)],
-        formats={"sigma_mhz": ".4f", "yield": ".6f", "ci_lo": ".6f", "ci_hi": ".6f"},
+        formats={"sigma_mhz": ".6g", "yield": ".6f", "ci_lo": ".6f", "ci_hi": ".6f"},
     )
     fileio.write_manifest(
         out,
-        "yield",
+        args.command,
         {"sigma": args.sigma, "cells": args.cells, "trials": args.trials,
          "window": args.window, "dice": args.dice, "design": args.design},
         args.seed,
@@ -301,7 +302,7 @@ def cmd_yield(args) -> int:
         f"yield {result.yield_estimate:.4f} "
         f"[{result.ci_low:.4f}, {result.ci_high:.4f}] on {result.qubit_count} qubits"
     )
-    print(f"wafer: {wafer.chips} chips, {wafer.qubits} qubits per {wafer.dice} dice")
+    print(f"wafer: {chips} chips, {chips * result.qubit_count} qubits per {args.dice} dice")
     return 0
 
 
@@ -311,7 +312,7 @@ def cmd_report(args) -> int:
     out = _out_dir(args)
     rows = [(k, v) for k, v in metrics.items() if k not in ("precision_min_frac", "precision_max_frac")]
     fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", len(records)), *rows])
-    fileio.write_manifest(out, "report", {}, None, [args.campaign])
+    fileio.write_manifest(out, args.command, {}, None, [args.campaign])
     print(
         f"{len(records)} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
         f"mean {100 * metrics['precision_mean_frac']:+.3f}%"

@@ -25,6 +25,8 @@ MEAN_STEP_OHM = 1.9
 # Largest campaign, in qubits: about 2-4 min of tuning. A larger one is
 # refused before any qubit is sampled.
 MAX_CAMPAIGN_QUBITS = 1_000_000
+# Pulses after which one qubit's tuning loop gives up with exit 3.
+MAX_PULSES = 10**6
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,9 @@ class CampaignConfig:
 
     master_seed: int
     noise_sigma: float = 0.0  # room-temperature probe noise, Ohm; 0 is a noiseless probe
-    max_pulses: int = 10**6
 
     def __post_init__(self):
         check("noise_sigma", self.noise_sigma, ge=0)
-        check("max_pulses", self.max_pulses, gt=0)
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ def _pulse_to_threshold(r, threshold, config, rng, qubit_id):
     noise = config.noise_sigma
     pulses = 0
     while True:
-        n = min(_STEP_BATCH, config.max_pulses - pulses)
+        n = min(_STEP_BATCH, MAX_PULSES - pulses)
         if n <= 0:
-            raise InfeasibleError(f"qubit {qubit_id}: max_pulses={config.max_pulses} exceeded")
+            raise InfeasibleError(f"qubit {qubit_id}: max_pulses={MAX_PULSES} exceeded")
         cum = r + np.cumsum(rng.exponential(MEAN_STEP_OHM, n))
         read = cum + rng.normal(0.0, noise, n) if noise > 0 else cum
         crossed = read >= threshold

@@ -4,7 +4,7 @@ The core object is the empirical power law f = beta * R**(-alpha) fitted
 in log-log space, used for prediction, inversion, target assignment with
 an aging budget, and propagation of resistance spread into frequency
 spread. Segmented power-law fitting (for relaxation-trace analysis) and
-Gaussian fitting live here too.
+root-sum-square spread composition live here too.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class SegmentedPowerLaw:
     exponents: tuple[float, ...]
     amplitudes: tuple[float, ...]
     continuity_residual: float
-
-
-@dataclass(frozen=True)
-class GaussianFit:
-    mu: float
-    sigma: float
-    sample_count: int
 
 
 def fit_power_law(points) -> PowerLawModel:
@@ -213,14 +206,6 @@ def _fit_with_breakpoints(t, y, bps) -> SegmentedPowerLaw:
         amplitudes=tuple(amplitudes),
         continuity_residual=max(jumps) if jumps else 0.0,
     )
-
-
-def fit_gaussian(samples) -> GaussianFit:
-    """Maximum-likelihood Gaussian fit (population sigma)."""
-    x = np.asarray(list(samples), dtype=float)
-    if x.size < 2:
-        raise FitError(f"need at least 2 samples, got {x.size}")
-    return GaussianFit(mu=float(x.mean()), sigma=float(x.std()), sample_count=int(x.size))
 
 
 def compose_sigma(components) -> float:

@@ -19,36 +19,12 @@ from .errors import check
 # recovered by relaxation between the final pulse and the probe.
 RELAX_FRACTION_MEAN = 0.0289
 RELAX_FRACTION_SIGMA = 0.0030
-
-
-@dataclass(frozen=True)
-class FabricationModel:
-    """As-fabricated resistance distribution for one design value.
-
-    ``mean_offset_frac`` is relative to the design resistance. The
-    default -0.107 places the fabricated mean 8.7% below a target set
-    at 98% of design (deliberate under-targeting so trimming only ever
-    needs to raise resistance).
-    """
-
-    design_resistance: float
-    mean_offset_frac: float = -0.107
-    sigma_frac: float = 0.035
-
-    def __post_init__(self):
-        check("design_resistance", self.design_resistance, gt=0)
-        check("sigma_frac", self.sigma_frac, ge=0)
-        # A mean at or below zero with no spread would never draw a
-        # positive resistance, so sample_fabricated would loop forever.
-        check("mean_offset_frac", self.mean_offset_frac, gt=-1)
-
-    @property
-    def mean_resistance(self) -> float:
-        return self.design_resistance * (1.0 + self.mean_offset_frac)
-
-    @property
-    def sigma_resistance(self) -> float:
-        return self.design_resistance * self.sigma_frac
+# As-fabricated resistance ~ Normal(design * (1 + FAB_MEAN_OFFSET_FRAC),
+# design * FAB_SIGMA_FRAC). The offset places the fabricated mean 8.7% below
+# a target set at 98% of design: deliberate under-targeting, so trimming
+# only ever needs to raise resistance.
+FAB_MEAN_OFFSET_FRAC = -0.107
+FAB_SIGMA_FRAC = 0.035
 
 
 # Post-pulse drift is one continuous piecewise power law: within regime k
@@ -103,15 +79,20 @@ class JunctionState:
         check("relax_fraction", self.relax_fraction, ge=0)
 
 
-def sample_fabricated(fab: FabricationModel, seed) -> JunctionState:
-    """Draw one as-fabricated junction state.
+def sample_fabricated(design_resistance: float, seed) -> JunctionState:
+    """Draw one as-fabricated junction state for a design resistance.
 
-    Resistance ~ Normal(mean, sigma) truncated at > 0; the per-qubit
-    relaxation fraction is an independent truncated-normal draw.
+    Resistance ~ Normal(design * (1 + FAB_MEAN_OFFSET_FRAC),
+    design * FAB_SIGMA_FRAC) truncated at > 0; the per-qubit relaxation
+    fraction is an independent truncated-normal draw.
     """
+    # A design at or below zero would never draw a positive resistance.
+    check("design_resistance", design_resistance, gt=0)
     rng = np.random.default_rng(seed)
     while True:
-        r = rng.normal(fab.mean_resistance, fab.sigma_resistance)
+        r = rng.normal(
+            design_resistance * (1.0 + FAB_MEAN_OFFSET_FRAC), design_resistance * FAB_SIGMA_FRAC
+        )
         if r > 0:
             break
     while True:

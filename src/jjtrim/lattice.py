@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check, check_window
-from .freqmodel import GaussianFit, fit_gaussian
+from .errors import FitError, InfeasibleError, ValidationError, check, check_window
 
 # Candidate park offsets per qubit (max_park / step) beyond which the
 # search is refused rather than left to grow without bound.
@@ -164,19 +163,13 @@ def subtract_global_offset(chips) -> list[np.ndarray]:
     return [c - c.mean() for c in chips]
 
 
-@dataclass(frozen=True)
-class SpreadReport:
-    fit: GaussianFit
-    sigma_frac_of_design: float
-
-
-def spread_after_centering(chips, mean_design_f_mhz: float) -> SpreadReport:
-    """Pool per-chip-centered deviations and fit a Gaussian; the spread
-    is also reported as a fraction of the average design frequency."""
-    check("mean_design_f_mhz", mean_design_f_mhz, gt=0)
+def spread_after_centering(chips) -> float:
+    """Population standard deviation of the pooled per-chip-centered
+    deviations."""
     pooled = np.concatenate(subtract_global_offset(chips))
-    fit = fit_gaussian(pooled)
-    return SpreadReport(fit=fit, sigma_frac_of_design=fit.sigma / mean_design_f_mhz)
+    if pooled.size < 2:
+        raise FitError(f"need at least 2 pooled samples, got {pooled.size}")
+    return float(pooled.std())
 
 
 def detuning_error_sigma(sigma_f_mhz: float) -> float:
@@ -190,10 +183,6 @@ class ParkingPlan:
     parked_count: int
     max_abs_offset: float
     sum_abs_offset: float
-
-    @property
-    def cost(self) -> tuple:
-        return (self.parked_count, self.max_abs_offset, self.sum_abs_offset)
 
 
 def _plan_from_offsets(offsets):

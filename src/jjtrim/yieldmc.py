@@ -78,16 +78,16 @@ class UnitCellDesign:
             )
 
 
-def generate_unit_cell(window=DESIGN_WINDOW_MHZ, seed=0) -> UnitCellDesign:
-    """Backtracking search for a valid cell on offsets 0-250 MHz in 10 MHz steps.
+def generate_unit_cell(seed) -> UnitCellDesign:
+    """Backtracking search for a cell that fits ``DESIGN_WINDOW_MHZ`` on
+    offsets 0-250 MHz in 10 MHz steps.
 
     Offsets are tried in one order shuffled from the seeded rng, so the
     result is deterministic under a fixed seed. The search is exhaustive:
     when it ends without a cell, no other order finds one either.
     """
+    window = DESIGN_WINDOW_MHZ
     lo, hi = window
-    if lo > hi:
-        raise ValidationError(f"window must satisfy lo <= hi, got {window}")
     grid = np.arange(0.0, 255.0, 10.0)
     order = grid[np.random.default_rng(seed).permutation(len(grid))]
     cell = np.zeros((3, 3))
@@ -124,7 +124,7 @@ def generate_unit_cell(window=DESIGN_WINDOW_MHZ, seed=0) -> UnitCellDesign:
 
     if not place(0):
         raise InfeasibleError(f"no unit cell on the 10 MHz grid fits window {window}")
-    return UnitCellDesign(tuple(tuple(row) for row in cell), design_window_mhz=(lo, hi))
+    return UnitCellDesign(tuple(tuple(row) for row in cell), design_window_mhz=window)
 
 
 def tile(cell: UnitCellDesign, m: int, n: int) -> QubitLattice:
@@ -256,7 +256,6 @@ def yield_curve(
     sizes,
     master_seed: int,
     trials: int = 10**5,
-    window_mhz=YIELD_WINDOW_MHZ,
 ) -> list[dict]:
     """Yield table over chip sizes and frequency spreads.
 
@@ -270,7 +269,6 @@ def yield_curve(
             cfg = YieldConfig(
                 sigma_f_mhz=sigma,
                 master_seed=master_seed,
-                window_mhz=tuple(window_mhz),
                 trials=trials,
             )
             res = mc_chip_yield(lat, cfg)
@@ -286,15 +284,7 @@ def yield_curve(
     return rows
 
 
-@dataclass(frozen=True)
-class WaferProjection:
-    chips: int
-    qubits: int
-    dice: int
-
-
-def wafer_projection(result: YieldResult, dice: int = DEFAULT_DICE_PER_WAFER) -> WaferProjection:
-    """Expected yielded chips (and their qubits) per wafer."""
+def wafer_projection(result: YieldResult, dice: int = DEFAULT_DICE_PER_WAFER) -> int:
+    """Expected yielded chips per wafer of ``dice`` dice."""
     check("dice", dice, ge=0, lt=MAX_DICE)
-    chips = round(result.yield_estimate * dice)
-    return WaferProjection(chips=chips, qubits=chips * result.qubit_count, dice=dice)
+    return round(result.yield_estimate * dice)

@@ -26,7 +26,7 @@ from jjtrim.freqmodel import (
     invert_R,
     predict_f,
 )
-from jjtrim.junction import FabricationModel, relaxation_shape, sample_fabricated
+from jjtrim.junction import JunctionState, relaxation_shape, sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
@@ -56,8 +56,7 @@ def report(criterion: str, passed: bool):
 
 
 def tuned_batch(n=61, seed=7):
-    fab = FabricationModel(design_resistance=DESIGN_R)
-    qubits = [sample_fabricated(fab, qubit_rng(seed, f"fab:Q{i:03d}")) for i in range(n)]
+    qubits = [sample_fabricated(DESIGN_R, qubit_rng(seed, f"fab:Q{i:03d}")) for i in range(n)]
     targets = [
         TuningTarget(qubit_id=f"Q{i:03d}", target_resistance=DESIGN_R * 0.98)
         for i in range(n)
@@ -102,10 +101,8 @@ def test_3_targeted_precision():
     sigma, mean = stats["precision_sigma_frac"], stats["precision_mean_frac"]
     # one long-haul qubit starting 18.5% below its target
     far_target = TuningTarget(qubit_id="FAR", target_resistance=DESIGN_R * 0.98)
-    far_state = sample_fabricated(
-        FabricationModel(design_resistance=far_target.target_resistance,
-                         mean_offset_frac=-0.185, sigma_frac=0.0),
-        qubit_rng(7, "fab:FAR"),
+    far_state = JunctionState(
+        resistance=far_target.target_resistance * (1.0 - 0.185), relax_fraction=0.0289
     )
     far = tune_qubit(far_state, far_target, CampaignConfig(master_seed=7))
     distance = (far_target.target_resistance - far.r_untuned) / far_target.target_resistance
@@ -188,17 +185,19 @@ def test_7_chip_spread_statistics():
     def chips(sigma):
         return [rng.normal(rng.uniform(-200, 200), sigma, 9) for _ in range(30)]
 
-    tuned = spread_after_centering(chips(18.4), 4628.0)
-    untuned = spread_after_centering(chips(93.5), 4628.0)
+    # spreads as a fraction of the average design frequency
+    tuned = spread_after_centering(chips(18.4))
+    tuned_frac = tuned / 4628.0
+    untuned_frac = spread_after_centering(chips(93.5)) / 4628.0
     ok = (
-        abs(tuned.fit.sigma - 18.4) / 18.4 <= 0.15
-        and abs(tuned.sigma_frac_of_design - 0.0040) <= 0.0006
-        and abs(untuned.sigma_frac_of_design - 0.0202) <= 0.003
+        abs(tuned - 18.4) / 18.4 <= 0.15
+        and abs(tuned_frac - 0.0040) <= 0.0006
+        and abs(untuned_frac - 0.0202) <= 0.003
     )
     report(
-        f"7 chip spread: tuned {tuned.fit.sigma:.1f} MHz = "
-        f"{100 * tuned.sigma_frac_of_design:.2f}% (0.40±0.06), "
-        f"untuned {100 * untuned.sigma_frac_of_design:.2f}% (2.02±0.3)",
+        f"7 chip spread: tuned {tuned:.1f} MHz = "
+        f"{100 * tuned_frac:.2f}% (0.40±0.06), "
+        f"untuned {100 * untuned_frac:.2f}% (2.02±0.3)",
         ok,
     )
 
@@ -224,20 +223,20 @@ def test_9_yield_reproduction():
         res = mc_chip_yield(chip, YieldConfig(sigma_f_mhz=sigma, master_seed=7, trials=10**5))
         ys[sigma] = res
     big = yield_curve(cell, sigmas_mhz=[7.7], sizes=[(2, 6)], master_seed=7, trials=10**5)
-    proj = wafer_projection(ys[18.4])
+    chips = wafer_projection(ys[18.4])
     elapsed = time.perf_counter() - start
     ok = (
         0.08 <= ys[18.4].yield_estimate <= 0.30
         and 0.75 <= ys[7.7].yield_estimate <= 0.95
         and ys[93.5].yield_estimate < 0.005
-        and abs(proj.chips - round(ys[18.4].yield_estimate * 212)) <= 2
+        and abs(chips - round(ys[18.4].yield_estimate * 212)) <= 2
         and big[0]["qubits"] == 108
         and big[0]["yield"] > 0.0
         and elapsed < 30.0
     )
     report(
         f"9 yield: sigma 18.4 -> {ys[18.4].yield_estimate:.3f} ([0.08,0.30], "
-        f"{proj.chips} chips/wafer), 7.7 -> {ys[7.7].yield_estimate:.3f} ([0.75,0.95]), "
+        f"{chips} chips/wafer), 7.7 -> {ys[7.7].yield_estimate:.3f} ([0.75,0.95]), "
         f"93.5 -> {ys[93.5].yield_estimate:.4f} (<0.005), "
         f"108-qubit at 7.7 -> {big[0]['yield']:.4f} (>0), {elapsed:.1f} s",
         ok,

@@ -273,12 +273,15 @@ class TestYieldCommand:
     def test_huge_sigma_yields_zero(self, tmp_path):
         # Differences of draws near 1e308 overflow; those trials fail, and no
         # RuntimeWarning escapes (pyproject's filterwarnings makes one an error).
+        # The spread is written in a general format, not as 309 digits.
         out = tmp_path / "o"
         rc = main(["yield", "--sigma", "1e308", "--trials", "10", "--seed", "1",
                    "--out", str(out)])
         assert rc == 0
         with open(out / "yield.csv", newline="") as fh:
-            assert float(next(csv.DictReader(fh))["yield"]) == 0.0
+            row = next(csv.DictReader(fh))
+        assert float(row["yield"]) == 0.0
+        assert row["sigma_mhz"] == "1e+308"
 
     def test_design_cell_keeps_its_frequencies(self, tmp_path):
         offsets = [[100.0, 150.0, 200.0], [200.0, 250.0, 300.0], [150.0, 200.0, 250.0]]
@@ -405,6 +408,8 @@ class TestMalformedInputs:
             ("campaign", _set(["config", "step"], {"kind": "exponential", "mean_step": 1.9,
                                                    "low": None, "high": None}),
              "config.step: unknown key"),
+            # the pulse budget is the constant controller.MAX_PULSES
+            ("campaign", _set(["config", "max_pulses"], 10**6), "config.max_pulses: unknown key"),
         ],
     )
     def test_json_field_named(self, tmp_path, valid, capsys, kind, edit, message):
@@ -496,6 +501,15 @@ class TestArgumentBoundaries:
         monkeypatch.setattr(module, cap, real)
         assert main([*argv, str(at_cap(real) + 1), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count(message) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_pulse_budget_spent_exit_3(self, tmp_path, capsys):
+        # at 1e308 Ohm a 1.9 Ohm step no longer moves the resistance
+        rc = main(["simulate-tuning", "--qubits", "1", "--seed", "1",
+                   "--design-resistance", "1e308", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "infeasible: qubit Q000: max_pulses=1000000 exceeded\n"
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_target_resistance(self, tmp_path, valid, capsys):

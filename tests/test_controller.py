@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from jjtrim import controller
 from jjtrim.controller import (
     CampaignConfig,
     MEAN_STEP_OHM,
@@ -15,15 +16,14 @@ from jjtrim.controller import (
     tune_qubit,
 )
 from jjtrim.errors import InfeasibleError, ValidationError
-from jjtrim.junction import FabricationModel, JunctionState, sample_fabricated
+from jjtrim.junction import JunctionState, sample_fabricated
 
 
 def make_batch(n, design=4587.8, seed=7, reserve=0.0289, target_frac=0.98):
-    fab = FabricationModel(design_resistance=design)
     qubits, targets = [], []
     for i in range(n):
         qid = f"Q{i:03d}"
-        qubits.append(sample_fabricated(fab, qubit_rng(seed, f"fab:{qid}")))
+        qubits.append(sample_fabricated(design, qubit_rng(seed, f"fab:{qid}")))
         targets.append(
             TuningTarget(
                 qubit_id=qid,
@@ -60,10 +60,11 @@ class TestTuneQubit:
         assert rec.pulses == 0
         assert rec.already_above_target
 
-    def test_max_pulses_guard_carries_partial_record(self):
+    def test_max_pulses_guard_carries_partial_record(self, monkeypatch):
+        monkeypatch.setattr(controller, "MAX_PULSES", 10)
         state = JunctionState(resistance=100.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=10000.0)
-        config = CampaignConfig(master_seed=0, max_pulses=10)
+        config = CampaignConfig(master_seed=0)
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
             tune_qubit(state, target, config)
 
@@ -74,10 +75,11 @@ class TestTuneQubit:
             assert rec.r_last_pulse >= rec.threshold
             assert rec.r_tuned >= rec.r_last_pulse
 
-    def test_max_pulses_guard_noisy_path(self):
+    def test_max_pulses_guard_noisy_path(self, monkeypatch):
+        monkeypatch.setattr(controller, "MAX_PULSES", 10)
         state = JunctionState(resistance=100.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=10000.0)
-        config = CampaignConfig(master_seed=0, max_pulses=10, noise_sigma=0.1)
+        config = CampaignConfig(master_seed=0, noise_sigma=0.1)
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
             tune_qubit(state, target, config)
 

@@ -11,7 +11,7 @@ from jjtrim.controller import (
 )
 from jjtrim.errors import SchemaError
 from jjtrim.freqmodel import PowerLawModel
-from jjtrim.junction import FabricationModel, sample_fabricated
+from jjtrim.junction import sample_fabricated
 from jjtrim.yieldmc import UnitCellDesign
 
 
@@ -131,8 +131,7 @@ class TestPointsCsv:
 
 class TestCampaignPersistence:
     def test_save_load_preserves_statistics(self, tmp_path):
-        fab = FabricationModel(design_resistance=4587.8)
-        qubits = [sample_fabricated(fab, i) for i in range(25)]
+        qubits = [sample_fabricated(4587.8, i) for i in range(25)]
         targets = [
             TuningTarget(qubit_id=f"Q{i:03d}", target_resistance=4587.8 * 0.98)
             for i in range(25)

@@ -10,7 +10,6 @@ from jjtrim.freqmodel import (
     _fit_with_breakpoints,
     assign_target_R,
     compose_sigma,
-    fit_gaussian,
     fit_power_law,
     fit_segmented_power_law,
     freq_equiv_sigma,
@@ -259,26 +258,6 @@ class TestSegmentedFitOracle:
     def test_no_valid_pair(self):
         with pytest.raises(FitError):
             fit_segmented_power_law([0.1, 0.2, 0.3, 1.0, 2.0], [1.0, 1.1, 1.2, 1.5, 1.7])
-
-
-class TestGaussianFit:
-    def test_sampling_statistics(self):
-        rng = np.random.default_rng(2)
-        fit = fit_gaussian(rng.normal(0.0, 18.4, 10**5))
-        assert fit.sigma == pytest.approx(18.4, abs=0.3)
-        assert fit.mu == pytest.approx(0.0, abs=0.3)
-
-    def test_constant_samples(self):
-        assert fit_gaussian([5.0, 5.0, 5.0]).sigma == 0.0
-
-    def test_two_symmetric_samples(self):
-        fit = fit_gaussian([-1.0, 1.0])
-        assert fit.mu == 0.0
-        assert fit.sigma == pytest.approx(1.0)
-
-    def test_too_few(self):
-        with pytest.raises(FitError):
-            fit_gaussian([1.0])
 
 
 class TestScalars:

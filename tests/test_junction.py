@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jjtrim import junction
 from jjtrim.errors import ValidationError
 from jjtrim.junction import (
     RELAX_BREAKPOINTS_HR,
     RELAX_EXPONENTS,
-    FabricationModel,
     relaxation_delta,
     relaxation_shape,
     sample_fabricated,
@@ -19,41 +19,39 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class TestFabrication:
     def test_population_statistics(self):
-        fab = FabricationModel(design_resistance=4587.8, mean_offset_frac=-0.107, sigma_frac=0.035)
-        draws = np.array([sample_fabricated(fab, i).resistance for i in range(221)])
+        draws = np.array([sample_fabricated(4587.8, i).resistance for i in range(221)])
         assert abs(draws.mean() - 4096.9) / 4096.9 < 0.01
         assert 0.030 <= draws.std() / draws.mean() <= 0.040
 
-    def test_zero_sigma_is_degenerate(self):
-        fab = FabricationModel(design_resistance=5000.0, sigma_frac=0.0)
+    def test_zero_sigma_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(junction, "FAB_SIGMA_FRAC", 0.0)
         for seed in range(5):
-            assert sample_fabricated(fab, seed).resistance == pytest.approx(5000.0 * 0.893)
+            assert sample_fabricated(5000.0, seed).resistance == pytest.approx(5000.0 * 0.893)
 
     def test_same_seed_same_state(self):
-        fab = FabricationModel(design_resistance=4587.8)
-        assert sample_fabricated(fab, 42) == sample_fabricated(fab, 42)
+        assert sample_fabricated(4587.8, 42) == sample_fabricated(4587.8, 42)
 
     def test_invalid_design_resistance(self):
-        with pytest.raises(ValidationError):
-            FabricationModel(design_resistance=-1.0)
+        with pytest.raises(ValidationError, match="design_resistance must be finite and > 0"):
+            sample_fabricated(-1.0, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"design_resistance": float("inf")},
             {"design_resistance": float("nan")},
-            {"design_resistance": 5000.0, "sigma_frac": float("nan")},
-            {"design_resistance": 5000.0, "sigma_frac": float("inf")},
-            {"design_resistance": 5000.0, "mean_offset_frac": float("nan")},
-            # with no spread a mean at or below zero never draws a positive
-            # resistance, so sampling would never end
-            {"design_resistance": 5000.0, "mean_offset_frac": -1.0, "sigma_frac": 0.0},
-            {"design_resistance": 5000.0, "mean_offset_frac": -2.0},
+            {"design_resistance": float("-inf")},
+            # a mean at or below zero never draws a positive resistance, so
+            # sampling would never end
+            {"design_resistance": 0.0},
+            {"design_resistance": -0.0},
+            {"design_resistance": -5000.0},
+            {"design_resistance": -1e308},
         ],
     )
     def test_non_finite_or_non_positive_mean_rejected(self, kwargs):
         with pytest.raises(ValidationError):
-            FabricationModel(**kwargs)
+            sample_fabricated(**kwargs, seed=0)
 
 
 class TestRelaxation:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jjtrim import lattice
-from jjtrim.errors import InfeasibleError, ValidationError
+from jjtrim.errors import FitError, InfeasibleError, ValidationError
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
@@ -107,17 +107,24 @@ class TestSpread:
         ]
 
     def test_tuned_replica(self):
-        report = spread_after_centering(self._chips(18.4, n_chips=30), 4628.0)
-        assert abs(report.fit.sigma - 18.4) / 18.4 < 0.15
-        assert report.sigma_frac_of_design == pytest.approx(0.0040, abs=0.0006)
+        sigma = spread_after_centering(self._chips(18.4, n_chips=30))
+        assert abs(sigma - 18.4) / 18.4 < 0.15
+        assert sigma / 4628.0 == pytest.approx(0.0040, abs=0.0006)
 
     def test_untuned_replica(self):
-        report = spread_after_centering(self._chips(93.5, n_chips=30), 4628.0)
-        assert report.sigma_frac_of_design == pytest.approx(0.0202, abs=0.002)
+        sigma = spread_after_centering(self._chips(93.5, n_chips=30))
+        assert sigma / 4628.0 == pytest.approx(0.0202, abs=0.002)
 
     def test_zero_deviation(self):
-        report = spread_after_centering([[0.0] * 9], 4628.0)
-        assert report.fit.sigma == 0.0
+        assert spread_after_centering([[0.0] * 9]) == 0.0
+
+    def test_population_sigma(self):
+        # two chips centred to -1, +1 and -2, +2: population sigma sqrt(2.5)
+        assert spread_after_centering([[4.0, 6.0], [0.0, 4.0]]) == pytest.approx(2.5**0.5)
+
+    def test_too_few_pooled_samples(self):
+        with pytest.raises(FitError, match="need at least 2 pooled samples, got 1"):
+            spread_after_centering([[5.0]])
 
 
 class TestDetuningError:

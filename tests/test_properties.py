@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from jjtrim.controller import CampaignConfig, TuningTarget, qubit_rng, tune_qubit
 from jjtrim.freqmodel import PowerLawModel, fit_power_law, invert_R, predict_f
-from jjtrim.junction import FabricationModel, sample_fabricated
+from jjtrim.junction import sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     edge_detunings,
@@ -35,7 +35,7 @@ class TestTuneQubitProperties:
         # fabrication, last pulse and probe never step down, and a qubit is
         # left unpulsed exactly when it starts above its threshold
         design = 4587.8
-        state = sample_fabricated(FabricationModel(design_resistance=design), seed)
+        state = sample_fabricated(design, seed)
         target = TuningTarget(qubit_id="q", target_resistance=design * target_frac)
         rec = tune_qubit(state, target, CampaignConfig(master_seed=seed))
         assert rec.r_untuned <= rec.r_last_pulse <= rec.r_tuned
