@@ -69,23 +69,20 @@ def cmd_simulate_tuning(args) -> int:
             f"--qubits must be <= {controller.MAX_CAMPAIGN_QUBITS}, got {args.qubits}"
         )
     check("aging_budget", args.aging_budget, ge=0, lt=1)
+    # checked here, not first in sample_fabricated, so that every flag is
+    # checked before the first qubit is sampled
+    check("design_resistance", args.design_resistance, gt=0)
     config = controller.CampaignConfig(master_seed=args.seed, noise_sigma=args.noise)
     target_r = args.design_resistance * (1.0 - args.aging_budget)
-    qubits, targets = [], []
-    for i in range(args.qubits):
-        qid = f"Q{i:03d}"
-        qubits.append(
-            junction.sample_fabricated(
-                args.design_resistance, controller.qubit_rng(args.seed, f"fab:{qid}")
-            )
+    ids = [f"Q{i:03d}" for i in range(args.qubits)]
+    targets = [
+        controller.TuningTarget(
+            qubit_id=qid, target_resistance=target_r, relaxation_reserve=args.reserve
         )
-        targets.append(
-            controller.TuningTarget(
-                qubit_id=qid,
-                target_resistance=target_r,
-                relaxation_reserve=args.reserve,
-            )
-        )
+        for qid in ids
+    ]
+    fab = controller.qubit_rngs(args.seed, [f"fab:{qid}" for qid in ids])
+    qubits = [junction.sample_fabricated(args.design_resistance, rng) for rng in fab]
     records = controller.run_campaign(qubits, targets, config)
     metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InfeasibleError, ValidationError, check
 from .junction import RELAX_FRACTION_MEAN, JunctionState
@@ -69,16 +71,93 @@ class QubitTuneRecord:
     already_above_target: bool = False
 
 
-def qubit_rng(master_seed: int, qubit_id: str) -> np.random.Generator:
-    """Per-qubit stream keyed by (campaign seed, qubit id), not position,
-    so aggregate statistics are invariant under tuning order."""
-    digest = hashlib.sha256(str(qubit_id).encode("utf-8")).digest()
-    qhash = int.from_bytes(digest[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), qhash]))
+# SeedSequence's hash constants (NumPy's bit_generator.pyx), stable under NEP 19.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's pool size, in uint32 words
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(hash_const, mult):
+    """SeedSequence's ``hashmix``: one uint32 column hashed per call, with the
+    hash constant advancing between calls as it does in NumPy."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+def _seed_states(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words[i, :lengths[i]]).generate_state(4, np.uint64)`` for
+    every row i at once.
+
+    ``words`` is uint32 and zero-padded on the right. SeedSequence hashes a
+    missing pool word as 0, so only words past the pool need ``lengths``.
+    """
+    n, width = words.shape
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(n, np.uint32)
+    pool = [hashmix(words[:, i] if i < width else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, width):
+        has = lengths > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(has, _mix(pool[dst], hashmix(words[:, src])), pool[dst])
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.column_stack([hashmix(pool[i % _POOL]) for i in range(2 * _POOL)])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A precomputed ``generate_state(4, np.uint64)`` row, which is all PCG64 asks of its seed."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def qubit_rngs(master_seed: int, qubit_ids) -> Iterator[np.random.Generator]:
+    """Per-qubit streams keyed by (campaign seed, qubit id), not position,
+    so aggregate statistics are invariant under tuning order.
+
+    Each is ``default_rng(SeedSequence([master_seed, sha256(id)[:8]]))``.
+    The seed states are built for all ids in one pass and the generators one
+    at a time, as they are consumed.
+    """
+    master_seed = check("master_seed", int(master_seed), ge=0)
+    # SeedSequence splits each integer into uint32 words, least significant
+    # first; 0 is one word.
+    seed = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
+    digests = b"".join(hashlib.sha256(str(q).encode("utf-8")).digest()[:8] for q in qubit_ids)
+    qhash = np.frombuffer(digests, ">u8").astype(np.uint64)
+    words = np.zeros((len(qhash), len(seed) + 2), np.uint32)
+    words[:, : len(seed)] = seed
+    words[:, -2] = qhash & _MASK32
+    words[:, -1] = qhash >> 32
+    for state in _seed_states(words, len(seed) + 1 + (words[:, -1] != 0)):
+        yield np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
 def tune_qubit(
-    state: JunctionState, target: TuningTarget, config: CampaignConfig
+    state: JunctionState,
+    target: TuningTarget,
+    config: CampaignConfig,
+    rng: np.random.Generator,
 ) -> QubitTuneRecord:
     """Pulse until the monitored resistance crosses the stop threshold,
     then probe once relaxation has added the qubit's own fraction.
@@ -87,9 +166,10 @@ def tune_qubit(
     trajectory is normalised, so the settled resistance is exactly
     ``r + relax_fraction * r``. ``r_last_pulse`` is the first monitored
     value at or above the threshold. Qubits already above threshold are
-    recorded with zero pulses and flagged, never pulsed downward.
+    recorded with zero pulses and flagged, never pulsed downward. Every step
+    and read error is drawn from ``rng``, the qubit's own stream from
+    ``qubit_rngs``.
     """
-    rng = qubit_rng(config.master_seed, target.qubit_id)
     noise = config.noise_sigma
 
     def probe(r):
@@ -148,7 +228,10 @@ def run_campaign(
         raise ValidationError(
             f"qubit/target length mismatch: {len(qubits)} vs {len(targets)}"
         )
-    return tuple(tune_qubit(state, target, config) for state, target in zip(qubits, targets))
+    rngs = qubit_rngs(config.master_seed, [t.qubit_id for t in targets])
+    return tuple(
+        tune_qubit(state, target, config, rng) for state, target, rng in zip(qubits, targets, rngs)
+    )
 
 
 def campaign_stats(records, targets) -> dict[str, float]:

@@ -178,8 +178,21 @@ def save_campaign(path, records, targets, config: CampaignConfig) -> None:
 
 
 def load_campaign(path) -> tuple[tuple[QubitTuneRecord, ...], list[TuningTarget], CampaignConfig]:
-    """Campaign JSON (``_CAMPAIGN``) -> (records, targets, config)."""
+    """Campaign JSON (``_CAMPAIGN``) -> (records, targets, config).
+
+    A qubit id may appear once among the targets and once among the records:
+    statistics look targets up by id and count records, so a repeat would
+    silently change them.
+    """
     data = _load(path, _CAMPAIGN)
+    for key in ("targets", "records"):
+        seen = set()
+        for i, item in enumerate(data[key]):
+            if item["qubit_id"] in seen:
+                raise SchemaError(
+                    f"{path}: {key}[{i}].qubit_id: duplicate {reprlib.repr(item['qubit_id'])}"
+                )
+            seen.add(item["qubit_id"])
     config = CampaignConfig(**data["config"])
     targets = [TuningTarget(**t) for t in data["targets"]]
     return tuple(QubitTuneRecord(**r) for r in data["records"]), targets, config
@@ -259,4 +272,6 @@ def write_csv(path, header, rows, formats=None) -> None:
 
 
 def dump_json(path, data) -> None:
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    """Compact JSON: an indent would select ``json``'s pure-Python encoder,
+    about 3x slower than its C one on a 2000-record campaign."""
+    Path(path).write_text(json.dumps(data) + "\n", encoding="utf-8")

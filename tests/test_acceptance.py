@@ -13,7 +13,7 @@ from jjtrim.controller import (
     CampaignConfig,
     TuningTarget,
     campaign_stats,
-    qubit_rng,
+    qubit_rngs,
     run_campaign,
     tune_qubit,
 )
@@ -56,7 +56,8 @@ def report(criterion: str, passed: bool):
 
 
 def tuned_batch(n=61, seed=7):
-    qubits = [sample_fabricated(DESIGN_R, qubit_rng(seed, f"fab:Q{i:03d}")) for i in range(n)]
+    fab = qubit_rngs(seed, [f"fab:Q{i:03d}" for i in range(n)])
+    qubits = [sample_fabricated(DESIGN_R, rng) for rng in fab]
     targets = [
         TuningTarget(qubit_id=f"Q{i:03d}", target_resistance=DESIGN_R * 0.98)
         for i in range(n)
@@ -104,7 +105,8 @@ def test_3_targeted_precision():
     far_state = JunctionState(
         resistance=far_target.target_resistance * (1.0 - 0.185), relax_fraction=0.0289
     )
-    far = tune_qubit(far_state, far_target, CampaignConfig(master_seed=7))
+    (rng,) = qubit_rngs(7, ["FAR"])
+    far = tune_qubit(far_state, far_target, CampaignConfig(master_seed=7), rng)
     distance = (far_target.target_resistance - far.r_untuned) / far_target.target_resistance
     elapsed = time.perf_counter() - start
     ok = (

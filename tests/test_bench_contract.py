@@ -4,6 +4,9 @@
 manifest ``config`` it expects back. These tests parse every argv of two ops
 per workload and run the first op of each, so dropping a flag or a manifest
 key that the benchmark relies on fails here, not only in the benchmark.
+The noiseless campaign of ``tune_bulk`` is also compared with
+``perfbench/reference.py`` record for record, so a change of its random
+stream fails here too.
 """
 
 import importlib
@@ -19,13 +22,22 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ["tune_round", "tune_bulk", "yield_sweep", "park_lot"]
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _perfbench_module("reference")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -54,3 +66,16 @@ def test_first_op_writes_expected_manifests(workloads, tmp_path, name):
                 assert Path(config[key]).resolve() == Path(want[key]).resolve()
             else:
                 assert config[key] == want[key], (step.command, key)
+
+
+def test_tune_bulk_records_match_reference(workloads, reference, tmp_path):
+    # the noisy stream is left out: reference.py still draws it pulse by pulse
+    op = workloads.WORKLOADS["tune_bulk"].generate(0, 2, tmp_path)[0]
+    sim, p = op.steps[0], op.params
+    assert p["noise"] == 0.0
+    assert main(sim.argv) == 0
+    records = json.loads((sim.out / "campaign.json").read_text(encoding="utf-8"))["records"]
+    assert records == reference.campaign_records(
+        p["seed"], p["qubits"], p["noise"],
+        workloads.DESIGN_RESISTANCE, workloads.AGING_BUDGET, workloads.RESERVE,
+    )

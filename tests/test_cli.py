@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import oracle_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jjtrim import controller, fileio, yieldmc
+from jjtrim import controller, fileio, junction, yieldmc
 from jjtrim.cli import build_parser, main
 from jjtrim.freqmodel import PowerLawModel
 
@@ -40,6 +41,25 @@ class TestSimulateTuning:
         assert rep_metrics["precision_sigma_frac"] == pytest.approx(
             run_metrics["precision_sigma_frac"], abs=1e-6
         )
+
+    def test_multi_word_seed_matches_oracle(self, tmp_path):
+        # 2**70 + 3 is three uint32 words to SeedSequence, so every key is a
+        # row of five words, one past the pool
+        seed = 2**70 + 3
+        argv = ["simulate-tuning", "--qubits", "3", "--seed", str(seed), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        records, targets, config = fileio.load_campaign(tmp_path / "campaign.json")
+        assert config.master_seed == seed
+        design = json.loads((tmp_path / "manifest.json").read_text())["config"]["design_resistance"]
+        want = tuple(
+            controller.tune_qubit(
+                junction.sample_fabricated(design, oracle_rng(seed, "fab:" + t.qubit_id)),
+                t, config, oracle_rng(seed, t.qubit_id),
+            )
+            for t in targets
+        )
+        assert [t.qubit_id for t in targets] == ["Q000", "Q001", "Q002"]
+        assert records == want
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
     def test_bad_noise_exit_2(self, tmp_path, noise, capsys):
@@ -410,6 +430,12 @@ class TestMalformedInputs:
              "config.step: unknown key"),
             # the pulse budget is the constant controller.MAX_PULSES
             ("campaign", _set(["config", "max_pulses"], 10**6), "config.max_pulses: unknown key"),
+            # a repeated id would change the statistics without a word
+            ("campaign", lambda d: d["targets"].append({**d["targets"][0],
+                                                        "target_resistance": 9000.0}),
+             "targets[4].qubit_id: duplicate 'Q000'"),
+            ("campaign", lambda d: d["records"].append(d["records"][1]),
+             "records[4].qubit_id: duplicate 'Q001'"),
         ],
     )
     def test_json_field_named(self, tmp_path, valid, capsys, kind, edit, message):
@@ -466,6 +492,9 @@ class TestArgumentBoundaries:
              "tiling has more than 100000 qubits"),
             (["yield", "--sigma", "7.7", "--seed", "1", "--trials", "10", "--dice", "1" + "0" * 400],
              "dice must be >= 0 and < 9007199254740992"),
+            # refused before any of the million qubits is sampled
+            (["simulate-tuning", "--seed", "1", "--qubits", "1000000", "--reserve", "1"],
+             "relaxation_reserve must be finite and >= 0 and < 1, got 1.0"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):

@@ -1,7 +1,9 @@
 import hashlib
+import types
 
 import numpy as np
 import pytest
+from conftest import oracle_rng
 
 from jjtrim import controller
 from jjtrim.controller import (
@@ -11,7 +13,7 @@ from jjtrim.controller import (
     TuningTarget,
     _STEP_BATCH,
     campaign_stats,
-    qubit_rng,
+    qubit_rngs,
     run_campaign,
     tune_qubit,
 )
@@ -20,17 +22,12 @@ from jjtrim.junction import JunctionState, sample_fabricated
 
 
 def make_batch(n, design=4587.8, seed=7, reserve=0.0289, target_frac=0.98):
-    qubits, targets = [], []
-    for i in range(n):
-        qid = f"Q{i:03d}"
-        qubits.append(sample_fabricated(design, qubit_rng(seed, f"fab:{qid}")))
-        targets.append(
-            TuningTarget(
-                qubit_id=qid,
-                target_resistance=design * target_frac,
-                relaxation_reserve=reserve,
-            )
-        )
+    ids = [f"Q{i:03d}" for i in range(n)]
+    qubits = [sample_fabricated(design, rng) for rng in qubit_rngs(seed, ["fab:" + q for q in ids])]
+    targets = [
+        TuningTarget(qubit_id=q, target_resistance=design * target_frac, relaxation_reserve=reserve)
+        for q in ids
+    ]
     return qubits, targets
 
 
@@ -56,7 +53,7 @@ class TestTuneQubit:
     def test_already_above_threshold(self):
         state = JunctionState(resistance=5000.0, relax_fraction=0.0)
         target = TuningTarget(qubit_id="q", target_resistance=4500.0)
-        rec = tune_qubit(state, target, CampaignConfig(master_seed=0))
+        rec = tune_qubit(state, target, CampaignConfig(master_seed=0), oracle_rng(0, "q"))
         assert rec.pulses == 0
         assert rec.already_above_target
 
@@ -66,7 +63,7 @@ class TestTuneQubit:
         target = TuningTarget(qubit_id="q", target_resistance=10000.0)
         config = CampaignConfig(master_seed=0)
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
-            tune_qubit(state, target, config)
+            tune_qubit(state, target, config, oracle_rng(0, "q"))
 
     def test_stop_correctness(self):
         qubits, targets = make_batch(30)
@@ -81,7 +78,7 @@ class TestTuneQubit:
         target = TuningTarget(qubit_id="q", target_resistance=10000.0)
         config = CampaignConfig(master_seed=0, noise_sigma=0.1)
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
-            tune_qubit(state, target, config)
+            tune_qubit(state, target, config, oracle_rng(0, "q"))
 
     def test_noisy_stop_matches_per_pulse_oracle(self):
         # the crossing spans several step batches; a scalar walk over the
@@ -90,9 +87,10 @@ class TestTuneQubit:
         r0 = target.threshold - 2000.0
         state = JunctionState(resistance=r0, relax_fraction=0.0289)
         config = CampaignConfig(master_seed=3, noise_sigma=0.5)
-        rec = tune_qubit(state, target, config)
+        (rng,) = qubit_rngs(3, ["far"])
+        rec = tune_qubit(state, target, config, rng)
 
-        rng = qubit_rng(3, "far")
+        rng = oracle_rng(3, "far")
         assert r0 + rng.normal(0.0, 0.5) < target.threshold  # the first read
 
         def pulses_and_read_errors():
@@ -109,6 +107,50 @@ class TestTuneQubit:
         assert rec.pulses == pulses
         assert rec.r_last_pulse == pytest.approx(r + err, rel=1e-12)
         assert rec.r_last_pulse >= rec.threshold
+
+
+class TestQubitStreams:
+    # SeedSequence splits each integer into uint32 words: these seeds give
+    # one, two and three seed words, so rows of three to five words, and a
+    # row longer than the pool of four mixes its extra words last
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_draws_match_seed_sequence(self, seed):
+        # 6 seeds x 1700 ids: over 10^4 (seed, id) pairs
+        ids = [f"Q{i:03d}" for i in range(850)] + [f"fab:Q{i:03d}" for i in range(850)]
+        for qid, rng in zip(ids, qubit_rngs(seed, ids), strict=True):
+            assert np.array_equal(rng.random(3), oracle_rng(seed, qid).random(3)), qid
+
+    def test_seed_states_match_seed_sequence(self):
+        # one batch of mixed lengths: a hash below 2**32 (one hash word), a
+        # hash of 0, a bare seed, the full pool, and rows past it
+        rows = [[7, 5], [7, 0], [0], [3, 0xDEADBEEF, 0x01234567], [1, 0, 5, 6],
+                [5, 1, 2, 3, 4], [2**32 - 1, 1, 2, 3, 4, 5, 6]]
+        words = np.zeros((len(rows), max(map(len, rows))), np.uint32)
+        for i, row in enumerate(rows):
+            words[i, : len(row)] = row
+        states = controller._seed_states(words, np.array([len(row) for row in rows]))
+        for row, state in zip(rows, states, strict=True):
+            assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("qhash", [0, 5, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("seed", [0, 2**70 + 3])
+    def test_short_hash_split_as_seed_sequence(self, monkeypatch, seed, qhash):
+        # no id is known whose sha256 starts with four zero bytes, so the
+        # digest is replaced to reach the one-word hash
+        digest = types.SimpleNamespace(digest=lambda: qhash.to_bytes(8, "big") + bytes(24))
+        monkeypatch.setattr(controller, "hashlib", types.SimpleNamespace(sha256=lambda _: digest))
+        (rng,) = qubit_rngs(seed, ["any"])
+        want = np.random.default_rng(np.random.SeedSequence([seed, qhash]))
+        assert np.array_equal(rng.random(3), want.random(3))
+
+    def test_no_ids_no_streams(self):
+        assert list(qubit_rngs(5, [])) == []
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="master_seed must be >= 0"):
+            next(qubit_rngs(-1, ["Q000"]))
 
 
 class TestCampaign:
@@ -171,7 +213,7 @@ class TestCampaign:
         target = TuningTarget(qubit_id="far", target_resistance=4625.9)
         r0 = target.threshold / 1.185
         state = JunctionState(resistance=r0, relax_fraction=0.0289)
-        rec = tune_qubit(state, target, CampaignConfig(master_seed=3))
+        rec = tune_qubit(state, target, CampaignConfig(master_seed=3), oracle_rng(3, "far"))
         assert (rec.threshold - rec.r_untuned) / rec.r_untuned > 0.18
         assert rec.r_last_pulse >= rec.threshold
         # the probe waits the relaxation trajectory's normalisation point,
