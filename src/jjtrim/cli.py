@@ -17,6 +17,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, controller, fileio, freqmodel, junction, lattice, yieldmc
 from .errors import FitError, InfeasibleError, SchemaError, ValidationError, check
 
@@ -69,21 +71,18 @@ def cmd_simulate_tuning(args) -> int:
             f"--qubits must be <= {controller.MAX_CAMPAIGN_QUBITS}, got {args.qubits}"
         )
     check("aging_budget", args.aging_budget, ge=0, lt=1)
-    # checked here, not first in sample_fabricated, so that every flag is
-    # checked before the first qubit is sampled
+    # checked here, not first in sample_fabricated and run_campaign, so that
+    # every flag is checked before the first qubit is sampled
     check("design_resistance", args.design_resistance, gt=0)
+    check("relaxation_reserve", args.reserve, ge=0, lt=1)
     config = controller.CampaignConfig(master_seed=args.seed, noise_sigma=args.noise)
     target_r = args.design_resistance * (1.0 - args.aging_budget)
     ids = [f"Q{i:03d}" for i in range(args.qubits)]
-    targets = [
-        controller.TuningTarget(
-            qubit_id=qid, target_resistance=target_r, relaxation_reserve=args.reserve
-        )
-        for qid in ids
-    ]
+    targets = {"qubit_id": ids, "target_resistance": np.full(args.qubits, target_r),
+               "relaxation_reserve": np.full(args.qubits, args.reserve)}
     fab = controller.qubit_rngs(args.seed, [f"fab:{qid}" for qid in ids])
-    qubits = [junction.sample_fabricated(args.design_resistance, rng) for rng in fab]
-    records = controller.run_campaign(qubits, targets, config)
+    r_untuned, relax_fraction = junction.sample_fabricated(args.design_resistance, fab)
+    records = controller.run_campaign(r_untuned, relax_fraction, targets, config)
     metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
     fileio.save_campaign(out / "campaign.json", records, targets, config)
@@ -94,18 +93,12 @@ def cmd_simulate_tuning(args) -> int:
         formats={"value": ".6f"},
     )
     fileio.write_manifest(
-        out,
-        args.command,
-        {
-            "qubits": args.qubits,
-            "design_resistance": args.design_resistance,
-            "aging_budget": args.aging_budget,
-            "reserve": args.reserve,
-            "noise": args.noise,
-        },
+        out, args.command,
+        {"qubits": args.qubits, "design_resistance": args.design_resistance,
+         "aging_budget": args.aging_budget, "reserve": args.reserve, "noise": args.noise},
         args.seed,
     )
-    print(f"tuned {len(records)} qubits to target {target_r:.1f} Ohm")
+    print(f"tuned {args.qubits} qubits to target {target_r:.1f} Ohm")
     print(
         f"precision: mean {100 * metrics['precision_mean_frac']:+.3f}%  "
         f"sigma {100 * metrics['precision_sigma_frac']:.3f}%"
@@ -308,10 +301,11 @@ def cmd_report(args) -> int:
     metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
     rows = [(k, v) for k, v in metrics.items() if k not in ("precision_min_frac", "precision_max_frac")]
-    fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", len(records)), *rows])
+    qubits = len(records["qubit_id"])
+    fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", qubits), *rows])
     fileio.write_manifest(out, args.command, {}, None, [args.campaign])
     print(
-        f"{len(records)} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
+        f"{qubits} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
         f"mean {100 * metrics['precision_mean_frac']:+.3f}%"
     )
     return 0

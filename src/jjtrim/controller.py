@@ -12,14 +12,15 @@ import hashlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress, islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import InfeasibleError, ValidationError, check
-from .junction import RELAX_FRACTION_MEAN, JunctionState
+from .errors import InfeasibleError, ValidationError, check, check_rows
 
 _STEP_BATCH = 512
+_BLOCK = 32  # qubits per pulse-loop block: many per array call, a small step buffer
 # Mean per-pulse resistance increment, Ohm. Steps are exponential: their
 # renewal overshoot is again exponential with the same mean, which reproduces
 # the observed last-pulse overshoot statistics with this one parameter.
@@ -30,23 +31,14 @@ MAX_CAMPAIGN_QUBITS = 1_000_000
 # Pulses after which one qubit's tuning loop gives up with exit 3.
 MAX_PULSES = 10**6
 
-
-@dataclass(frozen=True)
-class TuningTarget:
-    """Target resistance and the relaxation reserve used to derive the
-    pulse-stop threshold for one qubit."""
-
-    qubit_id: str
-    target_resistance: float
-    relaxation_reserve: float = RELAX_FRACTION_MEAN
-
-    def __post_init__(self):
-        check("target_resistance", self.target_resistance, gt=0)
-        check("relaxation_reserve", self.relaxation_reserve, ge=0, lt=1)
-
-    @property
-    def threshold(self) -> float:
-        return self.target_resistance / (1.0 + self.relaxation_reserve)
+# Targets and records are column sets: each name (its JSON key, in file order)
+# maps to a list of str ids or an array of its type, one row per qubit. The
+# bounds are each row's ranges (``errors.check_rows``); a noisy read has none.
+TARGET_FIELDS = {"qubit_id": str, "target_resistance": float, "relaxation_reserve": float}
+TARGET_BOUNDS = {"target_resistance": {"gt": 0}, "relaxation_reserve": {"ge": 0, "lt": 1}}
+RECORD_FIELDS = {"qubit_id": str, "r_untuned": float, "threshold": float, "r_last_pulse": float,
+                 "r_tuned": float, "pulses": int, "already_above_target": bool}
+RECORD_BOUNDS = {"r_untuned": {"gt": 0}, "threshold": {"gt": 0}, "pulses": {"ge": 0}}
 
 
 @dataclass(frozen=True)
@@ -57,18 +49,8 @@ class CampaignConfig:
     noise_sigma: float = 0.0  # room-temperature probe noise, Ohm; 0 is a noiseless probe
 
     def __post_init__(self):
+        check("master_seed", self.master_seed, ge=0)
         check("noise_sigma", self.noise_sigma, ge=0)
-
-
-@dataclass(frozen=True)
-class QubitTuneRecord:
-    qubit_id: str
-    r_untuned: float
-    threshold: float
-    r_last_pulse: float
-    r_tuned: float
-    pulses: int
-    already_above_target: bool = False
 
 
 # SeedSequence's hash constants (NumPy's bit_generator.pyx), stable under NEP 19.
@@ -153,109 +135,103 @@ def qubit_rngs(master_seed: int, qubit_ids) -> Iterator[np.random.Generator]:
         yield np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
-def tune_qubit(
-    state: JunctionState,
-    target: TuningTarget,
-    config: CampaignConfig,
-    rng: np.random.Generator,
-) -> QubitTuneRecord:
-    """Pulse until the monitored resistance crosses the stop threshold,
-    then probe once relaxation has added the qubit's own fraction.
+def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> dict:
+    """Record columns (``RECORD_FIELDS``) of qubits starting at ``r_untuned``
+    and tuned to their ``targets`` rows, each with its own stream (``qubit_rngs``).
 
-    The probe waits ``junction.PROBE_DELAY_HR``, where the relaxation
-    trajectory is normalised, so the settled resistance is exactly
-    ``r + relax_fraction * r``. ``r_last_pulse`` is the first monitored
-    value at or above the threshold. Qubits already above threshold are
-    recorded with zero pulses and flagged, never pulsed downward. Every step
-    and read error is drawn from ``rng``, the qubit's own stream from
-    ``qubit_rngs``.
+    A qubit is pulsed until a read reaches its stop threshold, the target
+    less the relaxation reserve, then probed ``junction.PROBE_DELAY_HR``
+    later, where relaxation has added exactly its ``relax_fraction``.
+    ``r_last_pulse`` is that first read; a qubit whose first read is already
+    above is flagged with zero pulses, never pulsed downward.
     """
-    noise = config.noise_sigma
+    r_untuned = np.array(r_untuned, float)
+    relax_fraction = np.asarray(relax_fraction, float)
+    ids = list(targets["qubit_id"])
+    if not len(r_untuned) == len(relax_fraction) == len(ids):
+        raise ValidationError(f"qubit/target length mismatch: {len(r_untuned)} vs {len(ids)}")
+    check_rows("targets", targets, TARGET_BOUNDS)
+    check_rows("qubits", {"r_untuned": r_untuned, "relax_fraction": relax_fraction},
+               {"r_untuned": {"gt": 0}, "relax_fraction": {"ge": 0}})
+    threshold = np.asarray(targets["target_resistance"], float) / (
+        1.0 + np.asarray(targets["relaxation_reserve"], float))
+    rngs = qubit_rngs(config.master_seed, ids)
+    r_last, r_tuned, pulses = np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids), int)
+    # a read past the float range is inf, as in Generator.normal; campaign_stats rejects it
+    with np.errstate(all="ignore"):
+        for start in range(0, len(ids), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            r_last[block], r_tuned[block], pulses[block] = _tune_block(
+                r_untuned[block], relax_fraction[block], threshold[block],
+                list(islice(rngs, _BLOCK)), ids[block], config.noise_sigma,
+            )
+    return {"qubit_id": ids, "r_untuned": r_untuned, "threshold": threshold,
+            "r_last_pulse": r_last, "r_tuned": r_tuned, "pulses": pulses,
+            "already_above_target": pulses == 0}
+
+
+def _tune_block(r, rho, threshold, rngs, ids, noise):
+    """``run_campaign`` on one block: (last read, probe, pulses) per qubit.
+
+    Each qubit still below its threshold draws its next ``_STEP_BATCH``
+    exponential steps, then with a noisy probe as many read errors, and the
+    block finds every first crossing at once. A noisy probe also draws one
+    error for the first read and one for the probe; a noiseless one draws nothing.
+    """
 
     def probe(r):
-        return r + float(rng.normal(0.0, noise)) if noise > 0 else r
+        return r + noise * np.array([g.standard_normal() for g in rngs]) if noise > 0 else r
 
-    threshold = target.threshold
-    r = state.resistance
-    read = probe(r)
-    pulses = 0
-    if read < threshold:
-        r, pulses, read = _pulse_to_threshold(r, threshold, config, rng, target.qubit_id)
-    return QubitTuneRecord(
-        qubit_id=target.qubit_id,
-        r_untuned=state.resistance,
-        threshold=threshold,
-        r_last_pulse=read,
-        r_tuned=probe(r + state.relax_fraction * r),
-        pulses=pulses,
-        already_above_target=pulses == 0,
-    )
-
-
-def _pulse_to_threshold(r, threshold, config, rng, qubit_id):
-    """Pulse from r until a monitored read reaches the threshold.
-
-    Exponential steps of mean ``MEAN_STEP_OHM`` are drawn in batches and
-    the stop is the first pulse whose read crosses. A noisy probe draws one
-    read error per pulse after the batch's steps; a noiseless probe draws
-    nothing and reads the true resistance. Returns (true resistance,
-    pulses, read at the stop).
-    """
-    noise = config.noise_sigma
-    pulses = 0
-    while True:
-        n = min(_STEP_BATCH, MAX_PULSES - pulses)
+    read, r = probe(r).copy(), r.copy()
+    pulses = np.zeros(len(r), np.int64)
+    active = np.flatnonzero(read < threshold)
+    done = 0
+    while active.size:
+        n = min(_STEP_BATCH, MAX_PULSES - done)
         if n <= 0:
-            raise InfeasibleError(f"qubit {qubit_id}: max_pulses={MAX_PULSES} exceeded")
-        cum = r + np.cumsum(rng.exponential(MEAN_STEP_OHM, n))
-        read = cum + rng.normal(0.0, noise, n) if noise > 0 else cum
-        crossed = read >= threshold
-        hit = int(crossed.argmax())
-        if crossed[hit]:
-            return float(cum[hit]), pulses + hit + 1, float(read[hit])
-        pulses += n
-        r = float(cum[-1])
-
-
-def run_campaign(
-    qubits: list[JunctionState],
-    targets: list[TuningTarget],
-    config: CampaignConfig,
-) -> tuple[QubitTuneRecord, ...]:
-    """Tune qubits one at a time; each qubit's probe happens the probe
-    delay after its own last pulse."""
-    if len(qubits) != len(targets):
-        raise ValidationError(
-            f"qubit/target length mismatch: {len(qubits)} vs {len(targets)}"
-        )
-    rngs = qubit_rngs(config.master_seed, [t.qubit_id for t in targets])
-    return tuple(
-        tune_qubit(state, target, config, rng) for state, target, rng in zip(qubits, targets, rngs)
-    )
+            raise InfeasibleError(f"qubit {ids[active[0]]}: max_pulses={MAX_PULSES} exceeded")
+        steps = np.empty((active.size, n))
+        errors = np.empty_like(steps) if noise > 0 else None
+        for row, i in enumerate(active.tolist()):
+            rngs[i].standard_exponential(out=steps[row])
+            if noise > 0:
+                rngs[i].standard_normal(out=errors[row])
+        cum = r[active, None] + np.cumsum(MEAN_STEP_OHM * steps, axis=1)
+        reads = cum + noise * errors if noise > 0 else cum
+        crossed = reads >= threshold[active, None]
+        hit = crossed.argmax(axis=1)
+        stop = crossed[np.arange(active.size), hit]
+        k, h = active[stop], hit[stop]
+        r[k], read[k], pulses[k] = cum[stop, h], reads[stop, h], done + h + 1
+        r[active[~stop]] = cum[~stop, -1]
+        active = active[~stop]
+        done += n
+    return read, probe(r + rho * r), pulses
 
 
 def campaign_stats(records, targets) -> dict[str, float]:
     """Precision, overshoot and realised-reserve statistics of a campaign.
 
-    Precision is the tuned-resistance error relative to target,
-    (r_tuned - R_T) / R_T, with each target looked up by qubit id. Overshoot
-    is the last-pulse excess above the stop threshold, set by step size.
+    Takes record and target columns. Precision is the tuned-resistance error
+    relative to target, (r_tuned - R_T) / R_T, each target looked up by qubit
+    id. Overshoot is the last-pulse excess above the stop threshold, set by step size.
     The reserve is the relaxation fraction realised between last pulse and
     probe, (r_tuned - r_last_pulse) / r_last_pulse. Sigmas are population
     standard deviations. Qubits flagged already-above-target were never
     pulsed and are excluded. A statistic that is not finite (a record out
     of range) raises, as does a campaign with no tuned qubit.
     """
-    tuned = [r for r in records if not r.already_above_target]
-    if not tuned:
+    tuned = ~np.asarray(records["already_above_target"], bool)
+    if not tuned.any():
         raise ValidationError("no tuned records to aggregate")
-    target_r = {t.qubit_id: t.target_resistance for t in targets}
-    for rec in tuned:
-        if rec.qubit_id not in target_r:
-            raise ValidationError(f"no target for qubit {rec.qubit_id}")
-    r_tuned, r_last, threshold, r_target = np.array(
-        [(r.r_tuned, r.r_last_pulse, r.threshold, target_r[r.qubit_id]) for r in tuned]
-    ).T
+    index = {qid: i for i, qid in enumerate(targets["qubit_id"])}
+    try:
+        rows = [index[qid] for qid in compress(records["qubit_id"], tuned)]
+    except KeyError as exc:
+        raise ValidationError(f"no target for qubit {exc.args[0]}") from None
+    r_target = np.asarray(targets["target_resistance"], float)[rows]
+    r_tuned, r_last, threshold = (np.asarray(records[name], float)[tuned]
+                                  for name in ("r_tuned", "r_last_pulse", "threshold"))
     with np.errstate(all="ignore"):
         precision = (r_tuned - r_target) / r_target
         overshoot = r_last - threshold

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit, and the one range check
-every config field, function argument and CLI flag goes through."""
+every config field, function argument, CLI flag and file column goes through."""
 
 import math
+
+import numpy as np
 
 
 class JJTrimError(Exception):
@@ -52,6 +54,24 @@ def check(name, value, gt=None, ge=None, lt=None):
     if type(value) is not int:
         rule = f"finite and {rule}" if rule else "finite"
     raise ValidationError(f"{name} must be {rule}, got {value}")
+
+
+_COMPARE = {"gt": np.greater, "ge": np.greater_equal, "lt": np.less}
+
+
+def check_rows(where, columns, bounds):
+    """``check`` on every row of a column set at once; ``bounds`` maps a column
+    to ``check``'s bounds. The first failing row raises ``check``'s error for
+    its first failing column, named ``where[row].column``."""
+    ok = True
+    for name, rule in bounds.items():
+        ok = ok & np.isfinite(columns[name])
+        for op, bound in rule.items():
+            ok = ok & _COMPARE[op](columns[name], bound)
+    if not np.all(ok):
+        row = int(np.argmin(ok))
+        for name, rule in bounds.items():
+            check(f"{where}[{row}].{name}", np.asarray(columns[name])[row].item(), **rule)
 
 
 def check_window(name, window):

@@ -15,14 +15,18 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
+import numpy as np
+
 from . import __version__
-from .controller import CampaignConfig, QubitTuneRecord, TuningTarget
-from .errors import SchemaError
+from .controller import (
+    RECORD_BOUNDS, RECORD_FIELDS, TARGET_BOUNDS, TARGET_FIELDS, CampaignConfig,
+)
+from .errors import SchemaError, ValidationError, check_rows
 from .freqmodel import PowerLawModel
 from .lattice import QubitLattice
 from .yieldmc import UnitCellDesign
@@ -160,42 +164,57 @@ def save_calibration(path, model: PowerLawModel) -> None:
     dump_json(path, dict(zip(_CALIBRATION, astuple(model))))
 
 
-def _schema_of(cls) -> dict:
-    """A flat dataclass's fields as a schema (see ``_walk``): name -> annotated type."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-_CAMPAIGN = {"config": _schema_of(CampaignConfig), "targets": [_schema_of(TuningTarget)],
-             "records": [_schema_of(QubitTuneRecord)]}
+_CAMPAIGN = {"config": get_type_hints(CampaignConfig), "targets": [TARGET_FIELDS],
+             "records": [RECORD_FIELDS]}
 
 
 def save_campaign(path, records, targets, config: CampaignConfig) -> None:
-    # The dataclasses are flat, so their __dict__ is asdict's result without
-    # its deep copy, which costs about 10 us per object.
-    dump_json(path, {"config": vars(config), "targets": [vars(t) for t in targets],
-                     "records": [vars(r) for r in records]})
+    """Record and target columns as one JSON object per qubit, and the config.
+    Columns become Python values first: ``json`` refuses a numpy int or bool."""
+
+    def rows(columns, fields):
+        values = [columns[k] if kind is str else np.asarray(columns[k], kind).tolist()
+                  for k, kind in fields.items()]
+        return [dict(zip(fields, row)) for row in zip(*values)]
+
+    dump_json(path, {"config": vars(config), "targets": rows(targets, TARGET_FIELDS),
+                     "records": rows(records, RECORD_FIELDS)})
 
 
-def load_campaign(path) -> tuple[tuple[QubitTuneRecord, ...], list[TuningTarget], CampaignConfig]:
-    """Campaign JSON (``_CAMPAIGN``) -> (records, targets, config).
+def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
+    """Campaign JSON (``_CAMPAIGN``) -> (record columns, target columns, config).
 
     A qubit id may appear once among the targets and once among the records:
     statistics look targets up by id and count records, so a repeat would
-    silently change them.
+    silently change them. A row out of ``TARGET_BOUNDS`` or ``RECORD_BOUNDS``,
+    or whose already-above flag is not ``pulses == 0``, is named by row and field.
     """
     data = _load(path, _CAMPAIGN)
-    for key in ("targets", "records"):
-        seen = set()
-        for i, item in enumerate(data[key]):
-            if item["qubit_id"] in seen:
-                raise SchemaError(
-                    f"{path}: {key}[{i}].qubit_id: duplicate {reprlib.repr(item['qubit_id'])}"
-                )
-            seen.add(item["qubit_id"])
-    config = CampaignConfig(**data["config"])
-    targets = [TuningTarget(**t) for t in data["targets"]]
-    return tuple(QubitTuneRecord(**r) for r in data["records"]), targets, config
+    try:
+        config = CampaignConfig(**data["config"])
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: config.{exc}") from None
+    columns = []
+    for key, fields, bounds in (("targets", TARGET_FIELDS, TARGET_BOUNDS),
+                                ("records", RECORD_FIELDS, RECORD_BOUNDS)):
+        items, first = data[key], {}
+        for i, qid in enumerate(item["qubit_id"] for item in items):
+            if first.setdefault(qid, i) != i:
+                raise SchemaError(f"{path}: {key}[{i}].qubit_id: duplicate {reprlib.repr(qid)}")
+        try:
+            columns.append({k: [item[k] for item in items] if kind is str
+                            else np.array([item[k] for item in items], kind)
+                            for k, kind in fields.items()})
+        except OverflowError:
+            raise SchemaError(f"{path}: {key}: an integer does not fit in 64 bits") from None
+        check_rows(f"{path}: {key}", columns[-1], bounds)
+    targets, records = columns
+    above, pulses = records["already_above_target"], records["pulses"]
+    if np.any(above != (pulses == 0)):
+        i = int(np.argmax(above != (pulses == 0)))
+        raise SchemaError(f"{path}: records[{i}].already_above_target must be true exactly "
+                          f"when pulses is 0, got {str(above[i]).lower()} with pulses {pulses[i]}")
+    return records, targets, config
 
 
 def read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:

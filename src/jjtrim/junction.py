@@ -9,7 +9,7 @@ piecewise power-law trajectory; the regimes differ only in exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -66,40 +66,29 @@ def relaxation_shape(t_hr: float) -> float:
     return _shape_unnormalized(check("t_hr", t_hr, ge=0)) / _RELAX_NORM
 
 
-@dataclass(frozen=True)
-class JunctionState:
-    """One qubit's true resistance and the fraction of it that relaxation
-    adds between its last pulse and the probe."""
+def sample_fabricated(design_resistance: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """As-fabricated (resistance, relax_fraction) columns, one row per stream.
 
-    resistance: float
-    relax_fraction: float
-
-    def __post_init__(self):
-        check("resistance", self.resistance, gt=0)
-        check("relax_fraction", self.relax_fraction, ge=0)
-
-
-def sample_fabricated(design_resistance: float, seed) -> JunctionState:
-    """Draw one as-fabricated junction state for a design resistance.
-
-    Resistance ~ Normal(design * (1 + FAB_MEAN_OFFSET_FRAC),
-    design * FAB_SIGMA_FRAC) truncated at > 0; the per-qubit relaxation
-    fraction is an independent truncated-normal draw.
+    Resistance ~ Normal(design * (1 + FAB_MEAN_OFFSET_FRAC), design *
+    FAB_SIGMA_FRAC) truncated at > 0, then an independent relaxation fraction
+    truncated at >= 0; each value is redrawn from its stream until it fits.
     """
     # A design at or below zero would never draw a positive resistance.
     check("design_resistance", design_resistance, gt=0)
-    rng = np.random.default_rng(seed)
-    while True:
-        r = rng.normal(
-            design_resistance * (1.0 + FAB_MEAN_OFFSET_FRAC), design_resistance * FAB_SIGMA_FRAC
-        )
-        if r > 0:
-            break
-    while True:
-        rho = rng.normal(RELAX_FRACTION_MEAN, RELAX_FRACTION_SIGMA)
-        if rho >= 0:
-            break
-    return JunctionState(resistance=float(r), relax_fraction=float(rho))
+    loc = (design_resistance * (1.0 + FAB_MEAN_OFFSET_FRAC), RELAX_FRACTION_MEAN)
+    scale = (design_resistance * FAB_SIGMA_FRAC, RELAX_FRACTION_SIGMA)
+    rngs = list(rngs)
+    z = np.empty((len(rngs), 2))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    # loc + scale * z is Generator.normal(loc, scale) bit for bit
+    r = loc[0] + scale[0] * z[:, 0]
+    rho = loc[1] + scale[1] * z[:, 1]
+    for i in np.flatnonzero((r <= 0) | (rho < 0)):
+        draws = chain(z[i].tolist(), iter(rngs[i].standard_normal, None))
+        r[i] = next(x for x in (loc[0] + scale[0] * d for d in draws) if x > 0)
+        rho[i] = next(x for x in (loc[1] + scale[1] * d for d in draws) if x >= 0)
+    return r, rho
 
 
 def relaxation_delta(rho: float, r_stop: float, t_hr: float) -> float:

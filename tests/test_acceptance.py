@@ -9,14 +9,7 @@ import time
 
 import numpy as np
 
-from jjtrim.controller import (
-    CampaignConfig,
-    TuningTarget,
-    campaign_stats,
-    qubit_rngs,
-    run_campaign,
-    tune_qubit,
-)
+from jjtrim.controller import CampaignConfig, campaign_stats, qubit_rngs, run_campaign
 from jjtrim.errors import InfeasibleError
 from jjtrim.freqmodel import (
     PowerLawModel,
@@ -26,7 +19,7 @@ from jjtrim.freqmodel import (
     invert_R,
     predict_f,
 )
-from jjtrim.junction import JunctionState, relaxation_shape, sample_fabricated
+from jjtrim.junction import relaxation_shape, sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
@@ -55,14 +48,16 @@ def report(criterion: str, passed: bool):
     assert passed, criterion
 
 
+def targets_at(ids, target_resistance):
+    return {"qubit_id": ids, "target_resistance": np.full(len(ids), target_resistance),
+            "relaxation_reserve": np.full(len(ids), 0.0289)}
+
+
 def tuned_batch(n=61, seed=7):
-    fab = qubit_rngs(seed, [f"fab:Q{i:03d}" for i in range(n)])
-    qubits = [sample_fabricated(DESIGN_R, rng) for rng in fab]
-    targets = [
-        TuningTarget(qubit_id=f"Q{i:03d}", target_resistance=DESIGN_R * 0.98)
-        for i in range(n)
-    ]
-    records = run_campaign(qubits, targets, CampaignConfig(master_seed=seed))
+    ids = [f"Q{i:03d}" for i in range(n)]
+    r, rho = sample_fabricated(DESIGN_R, qubit_rngs(seed, [f"fab:{q}" for q in ids]))
+    targets = targets_at(ids, DESIGN_R * 0.98)
+    records = run_campaign(r, rho, targets, CampaignConfig(master_seed=seed))
     return records, targets
 
 
@@ -83,9 +78,8 @@ def test_1_overshoot_statistics():
 def test_2_relaxation_shift():
     start = time.perf_counter()
     records, _ = tuned_batch(61)
-    shifts = np.array(
-        [r.r_tuned - r.r_last_pulse for r in records if not r.already_above_target]
-    )
+    tuned = ~records["already_above_target"]
+    shifts = (records["r_tuned"] - records["r_last_pulse"])[tuned]
     elapsed = time.perf_counter() - start
     ok = 110.0 <= shifts.mean() <= 145.0 and 10.0 <= shifts.std() <= 25.0 and elapsed < 1.0
     report(
@@ -101,25 +95,23 @@ def test_3_targeted_precision():
     stats = campaign_stats(records, targets)
     sigma, mean = stats["precision_sigma_frac"], stats["precision_mean_frac"]
     # one long-haul qubit starting 18.5% below its target
-    far_target = TuningTarget(qubit_id="FAR", target_resistance=DESIGN_R * 0.98)
-    far_state = JunctionState(
-        resistance=far_target.target_resistance * (1.0 - 0.185), relax_fraction=0.0289
-    )
-    (rng,) = qubit_rngs(7, ["FAR"])
-    far = tune_qubit(far_state, far_target, CampaignConfig(master_seed=7), rng)
-    distance = (far_target.target_resistance - far.r_untuned) / far_target.target_resistance
+    far_target = DESIGN_R * 0.98
+    far = run_campaign([far_target * (1.0 - 0.185)], [0.0289], targets_at(["FAR"], far_target),
+                       CampaignConfig(master_seed=7))
+    far_pulses = int(far["pulses"][0])
+    distance = (far_target - far["r_untuned"][0]) / far_target
     elapsed = time.perf_counter() - start
     ok = (
         0.0025 <= sigma <= 0.0045
         and -0.001 <= mean <= 0.004
         and distance >= 0.18
-        and far.pulses > 0
+        and far_pulses > 0
         and elapsed < 10.0
     )
     report(
         f"3 precision: sigma {100 * sigma:.2f}% ([0.25,0.45]), "
         f"mean {100 * mean:.2f}% ([-0.1,0.4]), "
-        f"distance {100 * distance:.1f}% tuned in {far.pulses} pulses, {elapsed:.2f} s",
+        f"distance {100 * distance:.1f}% tuned in {far_pulses} pulses, {elapsed:.2f} s",
         ok,
     )
 
@@ -276,10 +268,11 @@ def test_10_property_suites():
     # fabrication through the last pulse to the probe, and the relaxation
     # profile never falls over 200 seeded times up to 300 hr
     records, _ = tuned_batch(61)
-    monotone = all(
-        r.r_untuned <= r.r_last_pulse <= r.r_tuned and (r.pulses == 0) == r.already_above_target
-        for r in records
-    )
+    monotone = bool(np.all(
+        (records["r_untuned"] <= records["r_last_pulse"])
+        & (records["r_last_pulse"] <= records["r_tuned"])
+        & ((records["pulses"] == 0) == records["already_above_target"])
+    ))
     times = np.sort(np.random.default_rng(1).uniform(0.0, 300.0, 200))
     shape = [relaxation_shape(float(t)) for t in times]
     monotone &= all(b >= a for a, b in zip(shape, shape[1:]))

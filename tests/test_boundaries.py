@@ -9,17 +9,23 @@ import math
 
 import pytest
 
-from jjtrim.controller import TuningTarget
+from jjtrim.controller import CampaignConfig, run_campaign
 from jjtrim.errors import ValidationError, check, check_window
 from jjtrim.freqmodel import (
     PowerLawModel, compose_sigma, freq_equiv_sigma, invert_R, predict_f,
 )
-from jjtrim.junction import JunctionState, relaxation_delta, relaxation_shape
+from jjtrim.junction import relaxation_delta, relaxation_shape
 from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
 
 NAN, INF = math.nan, math.inf
 MODEL = PowerLawModel(beta=280000.0, alpha=0.5, residual_sigma=1.0, r_min=3000.0, r_max=7000.0)
 PAIR = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4650.0))
+
+
+def campaign(r_untuned=4500.0, relax_fraction=0.03, target_resistance=4600.0):
+    targets = {"qubit_id": ["q"], "target_resistance": [target_resistance],
+               "relaxation_reserve": [0.0289]}
+    return run_campaign([r_untuned], [relax_fraction], targets, CampaignConfig(master_seed=0))
 
 
 class TestCheck:
@@ -59,15 +65,13 @@ class TestCheck:
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda: JunctionState(resistance=4500.0, relax_fraction=NAN),
-                     id="JunctionState-relax_fraction-nan"),
-        pytest.param(lambda: JunctionState(resistance=INF, relax_fraction=0.03),
-                     id="JunctionState-resistance-inf"),
+        pytest.param(lambda: campaign(relax_fraction=NAN), id="run_campaign-relax_fraction-nan"),
+        pytest.param(lambda: campaign(r_untuned=INF), id="run_campaign-r_untuned-inf"),
         pytest.param(lambda: relaxation_shape(NAN), id="shape-t_hr-nan"),
         pytest.param(lambda: relaxation_delta(NAN, 4500.0, 5.0), id="relaxation_delta-rho-nan"),
         pytest.param(lambda: relaxation_delta(0.03, 4500.0, NAN), id="relaxation_delta-t_hr-nan"),
-        pytest.param(lambda: TuningTarget(qubit_id="q", target_resistance=INF),
-                     id="TuningTarget-target_resistance-inf"),
+        pytest.param(lambda: campaign(target_resistance=INF),
+                     id="run_campaign-target_resistance-inf"),
         pytest.param(lambda: PowerLawModel(beta=INF, alpha=0.5, residual_sigma=1.0,
                                            r_min=3000.0, r_max=7000.0),
                      id="PowerLawModel-beta-inf"),

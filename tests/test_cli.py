@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import tempfile
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import oracle_rng
+from conftest import oracle_fabricated, oracle_record, oracle_rng, rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,15 +52,13 @@ class TestSimulateTuning:
         records, targets, config = fileio.load_campaign(tmp_path / "campaign.json")
         assert config.master_seed == seed
         design = json.loads((tmp_path / "manifest.json").read_text())["config"]["design_resistance"]
-        want = tuple(
-            controller.tune_qubit(
-                junction.sample_fabricated(design, oracle_rng(seed, "fab:" + t.qubit_id)),
-                t, config, oracle_rng(seed, t.qubit_id),
-            )
-            for t in targets
-        )
-        assert [t.qubit_id for t in targets] == ["Q000", "Q001", "Q002"]
-        assert records == want
+        want = [
+            oracle_record(*oracle_fabricated(design, oracle_rng(seed, "fab:" + t["qubit_id"])),
+                          t, 0.0, oracle_rng(seed, t["qubit_id"]))
+            for t in rows(targets, controller.TARGET_FIELDS)
+        ]
+        assert targets["qubit_id"] == ["Q000", "Q001", "Q002"]
+        assert rows(records) == want
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
     def test_bad_noise_exit_2(self, tmp_path, noise, capsys):
@@ -68,6 +67,30 @@ class TestSimulateTuning:
         assert rc == 2
         assert "noise_sigma" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    # sha256 of every file a campaign and its report write, recorded before
+    # the campaign was carried as columns; any byte of drift fails here
+    PINNED = {
+        ("--qubits", "2000"): (
+            "02eab51f691dac5768c59a1faa73cb61818122421e07e1b84bc6eac82dd6bbe5",
+            "d8996b3fa15b45bd6be4e05a178801f1a93c2da3582e9bb995b751029ec161bc",
+            "5405e0c3b1219f832eb862fca3bd9c12ebf77d49d53056cae2aa50a03712e52e",
+        ),
+        ("--qubits", "221", "--noise", "0.5"): (
+            "9a673cf67a01ea4439e51023f2bda19d88ef433c60286388a0963b2eceac4127",
+            "c0dcaafe2e0316acb44abc98be9f76e5a71210f7a244c106730c77a94693b326",
+            "2fc18c8db39faf03e89af01598f9a8c24b49aa96a9d69bb1db28e2b771c1ce56",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=["2000-noiseless", "221-noisy"])
+    def test_outputs_pinned(self, tmp_path, argv):
+        sim, rep = tmp_path / "sim", tmp_path / "rep"
+        assert main(["simulate-tuning", *argv, "--seed", "7", "--out", str(sim)]) == 0
+        assert main(["report", "--campaign", str(sim / "campaign.json"), "--out", str(rep)]) == 0
+        files = (sim / "campaign.json", sim / "precision_report.csv", rep / "report.csv")
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+        assert digests == self.PINNED[argv]
 
 
 class TestCalibrateAssign:
@@ -436,6 +459,30 @@ class TestMalformedInputs:
              "targets[4].qubit_id: duplicate 'Q000'"),
             ("campaign", lambda d: d["records"].append(d["records"][1]),
              "records[4].qubit_id: duplicate 'Q001'"),
+            # ranges, checked once the schema holds; a read is noisy, so
+            # r_last_pulse and r_tuned have none
+            ("campaign", _set(["records", 0, "threshold"], -5.0),
+             "records[0].threshold must be finite and > 0, got -5.0"),
+            ("campaign", _set(["records", 1, "pulses"], -3),
+             "records[1].pulses must be >= 0, got -3"),
+            ("campaign", _set(["records", 1, "pulses"], 10**30),
+             "records: an integer does not fit in 64 bits"),
+            ("campaign", _set(["records", 1, "r_untuned"], -3.0),
+             "records[1].r_untuned must be finite and > 0, got -3.0"),
+            ("campaign", _set(["records", 2, "already_above_target"], True),
+             "records[2].already_above_target must be true exactly when pulses is 0, "
+             "got true with pulses 140"),
+            ("campaign", _set(["records", 3, "pulses"], 0),
+             "records[3].already_above_target must be true exactly when pulses is 0, "
+             "got false with pulses 0"),
+            ("campaign", _set(["config", "master_seed"], -1),
+             "config.master_seed must be >= 0, got -1"),
+            ("campaign", _set(["config", "noise_sigma"], -1.0),
+             "config.noise_sigma must be finite and >= 0, got -1.0"),
+            ("campaign", _set(["targets", 1, "target_resistance"], -1.0),
+             "targets[1].target_resistance must be finite and > 0, got -1.0"),
+            ("campaign", _set(["targets", 3, "relaxation_reserve"], 1.0),
+             "targets[3].relaxation_reserve must be finite and >= 0 and < 1, got 1.0"),
         ],
     )
     def test_json_field_named(self, tmp_path, valid, capsys, kind, edit, message):

@@ -3,95 +3,88 @@ import types
 
 import numpy as np
 import pytest
-from conftest import oracle_rng
+from conftest import oracle_fabricated, oracle_record, oracle_rng, rows
 
-from jjtrim import controller
+from jjtrim import controller, junction
 from jjtrim.controller import (
     CampaignConfig,
     MEAN_STEP_OHM,
-    QubitTuneRecord,
-    TuningTarget,
+    RECORD_FIELDS,
+    _BLOCK,
     _STEP_BATCH,
     campaign_stats,
     qubit_rngs,
     run_campaign,
-    tune_qubit,
 )
 from jjtrim.errors import InfeasibleError, ValidationError
-from jjtrim.junction import JunctionState, sample_fabricated
+from jjtrim.junction import sample_fabricated
+
+
+def make_targets(ids, target, reserve=0.0289):
+    return {"qubit_id": list(ids), "target_resistance": np.full(len(ids), float(target)),
+            "relaxation_reserve": np.full(len(ids), float(reserve))}
 
 
 def make_batch(n, design=4587.8, seed=7, reserve=0.0289, target_frac=0.98):
+    """(r_untuned, relax_fraction, targets) of n qubits drawn as simulate-tuning draws them."""
     ids = [f"Q{i:03d}" for i in range(n)]
-    qubits = [sample_fabricated(design, rng) for rng in qubit_rngs(seed, ["fab:" + q for q in ids])]
-    targets = [
-        TuningTarget(qubit_id=q, target_resistance=design * target_frac, relaxation_reserve=reserve)
-        for q in ids
-    ]
-    return qubits, targets
+    r, rho = sample_fabricated(design, qubit_rngs(seed, ["fab:" + q for q in ids]))
+    return r, rho, make_targets(ids, design * target_frac, reserve)
+
+
+def tune_one(r, rho, target, reserve=0.0289, seed=0, noise=0.0, qid="q"):
+    """One qubit's record, as a dict of Python values."""
+    targets = make_targets([qid], target, reserve)
+    (rec,) = rows(run_campaign([r], [rho], targets, CampaignConfig(seed, noise)))
+    return rec
 
 
 class TestThreshold:
     def test_paper_scale_arithmetic(self):
-        t = TuningTarget(qubit_id="q", target_resistance=4625.9, relaxation_reserve=0.0289)
-        assert t.threshold == pytest.approx(4496.0, abs=0.05)
+        assert tune_one(5000.0, 0.0, 4625.9)["threshold"] == pytest.approx(4496.0, abs=0.05)
 
     def test_zero_reserve(self):
-        t = TuningTarget(qubit_id="q", target_resistance=4500.0, relaxation_reserve=0.0)
-        assert t.threshold == 4500.0
+        assert tune_one(5000.0, 0.0, 4500.0, reserve=0.0)["threshold"] == 4500.0
 
     def test_exact_quarter(self):
-        t = TuningTarget(qubit_id="q", target_resistance=1000.0, relaxation_reserve=0.25)
-        assert t.threshold == pytest.approx(800.0)
+        assert tune_one(5000.0, 0.0, 1000.0, reserve=0.25)["threshold"] == pytest.approx(800.0)
 
     def test_invalid_reserve(self):
-        with pytest.raises(ValidationError):
-            TuningTarget(qubit_id="q", target_resistance=1000.0, relaxation_reserve=-0.5)
+        with pytest.raises(ValidationError, match=r"targets\[0\].relaxation_reserve must be"):
+            tune_one(5000.0, 0.0, 1000.0, reserve=-0.5)
 
 
 class TestTuneQubit:
     def test_already_above_threshold(self):
-        state = JunctionState(resistance=5000.0, relax_fraction=0.0)
-        target = TuningTarget(qubit_id="q", target_resistance=4500.0)
-        rec = tune_qubit(state, target, CampaignConfig(master_seed=0), oracle_rng(0, "q"))
-        assert rec.pulses == 0
-        assert rec.already_above_target
+        rec = tune_one(5000.0, 0.0, 4500.0)
+        assert rec["pulses"] == 0
+        assert rec["already_above_target"]
 
     def test_max_pulses_guard_carries_partial_record(self, monkeypatch):
         monkeypatch.setattr(controller, "MAX_PULSES", 10)
-        state = JunctionState(resistance=100.0, relax_fraction=0.0)
-        target = TuningTarget(qubit_id="q", target_resistance=10000.0)
-        config = CampaignConfig(master_seed=0)
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
-            tune_qubit(state, target, config, oracle_rng(0, "q"))
+            tune_one(100.0, 0.0, 10000.0)
 
     def test_stop_correctness(self):
-        qubits, targets = make_batch(30)
-        records = run_campaign(qubits, targets, CampaignConfig(master_seed=7))
-        for rec in records:
-            assert rec.r_last_pulse >= rec.threshold
-            assert rec.r_tuned >= rec.r_last_pulse
+        r, rho, targets = make_batch(30)
+        for rec in rows(run_campaign(r, rho, targets, CampaignConfig(master_seed=7))):
+            assert rec["r_last_pulse"] >= rec["threshold"]
+            assert rec["r_tuned"] >= rec["r_last_pulse"]
 
     def test_max_pulses_guard_noisy_path(self, monkeypatch):
         monkeypatch.setattr(controller, "MAX_PULSES", 10)
-        state = JunctionState(resistance=100.0, relax_fraction=0.0)
-        target = TuningTarget(qubit_id="q", target_resistance=10000.0)
-        config = CampaignConfig(master_seed=0, noise_sigma=0.1)
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
-            tune_qubit(state, target, config, oracle_rng(0, "q"))
+            tune_one(100.0, 0.0, 10000.0, noise=0.1)
 
     def test_noisy_stop_matches_per_pulse_oracle(self):
         # the crossing spans several step batches; a scalar walk over the
         # same draws must stop on the same pulse
-        target = TuningTarget(qubit_id="far", target_resistance=4625.9)
-        r0 = target.threshold - 2000.0
-        state = JunctionState(resistance=r0, relax_fraction=0.0289)
-        config = CampaignConfig(master_seed=3, noise_sigma=0.5)
-        (rng,) = qubit_rngs(3, ["far"])
-        rec = tune_qubit(state, target, config, rng)
+        threshold = 4625.9 / 1.0289
+        r0 = threshold - 2000.0
+        rec = tune_one(r0, 0.0289, 4625.9, seed=3, noise=0.5, qid="far")
 
         rng = oracle_rng(3, "far")
-        assert r0 + rng.normal(0.0, 0.5) < target.threshold  # the first read
+        assert r0 + rng.normal(0.0, 0.5) < threshold  # the first read
 
         def pulses_and_read_errors():
             while True:
@@ -101,12 +94,79 @@ class TestTuneQubit:
         r = r0
         for pulses, (step, err) in enumerate(pulses_and_read_errors(), start=1):
             r += step
-            if r + err >= target.threshold:
+            if r + err >= threshold:
                 break
         assert pulses > _STEP_BATCH
-        assert rec.pulses == pulses
-        assert rec.r_last_pulse == pytest.approx(r + err, rel=1e-12)
-        assert rec.r_last_pulse >= rec.threshold
+        assert rec["pulses"] == pulses
+        assert rec["r_last_pulse"] == pytest.approx(r + err, rel=1e-12)
+        assert rec["r_last_pulse"] >= rec["threshold"]
+
+
+def oracle_campaign(r, rho, targets, seed, noise):
+    """Every qubit through the scalar oracles, one at a time."""
+    return [
+        oracle_record(r_i, rho_i, target, noise, oracle_rng(seed, target["qubit_id"]))
+        for r_i, rho_i, target in zip(r.tolist(), rho.tolist(),
+                                      rows(targets, controller.TARGET_FIELDS))
+    ]
+
+
+class TestOracles:
+    """The column pass against one scalar qubit at a time, record for record."""
+
+    @pytest.mark.parametrize("target_frac", [0.98, 1.2])
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+    def test_records_match_scalar_oracle(self, n, noise, target_frac):
+        r, rho, targets = make_batch(n, seed=19, target_frac=target_frac)
+        # every fifth qubit from the second on starts above its threshold
+        r[1::5] = 4587.8 * 1.25
+        records = run_campaign(r, rho, targets, CampaignConfig(19, noise))
+        want = oracle_campaign(r, rho, targets, 19, noise)
+        assert rows(records) == want
+        assert sum(rec["already_above_target"] for rec in want) >= len(r[1::5])
+        if target_frac > 1:
+            assert max(rec["pulses"] for rec in want) > _STEP_BATCH
+
+    def test_fabrication_matches_scalar_oracle(self):
+        ids = [f"fab:Q{i:03d}" for i in range(2 * _BLOCK + 5)]
+        r, rho = sample_fabricated(4587.8, qubit_rngs(5, ids))
+        want = [oracle_fabricated(4587.8, oracle_rng(5, q)) for q in ids]
+        assert list(zip(r.tolist(), rho.tolist())) == want
+
+    def test_forced_redraws_match_scalar_oracle(self, monkeypatch):
+        # spreads so wide that about a third of the resistances and a sixth
+        # of the fractions fall outside their truncation and are redrawn
+        monkeypatch.setattr(junction, "FAB_SIGMA_FRAC", 2.0)
+        monkeypatch.setattr(junction, "RELAX_FRACTION_SIGMA", 0.03)
+        ids = [f"Q{i:03d}" for i in range(100)]
+        r, rho = sample_fabricated(4587.8, qubit_rngs(5, ["fab:" + q for q in ids]))
+        want = [oracle_fabricated(4587.8, oracle_rng(5, "fab:" + q)) for q in ids]
+        assert list(zip(r.tolist(), rho.tolist())) == want
+        first = 4587.8 * (1.0 + junction.FAB_MEAN_OFFSET_FRAC) + 4587.8 * 2.0 * np.array(
+            [oracle_rng(5, "fab:" + q).standard_normal() for q in ids])
+        assert 20 <= np.sum(first <= 0) <= 50
+        targets = make_targets(ids, 4587.8 * 0.98)
+        for noise in (0.0, 0.5):
+            records = run_campaign(r, rho, targets, CampaignConfig(5, noise))
+            assert rows(records) == oracle_campaign(r, rho, targets, 5, noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_max_pulses_guard_names_oracle_qubit(self, monkeypatch, noise):
+        # a budget of 600 pulses is one full batch and one of 88. In the
+        # second block, qubits 3 and 9 need about 1000 pulses and qubit 5
+        # about 550; the oracle meets qubit 3 first.
+        monkeypatch.setattr(controller, "MAX_PULSES", 600)
+        r, rho, targets = make_batch(2 * _BLOCK)
+        threshold = targets["target_resistance"][0] / 1.0289
+        r[_BLOCK + np.array([3, 9])] = threshold - 1000 * MEAN_STEP_OHM
+        r[_BLOCK + 5] = threshold - 550 * MEAN_STEP_OHM
+        with pytest.raises(InfeasibleError) as got:
+            run_campaign(r, rho, targets, CampaignConfig(7, noise))
+        with pytest.raises(InfeasibleError) as want:
+            oracle_campaign(r, rho, targets, 7, noise)
+        message = f"qubit Q{_BLOCK + 3:03d}: max_pulses=600 exceeded"
+        assert str(got.value) == str(want.value) == message
 
 
 class TestQubitStreams:
@@ -155,12 +215,14 @@ class TestQubitStreams:
 
 class TestCampaign:
     def test_empty_campaign(self):
-        assert run_campaign([], [], CampaignConfig(master_seed=0)) == ()
+        records = run_campaign([], [], make_targets([], 1.0), CampaignConfig(master_seed=0))
+        assert list(records) == list(RECORD_FIELDS)
+        assert rows(records) == []
 
     def test_length_mismatch(self):
-        qubits, targets = make_batch(3)
-        with pytest.raises(ValidationError):
-            run_campaign(qubits, targets[:2], CampaignConfig(master_seed=0))
+        r, rho, targets = make_batch(3)
+        with pytest.raises(ValidationError, match="qubit/target length mismatch: 2 vs 3"):
+            run_campaign(r[:2], rho[:2], targets, CampaignConfig(master_seed=0))
 
     def test_noiseless_and_noisy_records_pinned(self):
         # digests of the records at a fixed seed: the noiseless ones were
@@ -179,120 +241,123 @@ class TestCampaign:
              "e4ddef9c2b02137508ef7f350a298e55c443f251a93362f1e3348dd023118c80"),
         ]
         for noise, target_frac, pulses, digest in pinned:
-            qubits, targets = make_batch(50, seed=11, target_frac=target_frac)
+            r, rho, targets = make_batch(50, seed=11, target_frac=target_frac)
             config = CampaignConfig(master_seed=11, noise_sigma=noise)
-            records = run_campaign(qubits, targets, config)
-            rows = [
-                (r.qubit_id, r.r_untuned, r.threshold, r.r_last_pulse, r.r_tuned,
-                 r.pulses, r.already_above_target)
-                for r in records
-            ]
-            assert sum(r.pulses for r in records) == pulses
-            assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+            records = run_campaign(r, rho, targets, config)
+            # .tolist() first: repr(np.float64(x)) is not repr(x)
+            recs = [tuple(rec.values()) for rec in rows(records)]
+            assert sum(records["pulses"].tolist()) == pulses
+            assert hashlib.sha256(repr(recs).encode()).hexdigest() == digest
 
     def test_noisy_campaign_stops_above_threshold(self):
-        qubits, targets = make_batch(221)
+        r, rho, targets = make_batch(221)
         config = CampaignConfig(master_seed=7, noise_sigma=0.5)
-        records = run_campaign(qubits, targets, config)
-        for rec in records:
-            if not rec.already_above_target:
-                assert rec.pulses > 0
-                assert rec.r_last_pulse >= rec.threshold
+        records = run_campaign(r, rho, targets, config)
+        for rec in rows(records):
+            if not rec["already_above_target"]:
+                assert rec["pulses"] > 0
+                assert rec["r_last_pulse"] >= rec["threshold"]
         stats = campaign_stats(records, targets)
         assert 0.0025 <= stats["precision_sigma_frac"] <= 0.0045
 
     def test_precision_band(self):
-        qubits, targets = make_batch(221)
-        records = run_campaign(qubits, targets, CampaignConfig(master_seed=7))
+        r, rho, targets = make_batch(221)
+        records = run_campaign(r, rho, targets, CampaignConfig(master_seed=7))
         stats = campaign_stats(records, targets)
         assert 0.0025 <= stats["precision_sigma_frac"] <= 0.0045
         assert -0.001 <= stats["precision_mean_frac"] <= 0.004
 
     def test_long_tuning_distance(self):
         # 18.5% below the stop threshold tunes without error
-        target = TuningTarget(qubit_id="far", target_resistance=4625.9)
-        r0 = target.threshold / 1.185
-        state = JunctionState(resistance=r0, relax_fraction=0.0289)
-        rec = tune_qubit(state, target, CampaignConfig(master_seed=3), oracle_rng(3, "far"))
-        assert (rec.threshold - rec.r_untuned) / rec.r_untuned > 0.18
-        assert rec.r_last_pulse >= rec.threshold
+        r0 = 4625.9 / 1.0289 / 1.185
+        rec = tune_one(r0, 0.0289, 4625.9, seed=3, qid="far")
+        assert (rec["threshold"] - rec["r_untuned"]) / rec["r_untuned"] > 0.18
+        assert rec["r_last_pulse"] >= rec["threshold"]
         # the probe waits the relaxation trajectory's normalisation point,
         # so the realised relaxation is exactly the qubit's rho
-        assert (rec.r_tuned - rec.r_last_pulse) / rec.r_last_pulse == pytest.approx(0.0289, rel=1e-12)
+        realised = (rec["r_tuned"] - rec["r_last_pulse"]) / rec["r_last_pulse"]
+        assert realised == pytest.approx(0.0289, rel=1e-12)
 
     def test_order_independence(self):
-        qubits, targets = make_batch(40)
+        r, rho, targets = make_batch(40)
         config = CampaignConfig(master_seed=5)
-        fwd = run_campaign(qubits, targets, config)
-        rev = run_campaign(qubits[::-1], targets[::-1], config)
+        fwd = run_campaign(r, rho, targets, config)
+        rev_targets = {k: v[::-1] for k, v in targets.items()}
+        rev = run_campaign(r[::-1], rho[::-1], rev_targets, config)
         fwd_stats = campaign_stats(fwd, targets)
-        rev_stats = campaign_stats(rev, targets)
+        rev_stats = campaign_stats(rev, rev_targets)
         assert fwd_stats == pytest.approx(rev_stats, rel=1e-12)
-        assert sorted(r.r_tuned for r in fwd) == sorted(r.r_tuned for r in rev)
+        assert rows(fwd) == rows(rev)[::-1]
 
     def test_probe_noise_on_unpulsed_qubits(self):
         # with rho = 0 an unpulsed qubit's probe differs from its true
         # resistance only by the read error, which has the probe's sigma
-        qubits = [JunctionState(resistance=5000.0, relax_fraction=0.0)] * 10**4
-        targets = [TuningTarget(qubit_id=f"q{i}", target_resistance=4500.0) for i in range(10**4)]
+        n = 10**4
+        targets = make_targets([f"q{i}" for i in range(n)], 4500.0)
         config = CampaignConfig(master_seed=4, noise_sigma=0.5)
-        records = run_campaign(qubits, targets, config)
-        assert all(r.already_above_target and r.pulses == 0 for r in records)
-        errors = np.array([r.r_tuned - r.r_untuned for r in records])
+        records = run_campaign(np.full(n, 5000.0), np.zeros(n), targets, config)
+        assert records["already_above_target"].all() and not records["pulses"].any()
+        errors = records["r_tuned"] - records["r_untuned"]
         assert errors.std() == pytest.approx(0.5, abs=0.02)
         assert abs(errors.mean()) < 0.02
 
     def test_variance_composition(self):
         # precision variance decomposes into relaxation-draw variance plus
         # relative overshoot variance (within 20%)
-        qubits, targets = make_batch(10**4, seed=13)
-        records = run_campaign(qubits, targets, CampaignConfig(master_seed=13))
+        r, rho, targets = make_batch(10**4, seed=13)
+        records = run_campaign(r, rho, targets, CampaignConfig(master_seed=13))
         stats = campaign_stats(records, targets)
-        rhos = np.array([q.relax_fraction for q in qubits])
-        r_mean = np.mean([r.r_last_pulse for r in records])
-        predicted = np.sqrt(rhos.std() ** 2 + (stats["overshoot_sigma_ohm"] / r_mean) ** 2)
+        r_mean = records["r_last_pulse"].mean()
+        predicted = np.sqrt(rho.std() ** 2 + (stats["overshoot_sigma_ohm"] / r_mean) ** 2)
         sigma = stats["precision_sigma_frac"]
         assert abs(sigma**2 - predicted**2) / predicted**2 < 0.20
+
+    def test_out_of_range_qubits_rejected(self):
+        r, rho, targets = make_batch(3)
+        r[1] = -1.0
+        with pytest.raises(ValidationError, match=r"qubits\[1\].r_untuned must be finite and > 0"):
+            run_campaign(r, rho, targets, CampaignConfig(master_seed=0))
 
 
 class TestStatistics:
     def test_reserve_recovers_draws(self):
-        qubits, targets = make_batch(221)
-        stats = campaign_stats(run_campaign(qubits, targets, CampaignConfig(master_seed=7)), targets)
+        r, rho, targets = make_batch(221)
+        records = run_campaign(r, rho, targets, CampaignConfig(master_seed=7))
+        stats = campaign_stats(records, targets)
         assert stats["reserve_mean"] == pytest.approx(0.0289, abs=0.0010)
         assert stats["reserve_sigma"] == pytest.approx(0.0030, abs=0.0010)
 
     def test_single_record_zero_spread(self):
-        stats = campaign_stats([_record(r_last=4500.0, r_tuned=4500.0)], [_target()])
+        stats = campaign_stats(_records(_record(r_last=4500.0, r_tuned=4500.0)), _target())
         assert stats["reserve_mean"] == 0.0 and stats["reserve_sigma"] == 0.0
 
     def test_two_record_hand_statistics(self):
-        recs = [
+        recs = _records(
             _record(r_last=1000.0, r_tuned=1010.0),
             _record(r_last=1000.0, r_tuned=1030.0),
-        ]
-        stats = campaign_stats(recs, [_target()])
+        )
+        stats = campaign_stats(recs, _target())
         assert stats["reserve_mean"] == pytest.approx(0.02)
         assert stats["reserve_sigma"] == pytest.approx(0.01)  # population convention
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError, match="no tuned records to aggregate"):
-            campaign_stats((), [_target()])
-        untuned = QubitTuneRecord("q", 5000.0, 4400.0, 5000.0, 5000.0, 0, True)
+            campaign_stats(_records(), _target())
+        untuned = dict(zip(RECORD_FIELDS, ("q", 5000.0, 4400.0, 5000.0, 5000.0, 0, True)))
         with pytest.raises(ValidationError, match="no tuned records to aggregate"):
-            campaign_stats([untuned], [_target()])
+            campaign_stats(_records(untuned), _target())
         with pytest.raises(ValidationError, match="no target for qubit q"):
-            campaign_stats([_record()], [])
+            campaign_stats(_records(_record()), make_targets([], 1.0))
 
     def test_precision_all_on_target(self):
-        targets = [_target(f"q{i}", 4500.0) for i in range(3)]
-        recs = [_record(qid=f"q{i}", r_tuned=4500.0) for i in range(3)]
+        targets = make_targets([f"q{i}" for i in range(3)], 4500.0)
+        recs = _records(*(_record(qid=f"q{i}", r_tuned=4500.0) for i in range(3)))
         stats = campaign_stats(recs, targets)
         assert stats["precision_mean_frac"] == 0.0 and stats["precision_sigma_frac"] == 0.0
 
     def test_precision_symmetric_pair(self):
-        targets = [_target(f"q{i}", 1000.0) for i in range(2)]
-        recs = [_record(qid="q0", r_tuned=1010.0), _record(qid="q1", r_tuned=990.0)]
+        targets = make_targets(["q0", "q1"], 1000.0)
+        recs = _records(_record(qid="q0", r_tuned=1010.0), _record(qid="q1", r_tuned=990.0))
         stats = campaign_stats(recs, targets)
         assert stats["precision_mean_frac"] == pytest.approx(0.0)
         assert stats["precision_sigma_frac"] == pytest.approx(0.01)
@@ -300,8 +365,8 @@ class TestStatistics:
         assert stats["precision_max_frac"] == pytest.approx(0.01)
 
     def test_overshoot_exponential_mean_matches_sigma(self):
-        qubits, targets = make_batch(2000, seed=21)
-        records = run_campaign(qubits, targets, CampaignConfig(master_seed=21))
+        r, rho, targets = make_batch(2000, seed=21)
+        records = run_campaign(r, rho, targets, CampaignConfig(master_seed=21))
         stats = campaign_stats(records, targets)
         assert stats["overshoot_mean_ohm"] == pytest.approx(1.9, abs=0.15)
         assert stats["overshoot_sigma_ohm"] == pytest.approx(stats["overshoot_mean_ohm"], rel=0.10)
@@ -315,30 +380,28 @@ class TestStatistics:
             0.0: "723b03a123ed1f875f03757b94077fe1a0321019da49d6fc4da24cc763c68c03",
             0.5: "1f0a6d458167eb60ac1c2eb5e0cf34526649eee368a8fcca412c647ed18e6787",
         }
-        qubits, targets = make_batch(221)
+        r, rho, targets = make_batch(221)
         for noise, digest in pinned.items():
             config = CampaignConfig(master_seed=7, noise_sigma=noise)
-            stats = campaign_stats(run_campaign(qubits, targets, config), targets)
+            stats = campaign_stats(run_campaign(r, rho, targets, config), targets)
             assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
 
     def test_out_of_range_record_rejected(self):
         # a zero read divides by zero in the reserve; the statistic is
         # rejected by name, not returned or raised as ZeroDivisionError
-        recs = [_record(r_last=0.0), _record()]
+        recs = _records(_record(r_last=0.0), _record())
         with pytest.raises(ValidationError, match=r"overflow \(reserve_mean, reserve_sigma\)"):
-            campaign_stats(recs, [_target()])
+            campaign_stats(recs, _target())
 
 
-def _target(qid="q", target=4500.0):
-    return TuningTarget(qubit_id=qid, target_resistance=target)
+def _target():
+    return make_targets(["q"], 4500.0)
 
 
 def _record(qid="q", r_last=4500.0, r_tuned=4510.0):
-    return QubitTuneRecord(
-        qubit_id=qid,
-        r_untuned=4000.0,
-        threshold=4400.0,
-        r_last_pulse=r_last,
-        r_tuned=r_tuned,
-        pulses=5,
-    )
+    return dict(zip(RECORD_FIELDS, (qid, 4000.0, 4400.0, r_last, r_tuned, 5, False)))
+
+
+def _records(*recs):
+    """Record rows as the record columns ``campaign_stats`` takes."""
+    return {k: [rec[k] for rec in recs] for k in RECORD_FIELDS}

@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
+from conftest import rows
 
 from jjtrim import fileio
 from jjtrim.controller import (
+    TARGET_FIELDS,
     CampaignConfig,
-    TuningTarget,
     campaign_stats,
+    qubit_rngs,
     run_campaign,
 )
 from jjtrim.errors import SchemaError
@@ -131,19 +134,21 @@ class TestPointsCsv:
 
 class TestCampaignPersistence:
     def test_save_load_preserves_statistics(self, tmp_path):
-        qubits = [sample_fabricated(4587.8, i) for i in range(25)]
-        targets = [
-            TuningTarget(qubit_id=f"Q{i:03d}", target_resistance=4587.8 * 0.98)
-            for i in range(25)
-        ]
-        config = CampaignConfig(master_seed=3)
-        records = run_campaign(qubits, targets, config)
+        ids = [f"Q{i:03d}" for i in range(25)]
+        r, rho = sample_fabricated(4587.8, qubit_rngs(3, ["fab:" + q for q in ids]))
+        targets = {"qubit_id": ids, "target_resistance": np.full(25, 4587.8 * 0.98),
+                   "relaxation_reserve": np.full(25, 0.0289)}
+        config = CampaignConfig(master_seed=3, noise_sigma=0.5)
+        records = run_campaign(r, rho, targets, config)
         path = tmp_path / "campaign.json"
         fileio.save_campaign(path, records, targets, config)
         loaded_records, loaded_targets, loaded_config = fileio.load_campaign(path)
-        assert loaded_records == records
-        assert loaded_targets == targets
+        assert rows(loaded_records) == rows(records)
+        assert rows(loaded_targets, TARGET_FIELDS) == rows(targets, TARGET_FIELDS)
         assert loaded_config == config
+        # each column keeps its declared type: ids a list, numbers float64, int64 or bool
+        assert [type(c) is list or c.dtype.name for c in loaded_records.values()] == [
+            True, "float64", "float64", "float64", "float64", "int64", "bool"]
         assert campaign_stats(loaded_records, loaded_targets) == campaign_stats(records, targets)
 
 

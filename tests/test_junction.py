@@ -17,23 +17,28 @@ from jjtrim.junction import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def streams(*seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 class TestFabrication:
     def test_population_statistics(self):
-        draws = np.array([sample_fabricated(4587.8, i).resistance for i in range(221)])
+        draws, _ = sample_fabricated(4587.8, streams(*range(221)))
         assert abs(draws.mean() - 4096.9) / 4096.9 < 0.01
         assert 0.030 <= draws.std() / draws.mean() <= 0.040
 
     def test_zero_sigma_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(junction, "FAB_SIGMA_FRAC", 0.0)
-        for seed in range(5):
-            assert sample_fabricated(5000.0, seed).resistance == pytest.approx(5000.0 * 0.893)
+        r, _ = sample_fabricated(5000.0, streams(*range(5)))
+        assert r == pytest.approx(np.full(5, 5000.0 * 0.893))
 
     def test_same_seed_same_state(self):
-        assert sample_fabricated(4587.8, 42) == sample_fabricated(4587.8, 42)
+        first, again = (sample_fabricated(4587.8, streams(42, 43)) for _ in range(2))
+        assert np.array_equal(first, again)
 
     def test_invalid_design_resistance(self):
         with pytest.raises(ValidationError, match="design_resistance must be finite and > 0"):
-            sample_fabricated(-1.0, 0)
+            sample_fabricated(-1.0, streams(0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -51,7 +56,7 @@ class TestFabrication:
     )
     def test_non_finite_or_non_positive_mean_rejected(self, kwargs):
         with pytest.raises(ValidationError):
-            sample_fabricated(**kwargs, seed=0)
+            sample_fabricated(**kwargs, rngs=streams(0))
 
 
 class TestRelaxation:

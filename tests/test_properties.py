@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_rng
 
-from jjtrim.controller import CampaignConfig, TuningTarget, qubit_rngs, tune_qubit
+from jjtrim.controller import CampaignConfig, qubit_rngs, run_campaign
 from jjtrim.freqmodel import PowerLawModel, fit_power_law, invert_R, predict_f
 from jjtrim.junction import sample_fabricated
 from jjtrim.lattice import (
@@ -27,6 +27,10 @@ from jjtrim.yieldmc import UnitCellDesign, tile, wilson_interval
 ADDITIVE_CELL = ((0.0, 50.0, 100.0), (100.0, 150.0, 200.0), (50.0, 100.0, 150.0))
 
 
+def target_columns(target, reserve=0.0289):
+    return {"qubit_id": ["q"], "target_resistance": [target], "relaxation_reserve": [reserve]}
+
+
 class TestTuneQubitProperties:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -37,11 +41,11 @@ class TestTuneQubitProperties:
         # fabrication, last pulse and probe never step down, and a qubit is
         # left unpulsed exactly when it starts above its threshold
         design = 4587.8
-        state = sample_fabricated(design, seed)
-        target = TuningTarget(qubit_id="q", target_resistance=design * target_frac)
-        rec = tune_qubit(state, target, CampaignConfig(master_seed=seed), oracle_rng(seed, "q"))
-        assert rec.r_untuned <= rec.r_last_pulse <= rec.r_tuned
-        assert (rec.pulses == 0) == rec.already_above_target
+        r, rho = sample_fabricated(design, [np.random.default_rng(seed)])
+        rec = run_campaign(r, rho, target_columns(design * target_frac),
+                           CampaignConfig(master_seed=seed))
+        assert rec["r_untuned"][0] <= rec["r_last_pulse"][0] <= rec["r_tuned"][0]
+        assert (rec["pulses"] == 0) == rec["already_above_target"]
 
 
 class TestPowerLawProperties:
@@ -141,8 +145,9 @@ class TestSeedingProperties:
     )
     @settings(max_examples=100)
     def test_threshold_consistent_with_reserve(self, target, reserve):
-        t = TuningTarget(qubit_id="q", target_resistance=target, relaxation_reserve=reserve)
-        assert t.threshold * (1.0 + reserve) == pytest.approx(target, rel=1e-12)
+        targets = target_columns(target, reserve)
+        rec = run_campaign([target], [0.0], targets, CampaignConfig(master_seed=0))
+        assert rec["threshold"][0] * (1.0 + reserve) == pytest.approx(target, rel=1e-12)
 
 
 class TestWilsonProperties:
