@@ -17,6 +17,7 @@ import reprlib
 import sys
 from dataclasses import astuple
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -36,12 +37,16 @@ class _Nullable(NamedTuple):
     schema: object  # schema marker: ``schema`` or JSON null; an absent key reads as null
 
 
+class _Table(NamedTuple):
+    fields: dict  # schema marker: a list of objects with these scalar fields; a str is an id
+
+
 class _Mismatch(Exception):
     """Args (problem, path): a value does not match its schema; the path grows innermost first."""
 
 
 _EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
-             str: "a string", dict: "an object", list: "a list"}
+             str: "a string", dict: "an object", list: "a list", _Table: "a list"}
 
 
 def _walk(value, schema):
@@ -49,10 +54,10 @@ def _walk(value, schema):
 
     A schema is ``float`` (a finite number; an int is accepted, a bool is
     not), ``int``, ``bool`` or ``str`` (exactly that JSON type), ``[schema]``
-    (a list), ``{key: schema}`` (an object with exactly those keys) or
-    ``_Nullable(schema)``. Containers are converted in place; members that
-    already have their scalar type are not visited, which keeps a
-    2000-record campaign cheap.
+    (a list), ``{key: schema}`` (an object with exactly those keys),
+    ``_Nullable(schema)`` or ``_Table(fields)``: a list of ``fields`` objects,
+    each int in 64 bits and no id (str) repeated, returned as columns.
+    Containers are converted in place.
     """
     kind = type(value)
     if schema is float:
@@ -76,8 +81,6 @@ def _walk(value, schema):
             members = schema.items()
         for key, sub in members:
             item = value[key]
-            if type(item) is sub and (sub is not float or math.isfinite(item)):
-                continue
             try:
                 new = _walk(item, sub)
             except _Mismatch as exc:
@@ -88,8 +91,39 @@ def _walk(value, schema):
         return value
     elif type(schema) is _Nullable:
         return None if value is None else _walk(value, schema.schema)
+    elif type(schema) is _Table and kind is list:
+        columns, seen = _columns(value, schema), {}
+        for i, row in enumerate(value if columns is None else ()):  # name the first fault
+            try:
+                _walk(row, schema.fields)
+                for k, t in schema.fields.items():
+                    if t is str and seen.setdefault((k, row[k]), i) != i:
+                        raise _Mismatch(f"duplicate {reprlib.repr(row[k])}", [k])
+                    if t is int and not -2**63 <= row[k] < 2**63:
+                        raise _Mismatch("an integer does not fit in 64 bits", [k])
+            except _Mismatch as exc:
+                exc.args[1].append(i)
+                raise
+        return columns or _columns(value, schema)  # the walk made each int a float
     expected = _EXPECTED[schema if isinstance(schema, type) else type(schema)]
     raise _Mismatch(f"expected {expected}, got {reprlib.repr(value)}", [])
+
+
+def _columns(rows, table):
+    """``rows`` as columns (ids a list of str, others float64, int64 or bool
+    arrays), or None if a column breaks the rule or holds an int for a float."""
+    if not (set(map(type, rows)) <= {dict} and set(map(len, rows)) <= {len(table.fields)}):
+        return None  # a row of the right size that misses a key has an unknown one
+    columns = {}
+    for key, kind in table.fields.items():
+        cells = [row.get(key) for row in rows]
+        if (set(map(type, cells)) - {kind} or kind is str and len(set(cells)) < len(cells)
+                or kind is int and cells and not -2**63 <= min(cells) <= max(cells) < 2**63):
+            return None
+        columns[key] = cells if kind is str else np.array(cells, kind)
+        if kind is float and not np.isfinite(columns[key]).all():
+            return None
+    return columns
 
 
 def _load(path, schema):
@@ -164,21 +198,28 @@ def save_calibration(path, model: PowerLawModel) -> None:
     dump_json(path, dict(zip(_CALIBRATION, astuple(model))))
 
 
-_CAMPAIGN = {"config": get_type_hints(CampaignConfig), "targets": [TARGET_FIELDS],
-             "records": [RECORD_FIELDS]}
+_CAMPAIGN = {"config": get_type_hints(CampaignConfig),
+             "targets": _Table(TARGET_FIELDS), "records": _Table(RECORD_FIELDS)}
 
 
 def save_campaign(path, records, targets, config: CampaignConfig) -> None:
-    """Record and target columns as one JSON object per qubit, and the config.
-    Columns become Python values first: ``json`` refuses a numpy int or bool."""
-
-    def rows(columns, fields):
-        values = [columns[k] if kind is str else np.asarray(columns[k], kind).tolist()
-                  for k, kind in fields.items()]
-        return [dict(zip(fields, row)) for row in zip(*values)]
-
-    dump_json(path, {"config": vars(config), "targets": rows(targets, TARGET_FIELDS),
-                     "records": rows(records, RECORD_FIELDS)})
+    """The bytes ``json.dumps`` writes for the config and one object per target and
+    record, encoded a column at a time and each distinct number (by its bits) once."""
+    text = f'{{"config": {json.dumps(vars(config))}'
+    for name, columns, fields in (("targets", targets, TARGET_FIELDS),
+                                  ("records", records, RECORD_FIELDS)):
+        cells = []
+        for key, kind in fields.items():
+            if kind is str:
+                cells.append(list(map(encode_basestring_ascii, columns[key])))
+                continue
+            column = np.asarray(columns[key], kind)
+            bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+            values = json.dumps(bits.view(column.dtype).tolist())[1:-1].split(", ")
+            cells.append(np.array(values, object)[inverse].tolist())
+        row = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in fields) + "}"
+        text += f', "{name}": [' + ", ".join(map(row.__mod__, zip(*cells))) + "]"
+    Path(path).write_text(text + "}\n", encoding="utf-8")
 
 
 def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
@@ -194,21 +235,9 @@ def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
         config = CampaignConfig(**data["config"])
     except ValidationError as exc:
         raise SchemaError(f"{path}: config.{exc}") from None
-    columns = []
-    for key, fields, bounds in (("targets", TARGET_FIELDS, TARGET_BOUNDS),
-                                ("records", RECORD_FIELDS, RECORD_BOUNDS)):
-        items, first = data[key], {}
-        for i, qid in enumerate(item["qubit_id"] for item in items):
-            if first.setdefault(qid, i) != i:
-                raise SchemaError(f"{path}: {key}[{i}].qubit_id: duplicate {reprlib.repr(qid)}")
-        try:
-            columns.append({k: [item[k] for item in items] if kind is str
-                            else np.array([item[k] for item in items], kind)
-                            for k, kind in fields.items()})
-        except OverflowError:
-            raise SchemaError(f"{path}: {key}: an integer does not fit in 64 bits") from None
-        check_rows(f"{path}: {key}", columns[-1], bounds)
-    targets, records = columns
+    targets, records = data["targets"], data["records"]
+    check_rows(f"{path}: targets", targets, TARGET_BOUNDS)
+    check_rows(f"{path}: records", records, RECORD_BOUNDS)
     above, pulses = records["already_above_target"], records["pulses"]
     if np.any(above != (pulses == 0)):
         i = int(np.argmax(above != (pulses == 0)))
@@ -291,6 +320,5 @@ def write_csv(path, header, rows, formats=None) -> None:
 
 
 def dump_json(path, data) -> None:
-    """Compact JSON: an indent would select ``json``'s pure-Python encoder,
-    about 3x slower than its C one on a 2000-record campaign."""
+    """Compact JSON: an indent would select ``json``'s slower pure-Python encoder."""
     Path(path).write_text(json.dumps(data) + "\n", encoding="utf-8")

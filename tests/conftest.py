@@ -1,8 +1,15 @@
 import hashlib
+import json
+import reprlib
+from typing import get_type_hints
 
 import numpy as np
 
-from jjtrim import controller, junction
+from jjtrim import controller, fileio, junction
+from jjtrim.controller import (
+    RECORD_BOUNDS, RECORD_FIELDS, TARGET_BOUNDS, TARGET_FIELDS, CampaignConfig,
+)
+from jjtrim.errors import SchemaError, ValidationError, check_rows
 
 ACCEPTANCE_LINES = []
 
@@ -65,6 +72,55 @@ def rows(columns, fields=controller.RECORD_FIELDS):
     """A column set as one dict of Python values per row, keys in ``fields`` order."""
     values = [np.asarray(columns[k]).tolist() for k in fields]
     return [dict(zip(fields, row)) for row in zip(*values)]
+
+
+def oracle_campaign_text(records, targets, config):
+    """The campaign file as ``json.dumps`` writes it from one dict per row:
+    the oracle for ``fileio.save_campaign``."""
+
+    def table(columns, fields):
+        values = [columns[k] if kind is str else np.asarray(columns[k], kind).tolist()
+                  for k, kind in fields.items()]
+        return [dict(zip(fields, row)) for row in zip(*values)]
+
+    return json.dumps({"config": vars(config), "targets": table(targets, TARGET_FIELDS),
+                       "records": table(records, RECORD_FIELDS)}) + "\n"
+
+
+_ORACLE_CAMPAIGN = {"config": get_type_hints(CampaignConfig), "targets": [TARGET_FIELDS],
+                    "records": [RECORD_FIELDS]}
+
+
+def oracle_load_campaign(path):
+    """A campaign file walked object by object, its ids scanned one at a time
+    and its columns built from the rows: the oracle for ``fileio.load_campaign``.
+    An integer beyond 64 bits is named by table only."""
+    data = fileio._load(path, _ORACLE_CAMPAIGN)
+    try:
+        config = CampaignConfig(**data["config"])
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: config.{exc}") from None
+    columns = []
+    for key, fields, bounds in (("targets", TARGET_FIELDS, TARGET_BOUNDS),
+                                ("records", RECORD_FIELDS, RECORD_BOUNDS)):
+        items, first = data[key], {}
+        for i, qid in enumerate(item["qubit_id"] for item in items):
+            if first.setdefault(qid, i) != i:
+                raise SchemaError(f"{path}: {key}[{i}].qubit_id: duplicate {reprlib.repr(qid)}")
+        try:
+            columns.append({k: [item[k] for item in items] if kind is str
+                            else np.array([item[k] for item in items], kind)
+                            for k, kind in fields.items()})
+        except OverflowError:
+            raise SchemaError(f"{path}: {key}: an integer does not fit in 64 bits") from None
+        check_rows(f"{path}: {key}", columns[-1], bounds)
+    targets, records = columns
+    above, pulses = records["already_above_target"], records["pulses"]
+    if np.any(above != (pulses == 0)):
+        i = int(np.argmax(above != (pulses == 0)))
+        raise SchemaError(f"{path}: records[{i}].already_above_target must be true exactly "
+                          f"when pulses is 0, got {str(above[i]).lower()} with pulses {pulses[i]}")
+    return records, targets, config
 
 
 def pytest_terminal_summary(terminalreporter):

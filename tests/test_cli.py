@@ -466,7 +466,7 @@ class TestMalformedInputs:
             ("campaign", _set(["records", 1, "pulses"], -3),
              "records[1].pulses must be >= 0, got -3"),
             ("campaign", _set(["records", 1, "pulses"], 10**30),
-             "records: an integer does not fit in 64 bits"),
+             "records[1].pulses: an integer does not fit in 64 bits"),
             ("campaign", _set(["records", 1, "r_untuned"], -3.0),
              "records[1].r_untuned must be finite and > 0, got -3.0"),
             ("campaign", _set(["records", 2, "already_above_target"], True),

@@ -1,18 +1,22 @@
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
-from conftest import rows
+from conftest import oracle_campaign_text, oracle_load_campaign, rows
 
 from jjtrim import fileio
+from jjtrim.cli import main
 from jjtrim.controller import (
+    RECORD_FIELDS,
     TARGET_FIELDS,
     CampaignConfig,
     campaign_stats,
     qubit_rngs,
     run_campaign,
 )
-from jjtrim.errors import SchemaError
+from jjtrim.errors import JJTrimError, SchemaError
 from jjtrim.freqmodel import PowerLawModel
 from jjtrim.junction import sample_fabricated
 from jjtrim.yieldmc import UnitCellDesign
@@ -150,6 +154,152 @@ class TestCampaignPersistence:
         assert [type(c) is list or c.dtype.name for c in loaded_records.values()] == [
             True, "float64", "float64", "float64", "float64", "int64", "bool"]
         assert campaign_stats(loaded_records, loaded_targets) == campaign_stats(records, targets)
+
+
+def _campaign(n, **columns):
+    """Target and record columns of ``n`` valid rows, with ``columns`` replaced."""
+    ids = [f"Q{i:03d}" for i in range(n)]
+    pulses = np.arange(n, dtype=np.int64) * 7
+    cols = {"qubit_id": ids, "target_resistance": np.full(n, 4496.0),
+            "relaxation_reserve": np.full(n, 0.0289), "r_untuned": 4400.0 + np.arange(n) / 3,
+            "threshold": np.full(n, 4496.0 / 1.0289), "r_last_pulse": 4370.0 + np.arange(n) / 7,
+            "r_tuned": 4490.0 + np.arange(n) / 9, "pulses": pulses,
+            "already_above_target": pulses == 0, **columns}
+    return ({k: cols[k] for k in RECORD_FIELDS}, {k: cols[k] for k in TARGET_FIELDS},
+            CampaignConfig(master_seed=3, noise_sigma=0.5))
+
+
+class TestCampaignWriter:
+    """``save_campaign`` writes the bytes ``json.dumps`` writes for one dict per row."""
+
+    @pytest.mark.parametrize("argv", [["--qubits", "2000"], ["--qubits", "221", "--noise", "0.5"]],
+                             ids=["2000-noiseless", "221-noisy"])
+    def test_pinned_campaigns(self, tmp_path, monkeypatch, argv):
+        saved = []
+        save = fileio.save_campaign
+        monkeypatch.setattr(fileio, "save_campaign",
+                            lambda path, *args: (saved.append(args), save(path, *args)))
+        assert main(["simulate-tuning", *argv, "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "campaign.json").read_text() == oracle_campaign_text(*saved[0])
+
+    @pytest.mark.parametrize("columns", [
+        {"qubit_id": ["caf\u00e9", 'a"b', "back\\slash", "a, b", "\u2603\U0001f600"]},
+        {"r_last_pulse": np.array([0.0, -0.0, 0.0, -0.0, 1.5])},
+        {"r_tuned": np.array([np.inf, -np.inf, np.nan, 1.0, np.nan])},
+        {"pulses": np.array([2**63 - 1, -(2**63 - 1), 0, 1, -1])},
+        {"threshold": np.full(5, 4369.7), "r_untuned": np.full(5, 4400.0)},
+        {"threshold": np.linspace(1.0, 2.0, 5), "target_resistance": 1 / np.arange(1, 6),
+         "relaxation_reserve": np.arange(5) * 0.1, "pulses": np.arange(5) - 2},
+    ], ids=["ids-escaped", "signed-zero", "non-finite", "int64-edges", "all-constant",
+            "all-distinct"])
+    def test_edge_columns(self, tmp_path, columns):
+        records, targets, config = _campaign(5, **columns)
+        fileio.save_campaign(tmp_path / "c.json", records, targets, config)
+        assert (tmp_path / "c.json").read_text() == oracle_campaign_text(records, targets, config)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_row_counts(self, tmp_path, n):
+        records, targets, config = _campaign(n)
+        fileio.save_campaign(tmp_path / "c.json", records, targets, config)
+        assert (tmp_path / "c.json").read_text() == oracle_campaign_text(records, targets, config)
+
+
+# One cell of a campaign file replaced: JSON values that break a field's type
+# or range, plus an int that rounds into the float range but exceeds it.
+_CELLS = {"true": True, "str": "x", "null": None, "nan": float("nan"), "1e400": 10**400,
+          "2**63": 2**63, "2.5": 2.5, "int": 5000, "past-float-max": int(sys.float_info.max) + 1}
+
+
+def _faults(data):
+    """(name, edit) for every cell of every row of ``data``'s tables."""
+    for table in ("targets", "records"):
+        for i, row in enumerate(data[table]):
+            for key in row:
+                for name, value in _CELLS.items():
+                    yield f"{table}[{i}].{key}={name}", (table, i, key, value)
+                yield f"{table}[{i}].{key} missing", (table, i, key, "missing")
+            yield f"{table}[{i}] extra key", (table, i, "extra", 1)
+            yield f"{table}[{i}] not an object", (table, i, None, 7)
+            yield f"{table}[{i}] repeated id", (table, i, "qubit_id",
+                                                data[table][i - 1 if i else 1]["qubit_id"])
+
+
+def _corrupt(data, fault):
+    table, i, key, value = fault
+    if key is None:
+        data[table][i] = value
+    elif value == "missing":
+        del data[table][i][key]
+    else:
+        data[table][i][key] = value
+
+
+def _outcome(loader, path):
+    """The loader's exit-2 text, or its columns as Python rows."""
+    try:
+        records, targets, config = loader(path)
+    except JJTrimError as exc:
+        return str(exc)
+    return (rows(records), rows(targets, TARGET_FIELDS), config,
+            [v.dtype.name for v in (*records.values(), *targets.values()) if type(v) is not list])
+
+
+class TestCampaignReader:
+    """``load_campaign`` checks a column at a time and names the first fault
+    as the row-walking oracle does."""
+
+    @pytest.fixture(scope="class")
+    def text(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sim")
+        assert main(["simulate-tuning", "--qubits", "4", "--seed", "5", "--out", str(out)]) == 0
+        return (out / "campaign.json").read_text()
+
+    def test_every_cell_fault_as_the_oracle(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        checked = 0
+        for name, fault in _faults(json.loads(text)):
+            data = json.loads(text)
+            _corrupt(data, fault)
+            path.write_text(json.dumps(data))
+            got, want = _outcome(fileio.load_campaign, path), _outcome(oracle_load_campaign, path)
+            table, i, key, value = fault
+            if key == "pulses" and type(value) is int and value >= 2**63:
+                # the oracle names only the table
+                want = want.replace(f": {table}:", f": {table}[{i}].pulses:")
+            assert got == want, name
+            checked += 1
+        # per cell: each value and a missing key; per row: an extra key, a
+        # non-object and a repeated id; 4 target and 4 record rows
+        assert checked == 4 * (3 + 7) * (len(_CELLS) + 1) + 8 * 3
+
+    @pytest.mark.parametrize("faults, where", [
+        ([("records", 1, "r_tuned", "x"), ("records", 2, "r_untuned", None)], "records[1].r_tuned"),
+        ([("records", 1, "pulses", 2.5), ("records", 2, "r_untuned", "x")], "records[1].pulses"),
+        ([("records", 2, "qubit_id", 3), ("records", 1, "pulses", 2**64)], "records[1].pulses"),
+        # a repeated id is a fault of its row: the targets are walked before the
+        # records, so it now comes first (the oracle reports the schema fault)
+        ([("targets", 3, "qubit_id", "Q000"), ("records", 0, "threshold", True)],
+         "targets[3].qubit_id"),
+    ])
+    def test_first_of_two_faults_in_row_major_order(self, tmp_path, text, faults, where):
+        data = json.loads(text)
+        for fault in faults:
+            _corrupt(data, fault)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {where}: ')}"):
+            fileio.load_campaign(path)
+
+    def test_int_in_float_field_loads_as_float64(self, tmp_path, text):
+        data = json.loads(text)
+        data["records"][2]["r_tuned"] = 5000
+        data["targets"][0]["target_resistance"] = 4496
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        records, targets, _ = fileio.load_campaign(path)
+        assert records["r_tuned"].dtype == np.float64 and records["r_tuned"][2] == 5000.0
+        assert targets["target_resistance"].dtype == np.float64
+        assert _outcome(fileio.load_campaign, path) == _outcome(oracle_load_campaign, path)
 
 
 class TestManifest:

@@ -5,6 +5,9 @@ numbers they assert structural invariants that must hold for any input
 the models accept.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import oracle_rng
 
-from jjtrim.controller import CampaignConfig, qubit_rngs, run_campaign
+from jjtrim import fileio
+from jjtrim.controller import (
+    RECORD_FIELDS, TARGET_FIELDS, CampaignConfig, qubit_rngs, run_campaign,
+)
 from jjtrim.freqmodel import PowerLawModel, fit_power_law, invert_R, predict_f
 from jjtrim.junction import sample_fabricated
 from jjtrim.lattice import (
@@ -148,6 +154,52 @@ class TestSeedingProperties:
         targets = target_columns(target, reserve)
         rec = run_campaign([target], [0.0], targets, CampaignConfig(master_seed=0))
         assert rec["threshold"][0] * (1.0 + reserve) == pytest.approx(target, rel=1e-12)
+
+
+@st.composite
+def campaign_columns(draw):
+    """Valid target and record columns, mixing repeated and distinct values."""
+    n = draw(st.integers(0, 8))
+
+    def column(values):
+        pool = draw(st.lists(values, min_size=1, max_size=2))
+        return draw(st.lists(st.sampled_from(pool) | values, min_size=n, max_size=n))
+
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    ids = draw(st.lists(st.text(max_size=5), min_size=n, max_size=n, unique=True))
+    pulses = np.array(column(st.integers(0, 2**63 - 1)), np.int64)
+    targets = {"qubit_id": ids, "target_resistance": np.array(column(positive)),
+               "relaxation_reserve": np.array(column(st.floats(0.0, 1.0, exclude_max=True)))}
+    records = {"qubit_id": ids, "r_untuned": np.array(column(positive)),
+               "threshold": np.array(column(positive)), "r_last_pulse": np.array(column(finite)),
+               "r_tuned": np.array(column(finite)), "pulses": pulses,
+               "already_above_target": pulses == 0}
+    return records, targets
+
+
+class TestCampaignFileProperties:
+    @given(columns=campaign_columns(), seed=st.integers(0, 2**70),
+           noise=st.floats(0.0, 10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, columns, seed, noise):
+        # every column comes back with its dtype and bits, and saving again
+        # writes the same bytes
+        records, targets = columns
+        config = CampaignConfig(master_seed=seed, noise_sigma=noise)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "campaign.json"
+            fileio.save_campaign(path, records, targets, config)
+            loaded = fileio.load_campaign(path)
+            fileio.save_campaign(Path(tmp) / "again.json", *loaded)
+            assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
+        assert loaded[2] == config
+        for got, want, fields in zip(loaded, columns, (RECORD_FIELDS, TARGET_FIELDS)):
+            assert got.keys() == want.keys()
+            assert got["qubit_id"] == want["qubit_id"]
+            for key, kind in list(fields.items())[1:]:
+                assert got[key].dtype == np.dtype(kind) == want[key].dtype
+                assert got[key].tobytes() == want[key].tobytes()
 
 
 class TestWilsonProperties:
