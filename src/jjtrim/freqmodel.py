@@ -3,8 +3,8 @@
 The core object is the empirical power law f = beta * R**(-alpha) fitted
 in log-log space, used for prediction, inversion, target assignment with
 an aging budget, and propagation of resistance spread into frequency
-spread. Segmented power-law fitting (for relaxation-trace analysis) and
-root-sum-square spread composition live here too.
+spread. Segmented power-law fitting (for relaxation-trace analysis) lives
+here too.
 """
 
 from __future__ import annotations
@@ -207,10 +207,3 @@ def _fit_with_breakpoints(t, y, bps) -> SegmentedPowerLaw:
         continuity_residual=max(jumps) if jumps else 0.0,
     )
 
-
-def compose_sigma(components) -> float:
-    """Root-sum-square of independent spread components."""
-    c = np.asarray(list(components), dtype=float)
-    if not np.all(np.isfinite(c) & (c >= 0)):
-        raise ValidationError("sigma components must be finite and non-negative")
-    return float(np.sqrt(np.sum(c**2)))

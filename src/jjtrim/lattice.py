@@ -1,7 +1,7 @@
 """Lattice Hamiltonian targeting analysis.
 
-Rectangular qubit grids with nearest-neighbor edges: per-edge detunings
-and modulated-endpoint assignment, chip-offset subtraction and spread
+Rectangular qubit grids with nearest-neighbor edges: per-edge detuning
+and modulated-endpoint columns, chip-offset subtraction and spread
 statistics, and an exact parking search that moves qubits off their
 maximum frequency only as a last resort.
 """
@@ -73,38 +73,15 @@ class QubitLattice:
         return out
 
 
-@dataclass(frozen=True)
-class EdgeDetuning:
-    edge: tuple[int, int]
-    signed_mhz: float           # f(low id) - f(high id), fixed orientation
-    abs_mhz: float
-    modulated_qubit: int        # higher-frequency endpoint
-    in_window: bool | None
-
-
-@dataclass(frozen=True)
-class DetuningReport:
-    edges: tuple[EdgeDetuning, ...]
-
-    def abs_detunings(self) -> np.ndarray:
-        return np.array([e.abs_mhz for e in self.edges])
-
-    def summary(self) -> dict:
-        d = self.abs_detunings()
-        return {
-            "edges": len(self.edges),
-            "min_mhz": float(d.min()),
-            "max_mhz": float(d.max()),
-            "median_mhz": float(np.median(d)),
-        }
-
-
 def edge_detunings(
     lattice: QubitLattice,
     freqs=None,
     window: tuple[float, float] | None = None,
-) -> DetuningReport:
-    """Per-edge detunings with the modulated (higher-frequency) endpoint.
+) -> dict:
+    """Per-edge detuning columns, in ``lattice.edges()`` order: the
+    endpoints ``node_a`` < ``node_b``, ``signed_mhz`` = f(a) - f(b) and its
+    ``abs_mhz``, the ``modulated_qubit`` (the higher-frequency endpoint, a
+    on a tie) and ``in_window`` (None without a window).
 
     ``freqs`` is a sequence of MHz values in node-id order; it defaults to
     the lattice's measured frequencies, else design.
@@ -115,41 +92,18 @@ def edge_detunings(
         raise ValidationError(f"expected {lattice.n_qubits} frequencies, got {len(freqs)}")
     if window is not None:
         window = check_window("window", window)
-    out = []
-    for a, b in lattice.edges():
-        fa, fb = float(freqs[a]), float(freqs[b])
-        signed = fa - fb
-        modulated = a if fa >= fb else b
-        in_window = None
-        if window is not None:
-            in_window = window[0] <= abs(signed) <= window[1]
-        out.append(
-            EdgeDetuning(
-                edge=(a, b),
-                signed_mhz=signed,
-                abs_mhz=abs(signed),
-                modulated_qubit=modulated,
-                in_window=in_window,
-            )
-        )
-    return DetuningReport(edges=tuple(out))
-
-
-@dataclass(frozen=True)
-class ModulationAssignment:
-    counts: dict
-    max_count: int
-    valid: bool                 # no qubit modulates more than two edges
-
-
-def modulation_assignment(report: DetuningReport) -> ModulationAssignment:
-    """Count edges activated by modulating each qubit; at most two per
-    qubit keeps gate-activation collisions manageable."""
-    counts: dict[int, int] = {}
-    for e in report.edges:
-        counts[e.modulated_qubit] = counts.get(e.modulated_qubit, 0) + 1
-    max_count = max(counts.values()) if counts else 0
-    return ModulationAssignment(counts=counts, max_count=max_count, valid=max_count <= 2)
+    f = np.array(freqs, dtype=float)
+    a, b = np.array(lattice.edges(), dtype=np.int64).reshape(-1, 2).T
+    signed = f[a] - f[b]
+    d = np.abs(signed)
+    return {
+        "node_a": a,
+        "node_b": b,
+        "signed_mhz": signed,
+        "abs_mhz": d,
+        "modulated_qubit": np.where(f[a] >= f[b], a, b),
+        "in_window": None if window is None else (window[0] <= d) & (d <= window[1]),
+    }
 
 
 def subtract_global_offset(chips) -> list[np.ndarray]:

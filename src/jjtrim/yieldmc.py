@@ -32,31 +32,34 @@ MAX_QUBIT_TRIALS = 10**10
 CELL_SEARCH_NODES = 200_000
 
 
+# The 18 edges of a 3x3 cell on the torus its tiling wraps it onto, each as
+# (label, p, q) with detuning f[p] - f[q]: the 12 internal edges (each node's
+# right, then lower neighbour, in row-major order), then the translation
+# stitches of each row and of each column.
+TORUS_EDGES = (
+    tuple(
+        (f"internal ({r},{c})-({p[0]},{p[1]})", p, (r, c))
+        for r in range(3)
+        for c in range(3)
+        for p in ((r, c + 1), (r + 1, c))
+        if max(p) < 3
+    )
+    + tuple((f"row stitch ({r},2)-({r},0)", (r, 2), (r, 0)) for r in range(3))
+    + tuple((f"col stitch (2,{c})-(0,{c})", (2, c), (0, c)) for c in range(3))
+)
+
+
 def unit_cell_violations(offsets, window=DESIGN_WINDOW_MHZ) -> list[str]:
-    """Independent checker: enumerate all 12 internal nearest-neighbor
-    detunings and the 6 translation-stitching detunings (wraparound per
-    row and per column) and list every window violation."""
+    """Every ``TORUS_EDGES`` detuning outside the window, in table order."""
     f = np.asarray(offsets, dtype=float)
     if f.shape != (3, 3):
         raise ValidationError(f"unit cell must be 3x3, got shape {f.shape}")
     lo, hi = window
-    bad = []
-
-    def flag(label, d):
-        if not lo <= abs(d) <= hi:
-            bad.append(f"{label}: |{d:.1f}| MHz outside [{lo}, {hi}]")
-
-    for r in range(3):
-        for c in range(3):
-            if c + 1 < 3:
-                flag(f"internal ({r},{c})-({r},{c+1})", f[r, c + 1] - f[r, c])
-            if r + 1 < 3:
-                flag(f"internal ({r},{c})-({r+1},{c})", f[r + 1, c] - f[r, c])
-    for r in range(3):
-        flag(f"row stitch ({r},2)-({r},0)", f[r, 2] - f[r, 0])
-    for c in range(3):
-        flag(f"col stitch (2,{c})-(0,{c})", f[2, c] - f[0, c])
-    return bad
+    return [
+        f"{label}: |{d:.1f}| MHz outside [{lo}, {hi}]"
+        for label, p, q in TORUS_EDGES
+        if not lo <= abs(d := f[p] - f[q]) <= hi
+    ]
 
 
 @dataclass(frozen=True)
@@ -89,20 +92,14 @@ def generate_unit_cell(seed) -> UnitCellDesign:
     window = DESIGN_WINDOW_MHZ
     lo, hi = window
     grid = np.arange(0.0, 255.0, 10.0)
-    order = grid[np.random.default_rng(seed).permutation(len(grid))]
-    cell = np.zeros((3, 3))
+    order = grid[np.random.default_rng(seed).permutation(len(grid))].tolist()
+    cell = [0.0] * 9  # row-major
     nodes = 0
-
-    def ok(r, c, v):
-        if c > 0 and not lo <= abs(v - cell[r, c - 1]) <= hi:
-            return False
-        if r > 0 and not lo <= abs(v - cell[r - 1, c]) <= hi:
-            return False
-        if c == 2 and not lo <= abs(v - cell[r, 0]) <= hi:
-            return False
-        if r == 2 and not lo <= abs(v - cell[0, c]) <= hi:
-            return False
-        return True
+    # Each node's torus neighbours that the row-major search placed before it.
+    placed = [[] for _ in range(9)]
+    for _, p, q in TORUS_EDGES:
+        i, j = sorted((3 * p[0] + p[1], 3 * q[0] + q[1]))
+        placed[j].append(i)
 
     def place(idx):
         nonlocal nodes
@@ -114,17 +111,16 @@ def generate_unit_cell(seed) -> UnitCellDesign:
         nodes += 1
         if idx == 9:
             return True
-        r, c = divmod(idx, 3)
         for v in order:
-            if ok(r, c, v):
-                cell[r, c] = v
+            if all(lo <= abs(v - cell[q]) <= hi for q in placed[idx]):
+                cell[idx] = v
                 if place(idx + 1):
                     return True
         return False
 
     if not place(0):
         raise InfeasibleError(f"no unit cell on the 10 MHz grid fits window {window}")
-    return UnitCellDesign(tuple(tuple(row) for row in cell), design_window_mhz=window)
+    return UnitCellDesign((cell[:3], cell[3:6], cell[6:]), design_window_mhz=window)
 
 
 def tile(cell: UnitCellDesign, m: int, n: int) -> QubitLattice:

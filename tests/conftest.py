@@ -123,6 +123,21 @@ def oracle_load_campaign(path):
     return records, targets, config
 
 
+def oracle_edge_detunings(lattice, freqs, window):
+    """The detuning columns built one edge at a time from Python floats: the
+    oracle for ``lattice.edge_detunings``."""
+    cols = {name: [] for name in ("node_a", "node_b", "signed_mhz", "abs_mhz",
+                                  "modulated_qubit", "in_window")}
+    for a, b in lattice.edges():
+        fa, fb = float(freqs[a]), float(freqs[b])
+        signed = fa - fb
+        row = (a, b, signed, abs(signed), a if fa >= fb else b,
+               None if window is None else window[0] <= abs(signed) <= window[1])
+        for column, value in zip(cols.values(), row):
+            column.append(value)
+    return cols
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

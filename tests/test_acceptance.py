@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from jjtrim.cli import DEFAULT_DESIGN_RESISTANCE
 from jjtrim.controller import CampaignConfig, campaign_stats, qubit_rngs, run_campaign
 from jjtrim.errors import InfeasibleError
 from jjtrim.freqmodel import (
@@ -19,7 +20,7 @@ from jjtrim.freqmodel import (
     invert_R,
     predict_f,
 )
-from jjtrim.junction import relaxation_shape, sample_fabricated
+from jjtrim.junction import RELAX_FRACTION_MEAN, relaxation_shape, sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
@@ -36,7 +37,7 @@ from jjtrim.yieldmc import (
     yield_curve,
 )
 
-DESIGN_R = 4587.8
+DESIGN_R = DEFAULT_DESIGN_RESISTANCE
 
 
 def report(criterion: str, passed: bool):
@@ -50,7 +51,7 @@ def report(criterion: str, passed: bool):
 
 def targets_at(ids, target_resistance):
     return {"qubit_id": ids, "target_resistance": np.full(len(ids), target_resistance),
-            "relaxation_reserve": np.full(len(ids), 0.0289)}
+            "relaxation_reserve": np.full(len(ids), RELAX_FRACTION_MEAN)}
 
 
 def tuned_batch(n=61, seed=7):
@@ -96,8 +97,8 @@ def test_3_targeted_precision():
     sigma, mean = stats["precision_sigma_frac"], stats["precision_mean_frac"]
     # one long-haul qubit starting 18.5% below its target
     far_target = DESIGN_R * 0.98
-    far = run_campaign([far_target * (1.0 - 0.185)], [0.0289], targets_at(["FAR"], far_target),
-                       CampaignConfig(master_seed=7))
+    far = run_campaign([far_target * (1.0 - 0.185)], [RELAX_FRACTION_MEAN],
+                       targets_at(["FAR"], far_target), CampaignConfig(master_seed=7))
     far_pulses = int(far["pulses"][0])
     distance = (far_target - far["r_untuned"][0]) / far_target
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ import pytest
 from jjtrim.controller import CampaignConfig, run_campaign
 from jjtrim.errors import ValidationError, check, check_window
 from jjtrim.freqmodel import (
-    PowerLawModel, compose_sigma, freq_equiv_sigma, invert_R, predict_f,
+    PowerLawModel, freq_equiv_sigma, invert_R, predict_f,
 )
 from jjtrim.junction import relaxation_delta, relaxation_shape
 from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
@@ -80,8 +80,6 @@ class TestCheck:
         pytest.param(lambda: predict_f(MODEL, NAN), id="predict_f-r-nan"),
         pytest.param(lambda: predict_f(MODEL, [4500.0, NAN]), id="predict_f-array-nan"),
         pytest.param(lambda: predict_f(MODEL, INF), id="predict_f-r-inf"),
-        pytest.param(lambda: compose_sigma([7.7, NAN]), id="compose_sigma-nan"),
-        pytest.param(lambda: compose_sigma([INF]), id="compose_sigma-inf"),
         pytest.param(lambda: detuning_error_sigma(NAN), id="detuning_error_sigma-nan"),
         pytest.param(lambda: optimize_parking(PAIR, (NAN, 130.0), 50.0, 1.0),
                      id="optimize_parking-window-nan"),

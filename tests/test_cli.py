@@ -200,6 +200,50 @@ class TestLatticeCommands:
         assert summary["edges"] == 12
         assert summary["median_mhz"] == 50.0
 
+    @pytest.mark.parametrize("window", [None, "45,99"])
+    def test_analyze_lattice_outputs(self, tmp_path, capsys, window):
+        design = self._design(
+            tmp_path,
+            {"rows": 3, "cols": 3, "base_frequency_mhz": 4500.0,
+             "offsets_mhz": [[0.0, 50.0, 100.0], [100.0, 150.0, 200.0], [50.0, 100.0, 150.0]],
+             "design_window_mhz": [40.0, 110.0]},
+        )
+        out = tmp_path / "out"
+        argv = ["analyze-lattice", "--design", str(design), "--out", str(out)]
+        assert main(argv + (["--window", window] if window else [])) == 0
+        edges = [  # node_a, node_b, signed_mhz, modulated_qubit, in [45, 99]
+            (0, 1, -50, 1, True), (0, 3, -100, 3, False), (1, 2, -50, 2, True),
+            (1, 4, -100, 4, False), (2, 5, -100, 5, False), (3, 4, -50, 4, True),
+            (3, 6, 50, 3, True), (4, 5, -50, 5, True), (4, 7, 50, 4, True),
+            (5, 8, 50, 5, True), (6, 7, -50, 7, True), (7, 8, -50, 8, True),
+        ]
+        assert (out / "detunings.csv").read_text() == "".join(
+            ["node_a,node_b,signed_mhz,abs_mhz,modulated_qubit,in_window\n"]
+            + [f"{a},{b},{s:.4f},{abs(s):.4f},{m},{str(w).lower() if window else ''}\n"
+               for a, b, s, m, w in edges]
+        )
+        assert (out / "lattice_summary.json").read_text() == (
+            '{"edges": 12, "min_mhz": 50.0, "max_mhz": 100.0, "median_mhz": 50.0, '
+            '"modulation_max_count": 3, "modulation_valid": false}\n'
+        )
+        assert capsys.readouterr().out == (
+            "12 edges: min 50.0  median 50.0  max 100.0 MHz\n"
+            "modulation assignment: max 3 edges per qubit (INVALID)\n"
+        )
+
+    def test_analyze_design_without_edges_exit_2(self, tmp_path, capsys):
+        design = self._design(
+            tmp_path,
+            {"rows": 1, "cols": 1, "base_frequency_mhz": 4500, "offsets_mhz": [[0]],
+             "design_window_mhz": [40, 110]},
+        )
+        out = tmp_path / "out"
+        assert main(["analyze-lattice", "--design", str(design), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{design}: a 1x1 design has no edges" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_park_feasible(self, tmp_path):
         design = self._design(
             tmp_path,

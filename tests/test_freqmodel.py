@@ -9,7 +9,6 @@ from jjtrim.freqmodel import (
     PowerLawModel,
     _fit_with_breakpoints,
     assign_target_R,
-    compose_sigma,
     fit_power_law,
     fit_segmented_power_law,
     freq_equiv_sigma,
@@ -259,20 +258,3 @@ class TestSegmentedFitOracle:
         with pytest.raises(FitError):
             fit_segmented_power_law([0.1, 0.2, 0.3, 1.0, 2.0], [1.0, 1.1, 1.2, 1.5, 1.7])
 
-
-class TestScalars:
-    def test_compose_pythagoras(self):
-        assert compose_sigma([3.0, 4.0]) == pytest.approx(5.0)
-
-    def test_compose_chip_spread_budget(self):
-        # 10.5 MHz is the residual for deviations introduced between tuning
-        # and cooldown (chip cleaning, packaging), chosen so that the budget
-        # reproduces the observed on-chip spread
-        assert compose_sigma([7.7, 12.4, 4.0, 10.5]) == pytest.approx(18.4, abs=0.05)
-
-    def test_compose_single(self):
-        assert compose_sigma([2.5]) == pytest.approx(2.5)
-
-    def test_compose_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            compose_sigma([3.0, -1.0])

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_edge_detunings
+
 from jjtrim import lattice
 from jjtrim.errors import FitError, InfeasibleError, ValidationError
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
     edge_detunings,
-    modulation_assignment,
     optimize_parking,
     spread_after_centering,
     subtract_global_offset,
@@ -26,25 +27,26 @@ def cell_lattice(base=4500.0):
 
 class TestEdgeDetunings:
     def test_unit_cell_pattern(self):
-        report = edge_detunings(cell_lattice())
-        d = sorted(report.abs_detunings())
+        d = sorted(edge_detunings(cell_lattice())["abs_mhz"])
         assert len(d) == 12
         assert d[:9] == [50.0] * 9
         assert d[9:] == [100.0] * 3
-        assert report.summary()["median_mhz"] == 50.0
 
     def test_all_equal_frequencies(self):
         lat = QubitLattice(rows=2, cols=3, design_f01max=(4500.0,) * 6)
-        report = edge_detunings(lat)
-        assert np.all(report.abs_detunings() == 0.0)
+        cols = edge_detunings(lat)
+        assert np.all(cols["abs_mhz"] == 0.0)
+        assert cols["in_window"] is None
 
     def test_summary_reflects_inputs(self):
         # detunings spanning 20-80 MHz, as on a full design Hamiltonian
         lat = QubitLattice(rows=1, cols=4, design_f01max=(4500.0, 4520.0, 4575.0, 4495.0))
-        s = edge_detunings(lat).summary()
-        assert s["min_mhz"] == 20.0
-        assert s["max_mhz"] == 80.0
-        assert s["median_mhz"] == 55.0
+        cols = edge_detunings(lat, window=(25.0, 80.0))
+        assert cols["node_a"].tolist() == [0, 1, 2]
+        assert cols["node_b"].tolist() == [1, 2, 3]
+        assert cols["signed_mhz"].tolist() == [-20.0, -55.0, 80.0]
+        assert cols["abs_mhz"].tolist() == [20.0, 55.0, 80.0]
+        assert cols["in_window"].tolist() == [False, True, True]
 
     def test_wrong_frequency_count(self):
         for n in (8, 10):
@@ -52,30 +54,65 @@ class TestEdgeDetunings:
                 edge_detunings(cell_lattice(), [4500.0] * n)
 
     def test_modulated_endpoint_is_higher(self):
-        report = edge_detunings(cell_lattice())
-        freqs = cell_lattice().design_f01max
-        for e in report.edges:
-            other = e.edge[0] if e.modulated_qubit == e.edge[1] else e.edge[1]
-            assert freqs[e.modulated_qubit] >= freqs[other]
+        cols = edge_detunings(cell_lattice())
+        freqs = np.array(cell_lattice().design_f01max)
+        a, b, m = cols["node_a"], cols["node_b"], cols["modulated_qubit"]
+        other = np.where(m == a, b, a)
+        assert np.all((m == a) | (m == b))
+        assert np.all(freqs[m] >= freqs[other])
+
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        levels=st.lists(st.integers(-8, 8), min_size=25, max_size=25),
+        scale=st.sampled_from([0.1, 7.7, 15.0]),
+        window=st.one_of(st.none(), st.tuples(st.floats(0, 60), st.floats(60.5, 130))),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_matches_scalar_oracle(self, rows, cols, levels, scale, window):
+        freqs = [4500.0 + scale * v for v in levels[: rows * cols]]
+        lat = QubitLattice(rows=rows, cols=cols, design_f01max=tuple(freqs))
+        got = edge_detunings(lat, window=window)
+        want = oracle_edge_detunings(lat, freqs, window)
+        assert list(got) == list(want)
+        for name, column in want.items():
+            if window is None and name == "in_window":
+                assert got[name] is None
+                continue
+            dtype = float if name.endswith("_mhz") else (bool if name == "in_window" else np.int64)
+            assert got[name].dtype == dtype
+            assert got[name].tobytes() == np.array(column, dtype).tobytes(), name
 
 
 class TestModulationAssignment:
+    """The modulated qubit of each edge is its higher-frequency endpoint;
+    the count per qubit is ``np.bincount`` of that column."""
+
     def test_valid_two_by_two(self):
         lat = QubitLattice(rows=2, cols=2, design_f01max=(100.0, 50.0, 50.0, 100.0))
-        assign = modulation_assignment(edge_detunings(lat))
-        assert assign.counts == {0: 2, 3: 2}
-        assert assign.valid
+        counts = np.bincount(edge_detunings(lat)["modulated_qubit"])
+        assert counts.tolist() == [2, 0, 0, 2]
 
     def test_unit_cell_center_violation(self):
         # node at +150 MHz next to the 200 MHz corner modulates 3 edges
-        assign = modulation_assignment(edge_detunings(cell_lattice()))
-        assert assign.max_count == 3
-        assert not assign.valid
-        assert assign.counts[4] == 3
+        counts = np.bincount(edge_detunings(cell_lattice())["modulated_qubit"])
+        assert counts.max() == 3
+        assert counts[4] == 3
 
     def test_single_edge_trivially_valid(self):
         lat = QubitLattice(rows=1, cols=2, design_f01max=(4500.0, 4550.0))
-        assert modulation_assignment(edge_detunings(lat)).valid
+        assert edge_detunings(lat)["modulated_qubit"].tolist() == [1]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_tiling_of_a_valid_cell_has_a_qubit_on_four_edges(self, seed):
+        # Adjacent design offsets differ by at least 40 MHz, so the cell's
+        # highest qubit is above all four torus neighbours; from 2x2 tilings
+        # on, some copy of it is interior and modulates 4 edges.
+        cell = generate_unit_cell(seed)
+        for m in (2, 3):
+            for n in (2, 3):
+                modulated = edge_detunings(tile(cell, m, n))["modulated_qubit"]
+                assert np.bincount(modulated).max() == 4
 
 
 class TestGlobalOffset:
@@ -241,11 +278,8 @@ class TestParking:
         plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
         assert plan.parked_count == 1
         assert plan.max_abs_offset == pytest.approx(10.0)
-        report = edge_detunings(
-            lat, [f + o for f, o in zip(lat.design_f01max, plan.offsets_mhz)],
-            window=(20.0, 130.0),
-        )
-        assert all(e.in_window for e in report.edges)
+        parked = [f + o for f, o in zip(lat.design_f01max, plan.offsets_mhz)]
+        assert edge_detunings(lat, parked, window=(20.0, 130.0))["in_window"].all()
 
     def test_matches_brute_force_on_random_instances(self):
         window = (20.0, 130.0)
@@ -261,8 +295,7 @@ class TestParking:
             plan = optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
             assert plan.offsets_mhz == oracle
             parked = [f + o for f, o in zip(freqs, plan.offsets_mhz)]
-            report = edge_detunings(lat, parked, window=window)
-            assert all(e.in_window for e in report.edges)
+            assert edge_detunings(lat, parked, window=window)["in_window"].all()
 
     @given(
         shape=st.sampled_from([(2, 3), (3, 3), (3, 4)]),
@@ -284,11 +317,12 @@ class TestParking:
             rng = np.random.default_rng(seed)
             freqs = tuple(np.array(base.design_f01max) + rng.normal(0.0, 7.7, base.n_qubits))
             lat = QubitLattice(rows=6, cols=18, design_f01max=freqs)
-            report = edge_detunings(lat, window=window)
-            violating = [e.edge for e in report.edges if not e.in_window]
+            cols = edge_detunings(lat, window=window)
+            out = ~cols["in_window"]
+            violating = list(zip(cols["node_a"][out].tolist(), cols["node_b"][out].tolist()))
             plan = optimize_parking(lat, window, max_park_mhz=50.0, step_mhz=1.0)
             parked = [f + o for f, o in zip(freqs, plan.offsets_mhz)]
-            assert all(e.in_window for e in edge_detunings(lat, parked, window=window).edges)
+            assert edge_detunings(lat, parked, window=window)["in_window"].all()
             assert plan.parked_count >= greedy_matching_size(violating) >= 4
 
     def test_parked_count_beyond_recursion_limit(self, monkeypatch):
@@ -298,7 +332,7 @@ class TestParking:
         plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
         assert plan.parked_count == 512 and plan.max_abs_offset == 20.0
         parked = [f + o for f, o in zip(lat.design_f01max, plan.offsets_mhz)]
-        assert all(e.in_window for e in edge_detunings(lat, parked, window=(20.0, 130.0)).edges)
+        assert edge_detunings(lat, parked, window=(20.0, 130.0))["in_window"].all()
 
     def test_node_budget_raises(self, monkeypatch):
         lat = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4610.0))

@@ -29,7 +29,7 @@ class TestUnitCell:
     def test_additive_cell_is_valid(self):
         assert unit_cell_violations(ADDITIVE_CELL) == []
         cell = UnitCellDesign(offsets_mhz=ADDITIVE_CELL)
-        d = sorted(edge_detunings(tile(cell, 1, 1)).abs_detunings())
+        d = sorted(edge_detunings(tile(cell, 1, 1))["abs_mhz"])
         assert d == [50.0] * 9 + [100.0] * 3
 
     def test_checker_rejects_stitching_violation(self):
@@ -39,6 +39,31 @@ class TestUnitCell:
         assert any("stitch" in v for v in violations)
         with pytest.raises(ValidationError):
             UnitCellDesign(offsets_mhz=bad, design_window_mhz=(40.0, 40.0))
+
+    def test_violation_messages(self):
+        # Each message keeps the label and signed detuning of its torus edge.
+        assert unit_cell_violations(ADDITIVE_CELL, window=(60.0, 120.0)) == [
+            "internal (0,0)-(0,1): |50.0| MHz outside [60.0, 120.0]",
+            "internal (0,1)-(0,2): |50.0| MHz outside [60.0, 120.0]",
+            "internal (1,0)-(1,1): |50.0| MHz outside [60.0, 120.0]",
+            "internal (1,0)-(2,0): |-50.0| MHz outside [60.0, 120.0]",
+            "internal (1,1)-(1,2): |50.0| MHz outside [60.0, 120.0]",
+            "internal (1,1)-(2,1): |-50.0| MHz outside [60.0, 120.0]",
+            "internal (1,2)-(2,2): |-50.0| MHz outside [60.0, 120.0]",
+            "internal (2,0)-(2,1): |50.0| MHz outside [60.0, 120.0]",
+            "internal (2,1)-(2,2): |50.0| MHz outside [60.0, 120.0]",
+            "col stitch (2,0)-(0,0): |50.0| MHz outside [60.0, 120.0]",
+            "col stitch (2,1)-(0,1): |50.0| MHz outside [60.0, 120.0]",
+            "col stitch (2,2)-(0,2): |50.0| MHz outside [60.0, 120.0]",
+        ]
+
+    def test_torus_edges_are_the_edges_of_a_tiling(self):
+        # Each edge of a tiled chip joins the cell nodes of one table entry.
+        table = {frozenset((p, q)) for _, p, q in yieldmc.TORUS_EDGES}
+        assert len(yieldmc.TORUS_EDGES) == len(table) == 18
+        lat = tile(UnitCellDesign(offsets_mhz=ADDITIVE_CELL), 2, 3)
+        tiled = {frozenset(divmod(v, lat.cols) for v in edge) for edge in lat.edges()}
+        assert {frozenset((r % 3, c % 3) for r, c in e) for e in tiled} == table
 
     def test_overconstrained_window_fails_search(self, monkeypatch):
         monkeypatch.setattr(yieldmc, "DESIGN_WINDOW_MHZ", (40.0, 40.0))
@@ -79,7 +104,7 @@ class TestTiling:
     def test_design_edges_inside_window_when_unperturbed(self):
         cell = generate_unit_cell(seed=11)
         for m, n in [(1, 1), (2, 3)]:
-            d = edge_detunings(tile(cell, m, n)).abs_detunings()
+            d = edge_detunings(tile(cell, m, n))["abs_mhz"]
             assert np.all((d >= 40.0) & (d <= 110.0))
 
 
