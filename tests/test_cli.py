@@ -182,54 +182,65 @@ class TestLatticeCommands:
         path.write_text(json.dumps(freq_pairs))
         return path
 
-    def test_analyze_lattice(self, tmp_path):
-        design = self._design(
-            tmp_path,
-            {
-                "rows": 3,
-                "cols": 3,
-                "base_frequency_mhz": 4500.0,
-                "offsets_mhz": [[0.0, 50.0, 100.0], [100.0, 150.0, 200.0], [50.0, 100.0, 150.0]],
-                "design_window_mhz": [40.0, 110.0],
-            },
-        )
-        out = tmp_path / "out"
-        rc = main(["analyze-lattice", "--design", str(design), "--window", "20,130", "--out", str(out)])
-        assert rc == 0
-        summary = json.loads((out / "lattice_summary.json").read_text())
-        assert summary["edges"] == 12
-        assert summary["median_mhz"] == 50.0
+    CELL = {"rows": 3, "cols": 3, "base_frequency_mhz": 4500.0,
+            "offsets_mhz": [[0.0, 50.0, 100.0], [100.0, 150.0, 200.0], [50.0, 100.0, 150.0]],
+            "design_window_mhz": [40.0, 110.0]}
+    CELL_EDGES = [  # node_a, node_b, signed_mhz, modulated_qubit
+        (0, 1, -50, 1), (0, 3, -100, 3), (1, 2, -50, 2), (1, 4, -100, 4),
+        (2, 5, -100, 5), (3, 4, -50, 4), (3, 6, 50, 3), (4, 5, -50, 5),
+        (4, 7, 50, 4), (5, 8, 50, 5), (6, 7, -50, 7), (7, 8, -50, 8),
+    ]
+    CELL_OUT = (
+        '{"edges": 12, "min_mhz": 50.0, "max_mhz": 100.0, "median_mhz": 50.0, '
+        '"modulation_max_count": 3, "modulation_valid": false}\n',
+        "12 edges: min 50.0  median 50.0  max 100.0 MHz\n"
+        "modulation assignment: max 3 edges per qubit (INVALID)\n",
+    )
 
-    @pytest.mark.parametrize("window", [None, "45,99"])
-    def test_analyze_lattice_outputs(self, tmp_path, capsys, window):
-        design = self._design(
-            tmp_path,
-            {"rows": 3, "cols": 3, "base_frequency_mhz": 4500.0,
-             "offsets_mhz": [[0.0, 50.0, 100.0], [100.0, 150.0, 200.0], [50.0, 100.0, 150.0]],
-             "design_window_mhz": [40.0, 110.0]},
-        )
+    @pytest.mark.parametrize(
+        "design, window, edges, in_window, summary, stdout",
+        [
+            pytest.param(CELL, None, CELL_EDGES, [None] * 12, *CELL_OUT, id="3x3"),
+            pytest.param(CELL, "20,130", CELL_EDGES, [True] * 12, *CELL_OUT, id="3x3-20,130"),
+            pytest.param(CELL, "45,99", CELL_EDGES, [True, False, True, False, False] + [True] * 7,
+                         *CELL_OUT, id="3x3-45,99"),
+            pytest.param(
+                {"rows": 2, "cols": 2, "base_frequency_mhz": 4500.0,
+                 "offsets_mhz": [[100.0, 50.0], [50.0, 100.0]], "design_window_mhz": [40.0, 110.0]},
+                None, [(0, 1, 50, 0), (0, 2, 50, 0), (1, 3, -50, 3), (2, 3, -50, 3)], [None] * 4,
+                '{"edges": 4, "min_mhz": 50.0, "max_mhz": 50.0, "median_mhz": 50.0, '
+                '"modulation_max_count": 2, "modulation_valid": true}\n',
+                "4 edges: min 50.0  median 50.0  max 50.0 MHz\n"
+                "modulation assignment: max 2 edges per qubit (valid)\n",
+                id="2x2",
+            ),
+            pytest.param(
+                {"rows": 1, "cols": 2, "base_frequency_mhz": 4500.0,
+                 "offsets_mhz": [[0.0, 50.0]], "design_window_mhz": [40.0, 110.0]},
+                "20,130", [(0, 1, -50, 1)], [True],
+                '{"edges": 1, "min_mhz": 50.0, "max_mhz": 50.0, "median_mhz": 50.0, '
+                '"modulation_max_count": 1, "modulation_valid": true}\n',
+                "1 edges: min 50.0  median 50.0  max 50.0 MHz\n"
+                "modulation assignment: max 1 edges per qubit (valid)\n",
+                id="1x2-20,130",
+            ),
+        ],
+    )
+    def test_analyze_lattice_outputs(
+        self, tmp_path, capsys, design, window, edges, in_window, summary, stdout
+    ):
+        path = self._design(tmp_path, design)
         out = tmp_path / "out"
-        argv = ["analyze-lattice", "--design", str(design), "--out", str(out)]
+        argv = ["analyze-lattice", "--design", str(path), "--out", str(out)]
         assert main(argv + (["--window", window] if window else [])) == 0
-        edges = [  # node_a, node_b, signed_mhz, modulated_qubit, in [45, 99]
-            (0, 1, -50, 1, True), (0, 3, -100, 3, False), (1, 2, -50, 2, True),
-            (1, 4, -100, 4, False), (2, 5, -100, 5, False), (3, 4, -50, 4, True),
-            (3, 6, 50, 3, True), (4, 5, -50, 5, True), (4, 7, 50, 4, True),
-            (5, 8, 50, 5, True), (6, 7, -50, 7, True), (7, 8, -50, 8, True),
-        ]
+        flag = {None: "", True: "true", False: "false"}
         assert (out / "detunings.csv").read_text() == "".join(
             ["node_a,node_b,signed_mhz,abs_mhz,modulated_qubit,in_window\n"]
-            + [f"{a},{b},{s:.4f},{abs(s):.4f},{m},{str(w).lower() if window else ''}\n"
-               for a, b, s, m, w in edges]
+            + [f"{a},{b},{s:.4f},{abs(s):.4f},{m},{flag[w]}\n"
+               for (a, b, s, m), w in zip(edges, in_window, strict=True)]
         )
-        assert (out / "lattice_summary.json").read_text() == (
-            '{"edges": 12, "min_mhz": 50.0, "max_mhz": 100.0, "median_mhz": 50.0, '
-            '"modulation_max_count": 3, "modulation_valid": false}\n'
-        )
-        assert capsys.readouterr().out == (
-            "12 edges: min 50.0  median 50.0  max 100.0 MHz\n"
-            "modulation assignment: max 3 edges per qubit (INVALID)\n"
-        )
+        assert (out / "lattice_summary.json").read_text() == summary
+        assert capsys.readouterr().out == stdout
 
     def test_analyze_design_without_edges_exit_2(self, tmp_path, capsys):
         design = self._design(
