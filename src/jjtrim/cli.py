@@ -80,8 +80,7 @@ def cmd_simulate_tuning(args) -> int:
     ids = [f"Q{i:03d}" for i in range(args.qubits)]
     targets = {"qubit_id": ids, "target_resistance": np.full(args.qubits, target_r),
                "relaxation_reserve": np.full(args.qubits, args.reserve)}
-    fab = controller.qubit_rngs(args.seed, [f"fab:{qid}" for qid in ids])
-    r_untuned, relax_fraction = junction.sample_fabricated(args.design_resistance, fab)
+    r_untuned, relax_fraction = junction.sample_fabricated(args.design_resistance, args.seed, ids)
     records = controller.run_campaign(r_untuned, relax_fraction, targets, config)
     metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
@@ -160,20 +159,12 @@ def cmd_fit_relaxation(args) -> int:
     bps = _parse_floats(args.breakpoints, ",", "--breakpoints") if args.breakpoints else None
     fit = freqmodel.fit_segmented_power_law(t, dr, breakpoints=bps)
     out = _out_dir(args)
-    fileio.dump_json(
-        out / "relaxation_fit.json",
-        {
-            "breakpoints_hr": list(fit.breakpoints),
-            "exponents": list(fit.exponents),
-            "amplitudes": list(fit.amplitudes),
-            "continuity_residual": fit.continuity_residual,
-        },
-    )
+    fileio.dump_json(out / "relaxation_fit.json", fit)
     fileio.write_manifest(
         out, args.command, {"breakpoints": args.breakpoints}, None, [args.data]
     )
-    exps = "  ".join(f"{e:.3f}" for e in fit.exponents)
-    bps = "  ".join(f"{b:.3f}" for b in fit.breakpoints)
+    exps = "  ".join(f"{e:.3f}" for e in fit["exponents"])
+    bps = "  ".join(f"{b:.3f}" for b in fit["breakpoints_hr"])
     print(f"exponents: {exps}")
     print(f"breakpoints (hr): {bps}")
     return 0
@@ -227,15 +218,7 @@ def cmd_park(args) -> int:
         symmetric=args.symmetric,
     )
     out = _out_dir(args)
-    fileio.dump_json(
-        out / "parking.json",
-        {
-            "offsets_mhz": list(plan.offsets_mhz),
-            "parked_count": plan.parked_count,
-            "max_abs_offset_mhz": plan.max_abs_offset,
-            "sum_abs_offset_mhz": plan.sum_abs_offset,
-        },
-    )
+    fileio.dump_json(out / "parking.json", plan)
     fileio.write_manifest(
         out,
         args.command,
@@ -245,7 +228,8 @@ def cmd_park(args) -> int:
         [args.design],
     )
     print(
-        f"parked {plan.parked_count} qubit(s), max offset {plan.max_abs_offset:.1f} MHz"
+        f"parked {plan['parked_count']} qubit(s), "
+        f"max offset {plan['max_abs_offset_mhz']:.1f} MHz"
     )
     return 0
 
@@ -254,14 +238,7 @@ def cmd_yield(args) -> int:
     window = _parse_pair(args.window, ",", "--window")
     inputs = []
     if args.design:
-        lat3, design_window = fileio.load_design(args.design)
-        if (lat3.rows, lat3.cols) != (3, 3):
-            raise ValidationError("--design must describe a 3x3 unit cell")
-        base = min(lat3.design_f01max)
-        offsets = [[lat3.design_f01max[r * 3 + c] - base for c in range(3)] for r in range(3)]
-        cell = yieldmc.UnitCellDesign(
-            offsets_mhz=offsets, base_frequency_mhz=base, design_window_mhz=design_window
-        )
+        cell = fileio.load_unit_cell(args.design)
         inputs.append(args.design)
     else:
         cell = yieldmc.generate_unit_cell(seed=args.seed)
@@ -276,14 +253,14 @@ def cmd_yield(args) -> int:
         n_threads=args.threads,
     )
     result = yieldmc.mc_chip_yield(lat, config)
-    chips = yieldmc.wafer_projection(result, dice=args.dice)
+    chips = yieldmc.wafer_projection(result["yield"], dice=args.dice)
     out = _out_dir(args)
     fileio.save_design(out / "unit_cell.json", cell)
+    header = ["qubits", "sigma_mhz", "yield", "ci_lo", "ci_hi"]
     fileio.write_csv(
         out / "yield.csv",
-        ["qubits", "sigma_mhz", "yield", "ci_lo", "ci_hi"],
-        [(result.qubit_count, args.sigma, result.yield_estimate, result.ci_low,
-          result.ci_high)],
+        header,
+        [[result[k] for k in header]],
         formats={"sigma_mhz": ".6g", "yield": ".6f", "ci_lo": ".6f", "ci_hi": ".6f"},
     )
     fileio.write_manifest(
@@ -295,10 +272,10 @@ def cmd_yield(args) -> int:
         inputs,
     )
     print(
-        f"yield {result.yield_estimate:.4f} "
-        f"[{result.ci_low:.4f}, {result.ci_high:.4f}] on {result.qubit_count} qubits"
+        f"yield {result['yield']:.4f} "
+        f"[{result['ci_lo']:.4f}, {result['ci_hi']:.4f}] on {result['qubits']} qubits"
     )
-    print(f"wafer: {chips} chips, {chips * result.qubit_count} qubits per {args.dice} dice")
+    print(f"wafer: {chips} chips, {chips * result['qubits']} qubits per {args.dice} dice")
     return 0
 
 

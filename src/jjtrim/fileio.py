@@ -162,16 +162,33 @@ _DESIGN = {"rows": int, "cols": int, "base_frequency_mhz": float, "offsets_mhz":
            "design_window_mhz": [float], "measured_mhz": _Nullable(_GRID)}
 
 
-def load_design(path) -> tuple[QubitLattice, tuple[float, float]]:
-    """Design JSON (``_DESIGN``) -> (lattice, design window)."""
+def _load_design(path) -> tuple[dict, tuple, tuple | None, tuple[float, float]]:
+    """Design JSON (``_DESIGN``) -> (document, offsets, measured, design window),
+    each grid flattened."""
     data = _load(path, _DESIGN)
-    base = data["base_frequency_mhz"]
-    design = tuple(base + f for f in _grid(path, data, "offsets_mhz", "frequency offset"))
+    offsets = _grid(path, data, "offsets_mhz", "frequency offset")
     measured = _grid(path, data, "measured_mhz", "measured frequency")
     window = tuple(data["design_window_mhz"])
     if len(window) != 2:
         raise SchemaError(f"{path}: design_window_mhz must be [lo, hi]")
+    return data, offsets, measured, window
+
+
+def load_design(path) -> tuple[QubitLattice, tuple[float, float]]:
+    """Design JSON (``_DESIGN``) -> (lattice, design window)."""
+    data, offsets, measured, window = _load_design(path)
+    design = tuple(data["base_frequency_mhz"] + f for f in offsets)
     return QubitLattice(data["rows"], data["cols"], design, measured), window
+
+
+def load_unit_cell(path) -> UnitCellDesign:
+    """A 3x3 design JSON (``_DESIGN``) -> its unit cell: the base frequency,
+    offsets and design window as written, so ``save_design`` writes them back."""
+    data, offsets, _measured, window = _load_design(path)
+    if (data["rows"], data["cols"]) != (3, 3):
+        raise ValidationError("--design must describe a 3x3 unit cell")
+    return UnitCellDesign((offsets[:3], offsets[3:6], offsets[6:]),
+                          data["base_frequency_mhz"], window)
 
 
 def save_design(path, cell: UnitCellDesign) -> None:

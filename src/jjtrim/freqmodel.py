@@ -39,20 +39,6 @@ class PowerLawModel:
         check("alpha", self.alpha, gt=0)
 
 
-@dataclass(frozen=True)
-class SegmentedPowerLaw:
-    """Piecewise y = amp_k * t**exp_k between breakpoints.
-
-    ``continuity_residual`` is the largest relative jump between
-    adjacent segment fits evaluated at their shared breakpoint.
-    """
-
-    breakpoints: tuple[float, ...]
-    exponents: tuple[float, ...]
-    amplitudes: tuple[float, ...]
-    continuity_residual: float
-
-
 def fit_power_law(points) -> PowerLawModel:
     """Least-squares fit of log f against log R.
 
@@ -134,8 +120,12 @@ def _fit_loglog_segment(t, y):
     return float(slope), float(np.exp(intercept))
 
 
-def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> SegmentedPowerLaw:
-    """Per-segment log-log least squares on a relaxation trace.
+def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> dict:
+    """Per-segment log-log least squares on a relaxation trace, returned as
+    the ``relaxation_fit.json`` dict: piecewise y = amp_k * t**exp_k between
+    ``breakpoints_hr``, with lists of the ``exponents`` and ``amplitudes``
+    and the ``continuity_residual``, the largest relative jump between
+    adjacent segment fits at their shared breakpoint.
 
     With ``breakpoints=None`` a two-changepoint search runs over every
     pair of a log-spaced candidate grid, minimizing the total squared
@@ -155,8 +145,7 @@ def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> SegmentedPowerLa
     t, y = t[order], y[order]
 
     if breakpoints is not None:
-        bps = tuple(float(b) for b in breakpoints)
-        return _fit_with_breakpoints(t, y, bps)
+        return _fit_with_breakpoints(t, y, tuple(float(b) for b in breakpoints))
 
     grid = np.geomspace(t[0], t[-1], FIT_CANDIDATES + 2)[1:-1]
     i, j = np.triu_indices(len(grid), k=1)
@@ -181,7 +170,7 @@ def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> SegmentedPowerLa
     return _fit_with_breakpoints(t, y, (float(grid[i[k]]), float(grid[j[k]])))
 
 
-def _fit_with_breakpoints(t, y, bps) -> SegmentedPowerLaw:
+def _fit_with_breakpoints(t, y, bps) -> dict:
     if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
         raise FitError(f"breakpoints must be increasing: {bps}")
     edges = (-np.inf, *bps, np.inf)
@@ -200,10 +189,10 @@ def _fit_with_breakpoints(t, y, bps) -> SegmentedPowerLaw:
         left = amplitudes[k] * b ** exponents[k]
         right = amplitudes[k + 1] * b ** exponents[k + 1]
         jumps.append(abs(left - right) / max(left, right))
-    return SegmentedPowerLaw(
-        breakpoints=tuple(bps),
-        exponents=tuple(exponents),
-        amplitudes=tuple(amplitudes),
-        continuity_residual=max(jumps) if jumps else 0.0,
-    )
+    return {
+        "breakpoints_hr": list(bps),
+        "exponents": exponents,
+        "amplitudes": amplitudes,
+        "continuity_residual": max(jumps, default=0.0),
+    }
 

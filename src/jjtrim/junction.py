@@ -13,6 +13,7 @@ from itertools import chain
 
 import numpy as np
 
+from .controller import qubit_rngs
 from .errors import check
 
 # Per-qubit relaxation fraction: fraction of the last-pulse resistance
@@ -66,18 +67,22 @@ def relaxation_shape(t_hr: float) -> float:
     return _shape_unnormalized(check("t_hr", t_hr, ge=0)) / _RELAX_NORM
 
 
-def sample_fabricated(design_resistance: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """As-fabricated (resistance, relax_fraction) columns, one row per stream.
+def sample_fabricated(
+    design_resistance: float, master_seed: int, ids
+) -> tuple[np.ndarray, np.ndarray]:
+    """As-fabricated (resistance, relax_fraction) columns, one row per qubit id.
 
-    Resistance ~ Normal(design * (1 + FAB_MEAN_OFFSET_FRAC), design *
-    FAB_SIGMA_FRAC) truncated at > 0, then an independent relaxation fraction
-    truncated at >= 0; each value is redrawn from its stream until it fits.
+    Qubit ``id`` draws from its fabrication stream, the ``controller.qubit_rngs``
+    stream of ``fab:<id>``, apart from the stream that tunes it. Resistance ~
+    Normal(design * (1 + FAB_MEAN_OFFSET_FRAC), design * FAB_SIGMA_FRAC)
+    truncated at > 0, then an independent relaxation fraction truncated at
+    >= 0; each value is redrawn from its stream until it fits.
     """
     # A design at or below zero would never draw a positive resistance.
     check("design_resistance", design_resistance, gt=0)
     loc = (design_resistance * (1.0 + FAB_MEAN_OFFSET_FRAC), RELAX_FRACTION_MEAN)
     scale = (design_resistance * FAB_SIGMA_FRAC, RELAX_FRACTION_SIGMA)
-    rngs = list(rngs)
+    rngs = list(qubit_rngs(master_seed, [f"fab:{q}" for q in ids]))
     z = np.empty((len(rngs), 2))
     for rng, row in zip(rngs, z):
         rng.standard_normal(out=row)

@@ -131,42 +131,25 @@ def detuning_error_sigma(sigma_f_mhz: float) -> float:
     return math.sqrt(2.0) * check("sigma_f_mhz", sigma_f_mhz, ge=0)
 
 
-@dataclass(frozen=True)
-class ParkingPlan:
-    offsets_mhz: tuple[float, ...]
-    parked_count: int
-    max_abs_offset: float
-    sum_abs_offset: float
-
-
-def _plan_from_offsets(offsets):
-    offs = tuple(float(o) for o in offsets)
-    nonzero = [abs(o) for o in offs if o != 0.0]
-    return ParkingPlan(
-        offsets_mhz=offs,
-        parked_count=len(nonzero),
-        max_abs_offset=max(nonzero) if nonzero else 0.0,
-        sum_abs_offset=sum(nonzero),
-    )
-
-
 def optimize_parking(
     lattice: QubitLattice,
     window: tuple[float, float],
     max_park_mhz: float,
     step_mhz: float,
     symmetric: bool = False,
-) -> ParkingPlan:
+) -> dict:
     """Exact search for per-qubit park offsets bringing every edge
-    |detuning| inside the window.
+    |detuning| inside the window; returns the ``parking.json`` dict.
 
     Offsets are multiples of ``step_mhz`` with |offset| <= max_park_mhz;
     by default only downward parking (offsets <= 0) is searched, since
     the maximum frequency is the flux sweet spot. The objective is
-    lexicographic: fewest parked qubits, then smallest max |offset|,
-    then smallest total |offset| (summed in node order). Equal-cost plans
-    are ordered by their per-node candidate indices, candidates sorted by
-    |offset| with downward first, and the smallest is returned.
+    lexicographic: fewest parked qubits (``parked_count``), then smallest
+    max |offset| (``max_abs_offset_mhz``), then smallest total |offset|
+    (``sum_abs_offset_mhz``, summed in node order). Equal-cost plans are
+    ordered by their per-node candidate indices, candidates sorted by
+    |offset| with downward first, and the smallest one's ``offsets_mhz``
+    are returned.
 
     Every plan parks an endpoint of each edge that is out of window at
     zero offsets, so the search deepens on the parked count k: parked
@@ -196,18 +179,20 @@ def optimize_parking(
     candidates.sort(key=abs)
 
     search = _ParkingSearch(freqs, lattice.edges(), window, candidates)
-    if not search.violating:
-        return _plan_from_offsets([0.0] * lattice.n_qubits)
-    for k in range(1, lattice.n_qubits + 1):
-        deeper = search.deepen(k)
-        if search.best is not None:
-            return _plan_from_offsets(candidates[c] for c in search.best[2])
-        if not deeper:
-            break
-    raise InfeasibleError(
-        f"no parking plan within +/-{max_park_mhz} MHz satisfies the "
-        f"window {window}; violating edges without parking: {search.violating}"
-    )
+    best = search.solve()
+    if best is None:
+        raise InfeasibleError(
+            f"no parking plan within +/-{max_park_mhz} MHz satisfies the "
+            f"window {window}; violating edges without parking: {search.violating}"
+        )
+    offsets = [float(candidates[c]) for c in best]
+    parked = [abs(o) for o in offsets if o != 0.0]
+    return {
+        "offsets_mhz": offsets,
+        "parked_count": len(parked),
+        "max_abs_offset_mhz": max(parked, default=0.0),
+        "sum_abs_offset_mhz": sum(parked, 0.0),
+    }
 
 
 def _matching_size(edges) -> int:
@@ -254,6 +239,19 @@ class _ParkingSearch:
                 f"parking search hit its node budget ({MAX_PARK_NODES} search nodes) "
                 f"before finding an optimal plan or proving that none exists"
             )
+
+    def solve(self):
+        """Candidate index per node of the optimal plan, or None if no plan
+        exists."""
+        if not self.violating:
+            return (0,) * len(self.freqs)
+        for k in range(1, len(self.freqs) + 1):
+            deeper = self.deepen(k)
+            if self.best is not None:
+                return self.best[2]
+            if not deeper:
+                break
+        return None
 
     def deepen(self, k):
         """Search every parked set of size k; returns whether a larger set
@@ -322,12 +320,36 @@ class _ParkingSearch:
         return dom
 
     def _fits(self, comp):
-        """Whether the parked component has any offsets (cached)."""
+        """Whether the parked component has any offsets (cached).
+
+        Before its offsets are searched, each edge inside it is checked on
+        bounds: the detuning lies between (lowest of one end minus highest
+        of the other) and (highest minus lowest), over the frequencies the
+        ends' domains allow. Rounded subtraction is monotone, so an edge
+        whose range misses the window can never be brought into it."""
         if comp not in self.feasible:
             order = sorted(comp)
             domains = [self._domain(q, comp) for q in order]
-            self.feasible[comp] = all(domains) and self._search(order, domains, False)
+            self.feasible[comp] = (all(domains)
+                                   and (len(order) == 1 or self._reachable(order, domains))
+                                   and self._search(order, domains, False))
         return self.feasible[comp]
+
+    def _reachable(self, order, domains):
+        """Whether every edge between parked nodes of ``order`` can reach
+        the window from its ends' lowest and highest domain frequencies."""
+        span = {}
+        for q, dom in zip(order, domains):
+            x = self.freqs[q] + self.nonzero[np.array(dom) - 1]
+            span[q] = (x.min(), x.max())
+        lo, hi = self.lo, self.hi
+        return all(
+            lo <= span[a][1] - span[b][0] and span[a][0] - span[b][1] <= hi
+            or lo <= span[b][1] - span[a][0] and span[b][0] - span[a][1] <= hi
+            for a in order
+            for b in self.nbrs[a] & span.keys()
+            if a < b
+        )
 
     def _search(self, order, domains, optimize):
         """Depth-first over the offsets of the parked nodes ``order``, in

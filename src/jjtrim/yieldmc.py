@@ -156,16 +156,6 @@ class YieldConfig:
         check("n_threads", self.n_threads, ge=1)
 
 
-@dataclass(frozen=True)
-class YieldResult:
-    yield_estimate: float
-    ci_low: float
-    ci_high: float
-    passes: int
-    trials: int
-    qubit_count: int
-
-
 def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     p = passes / trials
@@ -175,8 +165,10 @@ def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> YieldResult:
-    """Monte Carlo estimate of the all-edges-in-window probability.
+def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> dict:
+    """Monte Carlo estimate of the all-edges-in-window probability, as the
+    ``yield.csv`` columns (``qubits``, ``sigma_mhz``, ``yield`` and its 95%
+    Wilson interval ``ci_lo``, ``ci_hi``) plus the count of ``passes``.
 
     Trials run in fixed-size chunks, and chunk c draws from one stream
     seeded by (master_seed, c). A chunk sweeps the lattice column by column
@@ -234,16 +226,9 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> YieldResult:
         with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
             passes = sum(pool.map(run_chunk, range(n_chunks)))
 
-    y = passes / config.trials
-    ci_low, ci_high = wilson_interval(passes, config.trials)
-    return YieldResult(
-        yield_estimate=y,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        passes=passes,
-        trials=config.trials,
-        qubit_count=lattice.n_qubits,
-    )
+    ci_lo, ci_hi = wilson_interval(passes, config.trials)
+    return {"qubits": lattice.n_qubits, "sigma_mhz": config.sigma_f_mhz,
+            "yield": passes / config.trials, "ci_lo": ci_lo, "ci_hi": ci_hi, "passes": passes}
 
 
 def yield_curve(
@@ -253,34 +238,19 @@ def yield_curve(
     master_seed: int,
     trials: int = 10**5,
 ) -> list[dict]:
-    """Yield table over chip sizes and frequency spreads.
-
-    Rows carry (qubits, sigma_mhz, yield, ci_lo, ci_hi), ready for CSV
-    plot-data emission.
-    """
+    """Yield table over chip sizes and frequency spreads: one
+    ``mc_chip_yield`` dict per (size, sigma), ready for CSV plot-data
+    emission."""
     rows = []
     for m, n in sizes:
         lat = tile(cell, m, n)
         for sigma in sigmas_mhz:
-            cfg = YieldConfig(
-                sigma_f_mhz=sigma,
-                master_seed=master_seed,
-                trials=trials,
-            )
-            res = mc_chip_yield(lat, cfg)
-            rows.append(
-                {
-                    "qubits": lat.n_qubits,
-                    "sigma_mhz": sigma,
-                    "yield": res.yield_estimate,
-                    "ci_lo": res.ci_low,
-                    "ci_hi": res.ci_high,
-                }
-            )
+            cfg = YieldConfig(sigma_f_mhz=sigma, master_seed=master_seed, trials=trials)
+            rows.append(mc_chip_yield(lat, cfg))
     return rows
 
 
-def wafer_projection(result: YieldResult, dice: int = DEFAULT_DICE_PER_WAFER) -> int:
+def wafer_projection(yield_fraction: float, dice: int = DEFAULT_DICE_PER_WAFER) -> int:
     """Expected yielded chips per wafer of ``dice`` dice."""
     check("dice", dice, ge=0, lt=MAX_DICE)
-    return round(result.yield_estimate * dice)
+    return round(check("yield_fraction", yield_fraction, ge=0) * dice)

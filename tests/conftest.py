@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import reprlib
 from typing import get_type_hints
 
@@ -12,6 +13,21 @@ from jjtrim.controller import (
 from jjtrim.errors import SchemaError, ValidationError, check_rows
 
 ACCEPTANCE_LINES = []
+
+
+def precision_closed_form(target, reserve):
+    """(mean, sigma) of a noiseless campaign's precision r_tuned / target - 1.
+
+    By renewal theory (see ``test_renewal``) precision + 1 = A * B, with
+    independent A = 1 + rho and B = 1 / (1 + reserve) + E / target, where rho
+    is the relaxation fraction and E ~ Exp(``MEAN_STEP_OHM``) the overshoot.
+    """
+    mu = controller.MEAN_STEP_OHM
+    a_mean = 1.0 + junction.RELAX_FRACTION_MEAN
+    a_sq = a_mean**2 + junction.RELAX_FRACTION_SIGMA**2
+    b_mean = 1.0 / (1.0 + reserve) + mu / target
+    b_sq = b_mean**2 + (mu / target) ** 2
+    return a_mean * b_mean - 1.0, math.sqrt(a_sq * b_sq - (a_mean * b_mean) ** 2)
 
 
 def oracle_rng(master_seed, qubit_id):

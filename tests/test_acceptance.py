@@ -8,11 +8,13 @@ scoreboard after the run, outside pytest's output capture.
 import time
 
 import numpy as np
+from conftest import precision_closed_form
 
 from jjtrim.cli import DEFAULT_DESIGN_RESISTANCE
-from jjtrim.controller import CampaignConfig, campaign_stats, qubit_rngs, run_campaign
+from jjtrim.controller import CampaignConfig, campaign_stats, run_campaign
 from jjtrim.errors import InfeasibleError
 from jjtrim.freqmodel import (
+    AGING_BUDGET,
     PowerLawModel,
     fit_power_law,
     fit_segmented_power_law,
@@ -41,12 +43,15 @@ DESIGN_R = DEFAULT_DESIGN_RESISTANCE
 
 
 def report(criterion: str, passed: bool):
+    scoreboard(f"[{'PASS' if passed else 'FAIL'}] {criterion}")
+    assert passed, criterion
+
+
+def scoreboard(line: str):
     from conftest import ACCEPTANCE_LINES
 
-    line = f"[{'PASS' if passed else 'FAIL'}] {criterion}"
     ACCEPTANCE_LINES.append(line)
     print(line)
-    assert passed, criterion
 
 
 def targets_at(ids, target_resistance):
@@ -56,7 +61,7 @@ def targets_at(ids, target_resistance):
 
 def tuned_batch(n=61, seed=7):
     ids = [f"Q{i:03d}" for i in range(n)]
-    r, rho = sample_fabricated(DESIGN_R, qubit_rngs(seed, [f"fab:{q}" for q in ids]))
+    r, rho = sample_fabricated(DESIGN_R, seed, ids)
     targets = targets_at(ids, DESIGN_R * 0.98)
     records = run_campaign(r, rho, targets, CampaignConfig(master_seed=seed))
     return records, targets
@@ -117,20 +122,33 @@ def test_3_targeted_precision():
     )
 
 
+# alpha 0.5 through 4556 MHz at 4496 Ohm: criterion 4's calibration
+MODEL_4556 = PowerLawModel(
+    beta=4556.0 * np.sqrt(4496.0), alpha=0.5, residual_sigma=0.0, r_min=4000.0, r_max=5000.0,
+)
+
+
 def test_4_frequency_equivalent_precision():
-    model = PowerLawModel(
-        beta=4556.0 * np.sqrt(4496.0), alpha=0.5, residual_sigma=0.0,
-        r_min=4000.0, r_max=5000.0,
-    )
-    sig = freq_equiv_sigma(model, 4556.0, 0.0034)
+    sig = freq_equiv_sigma(MODEL_4556, 4556.0, 0.0034)
     r = 4496.0
     h = 0.0034 * r
-    fd = (predict_f(model, r - h) - predict_f(model, r + h)) / 2.0
+    fd = (predict_f(MODEL_4556, r - h) - predict_f(MODEL_4556, r + h)) / 2.0
     ok = abs(sig - 7.75) <= 0.1 and abs(sig - fd) / fd <= 0.001
     report(
         f"4 freq-equiv sigma: {sig:.3f} MHz (7.75±0.1), "
         f"finite-difference oracle {fd:.3f} MHz",
         ok,
+    )
+
+
+def test_4_campaign_closed_form_chain():
+    # Informational: criterion 4 is given 0.34% in R by hand; this derives
+    # the campaign's own sigma_R from the model constants, with no band.
+    _, sigma_r = precision_closed_form(DESIGN_R * (1.0 - AGING_BUDGET), RELAX_FRACTION_MEAN)
+    sig = freq_equiv_sigma(MODEL_4556, 4556.0, sigma_r)
+    scoreboard(
+        f"[INFO] 4 campaign sigma_R {100 * sigma_r:.4f}% (closed form) -> {sig:.2f} MHz "
+        f"at alpha 0.5 and 4556 MHz; paper 7.7 MHz (0.34%)"
     )
 
 
@@ -160,15 +178,15 @@ def test_6_segmented_relaxation_fit():
     y = y * np.exp(rng.normal(0, 0.02, y.size))
     fit = fit_segmented_power_law(t, y)
     exp_ok = all(
-        abs(got - want) <= 0.02 for got, want in zip(fit.exponents, (0.30, 0.24, 0.16))
+        abs(got - want) <= 0.02 for got, want in zip(fit["exponents"], (0.30, 0.24, 0.16))
     )
     bp_ok = all(
-        b / 1.5 <= got <= b * 1.5 for got, b in zip(fit.breakpoints, (0.2, 2.0))
+        b / 1.5 <= got <= b * 1.5 for got, b in zip(fit["breakpoints_hr"], (0.2, 2.0))
     )
     report(
-        f"6 segmented fit: exponents {fit.exponents[0]:.3f}/{fit.exponents[1]:.3f}/"
-        f"{fit.exponents[2]:.3f} (0.30/0.24/0.16 ±0.02), "
-        f"breakpoints {fit.breakpoints[0]:.2f}/{fit.breakpoints[1]:.2f} hr "
+        f"6 segmented fit: exponents {fit['exponents'][0]:.3f}/{fit['exponents'][1]:.3f}/"
+        f"{fit['exponents'][2]:.3f} (0.30/0.24/0.16 ±0.02), "
+        f"breakpoints {fit['breakpoints_hr'][0]:.2f}/{fit['breakpoints_hr'][1]:.2f} hr "
         f"(x1.5 of 0.2/2.0)",
         exp_ok and bp_ok,
     )
@@ -218,21 +236,21 @@ def test_9_yield_reproduction():
         res = mc_chip_yield(chip, YieldConfig(sigma_f_mhz=sigma, master_seed=7, trials=10**5))
         ys[sigma] = res
     big = yield_curve(cell, sigmas_mhz=[7.7], sizes=[(2, 6)], master_seed=7, trials=10**5)
-    chips = wafer_projection(ys[18.4])
+    chips = wafer_projection(ys[18.4]["yield"])
     elapsed = time.perf_counter() - start
     ok = (
-        0.08 <= ys[18.4].yield_estimate <= 0.30
-        and 0.75 <= ys[7.7].yield_estimate <= 0.95
-        and ys[93.5].yield_estimate < 0.005
-        and abs(chips - round(ys[18.4].yield_estimate * 212)) <= 2
+        0.08 <= ys[18.4]["yield"] <= 0.30
+        and 0.75 <= ys[7.7]["yield"] <= 0.95
+        and ys[93.5]["yield"] < 0.005
+        and abs(chips - round(ys[18.4]["yield"] * 212)) <= 2
         and big[0]["qubits"] == 108
         and big[0]["yield"] > 0.0
         and elapsed < 30.0
     )
     report(
-        f"9 yield: sigma 18.4 -> {ys[18.4].yield_estimate:.3f} ([0.08,0.30], "
-        f"{chips} chips/wafer), 7.7 -> {ys[7.7].yield_estimate:.3f} ([0.75,0.95]), "
-        f"93.5 -> {ys[93.5].yield_estimate:.4f} (<0.005), "
+        f"9 yield: sigma 18.4 -> {ys[18.4]['yield']:.3f} ([0.08,0.30], "
+        f"{chips} chips/wafer), 7.7 -> {ys[7.7]['yield']:.3f} ([0.75,0.95]), "
+        f"93.5 -> {ys[93.5]['yield']:.4f} (<0.005), "
         f"108-qubit at 7.7 -> {big[0]['yield']:.4f} (>0), {elapsed:.1f} s",
         ok,
     )
@@ -303,7 +321,7 @@ def test_10_property_suites():
         except InfeasibleError:
             park_ok &= oracle is None
             continue
-        park_ok &= oracle is not None and plan.offsets_mhz == oracle
+        park_ok &= oracle is not None and tuple(plan["offsets_mhz"]) == oracle
     checks.append(("parking matches brute force (20 instances)", park_ok))
 
     # MC yield bit-identical across thread counts
@@ -313,7 +331,7 @@ def test_10_property_suites():
         mc_chip_yield(chip, YieldConfig(sigma_f_mhz=18.4, master_seed=5, trials=20000, n_threads=t))
         for t in (1, 4)
     ]
-    checks.append(("thread-count invariance", runs[0].passes == runs[1].passes))
+    checks.append(("thread-count invariance", runs[0]["passes"] == runs[1]["passes"]))
 
     # yield monotone in chip size and sigma within 3x CI width
     rows = yield_curve(

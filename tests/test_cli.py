@@ -305,13 +305,14 @@ class TestLatticeCommands:
         assert plan["offsets_mhz"] == [0.0, -20.0, 0.0, -20.0, 0.0, -20.0, 0.0, -20.0, 0.0]
 
     def test_park_fine_step_no_plan_exit_3(self, tmp_path, capsys):
-        # No offset reaches the 20 MHz window floor, so no plan exists.
+        # No offset reaches the 20 MHz window floor, so no plan exists; the
+        # bounds of each parked-parked edge prove it within the node budget.
         design = self._design(tmp_path, self.UNIFORM)
         rc = main(["park", "--design", str(design), "--window", "20,130", "--step", "0.01",
                    "--max-park", "19.99", "--out", str(tmp_path / "out")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("infeasible: ") and "Traceback" not in err
+        assert err.startswith("infeasible: no parking plan") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 
@@ -397,12 +398,73 @@ class TestYieldCommand:
 
         out = run(3600.0)
         cell = json.loads((out / "unit_cell.json").read_text())
-        assert [[cell["base_frequency_mhz"] + o for o in row] for row in cell["offsets_mhz"]] == [
-            [3600.0 + o for o in row] for row in offsets
-        ]
+        assert cell == {"rows": 3, "cols": 3, "base_frequency_mhz": 3600.0,
+                        "offsets_mhz": offsets, "design_window_mhz": [40.0, 110.0]}
         # Detunings of integer-MHz frequencies do not depend on the base, so
         # the yield is the one written when the cell is rebased to 4500 MHz.
         assert (out / "yield.csv").read_text() == (run(4500.0) / "yield.csv").read_text()
+
+    def test_design_cell_written_back_as_read(self, tmp_path):
+        # The base and offsets are not rebased on the lowest frequency, so
+        # 4500.3 + 120.1 is not written back as 4620.400000000001 + 0.0.
+        cell = {"rows": 3, "cols": 3, "base_frequency_mhz": 4500.3,
+                "offsets_mhz": [[170.1, 120.1, 230.1], [120.1, 200.1, 160.1],
+                                [230.1, 160.1, 120.1]],
+                "design_window_mhz": [40.0, 110.0]}
+        design = tmp_path / "cell.json"
+        design.write_text(json.dumps(cell))
+        out = tmp_path / "o"
+        assert main(["yield", "--sigma", "7.7", "--trials", "100", "--seed", "1",
+                     "--design", str(design), "--out", str(out)]) == 0
+        assert json.loads((out / "unit_cell.json").read_text()) == cell
+
+    def test_generated_cell_round_trip(self, tmp_path):
+        # yield -> unit_cell.json -> yield --design -> unit_cell.json
+        argv = ["yield", "--sigma", "7.7", "--cells", "2x6", "--trials", "2000", "--seed", "7"]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([*argv, "--out", str(first)]) == 0
+        assert main([*argv, "--design", str(first / "unit_cell.json"), "--out", str(again)]) == 0
+        for name in ("unit_cell.json", "yield.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+class TestResultFilesPinned:
+    # sha256 of the files written from parking plans, segmented fits and yield
+    # estimates, recorded while those results were still frozen records; any
+    # byte of drift fails here. One change since, on purpose: a die with no
+    # parked qubit writes "sum_abs_offset_mhz": 0.0, not 0.
+    PINNED = {
+        "park-none": (["park", "--design", "{design}", "--window", "20,130"],
+                      ("1ee332378e867a124086b747a263744ccbba292616d6a180a224cb58cfed4b52",)),
+        "park-four": (["park", "--design", "{uniform}", "--window", "20,130", "--step", "0.7"],
+                      ("dd631dec1e07d10fe672f9a79f49a5baa283c8d58e7996695b498b56f443567e",)),
+        "fit-auto": (["fit-relaxation", "--data", "{demo}"],
+                     ("188e6b42898910022cb48bbf7a2317155e970bbf1cedd47f3498288acfcc33d0",)),
+        "fit-given": (["fit-relaxation", "--data", "{demo}", "--breakpoints", "0.2,2"],
+                      ("d55bb7195e08003c007737d399eed0bae2dc869e47bfc357f518dd5b8f279019",)),
+        "yield-1x1": (["yield", "--sigma", "7.7", "--cells", "1x1", "--trials", "20000",
+                       "--seed", "7"],
+                      ("629eb6d7f1c607a6dfbda5d23cdfcc120d94610dc2fe1757b824fde99476e862",
+                       "33ace50e02ec3c8bf007ca4952e745de3ac62b7c58a658106d89959ff9e74d7f")),
+        "yield-2x6": (["yield", "--sigma", "7.7", "--cells", "2x6", "--trials", "20000",
+                       "--seed", "7"],
+                      ("0e516ba3c2c0cb421578abd83543158580f43739bdde64b92b0a674a0023bccb",
+                       "33ace50e02ec3c8bf007ca4952e745de3ac62b7c58a658106d89959ff9e74d7f")),
+    }
+    FILES = {"park": ("parking.json",), "fit-relaxation": ("relaxation_fit.json",),
+             "yield": ("yield.csv", "unit_cell.json")}
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_outputs_pinned(self, tmp_path, case):
+        argv, want = self.PINNED[case]
+        inputs = {"design": tmp_path / "design.json", "uniform": tmp_path / "uniform.json",
+                  "demo": DATA_DIR / "relaxation_demo.csv"}
+        inputs["design"].write_text(json.dumps(DESIGN))
+        inputs["uniform"].write_text(json.dumps(TestLatticeCommands.UNIFORM))
+        out = tmp_path / "out"
+        assert main([a.format(**inputs) for a in argv] + ["--out", str(out)]) == 0
+        files = self.FILES[argv[0]]
+        assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == want
 
 
 DESIGN = {

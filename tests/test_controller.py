@@ -28,7 +28,7 @@ def make_targets(ids, target, reserve=0.0289):
 def make_batch(n, design=4587.8, seed=7, reserve=0.0289, target_frac=0.98):
     """(r_untuned, relax_fraction, targets) of n qubits drawn as simulate-tuning draws them."""
     ids = [f"Q{i:03d}" for i in range(n)]
-    r, rho = sample_fabricated(design, qubit_rngs(seed, ["fab:" + q for q in ids]))
+    r, rho = sample_fabricated(design, seed, ids)
     return r, rho, make_targets(ids, design * target_frac, reserve)
 
 
@@ -129,9 +129,9 @@ class TestOracles:
             assert max(rec["pulses"] for rec in want) > _STEP_BATCH
 
     def test_fabrication_matches_scalar_oracle(self):
-        ids = [f"fab:Q{i:03d}" for i in range(2 * _BLOCK + 5)]
-        r, rho = sample_fabricated(4587.8, qubit_rngs(5, ids))
-        want = [oracle_fabricated(4587.8, oracle_rng(5, q)) for q in ids]
+        ids = [f"Q{i:03d}" for i in range(2 * _BLOCK + 5)]
+        r, rho = sample_fabricated(4587.8, 5, ids)
+        want = [oracle_fabricated(4587.8, oracle_rng(5, "fab:" + q)) for q in ids]
         assert list(zip(r.tolist(), rho.tolist())) == want
 
     def test_forced_redraws_match_scalar_oracle(self, monkeypatch):
@@ -140,7 +140,7 @@ class TestOracles:
         monkeypatch.setattr(junction, "FAB_SIGMA_FRAC", 2.0)
         monkeypatch.setattr(junction, "RELAX_FRACTION_SIGMA", 0.03)
         ids = [f"Q{i:03d}" for i in range(100)]
-        r, rho = sample_fabricated(4587.8, qubit_rngs(5, ["fab:" + q for q in ids]))
+        r, rho = sample_fabricated(4587.8, 5, ids)
         want = [oracle_fabricated(4587.8, oracle_rng(5, "fab:" + q)) for q in ids]
         assert list(zip(r.tolist(), rho.tolist())) == want
         first = 4587.8 * (1.0 + junction.FAB_MEAN_OFFSET_FRAC) + 4587.8 * 2.0 * np.array(

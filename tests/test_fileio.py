@@ -13,7 +13,6 @@ from jjtrim.controller import (
     TARGET_FIELDS,
     CampaignConfig,
     campaign_stats,
-    qubit_rngs,
     run_campaign,
 )
 from jjtrim.errors import JJTrimError, SchemaError
@@ -139,7 +138,7 @@ class TestPointsCsv:
 class TestCampaignPersistence:
     def test_save_load_preserves_statistics(self, tmp_path):
         ids = [f"Q{i:03d}" for i in range(25)]
-        r, rho = sample_fabricated(4587.8, qubit_rngs(3, ["fab:" + q for q in ids]))
+        r, rho = sample_fabricated(4587.8, 3, ids)
         targets = {"qubit_id": ids, "target_resistance": np.full(25, 4587.8 * 0.98),
                    "relaxation_reserve": np.full(25, 0.0289)}
         config = CampaignConfig(master_seed=3, noise_sigma=0.5)

@@ -148,11 +148,11 @@ def _relaxation_trace(noise=0.0, n=500, seed=0):
 
 
 def _segmented_log_sse(t, y, fit):
-    edges = (-np.inf, *fit.breakpoints, np.inf)
+    edges = (-np.inf, *fit["breakpoints_hr"], np.inf)
     sse = 0.0
     for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
         mask = (t > lo) & (t <= hi)
-        pred = np.log(fit.amplitudes[k]) + fit.exponents[k] * np.log(t[mask])
+        pred = np.log(fit["amplitudes"][k]) + fit["exponents"][k] * np.log(t[mask])
         sse += float(np.sum((np.log(y[mask]) - pred) ** 2))
     return sse
 
@@ -187,21 +187,21 @@ class TestSegmentedFit:
     def test_noiseless_given_breakpoints(self):
         t, y = _relaxation_trace()
         fit = fit_segmented_power_law(t, y, breakpoints=[0.2, 2.0])
-        for got, want in zip(fit.exponents, (0.30, 0.24, 0.16)):
+        for got, want in zip(fit["exponents"], (0.30, 0.24, 0.16)):
             assert got == pytest.approx(want, abs=1e-6)
-        assert fit.continuity_residual < 1e-9
+        assert fit["continuity_residual"] < 1e-9
 
     def test_noisy_given_breakpoints(self):
         t, y = _relaxation_trace(noise=0.02)
         fit = fit_segmented_power_law(t, y, breakpoints=[0.2, 2.0])
-        for got, want in zip(fit.exponents, (0.30, 0.24, 0.16)):
+        for got, want in zip(fit["exponents"], (0.30, 0.24, 0.16)):
             assert got == pytest.approx(want, abs=0.02)
 
     def test_auto_changepoints(self):
         t, y = _relaxation_trace(noise=0.02)
         fit = fit_segmented_power_law(t, y)
-        assert 0.2 / 1.5 <= fit.breakpoints[0] <= 0.2 * 1.5
-        assert 2.0 / 1.5 <= fit.breakpoints[1] <= 2.0 * 1.5
+        assert 0.2 / 1.5 <= fit["breakpoints_hr"][0] <= 0.2 * 1.5
+        assert 2.0 / 1.5 <= fit["breakpoints_hr"][1] <= 2.0 * 1.5
 
     def test_insufficient_points(self):
         with pytest.raises(FitError):

@@ -17,28 +17,28 @@ from jjtrim.junction import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def streams(*seeds):
-    return [np.random.default_rng(seed) for seed in seeds]
+def ids(n):
+    return [f"Q{i:03d}" for i in range(n)]
 
 
 class TestFabrication:
     def test_population_statistics(self):
-        draws, _ = sample_fabricated(4587.8, streams(*range(221)))
+        draws, _ = sample_fabricated(4587.8, 0, ids(221))
         assert abs(draws.mean() - 4096.9) / 4096.9 < 0.01
         assert 0.030 <= draws.std() / draws.mean() <= 0.040
 
     def test_zero_sigma_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(junction, "FAB_SIGMA_FRAC", 0.0)
-        r, _ = sample_fabricated(5000.0, streams(*range(5)))
+        r, _ = sample_fabricated(5000.0, 0, ids(5))
         assert r == pytest.approx(np.full(5, 5000.0 * 0.893))
 
     def test_same_seed_same_state(self):
-        first, again = (sample_fabricated(4587.8, streams(42, 43)) for _ in range(2))
+        first, again = (sample_fabricated(4587.8, 42, ids(2)) for _ in range(2))
         assert np.array_equal(first, again)
 
     def test_invalid_design_resistance(self):
         with pytest.raises(ValidationError, match="design_resistance must be finite and > 0"):
-            sample_fabricated(-1.0, streams(0))
+            sample_fabricated(-1.0, 0, ids(1))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -56,7 +56,7 @@ class TestFabrication:
     )
     def test_non_finite_or_non_positive_mean_rejected(self, kwargs):
         with pytest.raises(ValidationError):
-            sample_fabricated(**kwargs, rngs=streams(0))
+            sample_fabricated(**kwargs, master_seed=0, ids=ids(1))
 
 
 class TestRelaxation:

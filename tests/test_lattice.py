@@ -263,7 +263,8 @@ def greedy_matching_size(edges):
 
 def park_or_none(lattice, window, max_park, step, symmetric=False):
     try:
-        return optimize_parking(lattice, window, max_park, step, symmetric=symmetric).offsets_mhz
+        plan = optimize_parking(lattice, window, max_park, step, symmetric=symmetric)
+        return tuple(plan["offsets_mhz"])
     except InfeasibleError:
         return None
 
@@ -271,14 +272,14 @@ def park_or_none(lattice, window, max_park, step, symmetric=False):
 class TestParking:
     def test_already_satisfying(self):
         plan = optimize_parking(cell_lattice(), (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
-        assert plan.parked_count == 0
+        assert plan["parked_count"] == 0
 
     def test_two_qubit_minimal_park(self):
         lat = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4610.0))
         plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
-        assert plan.parked_count == 1
-        assert plan.max_abs_offset == pytest.approx(10.0)
-        parked = [f + o for f, o in zip(lat.design_f01max, plan.offsets_mhz)]
+        assert plan["parked_count"] == 1
+        assert plan["max_abs_offset_mhz"] == pytest.approx(10.0)
+        parked = [f + o for f, o in zip(lat.design_f01max, plan["offsets_mhz"])]
         assert edge_detunings(lat, parked, window=(20.0, 130.0))["in_window"].all()
 
     def test_matches_brute_force_on_random_instances(self):
@@ -293,8 +294,8 @@ class TestParking:
                     optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
                 continue
             plan = optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
-            assert plan.offsets_mhz == oracle
-            parked = [f + o for f, o in zip(freqs, plan.offsets_mhz)]
+            assert tuple(plan["offsets_mhz"]) == oracle
+            parked = [f + o for f, o in zip(freqs, plan["offsets_mhz"])]
             assert edge_detunings(lat, parked, window=window)["in_window"].all()
 
     @given(
@@ -321,17 +322,17 @@ class TestParking:
             out = ~cols["in_window"]
             violating = list(zip(cols["node_a"][out].tolist(), cols["node_b"][out].tolist()))
             plan = optimize_parking(lat, window, max_park_mhz=50.0, step_mhz=1.0)
-            parked = [f + o for f, o in zip(freqs, plan.offsets_mhz)]
+            parked = [f + o for f, o in zip(freqs, plan["offsets_mhz"])]
             assert edge_detunings(lat, parked, window=window)["in_window"].all()
-            assert plan.parked_count >= greedy_matching_size(violating) >= 4
+            assert plan["parked_count"] >= greedy_matching_size(violating) >= 4
 
     def test_parked_count_beyond_recursion_limit(self, monkeypatch):
         # 512 parked qubits, more than half of Python's recursion limit.
         lat = QubitLattice(rows=32, cols=32, design_f01max=(5000.0,) * 1024)
         monkeypatch.setattr(lattice, "MAX_PARK_NODES", 10**7)
         plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
-        assert plan.parked_count == 512 and plan.max_abs_offset == 20.0
-        parked = [f + o for f, o in zip(lat.design_f01max, plan.offsets_mhz)]
+        assert plan["parked_count"] == 512 and plan["max_abs_offset_mhz"] == 20.0
+        parked = [f + o for f, o in zip(lat.design_f01max, plan["offsets_mhz"])]
         assert edge_detunings(lat, parked, window=(20.0, 130.0))["in_window"].all()
 
     def test_node_budget_raises(self, monkeypatch):

@@ -47,7 +47,7 @@ class TestTuneQubitProperties:
         # fabrication, last pulse and probe never step down, and a qubit is
         # left unpulsed exactly when it starts above its threshold
         design = 4587.8
-        r, rho = sample_fabricated(design, [np.random.default_rng(seed)])
+        r, rho = sample_fabricated(design, seed, ["q"])
         rec = run_campaign(r, rho, target_columns(design * target_frac),
                            CampaignConfig(master_seed=seed))
         assert rec["r_untuned"][0] <= rec["r_last_pulse"][0] <= rec["r_tuned"][0]
@@ -113,10 +113,10 @@ class TestParkingSoundness:
             plan = optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
         except InfeasibleError:
             return
-        for off in plan.offsets_mhz:
+        for off in plan["offsets_mhz"]:
             assert -30.0 <= off <= 0.0
             assert abs(off / 10.0 - round(off / 10.0)) < 1e-9
-        parked = [f + o for f, o in zip(freqs, plan.offsets_mhz)]
+        parked = [f + o for f, o in zip(freqs, plan["offsets_mhz"])]
         assert edge_detunings(lat, parked, window=window)["in_window"].all()
 
 

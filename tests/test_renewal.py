@@ -14,10 +14,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import precision_closed_form
 
 from jjtrim.cli import DEFAULT_DESIGN_RESISTANCE
 from jjtrim.controller import (
-    MEAN_STEP_OHM, CampaignConfig, campaign_stats, qubit_rngs, run_campaign,
+    MEAN_STEP_OHM, CampaignConfig, campaign_stats, run_campaign,
 )
 from jjtrim.freqmodel import AGING_BUDGET
 from jjtrim.junction import (
@@ -38,8 +39,7 @@ CHI2_19_P001 = 43.82
 @pytest.fixture(scope="module")
 def campaign():
     ids = [f"Q{i:05d}" for i in range(N)]
-    r, rho = sample_fabricated(DEFAULT_DESIGN_RESISTANCE,
-                               qubit_rngs(SEED, [f"fab:{q}" for q in ids]))
+    r, rho = sample_fabricated(DEFAULT_DESIGN_RESISTANCE, SEED, ids)
     targets = {"qubit_id": ids, "target_resistance": np.full(N, TARGET),
                "relaxation_reserve": np.full(N, RESERVE)}
     records = run_campaign(r, rho, targets, CampaignConfig(master_seed=SEED))
@@ -74,15 +74,9 @@ def test_moments(campaign):
     records, stats = campaign
     tuned = ~records["already_above_target"]
     r_last, r_tuned = records["r_last_pulse"][tuned], records["r_tuned"][tuned]
-    # precision + 1 = A * B with A = 1 + rho and B = 1 / (1 + reserve) + E / R_T
-    a_mean = 1.0 + RELAX_FRACTION_MEAN
-    a_sq = a_mean**2 + RELAX_FRACTION_SIGMA**2
-    b_mean = 1.0 / (1.0 + RESERVE) + MU / TARGET
-    b_sq = b_mean**2 + (MU / TARGET) ** 2
     closed_form = {
         ("precision_mean_frac", "precision_sigma_frac"): (
-            a_mean * b_mean - 1.0, math.sqrt(a_sq * b_sq - (a_mean * b_mean) ** 2),
-            (r_tuned - TARGET) / TARGET),
+            *precision_closed_form(TARGET, RESERVE), (r_tuned - TARGET) / TARGET),
         ("overshoot_mean_ohm", "overshoot_sigma_ohm"): (MU, MU, r_last - THRESHOLD),
         ("reserve_mean", "reserve_sigma"): (
             RELAX_FRACTION_MEAN, RELAX_FRACTION_SIGMA, (r_tuned - r_last) / r_last),

@@ -12,7 +12,6 @@ from jjtrim.yieldmc import (
     YIELD_WINDOW_MHZ,
     UnitCellDesign,
     YieldConfig,
-    YieldResult,
     generate_unit_cell,
     mc_chip_yield,
     tile,
@@ -112,7 +111,7 @@ class TestMonteCarloYield:
     def test_zero_sigma_yields_one(self):
         lat = tile(UnitCellDesign(offsets_mhz=ADDITIVE_CELL), 1, 1)
         res = mc_chip_yield(lat, YieldConfig(sigma_f_mhz=0.0, master_seed=1, trials=1000))
-        assert res.yield_estimate == 1.0
+        assert res["yield"] == 1.0
 
     def test_thread_count_invariance(self):
         lat = tile(UnitCellDesign(offsets_mhz=ADDITIVE_CELL), 1, 1)
@@ -125,16 +124,16 @@ class TestMonteCarloYield:
             )
             for t in (1, 4)
         ]
-        assert results[0].passes == results[1].passes
-        assert results[0].yield_estimate == results[1].yield_estimate
+        assert results[0]["passes"] == results[1]["passes"]
+        assert results[0]["yield"] == results[1]["yield"]
 
     def test_wilson_ci_shrinks_like_sqrt_trials(self):
         lat = tile(UnitCellDesign(offsets_mhz=ADDITIVE_CELL), 1, 1)
         widths = {}
         for trials in (10**3, 10**5):
             res = mc_chip_yield(lat, YieldConfig(sigma_f_mhz=18.4, master_seed=2, trials=trials))
-            assert res.ci_low <= res.yield_estimate <= res.ci_high
-            widths[trials] = res.ci_high - res.ci_low
+            assert res["ci_lo"] <= res["yield"] <= res["ci_hi"]
+            widths[trials] = res["ci_hi"] - res["ci_lo"]
         ratio = widths[10**3] / widths[10**5]
         assert ratio == pytest.approx(10.0, rel=0.25)
 
@@ -144,7 +143,7 @@ class TestMonteCarloYield:
         yields = {}
         for sigma in (18.4, 7.7, 93.5):
             res = mc_chip_yield(lat, YieldConfig(sigma_f_mhz=sigma, master_seed=7, trials=10**5))
-            yields[sigma] = res.yield_estimate
+            yields[sigma] = res["yield"]
         assert 0.08 <= yields[18.4] <= 0.30
         assert 0.75 <= yields[7.7] <= 0.95
         assert yields[93.5] < 0.005
@@ -220,7 +219,7 @@ class TestSliceKernelOracle:
             cfg = YieldConfig(sigma_f_mhz=sigma, master_seed=13, trials=trials)
             expected = gather_passes(lat, cfg)
             one, two = (
-                mc_chip_yield(lat, replace(cfg, n_threads=t)).passes for t in (1, 2)
+                mc_chip_yield(lat, replace(cfg, n_threads=t))["passes"] for t in (1, 2)
             )
             assert one == two
             if sigma == 0.0 or lat.n_qubits == 1:
@@ -319,8 +318,8 @@ class TestTransferOperatorOracle:
     def test_survivor_mc_brackets_operator_yield(self, case):
         strip, cols, sigma, h = OPERATOR_CASES[case]
         lat = leading_columns(STRIPS[strip](), cols)
-        res = mc_chip_yield(lat, YieldConfig(sigma_f_mhz=sigma, master_seed=7, trials=10**5))
-        lo, hi = wilson_interval(res.passes, res.trials, z=4.0)
+        cfg = YieldConfig(sigma_f_mhz=sigma, master_seed=7, trials=10**5)
+        lo, hi = wilson_interval(mc_chip_yield(lat, cfg)["passes"], cfg.trials, z=4.0)
         coarse = operator_yields(strip, sigma, h)[cols - 1]
         fine = operator_yields(strip, sigma, h / 2)[cols - 1]
         # Second-order convergence puts the error of the h/2 yield at a
@@ -333,8 +332,8 @@ class TestLatticesWithFewEdges:
     def test_single_qubit_passes_every_trial(self):
         lat = QubitLattice(rows=1, cols=1, design_f01max=(4500.0,))
         res = mc_chip_yield(lat, YieldConfig(sigma_f_mhz=18.4, master_seed=1, trials=5000))
-        assert res.passes == 5000
-        assert res.yield_estimate == 1.0
+        assert res["passes"] == 5000
+        assert res["yield"] == 1.0
 
     @pytest.mark.parametrize(
         "rows, cols, seed, pinned",
@@ -343,7 +342,7 @@ class TestLatticesWithFewEdges:
     def test_single_row_and_column_pinned(self, rows, cols, seed, pinned):
         lat = alternating_lattice(rows, cols, seed)
         got = tuple(
-            mc_chip_yield(lat, YieldConfig(sigma_f_mhz=s, master_seed=11, trials=5000)).passes
+            mc_chip_yield(lat, YieldConfig(sigma_f_mhz=s, master_seed=11, trials=5000))["passes"]
             for s in (7.7, 18.4, 93.5)
         )
         assert got == pinned
@@ -385,23 +384,23 @@ class TestYieldCurve:
 
 
 class TestWaferProjection:
-    def _result(self, y, qubits=9):
-        return YieldResult(
-            yield_estimate=y, ci_low=y, ci_high=y, passes=0, trials=1, qubit_count=qubits
-        )
-
     def test_seventeen_percent(self):
-        assert wafer_projection(self._result(0.17)) == 36
+        assert wafer_projection(0.17) == 36
 
     def test_eighty_six_percent(self):
-        assert wafer_projection(self._result(0.86)) == 182
+        assert wafer_projection(0.86) == 182
 
     def test_zero_yield(self):
-        assert wafer_projection(self._result(0.0)) == 0
+        assert wafer_projection(0.0) == 0
 
     def test_negative_dice_rejected(self):
         with pytest.raises(ValidationError):
-            wafer_projection(self._result(0.5), dice=-1)
+            wafer_projection(0.5, dice=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_non_finite_or_negative_yield_rejected(self, bad):
+        with pytest.raises(ValidationError, match="yield_fraction"):
+            wafer_projection(bad)
 
 
 class TestWilson:
