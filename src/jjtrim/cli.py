@@ -1,9 +1,11 @@
 """Command-line interface tying the toolkit into reproducible runs.
 
-Every subcommand writes a manifest (command, config snapshot, seed,
-input digests, tool version) next to its outputs, so any run can be
-reproduced bit-identically. Seeds are mandatory for stochastic
-commands; there is no wall-clock fallback.
+After a subcommand succeeds, ``main`` writes its manifest (command, config
+snapshot, seed, input digests, tool version) next to its outputs, so any run
+can be reproduced bit-identically. Each subparser declares the flags its
+manifest records, beside the flags themselves, in a ``recorded`` default that
+no flag sets. Seeds are mandatory for stochastic commands; there is no
+wall-clock fallback.
 
 Exit codes: 0 success, 2 invalid input or unreadable file, 3 infeasibility
 (no plan or cell exists, or a search's or tuning loop's budget is spent).
@@ -24,6 +26,8 @@ from .errors import FitError, InfeasibleError, SchemaError, ValidationError, che
 
 DEFAULT_QUBITS = 221
 DEFAULT_DESIGN_RESISTANCE = 4587.8
+# File flags whose digests a manifest records, in the order it lists them.
+INPUT_FLAGS = ("data", "calibration", "design", "campaign")
 
 
 def _parse_floats(text: str, sep: str, what: str) -> list[float]:
@@ -64,7 +68,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_simulate_tuning(args) -> int:
+def cmd_simulate_tuning(args):
     check("--qubits", args.qubits, ge=1)
     if args.qubits > controller.MAX_CAMPAIGN_QUBITS:
         raise ValidationError(
@@ -91,12 +95,6 @@ def cmd_simulate_tuning(args) -> int:
         metrics.items(),
         formats={"value": ".6f"},
     )
-    fileio.write_manifest(
-        out, args.command,
-        {"qubits": args.qubits, "design_resistance": args.design_resistance,
-         "aging_budget": args.aging_budget, "reserve": args.reserve, "noise": args.noise},
-        args.seed,
-    )
     print(f"tuned {args.qubits} qubits to target {target_r:.1f} Ohm")
     print(
         f"precision: mean {100 * metrics['precision_mean_frac']:+.3f}%  "
@@ -110,24 +108,21 @@ def cmd_simulate_tuning(args) -> int:
         f"reserve:   mean {100 * metrics['reserve_mean']:.3f}%  "
         f"sigma {100 * metrics['reserve_sigma']:.3f}%"
     )
-    return 0
 
 
-def cmd_calibrate_freq(args) -> int:
+def cmd_calibrate_freq(args):
     points = fileio.read_points_csv(args.data, "resistance_ohm", "f01max_mhz")
     model = freqmodel.fit_power_law(points)
     out = _out_dir(args)
     fileio.save_calibration(out / "calibration.json", model)
-    fileio.write_manifest(out, args.command, {"data": str(args.data)}, None, [args.data])
     print(
         f"alpha {model.alpha:.4f}  beta {model.beta:.4f}  "
         f"residual sigma {model.residual_sigma:.2f} MHz  "
         f"domain [{model.r_min:.1f}, {model.r_max:.1f}] Ohm"
     )
-    return 0
 
 
-def cmd_assign_targets(args) -> int:
+def cmd_assign_targets(args):
     model = fileio.load_calibration(args.calibration)
     lat, _window = fileio.load_design(args.design)
     rows = []
@@ -141,38 +136,27 @@ def cmd_assign_targets(args) -> int:
         rows,
         formats={"design_f_mhz": ".4f", "target_resistance_ohm": ".4f"},
     )
-    fileio.write_manifest(
-        out,
-        args.command,
-        {"aging_budget": args.aging_budget},
-        None,
-        [args.calibration, args.design],
-    )
     print(f"assigned {len(rows)} targets (aging budget {100 * args.aging_budget:.1f}%)")
-    return 0
 
 
-def cmd_fit_relaxation(args) -> int:
+def cmd_fit_relaxation(args):
     points = fileio.read_points_csv(args.data, "t_hr", "delta_r_ohm")
     t = [p[0] for p in points]
     dr = [p[1] for p in points]
-    bps = _parse_floats(args.breakpoints, ",", "--breakpoints") if args.breakpoints else None
+    text = args.breakpoints
+    bps = None if text is None else _parse_floats(text, ",", "--breakpoints")
     fit = freqmodel.fit_segmented_power_law(t, dr, breakpoints=bps)
     out = _out_dir(args)
     fileio.dump_json(out / "relaxation_fit.json", fit)
-    fileio.write_manifest(
-        out, args.command, {"breakpoints": args.breakpoints}, None, [args.data]
-    )
     exps = "  ".join(f"{e:.3f}" for e in fit["exponents"])
     bps = "  ".join(f"{b:.3f}" for b in fit["breakpoints_hr"])
     print(f"exponents: {exps}")
     print(f"breakpoints (hr): {bps}")
-    return 0
 
 
-def cmd_analyze_lattice(args) -> int:
+def cmd_analyze_lattice(args):
     lat, _ = fileio.load_design(args.design)
-    window = _parse_pair(args.window, ",", "--window") if args.window else None
+    window = None if args.window is None else _parse_pair(args.window, ",", "--window")
     cols = lattice.edge_detunings(lat, window=window)
     d = cols["abs_mhz"]
     if not len(d):
@@ -196,9 +180,6 @@ def cmd_analyze_lattice(args) -> int:
         "modulation_valid": max_count <= 2,
     }
     fileio.dump_json(out / "lattice_summary.json", summary)
-    fileio.write_manifest(
-        out, args.command, {"window": args.window}, None, [args.design]
-    )
     print(
         f"{summary['edges']} edges: min {summary['min_mhz']:.1f}  "
         f"median {summary['median_mhz']:.1f}  max {summary['max_mhz']:.1f} MHz"
@@ -207,10 +188,9 @@ def cmd_analyze_lattice(args) -> int:
         f"modulation assignment: max {max_count} edges per qubit "
         f"({'valid' if summary['modulation_valid'] else 'INVALID'})"
     )
-    return 0
 
 
-def cmd_park(args) -> int:
+def cmd_park(args):
     lat, _ = fileio.load_design(args.design)
     window = _parse_pair(args.window, ",", "--window")
     plan = lattice.optimize_parking(
@@ -219,27 +199,16 @@ def cmd_park(args) -> int:
     )
     out = _out_dir(args)
     fileio.dump_json(out / "parking.json", plan)
-    fileio.write_manifest(
-        out,
-        args.command,
-        {"window": args.window, "max_park": args.max_park, "step": args.step,
-         "symmetric": args.symmetric},
-        None,
-        [args.design],
-    )
     print(
         f"parked {plan['parked_count']} qubit(s), "
         f"max offset {plan['max_abs_offset_mhz']:.1f} MHz"
     )
-    return 0
 
 
-def cmd_yield(args) -> int:
+def cmd_yield(args):
     window = _parse_pair(args.window, ",", "--window")
-    inputs = []
-    if args.design:
+    if args.design is not None:
         cell = fileio.load_unit_cell(args.design)
-        inputs.append(args.design)
     else:
         cell = yieldmc.generate_unit_cell(seed=args.seed)
     m, n = _parse_cells(args.cells)
@@ -263,35 +232,24 @@ def cmd_yield(args) -> int:
         [[result[k] for k in header]],
         formats={"sigma_mhz": ".6g", "yield": ".6f", "ci_lo": ".6f", "ci_hi": ".6f"},
     )
-    fileio.write_manifest(
-        out,
-        args.command,
-        {"sigma": args.sigma, "cells": args.cells, "trials": args.trials,
-         "window": args.window, "dice": args.dice, "design": args.design},
-        args.seed,
-        inputs,
-    )
     print(
         f"yield {result['yield']:.4f} "
         f"[{result['ci_lo']:.4f}, {result['ci_hi']:.4f}] on {result['qubits']} qubits"
     )
     print(f"wafer: {chips} chips, {chips * result['qubits']} qubits per {args.dice} dice")
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     records, targets, _config = fileio.load_campaign(args.campaign)
     metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
     rows = [(k, v) for k, v in metrics.items() if k not in ("precision_min_frac", "precision_max_frac")]
     qubits = len(records["qubit_id"])
     fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", qubits), *rows])
-    fileio.write_manifest(out, args.command, {}, None, [args.campaign])
     print(
         f"{qubits} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
         f"mean {100 * metrics['precision_mean_frac']:+.3f}%"
     )
-    return 0
 
 
 @functools.cache  # built once per process; parse_args never changes it
@@ -312,31 +270,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aging-budget", type=float, default=freqmodel.AGING_BUDGET)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate_tuning)
+    p.set_defaults(func=cmd_simulate_tuning,
+                   recorded=("qubits", "design_resistance", "aging_budget", "reserve", "noise"))
 
     p = sub.add_parser("calibrate-freq", help="fit the resistance-frequency power law")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_calibrate_freq)
+    p.set_defaults(func=cmd_calibrate_freq, recorded=("data",))
 
     p = sub.add_parser("assign-targets", help="map design frequencies to target resistances")
     p.add_argument("--calibration", required=True)
     p.add_argument("--design", required=True)
     p.add_argument("--aging-budget", type=float, default=freqmodel.AGING_BUDGET)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_assign_targets)
+    p.set_defaults(func=cmd_assign_targets, recorded=("aging_budget",))
 
     p = sub.add_parser("fit-relaxation", help="fit a segmented power law to a relaxation trace")
     p.add_argument("--data", required=True)
     p.add_argument("--breakpoints", default=None, help="comma-separated hours; omit for auto")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_relaxation)
+    p.set_defaults(func=cmd_fit_relaxation, recorded=("breakpoints",))
 
     p = sub.add_parser("analyze-lattice", help="edge detunings and modulation assignment")
     p.add_argument("--design", required=True)
     p.add_argument("--window", default=None, help="lo,hi in MHz")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_analyze_lattice)
+    p.set_defaults(func=cmd_analyze_lattice, recorded=("window",))
 
     p = sub.add_parser("park", help="find minimal parking offsets for a detuning window")
     p.add_argument("--design", required=True)
@@ -345,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_park)
+    p.set_defaults(func=cmd_park, recorded=("window", "max_park", "step", "symmetric"))
 
     p = sub.add_parser("yield", help="Monte Carlo detuning-edge yield")
     p.add_argument("--sigma", type=float, required=True)
@@ -358,12 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dice", type=int, default=yieldmc.DEFAULT_DICE_PER_WAFER)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_yield)
+    p.set_defaults(func=cmd_yield,
+                   recorded=("sigma", "cells", "trials", "window", "dice", "design"))
 
     p = sub.add_parser("report", help="aggregate statistics from a saved campaign")
     p.add_argument("--campaign", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, recorded=())
 
     return parser
 
@@ -372,7 +332,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        inputs = [p for p in (getattr(args, k, None) for k in INPUT_FLAGS) if p is not None]
+        fileio.write_manifest(args.out, args.command, {k: getattr(args, k) for k in args.recorded},
+                              getattr(args, "seed", None), inputs)
     except (SchemaError, ValidationError, FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for line in getattr(exc, "details", ()):
@@ -381,6 +344,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -266,9 +266,10 @@ def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
 def read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:
     """(x, y) pairs from two named columns of a headed UTF-8 CSV.
 
-    Every row needs the header's field count and finite numbers in both
-    columns; all bad lines are reported at once. Undecodable bytes read
-    as U+FFFD, so a line holding them fails as not numeric.
+    The header names each column once. Every row needs the header's field
+    count and finite numbers in both columns; all bad lines are reported at
+    once. Undecodable bytes read as U+FFFD, so a line holding them fails as
+    not numeric.
     """
     points, problems = [], []
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
@@ -276,6 +277,9 @@ def read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:
         header = next(reader, [])
         if col_x not in header or col_y not in header:
             raise SchemaError(f"{path}: expected columns {col_x!r} and {col_y!r}, got {header}")
+        for col in header:
+            if header.count(col) > 1:
+                raise SchemaError(f"{path}: header repeats column {col!r}: {header}")
         ix, iy = header.index(col_x), header.index(col_y)
         for rec in reader:
             if not rec:

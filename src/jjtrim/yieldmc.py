@@ -28,6 +28,9 @@ MAX_TILE_QUBITS = 100_000
 # Largest Monte Carlo run, in trials x qubits: 100x the paper's 1000-qubit
 # scale at 1e5 trials. A larger run is refused before any draw.
 MAX_QUBIT_TRIALS = 10**10
+# Most worker threads one run may ask for. Each starts an OS thread, and the
+# result is identical for any thread count.
+MAX_THREADS = 64
 # Backtracking nodes after which the unit-cell search gives up with exit 3.
 CELL_SEARCH_NODES = 200_000
 
@@ -154,6 +157,8 @@ class YieldConfig:
         check_window("window", self.window_mhz)
         check("chunk_trials", self.chunk_trials, ge=1)
         check("n_threads", self.n_threads, ge=1)
+        if self.n_threads > MAX_THREADS:
+            raise ValidationError(f"n_threads must be <= {MAX_THREADS}, got {self.n_threads}")
 
 
 def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:

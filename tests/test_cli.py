@@ -1,7 +1,9 @@
+import argparse
 import csv
 import hashlib
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -11,8 +13,9 @@ from conftest import oracle_fabricated, oracle_record, oracle_rng, rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jjtrim import controller, fileio, junction, yieldmc
+from jjtrim import __version__, controller, fileio, junction, yieldmc
 from jjtrim.cli import build_parser, main
+from jjtrim.errors import ValidationError
 from jjtrim.freqmodel import PowerLawModel
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -467,6 +470,106 @@ class TestResultFilesPinned:
         assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == want
 
 
+class TestManifestsPinned:
+    # Every subcommand's manifest config (in key order), master seed, input
+    # files and stdout, recorded while each command still wrote its own
+    # manifest. Paths are relative to the run's directory.
+    PINNED = {
+        "simulate-tuning": (
+            ["simulate-tuning", "--qubits", "4", "--seed", "7", "--noise", "0.5"],
+            {"qubits": 4, "design_resistance": 4587.8, "aging_budget": 0.02, "reserve": 0.0289,
+             "noise": 0.5}, 7, [],
+            "tuned 4 qubits to target 4496.0 Ohm\nprecision: mean -0.099%  sigma 0.408%\n"
+            "overshoot: mean 1.62 Ohm  sigma 1.11 Ohm\nreserve:   mean 2.750%  sigma 0.424%\n"),
+        "simulate-tuning-all-flags": (
+            ["simulate-tuning", "--qubits", "3", "--seed", "3", "--design-resistance", "5000",
+             "--reserve", "0.03", "--aging-budget", "0.01"],
+            {"qubits": 3, "design_resistance": 5000.0, "aging_budget": 0.01, "reserve": 0.03,
+             "noise": 0.0}, 3, [],
+            "tuned 3 qubits to target 4950.0 Ohm\nprecision: mean -0.081%  sigma 0.158%\n"
+            "overshoot: mean 1.12 Ohm  sigma 0.26 Ohm\nreserve:   mean 2.893%  sigma 0.167%\n"),
+        "calibrate-freq": (
+            ["calibrate-freq", "--data", "points.csv"],
+            {"data": "points.csv"}, None, ["points.csv"],
+            "alpha 0.5100  beta 280000.0000  residual sigma 0.00 MHz  "
+            "domain [3500.0, 6500.0] Ohm\n"),
+        "assign-targets": (
+            ["assign-targets", "--calibration", "calibration.json", "--design", "design.json",
+             "--aging-budget", "0.03"],
+            {"aging_budget": 0.03}, None, ["calibration.json", "design.json"],
+            "assigned 9 targets (aging budget 3.0%)\n"),
+        "fit-relaxation": (
+            ["fit-relaxation", "--data", "demo.csv"],
+            {"breakpoints": None}, None, ["demo.csv"],
+            "exponents: 0.298  0.239  0.160\nbreakpoints (hr): 0.182  2.437\n"),
+        "fit-relaxation-breakpoints": (
+            ["fit-relaxation", "--data", "demo.csv", "--breakpoints", "0.2,2"],
+            {"breakpoints": "0.2,2"}, None, ["demo.csv"],
+            "exponents: 0.299  0.240  0.157\nbreakpoints (hr): 0.200  2.000\n"),
+        "analyze-lattice": (
+            ["analyze-lattice", "--design", "design.json"],
+            {"window": None}, None, ["design.json"],
+            "12 edges: min 45.0  median 51.0  max 104.0 MHz\n"
+            "modulation assignment: max 3 edges per qubit (INVALID)\n"),
+        "analyze-lattice-window": (
+            ["analyze-lattice", "--design", "design.json", "--window", "45,99"],
+            {"window": "45,99"}, None, ["design.json"],
+            "12 edges: min 45.0  median 51.0  max 104.0 MHz\n"
+            "modulation assignment: max 3 edges per qubit (INVALID)\n"),
+        "park": (
+            ["park", "--design", "design.json", "--window", "20,130", "--step", "0.5",
+             "--symmetric"],
+            {"window": "20,130", "max_park": 50.0, "step": 0.5, "symmetric": True}, None,
+            ["design.json"],
+            "parked 0 qubit(s), max offset 0.0 MHz\n"),
+        "yield": (
+            ["yield", "--sigma", "7.7", "--trials", "2000", "--seed", "7"],
+            {"sigma": 7.7, "cells": "1x1", "trials": 2000, "window": "20,130", "dice": 212,
+             "design": None}, 7, [],
+            "yield 0.8270 [0.8098, 0.8429] on 9 qubits\n"
+            "wafer: 175 chips, 1575 qubits per 212 dice\n"),
+        "yield-design-threads": (
+            ["yield", "--sigma", "7.7", "--cells", "2x2", "--trials", "2000", "--seed", "7",
+             "--window", "25,125", "--dice", "100", "--design", "design.json", "--threads", "2"],
+            {"sigma": 7.7, "cells": "2x2", "trials": 2000, "window": "25,125", "dice": 100,
+             "design": "design.json"}, 7, ["design.json"],
+            "yield 0.5500 [0.5281, 0.5717] on 36 qubits\n"
+            "wafer: 55 chips, 1980 qubits per 100 dice\n"),
+        "report": (
+            ["report", "--campaign", "sim/campaign.json"],
+            {}, None, ["sim/campaign.json"],
+            "4 qubits  precision sigma 0.066%  mean +0.039%\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_manifest_pinned(self, tmp_path, monkeypatch, capsys, valid, case):
+        argv, config, seed, inputs, stdout = self.PINNED[case]
+        monkeypatch.chdir(tmp_path)
+        Path("sim").mkdir()
+        for kind, name in [("design", "design.json"), ("calibration", "calibration.json"),
+                           ("points", "points.csv"), ("campaign", "sim/campaign.json")]:
+            shutil.copy(valid[kind], name)
+        shutil.copy(DATA_DIR / "relaxation_demo.csv", "demo.csv")
+        capsys.readouterr()
+        assert main([*argv, "--out", "out"]) == 0
+        assert capsys.readouterr().out == stdout
+        want = {"command": argv[0], "config": config, "master_seed": seed,
+                "input_digests": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                                  for p in inputs},
+                "tool_version": __version__}
+        # the text, so the order of every key is pinned too
+        assert Path("out/manifest.json").read_text() == json.dumps(want) + "\n"
+
+    def test_recorded_fields_are_own_flags(self):
+        # a name that is not a flag of its subcommand would raise in main
+        # after the command had written its outputs
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions} - {"help", "out"}
+            assert set(parser.get_default("recorded")) <= dests, command
+
+
 DESIGN = {
     "rows": 3,
     "cols": 3,
@@ -648,6 +751,11 @@ class TestArgumentBoundaries:
             (["simulate-tuning", "--seed", "1", "--design-resistance", "inf"],
              "design_resistance must be finite"),
             (["analyze-lattice", "--window", "130,20"], "window must be finite with lo < hi"),
+            # an empty flag is malformed, not the flag left out
+            (["analyze-lattice", "--window", ""], "--window must be numeric: ''"),
+            (["fit-relaxation", "--breakpoints", ""], "--breakpoints must be numeric: ''"),
+            (["yield", "--sigma", "7.7", "--seed", "1", "--design", ""],
+             "No such file or directory: ''"),
             (["simulate-tuning", "--seed", "1", "--aging-budget=-0.5"],
              "aging_budget must be finite"),
             (["simulate-tuning", "--seed", "1", "--aging-budget=-1e308"],
@@ -666,6 +774,7 @@ class TestArgumentBoundaries:
                   "analyze-lattice": ["--design", valid["design"]],
                   "assign-targets": ["--design", valid["design"],
                                      "--calibration", valid["calibration"]],
+                  "fit-relaxation": ["--data", DATA_DIR / "relaxation_demo.csv"],
                   "yield": [], "simulate-tuning": []}[argv[0]]
         rc = main([str(a) for a in argv + inputs] + ["--out", str(tmp_path / "o")])
         assert rc == 2
@@ -739,6 +848,29 @@ class TestArgumentBoundaries:
         argv = ["yield", "--sigma", "7.7", "--seed", "1", "--cells", "4x12", "--dice=-1"]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert "dice must be >= 0 and < 9007199254740992, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_capped_before_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        # Only counts above the cap are tried: a rejected config starts no thread.
+        for n in (yieldmc.MAX_THREADS + 1, 10**6):
+            with pytest.raises(ValidationError, match=f"n_threads must be <= 64, got {n}"):
+                yieldmc.YieldConfig(sigma_f_mhz=7.7, master_seed=1, n_threads=n)
+
+        def never(*args, **kwargs):
+            raise AssertionError("mc_chip_yield ran before --threads was checked")
+
+        monkeypatch.setattr(yieldmc, "mc_chip_yield", never)
+        argv = ["yield", "--sigma", "7.7", "--seed", "1", "--threads", "65"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "n_threads must be <= 64, got 65" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_csv_column(self, tmp_path, valid, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("resistance_ohm,resistance_ohm,f01max_mhz\n4000,5000,4300\n"
+                        "4500,5500,4100\n3500,6000,4500\n")
+        assert run_with("points", path, valid, tmp_path / "o") == 2
+        assert "header repeats column 'resistance_ohm'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_one_distinct_resistance(self, tmp_path, valid, capsys):
