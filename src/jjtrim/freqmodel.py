@@ -37,6 +37,7 @@ class PowerLawModel:
     def __post_init__(self):
         check("beta", self.beta, gt=0)
         check("alpha", self.alpha, gt=0)
+        check("residual_sigma", self.residual_sigma, ge=0)
 
 
 def fit_power_law(points) -> PowerLawModel:
@@ -46,26 +47,18 @@ def fit_power_law(points) -> PowerLawModel:
     reported in linear MHz against the fitted curve.
     """
     pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise FitError(f"need at least 2 (R, f) points, got shape {pts.shape}")
-    r, f = pts[:, 0], pts[:, 1]
-    if np.any(r <= 0) or np.any(f <= 0):
-        raise FitError("all resistances and frequencies must be positive")
-    if np.all(r == r[0]):
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise FitError(f"need (R, f) points, got shape {pts.shape}")
+    r, f = _sorted_columns(pts[:, 0], pts[:, 1], "R and f", 2)
+    if r[0] == r[-1]:
         raise FitError(f"need >= 2 distinct resistances, got only {r[0]}")
-    slope, intercept = np.polyfit(np.log(r), np.log(f), 1)
-    alpha = -float(slope)
-    beta = float(np.exp(intercept))
+    slope, amp, _ = _line_fits(np.log(r), np.log(f), [0, len(r)])
+    alpha, beta = -float(slope[0]), float(amp[0])
     if alpha <= 0:
         raise FitError(f"fitted exponent is not positive (alpha={alpha})")
-    residuals = f - beta * r**(-alpha)
-    return PowerLawModel(
-        beta=beta,
-        alpha=alpha,
-        residual_sigma=float(np.std(residuals)),
-        r_min=float(r.min()),
-        r_max=float(r.max()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = float(np.std(f - beta * r**(-alpha)))
+    return PowerLawModel(beta, alpha, sigma, r_min=float(r[0]), r_max=float(r[-1]))
 
 
 def predict_f(model: PowerLawModel, r):
@@ -115,9 +108,39 @@ def freq_equiv_sigma(model: PowerLawModel, f_pred: float, sigma_r_rel: float) ->
     return model.alpha * check("f_pred", f_pred, gt=0) * check("sigma_r_rel", sigma_r_rel, ge=0)
 
 
-def _fit_loglog_segment(t, y):
-    slope, intercept = np.polyfit(np.log(t), np.log(y), 1)
-    return float(slope), float(np.exp(intercept))
+def _sorted_columns(u, w, names, min_points):
+    """u and w as float arrays sorted by u, once both are equal-length 1-D
+    columns of at least ``min_points`` finite, positive values."""
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    if u.shape != w.shape or u.ndim != 1 or u.size < min_points:
+        raise FitError(f"need equal-length 1-D {names} of >= {min_points} points")
+    if not np.all(np.isfinite([u, w]) & (np.array([u, w]) > 0)):
+        raise FitError(f"{names} must be finite and positive")
+    order = np.argsort(u)
+    return u[order], w[order]
+
+
+def _line_fits(x, v, bounds):
+    """Least-squares lines v = log(amp) + slope * x over the index ranges
+    ``bounds[k]:bounds[k + 1]`` (down every column of a 2-D ``bounds``):
+    arrays of slope, amp and squared residual, one row per segment.
+
+    The sums run over x and v centred on their means over all of x, and
+    come for every segment from one prefix sum each. A segment whose x do
+    not vary explains nothing; a short one far from the means loses digits
+    (1e-12 relative on a trace spanning seven decades of time).
+    """
+    xm, vm = x.mean(), v.mean()
+    x, v = x - xm, v - vm
+    prefix = np.zeros((6, len(x) + 1))
+    prefix[:, 1:] = np.cumsum([np.ones_like(x), x, v, x * x, x * v, v * v], axis=1)
+    n, sx, sv, sxx, sxv, svv = prefix[:, bounds[1:]] - prefix[:, bounds[:-1]]
+    cxx, cxv = sxx - sx * sx / n, sxv - sx * sv / n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        explained = np.where(cxx > 0, cxv * cxv / cxx, 0.0)
+        slope = cxv / cxx
+        amp = np.exp(vm + sv / n - slope * (xm + sx / n))
+    return slope, amp, svv - sv * sv / n - explained
 
 
 def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> dict:
@@ -127,72 +150,49 @@ def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> dict:
     and the ``continuity_residual``, the largest relative jump between
     adjacent segment fits at their shared breakpoint.
 
+    Every segment needs ``FIT_MIN_POINTS`` points and two distinct times.
     With ``breakpoints=None`` a two-changepoint search runs over every
-    pair of a log-spaced candidate grid, minimizing the total squared
-    log-residual. Prefix sums give each pair's residual in closed form,
-    the first pair in grid order with the smallest one wins, and only
-    that pair is fitted.
+    pair of a log-spaced candidate grid that meets that rule: prefix sums
+    give each pair's total squared log-residual, and the first pair in grid
+    order with the smallest one wins. Given and searched breakpoints are
+    fitted by the same prefix sums.
     """
-    t = np.asarray(t_hr, dtype=float)
-    y = np.asarray(delta_r, dtype=float)
-    if t.shape != y.shape or t.ndim != 1 or t.size < FIT_MIN_POINTS:
-        raise FitError(f"need equal-length 1-D t_hr and delta_r of >= {FIT_MIN_POINTS} points")
-    if not (np.isfinite(t).all() and np.isfinite(y).all()):
-        raise FitError("times and resistance changes must be finite")
-    if np.any(t <= 0) or np.any(y <= 0):
-        raise FitError("times and resistance changes must be positive")
-    order = np.argsort(t)
-    t, y = t[order], y[order]
-
-    if breakpoints is not None:
-        return _fit_with_breakpoints(t, y, tuple(float(b) for b in breakpoints))
-
-    grid = np.geomspace(t[0], t[-1], FIT_CANDIDATES + 2)[1:-1]
-    i, j = np.triu_indices(len(grid), k=1)
-    cut = np.searchsorted(t, grid, side="right")
-    bounds = np.stack([np.zeros_like(i), cut[i], cut[j], np.full_like(i, len(t))])
-    valid = np.all(np.diff(bounds, axis=0) >= FIT_MIN_POINTS, axis=0)
-    if not valid.any():
-        raise FitError("no breakpoint pair leaves enough points per segment")
-    i, j, bounds = i[valid], j[valid], bounds[:, valid]
-
-    # Sums of (1, x, v, x^2, xv, v^2) over centred logs, for every prefix.
-    x, v = np.log(t), np.log(y)
-    x, v = x - x.mean(), v - v.mean()
-    prefix = np.zeros((6, len(t) + 1))
-    prefix[:, 1:] = np.cumsum([np.ones_like(x), x, v, x * x, x * v, v * v], axis=1)
-    n, sx, sv, sxx, sxv, svv = prefix[:, bounds[1:]] - prefix[:, bounds[:-1]]
-    cxx, cxv = sxx - sx * sx / n, sxv - sx * sv / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        explained = np.where(cxx > 0, cxv * cxv / cxx, 0.0)
-    score = (svv - sv * sv / n - explained).sum(axis=0)
-    k = int(score.argmin())
-    return _fit_with_breakpoints(t, y, (float(grid[i[k]]), float(grid[j[k]])))
-
-
-def _fit_with_breakpoints(t, y, bps) -> dict:
-    if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-        raise FitError(f"breakpoints must be increasing: {bps}")
-    edges = (-np.inf, *bps, np.inf)
-    exponents, amplitudes = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        mask = (t > lo) & (t <= hi)
-        if mask.sum() < FIT_MIN_POINTS:
-            raise FitError(
-                f"segment ({lo}, {hi}] has {int(mask.sum())} points, need {FIT_MIN_POINTS}"
-            )
-        slope, amp = _fit_loglog_segment(t[mask], y[mask])
-        exponents.append(slope)
-        amplitudes.append(amp)
-    jumps = []
-    for k, b in enumerate(bps):
-        left = amplitudes[k] * b ** exponents[k]
-        right = amplitudes[k + 1] * b ** exponents[k + 1]
-        jumps.append(abs(left - right) / max(left, right))
+    t, y = _sorted_columns(t_hr, delta_r, "t_hr and delta_r", FIT_MIN_POINTS)
+    if breakpoints is None:
+        grid = np.geomspace(t[0], t[-1], FIT_CANDIDATES + 2)[1:-1]
+        bps = grid[np.stack(np.triu_indices(len(grid), k=1))]
+    else:
+        bps = np.array(breakpoints, dtype=float).reshape(-1, 1)
+        if not (np.isfinite(bps).all() and np.all(bps[1:] > bps[:-1])):
+            raise FitError(f"breakpoints must be finite and increasing: {bps[:, 0].tolist()}")
+    # One column of segment bounds per breakpoint set.
+    cut = np.searchsorted(t, bps, side="right")
+    bounds = np.vstack([np.zeros_like(cut[:1]), cut, np.full_like(cut[:1], len(t))])
+    lo, hi = bounds[:-1], bounds[1:]
+    # A segment whose first and last times are equal has no slope.
+    valid = (hi - lo >= FIT_MIN_POINTS) & (t[lo.clip(max=len(t) - 1)] < t[hi - 1])
+    if breakpoints is not None and not valid.all():
+        k = int(valid[:, 0].argmin())
+        edges, count = (-np.inf, *bps[:, 0].tolist(), np.inf), int(hi[k, 0] - lo[k, 0])
+        why = (f"{count} points, need {FIT_MIN_POINTS}" if count < FIT_MIN_POINTS
+               else f"one distinct time, {t[lo[k, 0]]}")
+        raise FitError(f"segment ({edges[k]}, {edges[k + 1]}] has {why}")
+    keep = valid.all(axis=0)
+    if not keep.any():
+        raise FitError("no breakpoint pair leaves enough points and times per segment")
+    bps, bounds = bps[:, keep], bounds[:, keep]
+    slope, amp, sse = _line_fits(np.log(t), np.log(y), bounds)
+    k = int(sse.sum(axis=0).argmin())
+    b, exps, amps = bps[:, k], slope[:, k], amp[:, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = amps[:-1] * b**exps[:-1], amps[1:] * b**exps[1:]
+        residual = float(np.max(np.abs(left - right) / np.maximum(left, right), initial=0.0))
+    if not (np.isfinite([*exps, residual]).all() and np.all((amps > 0) & (amps < np.inf))):
+        raise FitError(f"fit overflows: exponents {exps.tolist()}, amplitudes "
+                       f"{amps.tolist()}, continuity residual {residual}")
     return {
-        "breakpoints_hr": list(bps),
-        "exponents": exponents,
-        "amplitudes": amplitudes,
-        "continuity_residual": max(jumps, default=0.0),
+        "breakpoints_hr": b.tolist(),
+        "exponents": exps.tolist(),
+        "amplitudes": amps.tolist(),
+        "continuity_residual": residual,
     }
-

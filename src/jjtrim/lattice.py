@@ -246,17 +246,15 @@ class _ParkingSearch:
         if not self.violating:
             return (0,) * len(self.freqs)
         for k in range(1, len(self.freqs) + 1):
-            deeper = self.deepen(k)
+            self.deepen(k)
             if self.best is not None:
                 return self.best[2]
-            if not deeper:
-                break
         return None
 
     def deepen(self, k):
-        """Search every parked set of size k; returns whether a larger set
-        is still reachable."""
-        deeper = False
+        """Search every parked set of size k. The grid is connected, so a
+        branch either reaches size k or is pruned: a parked component has
+        no unparked neighbour only when it is the whole grid."""
         # Each entry holds a parked set and its parent's uncovered edges.
         seen, todo = set(), [(frozenset(), self.violating)]
         while todo:
@@ -267,13 +265,11 @@ class _ParkingSearch:
             self._tick(1 + len(parked) + len(edges))
             uncovered = [e for e in edges if e[0] not in parked and e[1] not in parked]
             if len(parked) == k:
-                deeper = True
                 if not uncovered and all(self._fits(c) for c in self._components(parked)):
                     order = sorted(parked)
                     self._search(order, [self._domain(q, parked) for q in order], True)
                 continue
             if len(parked) + _matching_size(uncovered) > k:
-                deeper = True
                 continue
             if uncovered:
                 branch = uncovered[0]
@@ -285,7 +281,6 @@ class _ParkingSearch:
                 comp = next(c for c in self._components(parked) if not self._fits(c))
                 branch = sorted(set().union(*(self.nbrs[q] for q in comp)) - parked)
             todo.extend((parked | {q}, uncovered) for q in reversed(branch))
-        return deeper
 
     def _components(self, parked):
         """Connected components of the parked nodes, by smallest node."""

@@ -154,6 +154,39 @@ def oracle_edge_detunings(lattice, freqs, window):
     return cols
 
 
+def brute_force_parking(lattice, window, max_park, step):
+    """Exhaustive enumeration over all downward offset assignments: the
+    oracle for ``lattice.optimize_parking``.
+
+    Returns the first plan of least (count, max |offset|, sum |offset|) in
+    ``itertools.product`` order, or None when no assignment fits.
+    """
+    lo, hi = window
+    candidates = [0.0]
+    k = 1
+    while k * step <= max_park:
+        candidates.append(-k * step)
+        k += 1
+    freqs = lattice.measured_f01max or lattice.design_f01max
+    n = lattice.n_qubits
+    # Row r is the r-th assignment of itertools.product(candidates, repeat=n).
+    index = np.indices((len(candidates),) * n).reshape(n, -1).T
+    offsets = np.array(candidates)[index]
+    ok = np.ones(len(offsets), dtype=bool)
+    for a, b in lattice.edges():
+        d = np.abs(freqs[a] + offsets[:, a] - freqs[b] - offsets[:, b])
+        ok &= (lo <= d) & (d <= hi)
+    if not ok.any():
+        return None
+    offsets = offsets[ok]
+    mags = np.abs(offsets)
+    total = np.zeros(len(offsets))
+    for col in mags.T:  # summed in node order, as the plan's cost is
+        total = total + col
+    first = np.lexsort((total, mags.max(axis=1), (offsets != 0.0).sum(axis=1)))[0]
+    return tuple(float(o) for o in offsets[first])
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

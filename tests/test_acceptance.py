@@ -8,7 +8,7 @@ scoreboard after the run, outside pytest's output capture.
 import time
 
 import numpy as np
-from conftest import precision_closed_form
+from conftest import brute_force_parking, precision_closed_form
 
 from jjtrim.cli import DEFAULT_DESIGN_RESISTANCE
 from jjtrim.controller import CampaignConfig, campaign_stats, run_campaign
@@ -254,30 +254,6 @@ def test_9_yield_reproduction():
         f"108-qubit at 7.7 -> {big[0]['yield']:.4f} (>0), {elapsed:.1f} s",
         ok,
     )
-
-
-def brute_force_parking(lattice, window, max_park, step):
-    """First plan of least (count, max |offset|, sum |offset|) in
-    ``itertools.product`` order over every downward assignment, or None."""
-    lo, hi = window
-    candidates = [0.0] + [-k * step for k in range(1, int(max_park / step) + 1)]
-    freqs = lattice.design_f01max
-    n = lattice.n_qubits
-    # Row r is the r-th assignment of itertools.product(candidates, repeat=n).
-    offsets = np.array(candidates)[np.indices((len(candidates),) * n).reshape(n, -1).T]
-    ok = np.ones(len(offsets), dtype=bool)
-    for a, b in lattice.edges():
-        d = np.abs(freqs[a] + offsets[:, a] - freqs[b] - offsets[:, b])
-        ok &= (lo <= d) & (d <= hi)
-    if not ok.any():
-        return None
-    offsets = offsets[ok]
-    mags = np.abs(offsets)
-    total = np.zeros(len(offsets))
-    for col in mags.T:
-        total = total + col
-    first = np.lexsort((total, mags.max(axis=1), (offsets != 0.0).sum(axis=1)))[0]
-    return tuple(float(o) for o in offsets[first])
 
 
 def test_10_property_suites():

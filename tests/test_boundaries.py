@@ -12,7 +12,7 @@ import pytest
 from jjtrim.controller import CampaignConfig, run_campaign
 from jjtrim.errors import ValidationError, check, check_window
 from jjtrim.freqmodel import (
-    PowerLawModel, freq_equiv_sigma, invert_R, predict_f,
+    PowerLawModel, fit_power_law, freq_equiv_sigma, invert_R, predict_f,
 )
 from jjtrim.junction import relaxation_delta, relaxation_shape
 from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
@@ -75,6 +75,10 @@ class TestCheck:
         pytest.param(lambda: PowerLawModel(beta=INF, alpha=0.5, residual_sigma=1.0,
                                            r_min=3000.0, r_max=7000.0),
                      id="PowerLawModel-beta-inf"),
+        # beta 1e-310 times R**-31 = 1e310 overflows, so sigma was once nan
+        pytest.param(lambda: fit_power_law([(1e-10, 1.0), (1.1e-10, 1.1**-31),
+                                            (1.2e-10, 1.2**-31)]),
+                     id="fit_power_law-residual_sigma-nan"),
         pytest.param(lambda: freq_equiv_sigma(MODEL, 4556.0, NAN),
                      id="freq_equiv_sigma-sigma_r_rel-nan"),
         pytest.param(lambda: predict_f(MODEL, NAN), id="predict_f-r-nan"),

@@ -434,17 +434,19 @@ class TestYieldCommand:
 class TestResultFilesPinned:
     # sha256 of the files written from parking plans, segmented fits and yield
     # estimates, recorded while those results were still frozen records; any
-    # byte of drift fails here. One change since, on purpose: a die with no
-    # parked qubit writes "sum_abs_offset_mhz": 0.0, not 0.
+    # byte of drift fails here. Two changes since, on purpose: a die with no
+    # parked qubit writes "sum_abs_offset_mhz": 0.0, not 0; and the fits come
+    # from prefix sums instead of np.polyfit, which moves exponents and
+    # amplitudes in their last bits (3e-14 relative) but no breakpoint.
     PINNED = {
         "park-none": (["park", "--design", "{design}", "--window", "20,130"],
                       ("1ee332378e867a124086b747a263744ccbba292616d6a180a224cb58cfed4b52",)),
         "park-four": (["park", "--design", "{uniform}", "--window", "20,130", "--step", "0.7"],
                       ("dd631dec1e07d10fe672f9a79f49a5baa283c8d58e7996695b498b56f443567e",)),
         "fit-auto": (["fit-relaxation", "--data", "{demo}"],
-                     ("188e6b42898910022cb48bbf7a2317155e970bbf1cedd47f3498288acfcc33d0",)),
+                     ("61c614e50c1c77ed56f0a007a5359ea0e827f59bc297f14ccf3abecef8ed2b1f",)),
         "fit-given": (["fit-relaxation", "--data", "{demo}", "--breakpoints", "0.2,2"],
-                      ("d55bb7195e08003c007737d399eed0bae2dc869e47bfc357f518dd5b8f279019",)),
+                      ("37fa0e131c2863271098696a66ccbb020216e1713527bdc3ea181c474738176b",)),
         "yield-1x1": (["yield", "--sigma", "7.7", "--cells", "1x1", "--trials", "20000",
                        "--seed", "7"],
                       ("629eb6d7f1c607a6dfbda5d23cdfcc120d94610dc2fe1757b824fde99476e862",
@@ -735,6 +737,18 @@ class TestMalformedInputs:
 
 
 class TestArgumentBoundaries:
+    # Input files that rows of test_rejected name in place of a valid one.
+    INPUTS = {
+        "latin1.json": '{"rows": "\xe9"}'.encode("latin-1"),
+        "square.json": json.dumps({**DESIGN, "rows": 2, "cols": 2, "measured_mhz": None,
+                                   "offsets_mhz": [[0.0, 50.0], [100.0, 150.0]]}).encode(),
+        "zero.csv": b"t_hr,delta_r_ohm\n0.1,1\n0.2,0\n0.3,1.2\n",
+        "repeated.csv": b"t_hr,delta_r_ohm\n0.1,1\n0.1,1.1\n0.1,1.2\n1,2\n1,2.1\n1,2.2\n"
+                        b"10,3\n10,3.1\n10,3.2\n",
+        "overflow.csv": b"t_hr,delta_r_ohm\n0.1,1\n0.2,1.1\n0.3,1.2\n100.0,1\n"
+                        b"100.00001,1000\n100.00002,1000000.0\n200,3\n300,3.1\n400,3.2\n",
+    }
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -767,6 +781,20 @@ class TestArgumentBoundaries:
             # refused before any of the million qubits is sampled
             (["simulate-tuning", "--seed", "1", "--qubits", "1000000", "--reserve", "1"],
              "relaxation_reserve must be finite and >= 0 and < 1, got 1.0"),
+            (["yield", "--sigma", "7.7", "--seed", "1", "--cells", "1.5x2"],
+             "--cells must be integers like '1x2', got '1.5x2'"),
+            (["analyze-lattice", "--design", "latin1.json"], "not valid UTF-8"),
+            (["yield", "--sigma", "7.7", "--seed", "1", "--design", "square.json"],
+             "--design must describe a 3x3 unit cell"),
+            (["fit-relaxation", "--data", "zero.csv"], "t_hr and delta_r must be finite and positive"),
+            # each segment would hold one distinct time; np.polyfit once failed on it
+            (["fit-relaxation", "--data", "repeated.csv"], "no breakpoint pair leaves enough"),
+            (["fit-relaxation", "--data", "repeated.csv", "--breakpoints", "0.5,5"],
+             "segment (-inf, 0.5] has one distinct time, 0.1"),
+            # the middle segment's slope is 7e7, which once overflowed a float power
+            (["fit-relaxation", "--data", "overflow.csv"], "fit overflows"),
+            (["fit-relaxation", "--data", "overflow.csv", "--breakpoints", "50,150"],
+             "fit overflows"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):
@@ -776,7 +804,11 @@ class TestArgumentBoundaries:
                                      "--calibration", valid["calibration"]],
                   "fit-relaxation": ["--data", DATA_DIR / "relaxation_demo.csv"],
                   "yield": [], "simulate-tuning": []}[argv[0]]
-        rc = main([str(a) for a in argv + inputs] + ["--out", str(tmp_path / "o")])
+        for name, content in self.INPUTS.items():
+            (tmp_path / name).write_bytes(content)
+        # a flag in the row overrides the valid input given before it
+        argv = [argv[0], *inputs, *(tmp_path / a if a in self.INPUTS else a for a in argv[1:])]
+        rc = main([str(a) for a in argv] + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -1,4 +1,5 @@
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from jjtrim.errors import FitError, ValidationError
 from jjtrim.freqmodel import (
     PowerLawModel,
-    _fit_with_breakpoints,
     assign_target_R,
     fit_power_law,
     fit_segmented_power_law,
@@ -46,11 +46,18 @@ class TestPowerLawFit:
         for r, f in pts:
             assert predict_f(model, r) == pytest.approx(f, rel=1e-9)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(FitError):
-            fit_power_law([(4000.0, 4800.0)])
-        with pytest.raises(FitError):
-            fit_power_law([(4000.0, 4800.0), (-1.0, 4300.0), (5000.0, 4200.0)])
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(4000.0, 4800.0)], ">= 2 points"),
+            ([(4000.0, 4800.0), (-1.0, 4300.0), (5000.0, 4200.0)], "finite and positive"),
+            # once reached np.polyfit and failed there with LinAlgError
+            ([(math.nan, 4800.0), (4000.0, 4700.0), (5000.0, 4300.0)], "finite"),
+        ],
+    )
+    def test_rejects_bad_input(self, points, message):
+        with pytest.raises(FitError, match=message):
+            fit_power_law(points)
 
     def test_fit_idempotence(self):
         model = exact_model(alpha=0.47, beta=250000.0)
@@ -158,8 +165,9 @@ def _segmented_log_sse(t, y, fit):
 
 
 def _grid_search_oracle(t_hr, delta_r, n_candidates=50):
-    """The automatic breakpoint search as a plain nested loop: refit every
-    grid pair and keep the first with the smallest residual."""
+    """The automatic breakpoint search as a plain nested loop: fit every
+    grid pair as given breakpoints and keep the first with the smallest
+    residual."""
     order = np.argsort(t_hr)
     t = np.asarray(t_hr, dtype=float)[order]
     y = np.asarray(delta_r, dtype=float)[order]
@@ -168,13 +176,23 @@ def _grid_search_oracle(t_hr, delta_r, n_candidates=50):
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             try:
-                fit = _fit_with_breakpoints(t, y, (float(grid[i]), float(grid[j])))
+                fit = fit_segmented_power_law(t, y, breakpoints=(grid[i], grid[j]))
             except FitError:
                 continue
             sse = _segmented_log_sse(t, y, fit)
             if best is None or sse < best[0]:
                 best = (sse, fit)
     return best[1]
+
+
+def _polyfit_oracle(t_hr, delta_r, breakpoints):
+    """Exponents and amplitudes from ``np.polyfit`` on each segment's points
+    alone: the independent oracle for the prefix-sum fits."""
+    t, y = np.asarray(t_hr, dtype=float), np.asarray(delta_r, dtype=float)
+    edges = (-np.inf, *breakpoints, np.inf)
+    masks = [(t > lo) & (t <= hi) for lo, hi in zip(edges, edges[1:])]
+    fits = [np.polyfit(np.log(t[m]), np.log(y[m]), 1) for m in masks]
+    return [float(s) for s, _ in fits], [float(np.exp(c)) for _, c in fits]
 
 
 def _demo_trace():
@@ -258,3 +276,42 @@ class TestSegmentedFitOracle:
         with pytest.raises(FitError):
             fit_segmented_power_law([0.1, 0.2, 0.3, 1.0, 2.0], [1.0, 1.1, 1.2, 1.5, 1.7])
 
+    def test_repeated_times(self):
+        # three equal points at 0.02 hr, then two exact power laws: cutting
+        # just after the three would fit them exactly, but a segment with one
+        # distinct time has no slope, so every such pair is skipped
+        s = np.geomspace(0.05, 10.0, 30)
+        t = np.concatenate([[0.02] * 3, s])
+        y = np.concatenate([[1.0] * 3, np.where(s < 1.0, s**0.3, s**0.15)])
+        fit = fit_segmented_power_law(t, y)
+        assert fit == _grid_search_oracle(t, y)
+        assert fit["breakpoints_hr"][0] > 0.05
+
+
+TRACES = {
+    "demo": _demo_trace,
+    "noisy": lambda: _relaxation_trace(noise=0.02, seed=5),
+    "noiseless": _relaxation_trace,
+    "short": lambda: _relaxation_trace(noise=0.02, n=40, seed=99),
+}
+
+
+class TestFitsMatchPolyfit:
+    """Every fit agrees with ``np.polyfit`` on each segment alone to 1e-12."""
+
+    @pytest.mark.parametrize("breakpoints", [None, (0.2, 2.0)], ids=["searched", "given"])
+    @pytest.mark.parametrize("trace", list(TRACES))
+    def test_segmented(self, trace, breakpoints):
+        t, y = TRACES[trace]()
+        fit = fit_segmented_power_law(t, y, breakpoints)
+        exps, amps = _polyfit_oracle(t, y, fit["breakpoints_hr"])
+        assert fit["exponents"] == pytest.approx(exps, rel=1e-12, abs=0)
+        assert fit["amplitudes"] == pytest.approx(amps, rel=1e-12, abs=0)
+
+    def test_power_law(self):
+        r = np.linspace(3500, 6500, 60)
+        f = 280000.0 * r**-0.51 + np.random.default_rng(8).normal(0, 12.4, 60)
+        slope, intercept = np.polyfit(np.log(r), np.log(f), 1)
+        model = fit_power_law(list(zip(r, f)))
+        assert model.alpha == pytest.approx(-slope, rel=1e-12, abs=0)
+        assert model.beta == pytest.approx(np.exp(intercept), rel=1e-12, abs=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_edge_detunings
+from conftest import brute_force_parking, oracle_edge_detunings
 
 from jjtrim import lattice
 from jjtrim.errors import FitError, InfeasibleError, ValidationError
@@ -48,10 +48,21 @@ class TestEdgeDetunings:
         assert cols["abs_mhz"].tolist() == [20.0, 55.0, 80.0]
         assert cols["in_window"].tolist() == [False, True, True]
 
-    def test_wrong_frequency_count(self):
-        for n in (8, 10):
-            with pytest.raises(ValidationError, match=f"expected 9 frequencies, got {n}"):
-                edge_detunings(cell_lattice(), [4500.0] * n)
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: edge_detunings(cell_lattice(), [4500.0] * 8), "expected 9 frequencies, got 8"),
+            (lambda: edge_detunings(cell_lattice(), [4500.0] * 10),
+             "expected 9 frequencies, got 10"),
+            (lambda: QubitLattice(3, 3, (4500.0,) * 8), "expected 9 design frequencies, got 8"),
+            (lambda: QubitLattice(3, 3, (4500.0,) * 9, (4500.0,) * 10),
+             "expected 9 measured frequencies, got 10"),
+        ],
+        ids=["detunings-8", "detunings-10", "design-8", "measured-10"],
+    )
+    def test_wrong_frequency_count(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
     def test_modulated_endpoint_is_higher(self):
         cols = edge_detunings(cell_lattice())
@@ -176,38 +187,6 @@ class TestDetuningError:
         a = rng.normal(0, 18.4, 10**5)
         b = rng.normal(0, 18.4, 10**5)
         assert np.std(a - b) == pytest.approx(26.0, abs=0.3)
-
-
-def brute_force_parking(lattice, window, max_park, step):
-    """Exhaustive enumeration over all downward offset assignments.
-
-    Returns the first plan of least (count, max |offset|, sum |offset|) in
-    ``itertools.product`` order, or None when no assignment fits.
-    """
-    lo, hi = window
-    candidates = [0.0]
-    k = 1
-    while k * step <= max_park:
-        candidates.append(-k * step)
-        k += 1
-    freqs = lattice.measured_f01max or lattice.design_f01max
-    n = lattice.n_qubits
-    # Row r is the r-th assignment of itertools.product(candidates, repeat=n).
-    index = np.indices((len(candidates),) * n).reshape(n, -1).T
-    offsets = np.array(candidates)[index]
-    ok = np.ones(len(offsets), dtype=bool)
-    for a, b in lattice.edges():
-        d = np.abs(freqs[a] + offsets[:, a] - freqs[b] - offsets[:, b])
-        ok &= (lo <= d) & (d <= hi)
-    if not ok.any():
-        return None
-    offsets = offsets[ok]
-    mags = np.abs(offsets)
-    total = np.zeros(len(offsets))
-    for col in mags.T:  # summed in node order, as the plan's cost is
-        total = total + col
-    first = np.lexsort((total, mags.max(axis=1), (offsets != 0.0).sum(axis=1)))[0]
-    return tuple(float(o) for o in offsets[first])
 
 
 def dfs_parking(lattice, window, max_park, step, symmetric=False):
