@@ -69,11 +69,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate_tuning(args):
-    check("--qubits", args.qubits, ge=1)
-    if args.qubits > controller.MAX_CAMPAIGN_QUBITS:
-        raise ValidationError(
-            f"--qubits must be <= {controller.MAX_CAMPAIGN_QUBITS}, got {args.qubits}"
-        )
+    check("--qubits", args.qubits, ge=1, le=controller.MAX_CAMPAIGN_QUBITS)
     check("aging_budget", args.aging_budget, ge=0, lt=1)
     # checked here, not first in sample_fabricated and run_campaign, so that
     # every flag is checked before the first qubit is sampled
@@ -111,8 +107,8 @@ def cmd_simulate_tuning(args):
 
 
 def cmd_calibrate_freq(args):
-    points = fileio.read_points_csv(args.data, "resistance_ohm", "f01max_mhz")
-    model = freqmodel.fit_power_law(points)
+    r, f = fileio.read_points_csv(args.data, "resistance_ohm", "f01max_mhz")
+    model = freqmodel.fit_power_law(r, f)
     out = _out_dir(args)
     fileio.save_calibration(out / "calibration.json", model)
     print(
@@ -124,7 +120,7 @@ def cmd_calibrate_freq(args):
 
 def cmd_assign_targets(args):
     model = fileio.load_calibration(args.calibration)
-    lat, _window = fileio.load_design(args.design)
+    lat = fileio.load_design(args.design)
     rows = []
     for i, f_design in enumerate(lat.design_f01max):
         rt = freqmodel.assign_target_R(model, f_design, args.aging_budget)
@@ -140,9 +136,7 @@ def cmd_assign_targets(args):
 
 
 def cmd_fit_relaxation(args):
-    points = fileio.read_points_csv(args.data, "t_hr", "delta_r_ohm")
-    t = [p[0] for p in points]
-    dr = [p[1] for p in points]
+    t, dr = fileio.read_points_csv(args.data, "t_hr", "delta_r_ohm")
     text = args.breakpoints
     bps = None if text is None else _parse_floats(text, ",", "--breakpoints")
     fit = freqmodel.fit_segmented_power_law(t, dr, breakpoints=bps)
@@ -155,7 +149,7 @@ def cmd_fit_relaxation(args):
 
 
 def cmd_analyze_lattice(args):
-    lat, _ = fileio.load_design(args.design)
+    lat = fileio.load_design(args.design)
     window = None if args.window is None else _parse_pair(args.window, ",", "--window")
     cols = lattice.edge_detunings(lat, window=window)
     d = cols["abs_mhz"]
@@ -191,7 +185,7 @@ def cmd_analyze_lattice(args):
 
 
 def cmd_park(args):
-    lat, _ = fileio.load_design(args.design)
+    lat = fileio.load_design(args.design)
     window = _parse_pair(args.window, ",", "--window")
     plan = lattice.optimize_parking(
         lat, window, max_park_mhz=args.max_park, step_mhz=args.step,

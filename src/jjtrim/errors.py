@@ -34,7 +34,7 @@ class InfeasibleError(JJTrimError, RuntimeError):
     """A search (parking, unit cell) or a tuning loop found no solution in its bounds."""
 
 
-def check(name, value, gt=None, ge=None, lt=None):
+def check(name, value, gt=None, ge=None, lt=None, le=None):
     """``value`` if it is finite and within the given bounds, else a
     ValidationError naming ``name`` and the rule.
 
@@ -46,11 +46,11 @@ def check(name, value, gt=None, ge=None, lt=None):
         and (gt is None or value > gt)
         and (ge is None or value >= ge)
         and (lt is None or value < lt)
+        and (le is None or value <= le)
     ):
         return value
-    rule = " and ".join(
-        f"{op} {bound}" for op, bound in ((">", gt), (">=", ge), ("<", lt)) if bound is not None
-    )
+    bounds = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+    rule = " and ".join(f"{op} {bound}" for op, bound in bounds if bound is not None)
     if type(value) is not int:
         rule = f"finite and {rule}" if rule else "finite"
     raise ValidationError(f"{name} must be {rule}, got {value}")

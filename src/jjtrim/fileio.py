@@ -174,11 +174,11 @@ def _load_design(path) -> tuple[dict, tuple, tuple | None, tuple[float, float]]:
     return data, offsets, measured, window
 
 
-def load_design(path) -> tuple[QubitLattice, tuple[float, float]]:
-    """Design JSON (``_DESIGN``) -> (lattice, design window)."""
-    data, offsets, measured, window = _load_design(path)
+def load_design(path) -> QubitLattice:
+    """Design JSON (``_DESIGN``) -> its lattice."""
+    data, offsets, measured, _window = _load_design(path)
     design = tuple(data["base_frequency_mhz"] + f for f in offsets)
-    return QubitLattice(data["rows"], data["cols"], design, measured), window
+    return QubitLattice(data["rows"], data["cols"], design, measured)
 
 
 def load_unit_cell(path) -> UnitCellDesign:
@@ -263,8 +263,8 @@ def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
     return records, targets, config
 
 
-def read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:
-    """(x, y) pairs from two named columns of a headed UTF-8 CSV.
+def read_points_csv(path, col_x, col_y) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) float columns from two named columns of a headed UTF-8 CSV.
 
     The header names each column once. Every row needs the header's field
     count and finite numbers in both columns; all bad lines are reported at
@@ -298,7 +298,7 @@ def read_points_csv(path, col_x, col_y) -> list[tuple[float, float]]:
                                 f"{rec[ix]!r}, {rec[iy]!r} are not finite numbers")
     if problems:
         raise SchemaError(f"{path}: {len(problems)} invalid rows", details=problems)
-    return points
+    return np.array(points).reshape(-1, 2).T
 
 
 def sha256_file(path) -> str:
@@ -331,13 +331,8 @@ def write_csv(path, header, rows, formats=None) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            out = []
-            for col, val in zip(header, row):
-                if col in formats and val is not None:
-                    out.append(format(val, formats[col]))
-                else:
-                    out.append(val)
-            writer.writerow(out)
+            writer.writerow([format(val, formats[col]) if col in formats else val
+                             for col, val in zip(header, row)])
 
 
 def dump_json(path, data) -> None:

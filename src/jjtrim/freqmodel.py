@@ -40,16 +40,14 @@ class PowerLawModel:
         check("residual_sigma", self.residual_sigma, ge=0)
 
 
-def fit_power_law(points) -> PowerLawModel:
-    """Least-squares fit of log f against log R.
+def fit_power_law(r, f) -> PowerLawModel:
+    """Least-squares fit of log f against log R, from columns of resistance
+    (Ohm) and frequency (MHz).
 
     Two exact points determine the law exactly; the residual spread is
     reported in linear MHz against the fitted curve.
     """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise FitError(f"need (R, f) points, got shape {pts.shape}")
-    r, f = _sorted_columns(pts[:, 0], pts[:, 1], "R and f", 2)
+    r, f = _sorted_columns(r, f, "R and f", 2)
     if r[0] == r[-1]:
         raise FitError(f"need >= 2 distinct resistances, got only {r[0]}")
     slope, amp, _ = _line_fits(np.log(r), np.log(f), [0, len(r)])

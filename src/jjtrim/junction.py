@@ -9,8 +9,6 @@ piecewise power-law trajectory; the regimes differ only in exponent.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .controller import qubit_rngs
@@ -82,15 +80,15 @@ def sample_fabricated(
     check("design_resistance", design_resistance, gt=0)
     loc = (design_resistance * (1.0 + FAB_MEAN_OFFSET_FRAC), RELAX_FRACTION_MEAN)
     scale = (design_resistance * FAB_SIGMA_FRAC, RELAX_FRACTION_SIGMA)
-    rngs = list(qubit_rngs(master_seed, [f"fab:{q}" for q in ids]))
-    z = np.empty((len(rngs), 2))
-    for rng, row in zip(rngs, z):
+    z = np.empty((len(ids), 2))
+    for rng, row in zip(qubit_rngs(master_seed, [f"fab:{q}" for q in ids]), z):
         rng.standard_normal(out=row)
     # loc + scale * z is Generator.normal(loc, scale) bit for bit
     r = loc[0] + scale[0] * z[:, 0]
     rho = loc[1] + scale[1] * z[:, 1]
+    # A redraw takes a fresh copy of the qubit's stream; it replays z[i] first.
     for i in np.flatnonzero((r <= 0) | (rho < 0)):
-        draws = chain(z[i].tolist(), iter(rngs[i].standard_normal, None))
+        draws = iter(next(qubit_rngs(master_seed, [f"fab:{ids[i]}"])).standard_normal, None)
         r[i] = next(x for x in (loc[0] + scale[0] * d for d in draws) if x > 0)
         rho[i] = next(x for x in (loc[1] + scale[1] * d for d in draws) if x >= 0)
     return r, rho

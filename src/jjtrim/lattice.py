@@ -57,42 +57,29 @@ class QubitLattice:
     def n_qubits(self) -> int:
         return self.rows * self.cols
 
-    def node_id(self, r: int, c: int) -> int:
-        return r * self.cols + c
-
     def edges(self) -> list[tuple[int, int]]:
         """Nearest-neighbor grid adjacency, each edge as (low id, high id)."""
         out = []
         for r in range(self.rows):
             for c in range(self.cols):
-                a = self.node_id(r, c)
+                a = r * self.cols + c
                 if c + 1 < self.cols:
-                    out.append((a, self.node_id(r, c + 1)))
+                    out.append((a, a + 1))
                 if r + 1 < self.rows:
-                    out.append((a, self.node_id(r + 1, c)))
+                    out.append((a, a + self.cols))
         return out
 
 
-def edge_detunings(
-    lattice: QubitLattice,
-    freqs=None,
-    window: tuple[float, float] | None = None,
-) -> dict:
+def edge_detunings(lattice: QubitLattice, window: tuple[float, float] | None = None) -> dict:
     """Per-edge detuning columns, in ``lattice.edges()`` order: the
     endpoints ``node_a`` < ``node_b``, ``signed_mhz`` = f(a) - f(b) and its
     ``abs_mhz``, the ``modulated_qubit`` (the higher-frequency endpoint, a
-    on a tie) and ``in_window`` (None without a window).
-
-    ``freqs`` is a sequence of MHz values in node-id order; it defaults to
-    the lattice's measured frequencies, else design.
+    on a tie) and ``in_window`` (None without a window). The frequencies f
+    are the lattice's measured ones, else its design ones.
     """
-    if freqs is None:
-        freqs = lattice.measured_f01max or lattice.design_f01max
-    if len(freqs) != lattice.n_qubits:
-        raise ValidationError(f"expected {lattice.n_qubits} frequencies, got {len(freqs)}")
     if window is not None:
         window = check_window("window", window)
-    f = np.array(freqs, dtype=float)
+    f = np.array(lattice.measured_f01max or lattice.design_f01max, dtype=float)
     a, b = np.array(lattice.edges(), dtype=np.int64).reshape(-1, 2).T
     signed = f[a] - f[b]
     d = np.abs(signed)
@@ -162,11 +149,8 @@ def optimize_parking(
     window = check_window("window", window)
     check("step", step_mhz, gt=0)
     check("max_park", max_park_mhz, ge=0)
-    if max_park_mhz / step_mhz > MAX_PARK_OFFSETS:
-        raise ValidationError(
-            f"max_park / step must be <= {MAX_PARK_OFFSETS} offsets per qubit, "
-            f"got {max_park_mhz} / {step_mhz}"
-        )
+    check(f"park offsets per qubit ({max_park_mhz} / {step_mhz})", max_park_mhz / step_mhz,
+          le=MAX_PARK_OFFSETS)
     freqs = lattice.measured_f01max or lattice.design_f01max
 
     candidates = [0.0]

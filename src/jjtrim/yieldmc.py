@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -130,8 +131,7 @@ def tile(cell: UnitCellDesign, m: int, n: int) -> QubitLattice:
     """(3m)x(3n) lattice of identical translated copies of the cell."""
     check("m", m, ge=1)
     check("n", n, ge=1)
-    if 9 * m * n > MAX_TILE_QUBITS:
-        raise ValidationError(f"a {m}x{n} tiling has more than {MAX_TILE_QUBITS} qubits")
+    check(f"qubits in a {m}x{n} tiling", 9 * m * n, le=MAX_TILE_QUBITS)
     rows, cols = 3 * m, 3 * n
     offs = cell.offsets_mhz
     freqs = [
@@ -148,17 +148,15 @@ class YieldConfig:
     master_seed: int
     window_mhz: tuple[float, float] = YIELD_WINDOW_MHZ
     trials: int = 10**5
-    chunk_trials: int = 4096
     n_threads: int = 1
+    # Trials per Monte Carlo chunk, each drawn from its own stream.
+    chunk_trials: ClassVar[int] = 4096
 
     def __post_init__(self):
         check("sigma_f", self.sigma_f_mhz, ge=0)
         check("trials", self.trials, ge=1)
         check_window("window", self.window_mhz)
-        check("chunk_trials", self.chunk_trials, ge=1)
-        check("n_threads", self.n_threads, ge=1)
-        if self.n_threads > MAX_THREADS:
-            raise ValidationError(f"n_threads must be <= {MAX_THREADS}, got {self.n_threads}")
+        check("n_threads", self.n_threads, ge=1, le=MAX_THREADS)
 
 
 def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -188,11 +186,8 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> dict:
     bit-identical for any thread count or execution order. A lattice
     without edges passes every trial.
     """
-    if config.trials * lattice.n_qubits > MAX_QUBIT_TRIALS:
-        raise ValidationError(
-            f"{config.trials} trials on {lattice.n_qubits} qubits exceed "
-            f"{MAX_QUBIT_TRIALS} qubit-trials"
-        )
+    check(f"trials on {lattice.n_qubits} qubits", config.trials,
+          le=MAX_QUBIT_TRIALS // lattice.n_qubits)
     design = np.array(lattice.design_f01max).reshape(lattice.rows, lattice.cols)
     lo, hi = config.window_mhz
 

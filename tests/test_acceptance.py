@@ -154,10 +154,10 @@ def test_4_campaign_closed_form_chain():
 
 def test_5_power_law_calibration():
     r = np.linspace(3000, 9000, 20)
-    exact = fit_power_law(list(zip(r, 300000.0 * r**-0.5)))
+    exact = fit_power_law(r, 300000.0 * r**-0.5)
     rng = np.random.default_rng(8)
     r2 = np.linspace(3500, 6500, 60)
-    noisy = fit_power_law(list(zip(r2, 280000.0 * r2**-0.51 + rng.normal(0, 12.4, 60))))
+    noisy = fit_power_law(r2, 280000.0 * r2**-0.51 + rng.normal(0, 12.4, 60))
     ok = (
         abs(exact.alpha - 0.5) <= 1e-9
         and abs(noisy.alpha - 0.51) <= 0.05

@@ -32,6 +32,7 @@ class TestCheck:
     def test_returns_value_inside_bounds(self):
         assert check("x", 0.5, ge=0, lt=1) == 0.5
         assert check("x", 3, gt=0) == 3
+        assert check("x", 10, ge=1, le=10) == 10
 
     @pytest.mark.parametrize(
         "value, bounds, message",
@@ -41,6 +42,8 @@ class TestCheck:
             (-0.5, {"ge": 0, "lt": 1}, "x must be finite and >= 0 and < 1, got -0.5"),
             (1.0, {"ge": 0, "lt": 1}, "x must be finite and >= 0 and < 1, got 1.0"),
             (0, {"ge": 1}, "x must be >= 1, got 0"),
+            (11, {"ge": 1, "le": 10}, "x must be >= 1 and <= 10, got 11"),
+            (10.5, {"le": 10}, "x must be finite and <= 10, got 10.5"),
         ],
     )
     def test_message_names_the_rule(self, value, bounds, message):
@@ -52,6 +55,12 @@ class TestCheck:
         assert check("n", 10**400, ge=1) == 10**400
         with pytest.raises(ValidationError, match="n must be >= 1"):
             check("n", -(10**400), ge=1)
+        # 2**53 + 1 as a float would equal its cap
+        assert check("n", 2**53, le=2**53) == 2**53
+        with pytest.raises(ValidationError, match=f"n must be <= {2**53}, got {2**53 + 1}"):
+            check("n", 2**53 + 1, le=2**53)
+        with pytest.raises(ValidationError, match="n must be <= 10"):
+            check("n", 10**400, le=10)
 
     @pytest.mark.parametrize("window", [(NAN, 130.0), (20.0, INF), (130.0, 20.0), (20.0, 20.0)])
     def test_window_rejected(self, window):
@@ -76,8 +85,7 @@ class TestCheck:
                                            r_min=3000.0, r_max=7000.0),
                      id="PowerLawModel-beta-inf"),
         # beta 1e-310 times R**-31 = 1e310 overflows, so sigma was once nan
-        pytest.param(lambda: fit_power_law([(1e-10, 1.0), (1.1e-10, 1.1**-31),
-                                            (1.2e-10, 1.2**-31)]),
+        pytest.param(lambda: fit_power_law([1e-10, 1.1e-10, 1.2e-10], [1.0, 1.1**-31, 1.2**-31]),
                      id="fit_power_law-residual_sigma-nan"),
         pytest.param(lambda: freq_equiv_sigma(MODEL, 4556.0, NAN),
                      id="freq_equiv_sigma-sigma_r_rel-nan"),

@@ -747,6 +747,7 @@ class TestArgumentBoundaries:
                         b"10,3\n10,3.1\n10,3.2\n",
         "overflow.csv": b"t_hr,delta_r_ohm\n0.1,1\n0.2,1.1\n0.3,1.2\n100.0,1\n"
                         b"100.00001,1000\n100.00002,1000000.0\n200,3\n300,3.1\n400,3.2\n",
+        "header.csv": b"resistance_ohm,f01max_mhz\n",
     }
 
     @pytest.mark.parametrize(
@@ -759,7 +760,10 @@ class TestArgumentBoundaries:
             (["assign-targets", "--aging-budget", "nan"], "aging_budget must be finite"),
             (["assign-targets", "--aging-budget", "2"], "aging_budget must be finite"),
             (["yield", "--sigma", "7.7", "--seed", "1", "--threads", "0"], "n_threads"),
-            (["park", "--window", "20,130", "--step", "1e-300"], "offsets per qubit"),
+            (["park", "--window", "20,130", "--step", "1e-300"],
+             "park offsets per qubit (50.0 / 1e-300) must be finite and <= 10000, got 4.99"),
+            (["park", "--window", "20,130", "--max-park", "1e308", "--step", "1e-300"],
+             "park offsets per qubit (1e+308 / 1e-300) must be finite and <= 10000, got inf"),
             (["simulate-tuning", "--seed", "1", "--qubits", "0"], "--qubits must be >= 1"),
             (["simulate-tuning", "--seed", "1", "--qubits", "-3"], "--qubits must be >= 1"),
             (["simulate-tuning", "--seed", "1", "--design-resistance", "inf"],
@@ -775,7 +779,10 @@ class TestArgumentBoundaries:
             (["simulate-tuning", "--seed", "1", "--aging-budget=-1e308"],
              "aging_budget must be finite"),
             (["yield", "--sigma", "7.7", "--seed", "1", "--cells", "1e308x1"],
-             "tiling has more than 100000 qubits"),
+             "x1 tiling must be <= 100000, got 9000000000000000098"),
+            # the longest int Python formats by default
+            (["yield", "--sigma", "7.7", "--seed", "1", "--trials", "9" * 4300],
+             "trials on 9 qubits must be <= 1111111111, got 999"),
             (["yield", "--sigma", "7.7", "--seed", "1", "--trials", "10", "--dice", "1" + "0" * 400],
              "dice must be >= 0 and < 9007199254740992"),
             # refused before any of the million qubits is sampled
@@ -787,6 +794,8 @@ class TestArgumentBoundaries:
             (["yield", "--sigma", "7.7", "--seed", "1", "--design", "square.json"],
              "--design must describe a 3x3 unit cell"),
             (["fit-relaxation", "--data", "zero.csv"], "t_hr and delta_r must be finite and positive"),
+            (["calibrate-freq", "--data", "header.csv"],
+             "error: need equal-length 1-D R and f of >= 2 points\n"),
             # each segment would hold one distinct time; np.polyfit once failed on it
             (["fit-relaxation", "--data", "repeated.csv"], "no breakpoint pair leaves enough"),
             (["fit-relaxation", "--data", "repeated.csv", "--breakpoints", "0.5,5"],
@@ -803,7 +812,7 @@ class TestArgumentBoundaries:
                   "assign-targets": ["--design", valid["design"],
                                      "--calibration", valid["calibration"]],
                   "fit-relaxation": ["--data", DATA_DIR / "relaxation_demo.csv"],
-                  "yield": [], "simulate-tuning": []}[argv[0]]
+                  "calibrate-freq": [], "yield": [], "simulate-tuning": []}[argv[0]]
         for name, content in self.INPUTS.items():
             (tmp_path / name).write_bytes(content)
         # a flag in the row overrides the valid input given before it
@@ -817,10 +826,10 @@ class TestArgumentBoundaries:
         "module, cap, argv, at_cap, message",
         [
             (controller, "MAX_CAMPAIGN_QUBITS", ["simulate-tuning", "--seed", "1", "--qubits"],
-             lambda cap: cap, "--qubits must be <= "),
+             lambda cap: cap, "--qubits must be >= 1 and <= "),
             # a 1x1 tiling has 9 qubits
             (yieldmc, "MAX_QUBIT_TRIALS", ["yield", "--sigma", "7.7", "--seed", "1", "--trials"],
-             lambda cap: cap // 9, "qubit-trials"),
+             lambda cap: cap // 9, "trials on 9 qubits must be <= "),
         ],
         ids=["campaign-qubits", "yield-qubit-trials"],
     )
@@ -885,7 +894,7 @@ class TestArgumentBoundaries:
     def test_threads_capped_before_monte_carlo(self, tmp_path, capsys, monkeypatch):
         # Only counts above the cap are tried: a rejected config starts no thread.
         for n in (yieldmc.MAX_THREADS + 1, 10**6):
-            with pytest.raises(ValidationError, match=f"n_threads must be <= 64, got {n}"):
+            with pytest.raises(ValidationError, match=f"n_threads must be >= 1 and <= 64, got {n}"):
                 yieldmc.YieldConfig(sigma_f_mhz=7.7, master_seed=1, n_threads=n)
 
         def never(*args, **kwargs):
@@ -894,7 +903,7 @@ class TestArgumentBoundaries:
         monkeypatch.setattr(yieldmc, "mc_chip_yield", never)
         argv = ["yield", "--sigma", "7.7", "--seed", "1", "--threads", "65"]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
-        assert "n_threads must be <= 64, got 65" in capsys.readouterr().err
+        assert "n_threads must be >= 1 and <= 64, got 65" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_repeated_csv_column(self, tmp_path, valid, capsys):

@@ -36,10 +36,9 @@ class TestDesignJson:
         return path
 
     def test_load(self, tmp_path):
-        lat, window = fileio.load_design(self._write(tmp_path))
+        lat = fileio.load_design(self._write(tmp_path))
         assert lat.rows == 2 and lat.cols == 2
         assert lat.design_f01max == (4500.0, 4550.0, 4550.0, 4600.0)
-        assert window == (40.0, 110.0)
 
     def test_missing_node_named(self, tmp_path):
         path = self._write(tmp_path, offsets_mhz=[[0.0, 50.0], [None, 100.0]])
@@ -53,9 +52,9 @@ class TestDesignJson:
             fileio.load_design(path)
 
     def test_measured_grid_optional_or_null(self, tmp_path):
-        lat, _ = fileio.load_design(self._write(tmp_path, measured_mhz=None))
+        lat = fileio.load_design(self._write(tmp_path, measured_mhz=None))
         assert lat.measured_f01max is None
-        lat, _ = fileio.load_design(
+        lat = fileio.load_design(
             self._write(tmp_path, measured_mhz=[[4501, 4552.5], [4548, 4601]])
         )
         assert lat.measured_f01max == (4501.0, 4552.5, 4548.0, 4601.0)
@@ -82,11 +81,11 @@ class TestDesignJson:
         assert str(err.value).startswith(f"{path}: ")
 
     def test_integers_read_as_floats(self, tmp_path):
-        lat, window = fileio.load_design(
-            self._write(tmp_path, base_frequency_mhz=4500, offsets_mhz=[[0, 50], [50, 100]],
-                        design_window_mhz=[40, 110])
-        )
-        assert all(type(f) is float for f in (*lat.design_f01max, *window))
+        path = self._write(tmp_path, rows=3, cols=3, base_frequency_mhz=4500,
+                           offsets_mhz=[[0, 50, 100], [100, 150, 200], [50, 100, 150]],
+                           design_window_mhz=[40, 110])
+        lat, cell = fileio.load_design(path), fileio.load_unit_cell(path)
+        assert all(type(f) is float for f in (*lat.design_f01max, *cell.design_window_mhz))
 
     def test_invalid_json_has_line(self, tmp_path):
         path = tmp_path / "design.json"
@@ -100,9 +99,8 @@ class TestDesignJson:
         )
         path = tmp_path / "cell.json"
         fileio.save_design(path, cell)
-        lat, window = fileio.load_design(path)
-        assert window == cell.design_window_mhz
-        assert lat.design_f01max[1] == cell.base_frequency_mhz + 50.0
+        assert fileio.load_unit_cell(path) == cell
+        assert fileio.load_design(path).design_f01max[1] == cell.base_frequency_mhz + 50.0
 
 
 class TestCalibrationJson:
@@ -117,7 +115,9 @@ class TestPointsCsv:
     def test_reads_named_columns_in_any_order(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("note,y,x\na,2.5,1\n\nb,4,3e2\n")
-        assert fileio.read_points_csv(path, "x", "y") == [(1.0, 2.5), (300.0, 4.0)]
+        x, y = fileio.read_points_csv(path, "x", "y")
+        assert x.dtype == y.dtype == float
+        assert (x.tolist(), y.tolist()) == ([1.0, 300.0], [2.5, 4.0])
 
     def test_every_bad_line_reported(self, tmp_path):
         path = tmp_path / "points.csv"

@@ -28,7 +28,7 @@ class TestPowerLawFit:
     def test_exact_synthetic_recovery(self):
         r = np.linspace(3000, 9000, 20)
         f = 300000.0 * r**-0.5
-        model = fit_power_law(list(zip(r, f)))
+        model = fit_power_law(r, f)
         assert model.alpha == pytest.approx(0.5, abs=1e-9)
         assert model.residual_sigma <= 1e-6
 
@@ -36,41 +36,41 @@ class TestPowerLawFit:
         rng = np.random.default_rng(8)
         r = np.linspace(3500, 6500, 60)
         f = 280000.0 * r**-0.51 + rng.normal(0, 12.4, 60)
-        model = fit_power_law(list(zip(r, f)))
+        model = fit_power_law(r, f)
         assert model.alpha == pytest.approx(0.51, abs=0.05)
         assert 10.0 <= model.residual_sigma <= 15.0
 
     def test_two_point_interpolation(self):
-        pts = [(4000.0, 4800.0), (5000.0, 4300.0)]
-        model = fit_power_law(pts)
-        for r, f in pts:
-            assert predict_f(model, r) == pytest.approx(f, rel=1e-9)
+        r, f = [4000.0, 5000.0], [4800.0, 4300.0]
+        model = fit_power_law(r, f)
+        assert predict_f(model, r) == pytest.approx(f, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "points, message",
+        "r, f, message",
         [
-            ([(4000.0, 4800.0)], ">= 2 points"),
-            ([(4000.0, 4800.0), (-1.0, 4300.0), (5000.0, 4200.0)], "finite and positive"),
+            ([4000.0], [4800.0], ">= 2 points"),
+            ([4000.0, 5000.0], [4800.0], "equal-length"),
+            ([4000.0, -1.0, 5000.0], [4800.0, 4300.0, 4200.0], "finite and positive"),
             # once reached np.polyfit and failed there with LinAlgError
-            ([(math.nan, 4800.0), (4000.0, 4700.0), (5000.0, 4300.0)], "finite"),
+            ([math.nan, 4000.0, 5000.0], [4800.0, 4700.0, 4300.0], "finite"),
         ],
     )
-    def test_rejects_bad_input(self, points, message):
+    def test_rejects_bad_input(self, r, f, message):
         with pytest.raises(FitError, match=message):
-            fit_power_law(points)
+            fit_power_law(r, f)
 
     def test_fit_idempotence(self):
         model = exact_model(alpha=0.47, beta=250000.0)
         r = np.linspace(3200, 8200, 25)
-        refit = fit_power_law([(ri, predict_f(model, ri)) for ri in r])
+        refit = fit_power_law(r, predict_f(model, r))
         assert refit.alpha == pytest.approx(model.alpha, rel=1e-9)
         assert refit.beta == pytest.approx(model.beta, rel=1e-9)
 
     def test_scale_covariance(self):
         r = np.linspace(3000, 9000, 20)
         f = 300000.0 * r**-0.5
-        base = fit_power_law(list(zip(r, f)))
-        scaled = fit_power_law(list(zip(2.0 * r, f)))
+        base = fit_power_law(r, f)
+        scaled = fit_power_law(2.0 * r, f)
         assert scaled.alpha == pytest.approx(base.alpha, rel=1e-9)
         assert scaled.beta == pytest.approx(base.beta * 2.0**base.alpha, rel=1e-9)
 
@@ -312,6 +312,6 @@ class TestFitsMatchPolyfit:
         r = np.linspace(3500, 6500, 60)
         f = 280000.0 * r**-0.51 + np.random.default_rng(8).normal(0, 12.4, 60)
         slope, intercept = np.polyfit(np.log(r), np.log(f), 1)
-        model = fit_power_law(list(zip(r, f)))
+        model = fit_power_law(r, f)
         assert model.alpha == pytest.approx(-slope, rel=1e-12, abs=0)
         assert model.beta == pytest.approx(np.exp(intercept), rel=1e-12, abs=0)

@@ -15,7 +15,7 @@ from jjtrim.lattice import (
     spread_after_centering,
     subtract_global_offset,
 )
-from jjtrim.yieldmc import generate_unit_cell, tile
+from jjtrim.yieldmc import generate_unit_cell, tile, unit_cell_violations
 
 # Additive unit cell: row offsets (0,100,50) + column offsets (0,50,100).
 CELL_FREQS = [0.0, 50.0, 100.0, 100.0, 150.0, 200.0, 50.0, 100.0, 150.0]
@@ -51,14 +51,14 @@ class TestEdgeDetunings:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: edge_detunings(cell_lattice(), [4500.0] * 8), "expected 9 frequencies, got 8"),
-            (lambda: edge_detunings(cell_lattice(), [4500.0] * 10),
-             "expected 9 frequencies, got 10"),
             (lambda: QubitLattice(3, 3, (4500.0,) * 8), "expected 9 design frequencies, got 8"),
             (lambda: QubitLattice(3, 3, (4500.0,) * 9, (4500.0,) * 10),
              "expected 9 measured frequencies, got 10"),
+            (lambda: unit_cell_violations(np.zeros((2, 2))),
+             r"unit cell must be 3x3, got shape \(2, 2\)"),
+            (lambda: subtract_global_offset([]), "need at least one chip"),
         ],
-        ids=["detunings-8", "detunings-10", "design-8", "measured-10"],
+        ids=["design-8", "measured-10", "unit-cell-2x2", "no-chips"],
     )
     def test_wrong_frequency_count(self, build, message):
         with pytest.raises(ValidationError, match=message):
@@ -240,6 +240,13 @@ def greedy_matching_size(edges):
     return len(used) // 2
 
 
+def parks_into_window(lat, plan, window):
+    """Whether every edge of ``lat`` is in the window once the plan's offsets are applied."""
+    parked = [f + o for f, o in zip(lat.design_f01max, plan["offsets_mhz"])]
+    cols = edge_detunings(QubitLattice(lat.rows, lat.cols, parked), window=window)
+    return cols["in_window"].all()
+
+
 def park_or_none(lattice, window, max_park, step, symmetric=False):
     try:
         plan = optimize_parking(lattice, window, max_park, step, symmetric=symmetric)
@@ -258,8 +265,7 @@ class TestParking:
         plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
         assert plan["parked_count"] == 1
         assert plan["max_abs_offset_mhz"] == pytest.approx(10.0)
-        parked = [f + o for f, o in zip(lat.design_f01max, plan["offsets_mhz"])]
-        assert edge_detunings(lat, parked, window=(20.0, 130.0))["in_window"].all()
+        assert parks_into_window(lat, plan, (20.0, 130.0))
 
     def test_matches_brute_force_on_random_instances(self):
         window = (20.0, 130.0)
@@ -274,8 +280,7 @@ class TestParking:
                 continue
             plan = optimize_parking(lat, window, max_park_mhz=30.0, step_mhz=10.0)
             assert tuple(plan["offsets_mhz"]) == oracle
-            parked = [f + o for f, o in zip(freqs, plan["offsets_mhz"])]
-            assert edge_detunings(lat, parked, window=window)["in_window"].all()
+            assert parks_into_window(lat, plan, window)
 
     @given(
         shape=st.sampled_from([(2, 3), (3, 3), (3, 4)]),
@@ -301,8 +306,7 @@ class TestParking:
             out = ~cols["in_window"]
             violating = list(zip(cols["node_a"][out].tolist(), cols["node_b"][out].tolist()))
             plan = optimize_parking(lat, window, max_park_mhz=50.0, step_mhz=1.0)
-            parked = [f + o for f, o in zip(freqs, plan["offsets_mhz"])]
-            assert edge_detunings(lat, parked, window=window)["in_window"].all()
+            assert parks_into_window(lat, plan, window)
             assert plan["parked_count"] >= greedy_matching_size(violating) >= 4
 
     def test_parked_count_beyond_recursion_limit(self, monkeypatch):
@@ -311,8 +315,7 @@ class TestParking:
         monkeypatch.setattr(lattice, "MAX_PARK_NODES", 10**7)
         plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
         assert plan["parked_count"] == 512 and plan["max_abs_offset_mhz"] == 20.0
-        parked = [f + o for f, o in zip(lat.design_f01max, plan["offsets_mhz"])]
-        assert edge_detunings(lat, parked, window=(20.0, 130.0))["in_window"].all()
+        assert parks_into_window(lat, plan, (20.0, 130.0))
 
     def test_node_budget_raises(self, monkeypatch):
         lat = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4610.0))

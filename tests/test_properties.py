@@ -72,7 +72,7 @@ class TestPowerLawProperties:
     def test_fit_recovers_exact_model(self, alpha, beta):
         r = np.linspace(3000, 9000, 15)
         f = beta * r**-alpha
-        fit = fit_power_law(list(zip(r, f)))
+        fit = fit_power_law(r, f)
         assert abs(fit.alpha - alpha) < 1e-7
         assert abs(fit.beta - beta) / beta < 1e-6
 
@@ -117,7 +117,7 @@ class TestParkingSoundness:
             assert -30.0 <= off <= 0.0
             assert abs(off / 10.0 - round(off / 10.0)) < 1e-9
         parked = [f + o for f, o in zip(freqs, plan["offsets_mhz"])]
-        assert edge_detunings(lat, parked, window=window)["in_window"].all()
+        assert edge_detunings(QubitLattice(3, 3, parked), window=window)["in_window"].all()
 
 
 class TestTilingProperties:

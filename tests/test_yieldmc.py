@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jjtrim import yieldmc
+from jjtrim.cli import main
 from jjtrim.errors import InfeasibleError, ValidationError
 from jjtrim.lattice import QubitLattice, edge_detunings
 from jjtrim.yieldmc import (
@@ -64,10 +65,26 @@ class TestUnitCell:
         tiled = {frozenset(divmod(v, lat.cols) for v in edge) for edge in lat.edges()}
         assert {frozenset((r % 3, c % 3) for r, c in e) for e in tiled} == table
 
-    def test_overconstrained_window_fails_search(self, monkeypatch):
-        monkeypatch.setattr(yieldmc, "DESIGN_WINDOW_MHZ", (40.0, 40.0))
-        with pytest.raises(InfeasibleError, match=r"fits window \(40.0, 40.0\)"):
+    @pytest.mark.parametrize(
+        "constant, value, message",
+        [
+            ("DESIGN_WINDOW_MHZ", (40.0, 40.0),
+             "no unit cell on the 10 MHz grid fits window (40.0, 40.0)"),
+            ("CELL_SEARCH_NODES", 3,
+             "unit-cell search for window (40.0, 110.0) hit its node budget (3 search nodes)"),
+        ],
+        ids=["overconstrained-window", "node-budget"],
+    )
+    def test_failed_search_is_infeasible(self, tmp_path, capsys, monkeypatch, constant, value,
+                                         message):
+        monkeypatch.setattr(yieldmc, constant, value)
+        with pytest.raises(InfeasibleError) as err:
             generate_unit_cell(seed=0)
+        assert str(err.value) == message
+        out = tmp_path / "o"
+        assert main(["yield", "--sigma", "7.7", "--seed", "0", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"infeasible: {message}\n"
+        assert not out.exists()
 
     def test_generated_cells_pass_independent_checker(self):
         for seed in range(100):
@@ -96,7 +113,7 @@ class TestTiling:
         f = lat.design_f01max
         # horizontal stitching edges between column 2 and column 3
         for r in range(6):
-            a, b = lat.node_id(r, 2), lat.node_id(r, 3)
+            a, b = r * lat.cols + 2, r * lat.cols + 3
             expected = abs(cell.offsets_mhz[r % 3][2] - cell.offsets_mhz[r % 3][0])
             assert abs(f[a] - f[b]) == pytest.approx(expected)
 
