@@ -1,11 +1,14 @@
 """Command-line interface tying the toolkit into reproducible runs.
 
-After a subcommand succeeds, ``main`` writes its manifest (command, config
-snapshot, seed, input digests, tool version) next to its outputs, so any run
-can be reproduced bit-identically. Each subparser declares the flags its
-manifest records, beside the flags themselves, in a ``recorded`` default that
-no flag sets. Seeds are mandatory for stochastic commands; there is no
-wall-clock fallback.
+``main`` reads each input file once, before the subcommand runs, and hands
+the subcommand the texts keyed by flag; a subcommand pops each text as it
+parses it, so no text outlives its loader. After a subcommand succeeds,
+``main`` writes its manifest (command, config snapshot, seed, the digests of
+the bytes it read, tool version) next to its outputs, so any run can be
+reproduced bit-identically. Each subparser declares the flags its manifest
+records, beside the flags themselves, in a ``recorded`` default that no flag
+sets. Seeds are mandatory for stochastic commands; there is no wall-clock
+fallback.
 
 Exit codes: 0 success, 2 invalid input or unreadable file, 3 infeasibility
 (no plan or cell exists, or a search's or tuning loop's budget is spent).
@@ -68,7 +71,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_simulate_tuning(args):
+def cmd_simulate_tuning(args, _texts):
     check("--qubits", args.qubits, ge=1, le=controller.MAX_CAMPAIGN_QUBITS)
     check("aging_budget", args.aging_budget, ge=0, lt=1)
     # checked here, not first in sample_fabricated and run_campaign, so that
@@ -85,58 +88,42 @@ def cmd_simulate_tuning(args):
     metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
     fileio.save_campaign(out / "campaign.json", records, targets, config)
-    fileio.write_csv(
-        out / "precision_report.csv",
-        ["metric", "value"],
-        metrics.items(),
-        formats={"value": ".6f"},
-    )
+    fileio.write_csv(out / "precision_report.csv", ["metric", "value"], metrics.items(),
+                     formats={"value": ".6f"})
     print(f"tuned {args.qubits} qubits to target {target_r:.1f} Ohm")
-    print(
-        f"precision: mean {100 * metrics['precision_mean_frac']:+.3f}%  "
-        f"sigma {100 * metrics['precision_sigma_frac']:.3f}%"
-    )
-    print(
-        f"overshoot: mean {metrics['overshoot_mean_ohm']:.2f} Ohm  "
-        f"sigma {metrics['overshoot_sigma_ohm']:.2f} Ohm"
-    )
-    print(
-        f"reserve:   mean {100 * metrics['reserve_mean']:.3f}%  "
-        f"sigma {100 * metrics['reserve_sigma']:.3f}%"
-    )
+    print(f"precision: mean {100 * metrics['precision_mean_frac']:+.3f}%  "
+          f"sigma {100 * metrics['precision_sigma_frac']:.3f}%")
+    print(f"overshoot: mean {metrics['overshoot_mean_ohm']:.2f} Ohm  "
+          f"sigma {metrics['overshoot_sigma_ohm']:.2f} Ohm")
+    print(f"reserve:   mean {100 * metrics['reserve_mean']:.3f}%  "
+          f"sigma {100 * metrics['reserve_sigma']:.3f}%")
 
 
-def cmd_calibrate_freq(args):
-    r, f = fileio.read_points_csv(args.data, "resistance_ohm", "f01max_mhz")
+def cmd_calibrate_freq(args, texts):
+    r, f = fileio.read_points_csv(args.data, texts.pop("data"), "resistance_ohm", "f01max_mhz")
     model = freqmodel.fit_power_law(r, f)
     out = _out_dir(args)
     fileio.save_calibration(out / "calibration.json", model)
-    print(
-        f"alpha {model.alpha:.4f}  beta {model.beta:.4f}  "
-        f"residual sigma {model.residual_sigma:.2f} MHz  "
-        f"domain [{model.r_min:.1f}, {model.r_max:.1f}] Ohm"
-    )
+    print(f"alpha {model.alpha:.4f}  beta {model.beta:.4f}  "
+          f"residual sigma {model.residual_sigma:.2f} MHz  "
+          f"domain [{model.r_min:.1f}, {model.r_max:.1f}] Ohm")
 
 
-def cmd_assign_targets(args):
-    model = fileio.load_calibration(args.calibration)
-    lat = fileio.load_design(args.design)
+def cmd_assign_targets(args, texts):
+    model = fileio.load_calibration(args.calibration, texts.pop("calibration"))
+    lat = fileio.load_design(args.design, texts.pop("design"))
     rows = []
     for i, f_design in enumerate(lat.design_f01max):
         rt = freqmodel.assign_target_R(model, f_design, args.aging_budget)
         rows.append((f"Q{i:03d}", f_design, rt))
     out = _out_dir(args)
-    fileio.write_csv(
-        out / "targets.csv",
-        ["qubit_id", "design_f_mhz", "target_resistance_ohm"],
-        rows,
-        formats={"design_f_mhz": ".4f", "target_resistance_ohm": ".4f"},
-    )
+    fileio.write_csv(out / "targets.csv", ["qubit_id", "design_f_mhz", "target_resistance_ohm"],
+                     rows, formats={"design_f_mhz": ".4f", "target_resistance_ohm": ".4f"})
     print(f"assigned {len(rows)} targets (aging budget {100 * args.aging_budget:.1f}%)")
 
 
-def cmd_fit_relaxation(args):
-    t, dr = fileio.read_points_csv(args.data, "t_hr", "delta_r_ohm")
+def cmd_fit_relaxation(args, texts):
+    t, dr = fileio.read_points_csv(args.data, texts.pop("data"), "t_hr", "delta_r_ohm")
     text = args.breakpoints
     bps = None if text is None else _parse_floats(text, ",", "--breakpoints")
     fit = freqmodel.fit_segmented_power_law(t, dr, breakpoints=bps)
@@ -148,8 +135,8 @@ def cmd_fit_relaxation(args):
     print(f"breakpoints (hr): {bps}")
 
 
-def cmd_analyze_lattice(args):
-    lat = fileio.load_design(args.design)
+def cmd_analyze_lattice(args, texts):
+    lat = fileio.load_design(args.design, texts.pop("design"))
     window = None if args.window is None else _parse_pair(args.window, ",", "--window")
     cols = lattice.edge_detunings(lat, window=window)
     d = cols["abs_mhz"]
@@ -184,25 +171,21 @@ def cmd_analyze_lattice(args):
     )
 
 
-def cmd_park(args):
-    lat = fileio.load_design(args.design)
+def cmd_park(args, texts):
+    lat = fileio.load_design(args.design, texts.pop("design"))
     window = _parse_pair(args.window, ",", "--window")
-    plan = lattice.optimize_parking(
-        lat, window, max_park_mhz=args.max_park, step_mhz=args.step,
-        symmetric=args.symmetric,
-    )
+    plan = lattice.optimize_parking(lat, window, max_park_mhz=args.max_park, step_mhz=args.step,
+                                    symmetric=args.symmetric)
     out = _out_dir(args)
     fileio.dump_json(out / "parking.json", plan)
-    print(
-        f"parked {plan['parked_count']} qubit(s), "
-        f"max offset {plan['max_abs_offset_mhz']:.1f} MHz"
-    )
+    print(f"parked {plan['parked_count']} qubit(s), "
+          f"max offset {plan['max_abs_offset_mhz']:.1f} MHz")
 
 
-def cmd_yield(args):
+def cmd_yield(args, texts):
     window = _parse_pair(args.window, ",", "--window")
     if args.design is not None:
-        cell = fileio.load_unit_cell(args.design)
+        cell = fileio.load_unit_cell(args.design, texts.pop("design"))
     else:
         cell = yieldmc.generate_unit_cell(seed=args.seed)
     m, n = _parse_cells(args.cells)
@@ -233,17 +216,15 @@ def cmd_yield(args):
     print(f"wafer: {chips} chips, {chips * result['qubits']} qubits per {args.dice} dice")
 
 
-def cmd_report(args):
-    records, targets, _config = fileio.load_campaign(args.campaign)
+def cmd_report(args, texts):
+    records, targets, _config = fileio.load_campaign(args.campaign, texts.pop("campaign"))
     metrics = controller.campaign_stats(records, targets)
     out = _out_dir(args)
     rows = [(k, v) for k, v in metrics.items() if k not in ("precision_min_frac", "precision_max_frac")]
     qubits = len(records["qubit_id"])
     fileio.write_csv(out / "report.csv", ["metric", "value"], [("qubits", qubits), *rows])
-    print(
-        f"{qubits} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
-        f"mean {100 * metrics['precision_mean_frac']:+.3f}%"
-    )
+    print(f"{qubits} qubits  precision sigma {100 * metrics['precision_sigma_frac']:.3f}%  "
+          f"mean {100 * metrics['precision_mean_frac']:+.3f}%")
 
 
 @functools.cache  # built once per process; parse_args never changes it
@@ -326,10 +307,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
-        inputs = [p for p in (getattr(args, k, None) for k in INPUT_FLAGS) if p is not None]
+        digests, texts = {}, {}
+        for flag in INPUT_FLAGS:
+            path = getattr(args, flag, None)
+            if path is not None:
+                digests[path], texts[flag] = fileio.read_input(path)
+        args.func(args, texts)
         fileio.write_manifest(args.out, args.command, {k: getattr(args, k) for k in args.recorded},
-                              getattr(args, "seed", None), inputs)
+                              getattr(args, "seed", None), digests)
     except (SchemaError, ValidationError, FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for line in getattr(exc, "details", ()):

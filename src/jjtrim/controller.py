@@ -25,8 +25,9 @@ _BLOCK = 32  # qubits per pulse-loop block: many per array call, a small step bu
 # renewal overshoot is again exponential with the same mean, which reproduces
 # the observed last-pulse overshoot statistics with this one parameter.
 MEAN_STEP_OHM = 1.9
-# Largest campaign, in qubits: about 2-4 min of tuning. A larger one is
-# refused before any qubit is sampled.
+# Largest campaign, in qubits: 300 000 took 6.3-7.0 s and 491 MB peak RSS on
+# a 2-vCPU guest, so this cap extrapolates to about 25 s and 1.6 GB. A larger
+# one is refused before any qubit is sampled.
 MAX_CAMPAIGN_QUBITS = 1_000_000
 # Pulses after which one qubit's tuning loop gives up with exit 3.
 MAX_PULSES = 10**6

@@ -39,7 +39,8 @@ def check(name, value, gt=None, ge=None, lt=None, le=None):
     ValidationError naming ``name`` and the rule.
 
     A Python int is compared as it is, never converted to float, so a huge
-    integer flag fails its bounds instead of overflowing.
+    integer flag fails its bounds instead of overflowing; one too long for
+    ``str`` is named by its size.
     """
     if (
         (type(value) is int or math.isfinite(value))
@@ -53,7 +54,11 @@ def check(name, value, gt=None, ge=None, lt=None, le=None):
     rule = " and ".join(f"{op} {bound}" for op, bound in bounds if bound is not None)
     if type(value) is not int:
         rule = f"finite and {rule}" if rule else "finite"
-    raise ValidationError(f"{name} must be {rule}, got {value}")
+    try:
+        shown = str(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        shown = f"an integer of {value.bit_length()} bits"
+    raise ValidationError(f"{name} must be {rule}, got {shown}")
 
 
 _COMPARE = {"gt": np.greater, "ge": np.greater_equal, "lt": np.less}

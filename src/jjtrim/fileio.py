@@ -2,15 +2,19 @@
 
 CSV for numeric point inputs and reports (mandatory header, UTF-8, '.'
 decimal, fixed per-column formatting), JSON for designs, calibrations,
-campaigns, and manifests. Parsing is strict: one schema walker checks
-every JSON input and names the offending field's path, every bad CSV
-line is reported, and nothing is silently skipped.
+campaigns, and manifests. ``read_input`` is the one reader: it reads a file
+once and returns its strict UTF-8 text with the SHA-256 of the same bytes;
+the loaders parse that text, and the path only names the file in their
+messages. Parsing is strict: one schema walker checks every JSON input and
+names the offending field's path, every bad CSV line is reported, and
+nothing is silently skipped.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import reprlib
@@ -126,15 +130,30 @@ def _columns(rows, table):
     return columns
 
 
-def _load(path, schema):
-    """A JSON file checked against ``schema`` (see ``_walk``); a mismatch names its field."""
+def read_input(path) -> tuple[str, str]:
+    """(SHA-256 hex digest, text) of the file at ``path``, read once, so a run
+    records the digest of the bytes it parses. The text is strict UTF-8; the
+    bytes are dropped once decoded."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        return hashlib.sha256(data).hexdigest(), data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not valid UTF-8") from None
+
+
+def _load(path, text, schema):
+    """JSON ``text`` checked against ``schema`` (see ``_walk``); ``path`` names
+    the file in every message, and a mismatch names its field."""
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not valid UTF-8") from exc
+    except ValueError:  # an int past the interpreter's digit limit
+        raise SchemaError(f"{path}: invalid JSON: an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
     try:
         return _walk(data, schema)
     except _Mismatch as exc:
@@ -162,10 +181,10 @@ _DESIGN = {"rows": int, "cols": int, "base_frequency_mhz": float, "offsets_mhz":
            "design_window_mhz": [float], "measured_mhz": _Nullable(_GRID)}
 
 
-def _load_design(path) -> tuple[dict, tuple, tuple | None, tuple[float, float]]:
+def _load_design(path, text) -> tuple[dict, tuple, tuple | None, tuple[float, float]]:
     """Design JSON (``_DESIGN``) -> (document, offsets, measured, design window),
     each grid flattened."""
-    data = _load(path, _DESIGN)
+    data = _load(path, text, _DESIGN)
     offsets = _grid(path, data, "offsets_mhz", "frequency offset")
     measured = _grid(path, data, "measured_mhz", "measured frequency")
     window = tuple(data["design_window_mhz"])
@@ -174,17 +193,17 @@ def _load_design(path) -> tuple[dict, tuple, tuple | None, tuple[float, float]]:
     return data, offsets, measured, window
 
 
-def load_design(path) -> QubitLattice:
+def load_design(path, text) -> QubitLattice:
     """Design JSON (``_DESIGN``) -> its lattice."""
-    data, offsets, measured, _window = _load_design(path)
+    data, offsets, measured, _window = _load_design(path, text)
     design = tuple(data["base_frequency_mhz"] + f for f in offsets)
     return QubitLattice(data["rows"], data["cols"], design, measured)
 
 
-def load_unit_cell(path) -> UnitCellDesign:
+def load_unit_cell(path, text) -> UnitCellDesign:
     """A 3x3 design JSON (``_DESIGN``) -> its unit cell: the base frequency,
     offsets and design window as written, so ``save_design`` writes them back."""
-    data, offsets, _measured, window = _load_design(path)
+    data, offsets, _measured, window = _load_design(path, text)
     if (data["rows"], data["cols"]) != (3, 3):
         raise ValidationError("--design must describe a 3x3 unit cell")
     return UnitCellDesign((offsets[:3], offsets[3:6], offsets[6:]),
@@ -206,8 +225,8 @@ def save_design(path, cell: UnitCellDesign) -> None:
 _CALIBRATION = dict.fromkeys(("beta", "alpha", "residual_sigma_mhz", "r_min", "r_max"), float)
 
 
-def load_calibration(path) -> PowerLawModel:
-    data = _load(path, _CALIBRATION)
+def load_calibration(path, text) -> PowerLawModel:
+    data = _load(path, text, _CALIBRATION)
     return PowerLawModel(*(data[key] for key in _CALIBRATION))
 
 
@@ -239,7 +258,7 @@ def save_campaign(path, records, targets, config: CampaignConfig) -> None:
     Path(path).write_text(text + "}\n", encoding="utf-8")
 
 
-def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
+def load_campaign(path, text) -> tuple[dict, dict, CampaignConfig]:
     """Campaign JSON (``_CAMPAIGN``) -> (record columns, target columns, config).
 
     A qubit id may appear once among the targets and once among the records:
@@ -247,7 +266,7 @@ def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
     silently change them. A row out of ``TARGET_BOUNDS`` or ``RECORD_BOUNDS``,
     or whose already-above flag is not ``pulses == 0``, is named by row and field.
     """
-    data = _load(path, _CAMPAIGN)
+    data = _load(path, text, _CAMPAIGN)
     try:
         config = CampaignConfig(**data["config"])
     except ValidationError as exc:
@@ -263,65 +282,50 @@ def load_campaign(path) -> tuple[dict, dict, CampaignConfig]:
     return records, targets, config
 
 
-def read_points_csv(path, col_x, col_y) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) float columns from two named columns of a headed UTF-8 CSV.
+def read_points_csv(path, text, col_x, col_y) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) float columns from two named columns of a headed CSV ``text``;
+    ``path`` names the file in every message.
 
     The header names each column once. Every row needs the header's field
     count and finite numbers in both columns; all bad lines are reported at
-    once. Undecodable bytes read as U+FFFD, so a line holding them fails as
-    not numeric.
+    once, numbered as in the file.
     """
     points, problems = [], []
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if col_x not in header or col_y not in header:
-            raise SchemaError(f"{path}: expected columns {col_x!r} and {col_y!r}, got {header}")
-        for col in header:
-            if header.count(col) > 1:
-                raise SchemaError(f"{path}: header repeats column {col!r}: {header}")
-        ix, iy = header.index(col_x), header.index(col_y)
-        for rec in reader:
-            if not rec:
-                continue  # a blank line
-            if len(rec) != len(header):
-                problems.append(f"line {reader.line_num}: {len(rec)} fields, want {len(header)}")
-                continue
-            try:
-                point = float(rec[ix]), float(rec[iy])
-            except ValueError:
-                point = (math.nan,)
-            if all(map(math.isfinite, point)):
-                points.append(point)
-            else:
-                problems.append(f"line {reader.line_num}: {col_x}/{col_y} "
-                                f"{rec[ix]!r}, {rec[iy]!r} are not finite numbers")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    if col_x not in header or col_y not in header:
+        raise SchemaError(f"{path}: expected columns {col_x!r} and {col_y!r}, got {header}")
+    for col in header:
+        if header.count(col) > 1:
+            raise SchemaError(f"{path}: header repeats column {col!r}: {header}")
+    ix, iy = header.index(col_x), header.index(col_y)
+    for rec in reader:
+        if not rec:
+            continue  # a blank line
+        if len(rec) != len(header):
+            problems.append(f"line {reader.line_num}: {len(rec)} fields, want {len(header)}")
+            continue
+        try:
+            point = float(rec[ix]), float(rec[iy])
+        except ValueError:
+            point = (math.nan,)
+        if all(map(math.isfinite, point)):
+            points.append(point)
+        else:
+            problems.append(f"line {reader.line_num}: {col_x}/{col_y} "
+                            f"{rec[ix]!r}, {rec[iy]!r} are not finite numbers")
     if problems:
         raise SchemaError(f"{path}: {len(problems)} invalid rows", details=problems)
     return np.array(points).reshape(-1, 2).T
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def write_manifest(out_dir, command: str, config: dict, master_seed, inputs=()) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": command,
-        "config": config,
-        "master_seed": master_seed,
-        "input_digests": {str(p): sha256_file(p) for p in inputs},
-        "tool_version": __version__,
-    }
-    path = out_dir / "manifest.json"
-    dump_json(path, manifest)
-    return path
+def write_manifest(out_dir, command: str, config: dict, master_seed, input_digests: dict) -> None:
+    """``out_dir/manifest.json``; ``input_digests`` maps each input path to the
+    digest ``read_input`` returned for it."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    manifest = {"command": command, "config": config, "master_seed": master_seed,
+                "input_digests": input_digests, "tool_version": __version__}
+    dump_json(Path(out_dir) / "manifest.json", manifest)
 
 
 def write_csv(path, header, rows, formats=None) -> None:

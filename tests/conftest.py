@@ -107,11 +107,16 @@ _ORACLE_CAMPAIGN = {"config": get_type_hints(CampaignConfig), "targets": [TARGET
                     "records": [RECORD_FIELDS]}
 
 
-def oracle_load_campaign(path):
-    """A campaign file walked object by object, its ids scanned one at a time
+def load(loader, path, *args):
+    """``loader`` on the text of the file at ``path``, read as the CLI reads it."""
+    return loader(path, fileio.read_input(path)[1], *args)
+
+
+def oracle_load_campaign(path, text):
+    """A campaign text walked object by object, its ids scanned one at a time
     and its columns built from the rows: the oracle for ``fileio.load_campaign``.
     An integer beyond 64 bits is named by table only."""
-    data = fileio._load(path, _ORACLE_CAMPAIGN)
+    data = fileio._load(path, text, _ORACLE_CAMPAIGN)
     try:
         config = CampaignConfig(**data["config"])
     except ValidationError as exc:

@@ -9,6 +9,7 @@ The noiseless campaign of ``tune_bulk`` is also compared with
 stream fails here too.
 """
 
+import hashlib
 import importlib
 import json
 import sys
@@ -59,6 +60,10 @@ def test_first_op_writes_expected_manifests(workloads, tmp_path, name):
         manifest = json.loads((step.out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == step.command
         assert manifest["master_seed"] == step.manifest_seed
+        # the comparison perfbench/checks.py makes, paths resolved
+        digests = {Path(p).resolve(): d for p, d in manifest["input_digests"].items()}
+        assert digests == {Path(p).resolve(): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                           for p in step.inputs}, step.argv
         config, want = manifest["config"], step.manifest_config
         assert config.keys() == want.keys()
         for key in want:

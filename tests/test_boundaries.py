@@ -16,6 +16,7 @@ from jjtrim.freqmodel import (
 )
 from jjtrim.junction import relaxation_delta, relaxation_shape
 from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
+from jjtrim.yieldmc import YieldConfig, generate_unit_cell, mc_chip_yield, tile
 
 NAN, INF = math.nan, math.inf
 MODEL = PowerLawModel(beta=280000.0, alpha=0.5, residual_sigma=1.0, r_min=3000.0, r_max=7000.0)
@@ -44,6 +45,9 @@ class TestCheck:
             (0, {"ge": 1}, "x must be >= 1, got 0"),
             (11, {"ge": 1, "le": 10}, "x must be >= 1 and <= 10, got 11"),
             (10.5, {"le": 10}, "x must be finite and <= 10, got 10.5"),
+            # past sys.get_int_max_str_digits(), str() itself raises
+            pytest.param(10**5000, {"le": 10}, "x must be <= 10, got an integer of 16610 bits",
+                         id="int-past-str-limit"),
         ],
     )
     def test_message_names_the_rule(self, value, bounds, message):
@@ -61,6 +65,12 @@ class TestCheck:
             check("n", 2**53 + 1, le=2**53)
         with pytest.raises(ValidationError, match="n must be <= 10"):
             check("n", 10**400, le=10)
+
+    def test_int_too_long_to_print_named_by_size(self):
+        with pytest.raises(ValidationError, match="trials on 9 qubits must be <= 1111111111, "
+                                                  "got an integer of 16610 bits"):
+            mc_chip_yield(tile(generate_unit_cell(seed=7), 1, 1),
+                          YieldConfig(7.7, 1, trials=10**5000))
 
     @pytest.mark.parametrize("window", [(NAN, 130.0), (20.0, INF), (130.0, 20.0), (20.0, 20.0)])
     def test_window_rejected(self, window):

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 import sys
 
 import numpy as np
 import pytest
-from conftest import oracle_campaign_text, oracle_load_campaign, rows
+from conftest import load, oracle_campaign_text, oracle_load_campaign, rows
 
 from jjtrim import fileio
 from jjtrim.cli import main
@@ -36,27 +37,26 @@ class TestDesignJson:
         return path
 
     def test_load(self, tmp_path):
-        lat = fileio.load_design(self._write(tmp_path))
+        lat = load(fileio.load_design, self._write(tmp_path))
         assert lat.rows == 2 and lat.cols == 2
         assert lat.design_f01max == (4500.0, 4550.0, 4550.0, 4600.0)
 
     def test_missing_node_named(self, tmp_path):
         path = self._write(tmp_path, offsets_mhz=[[0.0, 50.0], [None, 100.0]])
         with pytest.raises(SchemaError, match=r"\(1,0\)"):
-            fileio.load_design(path)
+            load(fileio.load_design, path)
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "design.json"
         path.write_text("{}")
         with pytest.raises(SchemaError, match="rows"):
-            fileio.load_design(path)
+            load(fileio.load_design, path)
 
     def test_measured_grid_optional_or_null(self, tmp_path):
-        lat = fileio.load_design(self._write(tmp_path, measured_mhz=None))
+        lat = load(fileio.load_design, self._write(tmp_path, measured_mhz=None))
         assert lat.measured_f01max is None
-        lat = fileio.load_design(
-            self._write(tmp_path, measured_mhz=[[4501, 4552.5], [4548, 4601]])
-        )
+        path = self._write(tmp_path, measured_mhz=[[4501, 4552.5], [4548, 4601]])
+        lat = load(fileio.load_design, path)
         assert lat.measured_f01max == (4501.0, 4552.5, 4548.0, 4601.0)
 
     @pytest.mark.parametrize(
@@ -77,21 +77,21 @@ class TestDesignJson:
     def test_schema_errors_name_the_field(self, tmp_path, overrides, message):
         path = self._write(tmp_path, **overrides)
         with pytest.raises(SchemaError, match=message) as err:
-            fileio.load_design(path)
+            load(fileio.load_design, path)
         assert str(err.value).startswith(f"{path}: ")
 
     def test_integers_read_as_floats(self, tmp_path):
         path = self._write(tmp_path, rows=3, cols=3, base_frequency_mhz=4500,
                            offsets_mhz=[[0, 50, 100], [100, 150, 200], [50, 100, 150]],
                            design_window_mhz=[40, 110])
-        lat, cell = fileio.load_design(path), fileio.load_unit_cell(path)
+        lat, cell = load(fileio.load_design, path), load(fileio.load_unit_cell, path)
         assert all(type(f) is float for f in (*lat.design_f01max, *cell.design_window_mhz))
 
     def test_invalid_json_has_line(self, tmp_path):
         path = tmp_path / "design.json"
         path.write_text("{\n  broken\n}")
         with pytest.raises(SchemaError, match="line 2"):
-            fileio.load_design(path)
+            load(fileio.load_design, path)
 
     def test_unit_cell_round_trip(self, tmp_path):
         cell = UnitCellDesign(
@@ -99,8 +99,8 @@ class TestDesignJson:
         )
         path = tmp_path / "cell.json"
         fileio.save_design(path, cell)
-        assert fileio.load_unit_cell(path) == cell
-        assert fileio.load_design(path).design_f01max[1] == cell.base_frequency_mhz + 50.0
+        assert load(fileio.load_unit_cell, path) == cell
+        assert load(fileio.load_design, path).design_f01max[1] == cell.base_frequency_mhz + 50.0
 
 
 class TestCalibrationJson:
@@ -108,22 +108,22 @@ class TestCalibrationJson:
         model = PowerLawModel(beta=3e5, alpha=0.51, residual_sigma=12.4, r_min=3500, r_max=6500)
         path = tmp_path / "cal.json"
         fileio.save_calibration(path, model)
-        assert fileio.load_calibration(path) == model
+        assert load(fileio.load_calibration, path) == model
 
 
 class TestPointsCsv:
     def test_reads_named_columns_in_any_order(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("note,y,x\na,2.5,1\n\nb,4,3e2\n")
-        x, y = fileio.read_points_csv(path, "x", "y")
+        x, y = load(fileio.read_points_csv, path, "x", "y")
         assert x.dtype == y.dtype == float
         assert (x.tolist(), y.tolist()) == ([1.0, 300.0], [2.5, 4.0])
 
     def test_every_bad_line_reported(self, tmp_path):
         path = tmp_path / "points.csv"
-        path.write_bytes(b"x,y\n1,2\n1,2,3\n1,nan\n1,\xff\n1\n")
+        path.write_bytes(b"x,y\n1,2\n1,2,3\n1,nan\n1,x\n1\n")
         with pytest.raises(SchemaError, match="4 invalid rows") as err:
-            fileio.read_points_csv(path, "x", "y")
+            load(fileio.read_points_csv, path, "x", "y")
         assert [d.split(":")[0] for d in err.value.details] == [
             "line 3", "line 4", "line 5", "line 6"
         ]
@@ -132,7 +132,7 @@ class TestPointsCsv:
         path = tmp_path / "points.csv"
         path.write_text("x,z\n1,2\n")
         with pytest.raises(SchemaError, match="expected columns 'x' and 'y'"):
-            fileio.read_points_csv(path, "x", "y")
+            load(fileio.read_points_csv, path, "x", "y")
 
 
 class TestCampaignPersistence:
@@ -145,7 +145,7 @@ class TestCampaignPersistence:
         records = run_campaign(r, rho, targets, config)
         path = tmp_path / "campaign.json"
         fileio.save_campaign(path, records, targets, config)
-        loaded_records, loaded_targets, loaded_config = fileio.load_campaign(path)
+        loaded_records, loaded_targets, loaded_config = load(fileio.load_campaign, path)
         assert rows(loaded_records) == rows(records)
         assert rows(loaded_targets, TARGET_FIELDS) == rows(targets, TARGET_FIELDS)
         assert loaded_config == config
@@ -236,7 +236,7 @@ def _corrupt(data, fault):
 def _outcome(loader, path):
     """The loader's exit-2 text, or its columns as Python rows."""
     try:
-        records, targets, config = loader(path)
+        records, targets, config = load(loader, path)
     except JJTrimError as exc:
         return str(exc)
     return (rows(records), rows(targets, TARGET_FIELDS), config,
@@ -287,7 +287,7 @@ class TestCampaignReader:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {where}: ')}"):
-            fileio.load_campaign(path)
+            load(fileio.load_campaign, path)
 
     def test_int_in_float_field_loads_as_float64(self, tmp_path, text):
         data = json.loads(text)
@@ -295,22 +295,26 @@ class TestCampaignReader:
         data["targets"][0]["target_resistance"] = 4496
         path = tmp_path / "c.json"
         path.write_text(json.dumps(data))
-        records, targets, _ = fileio.load_campaign(path)
+        records, targets, _ = load(fileio.load_campaign, path)
         assert records["r_tuned"].dtype == np.float64 and records["r_tuned"][2] == 5000.0
         assert targets["target_resistance"].dtype == np.float64
         assert _outcome(fileio.load_campaign, path) == _outcome(oracle_load_campaign, path)
 
 
+class TestReadInput:
+    def test_digest_is_of_the_bytes_decoded(self, tmp_path):
+        raw = "x,y\n1,caf\u00e9\r\n".encode()
+        path = tmp_path / "points.csv"
+        path.write_bytes(raw)
+        assert fileio.read_input(path) == (hashlib.sha256(raw).hexdigest(), raw.decode())
+
+
 class TestManifest:
     def test_digests_and_reproducibility_fields(self, tmp_path):
-        data = tmp_path / "input.csv"
-        data.write_text("x\n1\n")
-        path = fileio.write_manifest(
-            tmp_path / "out", "yield", {"sigma": 7.7}, 7, [data]
-        )
-        manifest = json.loads(path.read_text())
+        digests = {"input.csv": "0" * 64}
+        fileio.write_manifest(tmp_path / "out", "yield", {"sigma": 7.7}, 7, digests)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["command"] == "yield"
         assert manifest["master_seed"] == 7
         assert manifest["config"] == {"sigma": 7.7}
-        assert str(data) in manifest["input_digests"]
-        assert len(manifest["input_digests"][str(data)]) == 64
+        assert manifest["input_digests"] == digests

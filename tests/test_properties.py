@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_rng
+from conftest import load, oracle_rng
 
 from jjtrim import fileio
 from jjtrim.controller import (
@@ -189,7 +189,7 @@ class TestCampaignFileProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "campaign.json"
             fileio.save_campaign(path, records, targets, config)
-            loaded = fileio.load_campaign(path)
+            loaded = load(fileio.load_campaign, path)
             fileio.save_campaign(Path(tmp) / "again.json", *loaded)
             assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
         assert loaded[2] == config
