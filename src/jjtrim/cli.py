@@ -111,15 +111,13 @@ def cmd_calibrate_freq(args, texts):
 
 def cmd_assign_targets(args, texts):
     model = fileio.load_calibration(args.calibration, texts.pop("calibration"))
-    lat = fileio.load_design(args.design, texts.pop("design"))
-    rows = []
-    for i, f_design in enumerate(lat.design_f01max):
-        rt = freqmodel.assign_target_R(model, f_design, args.aging_budget)
-        rows.append((f"Q{i:03d}", f_design, rt))
+    f = np.array(fileio.load_design(args.design, texts.pop("design")).design_f01max)
+    targets = freqmodel.assign_target_R(model, f, args.aging_budget)
     out = _out_dir(args)
     fileio.write_csv(out / "targets.csv", ["qubit_id", "design_f_mhz", "target_resistance_ohm"],
-                     rows, formats={"design_f_mhz": ".4f", "target_resistance_ohm": ".4f"})
-    print(f"assigned {len(rows)} targets (aging budget {100 * args.aging_budget:.1f}%)")
+                     zip([f"Q{i:03d}" for i in range(len(f))], f.tolist(), targets.tolist()),
+                     formats={"design_f_mhz": ".4f", "target_resistance_ohm": ".4f"})
+    print(f"assigned {len(f)} targets (aging budget {100 * args.aging_budget:.1f}%)")
 
 
 def cmd_fit_relaxation(args, texts):

@@ -197,7 +197,10 @@ def load_design(path, text) -> QubitLattice:
     """Design JSON (``_DESIGN``) -> its lattice."""
     data, offsets, measured, _window = _load_design(path, text)
     design = tuple(data["base_frequency_mhz"] + f for f in offsets)
-    return QubitLattice(data["rows"], data["cols"], design, measured)
+    try:
+        return QubitLattice(data["rows"], data["cols"], design, measured)
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def load_unit_cell(path, text) -> UnitCellDesign:
@@ -322,7 +325,6 @@ def read_points_csv(path, text, col_x, col_y) -> tuple[np.ndarray, np.ndarray]:
 def write_manifest(out_dir, command: str, config: dict, master_seed, input_digests: dict) -> None:
     """``out_dir/manifest.json``; ``input_digests`` maps each input path to the
     digest ``read_input`` returned for it."""
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     manifest = {"command": command, "config": config, "master_seed": master_seed,
                 "input_digests": input_digests, "tool_version": __version__}
     dump_json(Path(out_dir) / "manifest.json", manifest)

@@ -73,8 +73,7 @@ def invert_R(model: PowerLawModel, f):
     f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f) & (f > 0)):
         raise ValidationError("frequency must be finite and positive")
-    with np.errstate(over="ignore"):
-        out = (model.beta / f) ** (1.0 / model.alpha)
+    out = _inverse(model, f)
     if not np.all(np.isfinite(out)):
         raise ValidationError(
             f"inverted resistance overflows for beta={model.beta}, alpha={model.alpha}"
@@ -82,19 +81,26 @@ def invert_R(model: PowerLawModel, f):
     return float(out) if out.ndim == 0 else out
 
 
-def assign_target_R(
-    model: PowerLawModel, f_design: float, aging_budget: float = AGING_BUDGET
-) -> float:
-    """Target resistance for a design frequency, deflated by the aging
-    budget so post-tuning drift lands the qubit on frequency."""
+def _inverse(model: PowerLawModel, f):
+    with np.errstate(all="ignore"):
+        return (model.beta / f) ** (1.0 / model.alpha)
+
+
+def assign_target_R(model: PowerLawModel, f_design, aging_budget: float = AGING_BUDGET):
+    """Target resistances for a column of design frequencies (a float for one),
+    deflated by the aging budget; the first faulty one raises what it raises alone."""
     check("aging_budget", aging_budget, ge=0, lt=1)
-    r = invert_R(model, f_design)
-    if not model.r_min <= r <= model.r_max:
+    f = np.asarray(f_design, dtype=float)
+    r = _inverse(model, f)
+    ok = np.isfinite(f) & (f > 0) & np.isfinite(r) & (model.r_min <= r) & (r <= model.r_max)
+    if not np.all(ok):
+        f = f.flat[np.argmin(ok)].item()
         raise ValidationError(
-            f"inverted resistance {r:.1f} Ohm for {f_design} MHz is outside the "
+            f"inverted resistance {invert_R(model, f):.1f} Ohm for {f} MHz is outside the "
             f"calibrated domain [{model.r_min:.1f}, {model.r_max:.1f}] Ohm"
         )
-    return r * (1.0 - aging_budget)
+    out = r * (1.0 - aging_budget)
+    return float(out) if out.ndim == 0 else out
 
 
 def freq_equiv_sigma(model: PowerLawModel, f_pred: float, sigma_r_rel: float) -> float:

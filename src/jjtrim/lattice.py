@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InfeasibleError, ValidationError, check, check_window
+from .errors import FitError, InfeasibleError, ValidationError, check, check_rows, check_window
 
 # Candidate park offsets per qubit (max_park / step) beyond which the
 # search is refused rather than left to grow without bound.
@@ -31,7 +31,7 @@ class QubitLattice:
     """rows x cols grid; node ids are row-major integers.
 
     ``design_f01max`` and optional ``measured_f01max`` are flat tuples of
-    MHz values in node-id order.
+    finite MHz values in node-id order, and no edge's detuning overflows.
     """
 
     rows: int
@@ -47,11 +47,24 @@ class QubitLattice:
         object.__setattr__(self, "design_f01max", design)
         if len(design) != n:
             raise ValidationError(f"expected {n} design frequencies, got {len(design)}")
+        grids = {"design_mhz": design}
         if self.measured_f01max is not None:
             meas = tuple(float(f) for f in self.measured_f01max)
             object.__setattr__(self, "measured_f01max", meas)
             if len(meas) != n:
                 raise ValidationError(f"expected {n} measured frequencies, got {len(meas)}")
+            grids["measured_mhz"] = meas
+        f = np.array(list(grids.values())).reshape(len(grids), self.rows, self.cols)
+        if not np.isfinite(f).all():
+            check_rows("nodes", grids, dict.fromkeys(grids, {}))
+        with np.errstate(over="ignore"):
+            steps = ((1, f[:, :, 1:] - f[:, :, :-1]), (self.cols, f[:, 1:] - f[:, :-1]))
+        for step, d in steps:  # right, then lower neighbours
+            if not np.isfinite(d).all():
+                k, r, c = np.unravel_index(np.argmin(np.isfinite(d)), d.shape)
+                (name, g), a = list(grids.items())[k], int(r * self.cols + c)
+                raise ValidationError(
+                    f"edge ({a}, {a + step}) {name} detuning {g[a]} - {g[a + step]} overflows")
 
     @property
     def n_qubits(self) -> int:

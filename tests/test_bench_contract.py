@@ -84,3 +84,20 @@ def test_tune_bulk_records_match_reference(workloads, reference, tmp_path):
         p["seed"], p["qubits"], p["noise"],
         workloads.DESIGN_RESISTANCE, workloads.AGING_BUDGET, workloads.RESERVE,
     )
+
+
+def test_tune_round_targets_match_reference(workloads, reference, tmp_path):
+    # the comparison perfbench/checks.py makes under .4f, against the
+    # calibration the run wrote: reference.power_law's np.polyfit differs from
+    # the fit in the last bits, and a target's last bit must not flip a digit
+    op = workloads.WORKLOADS["tune_round"].generate(0, 1, tmp_path)[0]
+    cal, tgt = op.steps[:2]
+    assert (cal.command, tgt.command) == ("calibrate-freq", "assign-targets")
+    assert main(cal.argv) == 0 and main(tgt.argv) == 0
+    model = json.loads((cal.out / "calibration.json").read_text(encoding="utf-8"))
+    rows = (tgt.out / "targets.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "qubit_id,design_f_mhz,target_resistance_ohm"
+    assert rows[1:] == [
+        f"Q{i:03d},{f:.4f},{reference.target_resistance(model, f, workloads.AGING_BUDGET):.4f}"
+        for i, f in enumerate(op.params["design_f"])
+    ]

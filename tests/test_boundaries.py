@@ -117,3 +117,24 @@ def test_invert_R_names_non_finite_frequency(f):
     # a NaN was once reported as an overflow, and inf inverted to 0 Ohm
     with pytest.raises(ValidationError, match="frequency must be finite and positive"):
         invert_R(MODEL, f)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QubitLattice(1, 3, (4600.0, 4650.0, -INF)),
+         "nodes[2].design_mhz must be finite, got -inf"),
+        (lambda: QubitLattice(1, 2, (4600.0, 4650.0), (4600.0, NAN)),
+         "nodes[1].measured_mhz must be finite, got nan"),
+        # right neighbours are named before lower ones
+        (lambda: QubitLattice(2, 2, (1e308, 0.0, -1e308, 1e308)),
+         "edge (2, 3) design_mhz detuning -1e+308 - 1e+308 overflows"),
+        (lambda: QubitLattice(2, 1, (4600.0, 4650.0), (1e308, -1e308)),
+         "edge (0, 1) measured_mhz detuning 1e+308 - -1e+308 overflows"),
+    ],
+    ids=["design-node", "measured-node", "design-edge", "measured-edge"],
+)
+def test_lattice_names_node_or_edge(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message

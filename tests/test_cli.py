@@ -16,7 +16,7 @@ from conftest import load, oracle_fabricated, oracle_record, oracle_rng, rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jjtrim import __version__, controller, fileio, junction, yieldmc
+from jjtrim import __version__, controller, fileio, freqmodel, junction, yieldmc
 from jjtrim.cli import build_parser, main
 from jjtrim.errors import ValidationError
 from jjtrim.freqmodel import PowerLawModel
@@ -142,6 +142,47 @@ class TestCalibrateAssign:
         data = tmp_path / "points.csv"
         data.write_text("wrong,header\n1,2\n")
         assert main(["calibrate-freq", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+
+    # Design frequencies (base 0, one row) against the valid calibration, whose
+    # domain [3000, 7000] Ohm holds 3063-4719 MHz. The first qubit in design
+    # order with a fault is reported, with its first failing check.
+    @pytest.mark.parametrize(
+        "freqs, rc, err",
+        [
+            ([4500.0, 100000.0, -5.0], 2,
+             "error: inverted resistance 7.5 Ohm for 100000.0 MHz is outside the calibrated "
+             "domain [3000.0, 7000.0] Ohm\n"),
+            ([4500.0, -5.0, 100000.0], 2, "error: frequency must be finite and positive\n"),
+            ([100000.0, 1e-300], 2,
+             "error: inverted resistance 7.5 Ohm for 100000.0 MHz is outside the calibrated "
+             "domain [3000.0, 7000.0] Ohm\n"),
+            ([1e-300, 100000.0], 2,
+             "error: inverted resistance overflows for beta=280000.0, alpha=0.51\n"),
+            ([4500.0, 4600.0], 0, ""),
+        ],
+        ids=["domain-then-negative", "negative-then-domain", "domain-then-overflow",
+             "overflow-then-domain", "valid"],
+    )
+    def test_mixed_faults_name_first_qubit(self, tmp_path, valid, capsys, freqs, rc, err):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"rows": 1, "cols": len(freqs), "base_frequency_mhz": 0.0,
+                                      "offsets_mhz": [freqs], "design_window_mhz": [40, 110]}))
+        out = tmp_path / "o"
+        assert main(["assign-targets", "--calibration", str(valid["calibration"]),
+                     "--design", str(design), "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ("assigned 2 targets (aging budget 2.0%)\n" if rc == 0 else "")
+        assert out.exists() == (rc == 0)
+
+    def test_targets_assigned_in_one_call(self, tmp_path, valid, monkeypatch):
+        calls, real = [], freqmodel.assign_target_R
+        monkeypatch.setattr(freqmodel, "assign_target_R",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(["assign-targets", "--calibration", str(valid["calibration"]),
+                     "--design", str(valid["design"]), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert calls[0][1].shape == (9,)
 
 
 class TestFitRelaxation:
@@ -546,6 +587,12 @@ class TestManifestsPinned:
             "4 qubits  precision sigma 0.066%  mean +0.039%\n"),
     }
 
+    # sha256 of result files, beside the manifest, for the cases that pin them.
+    OUTPUTS = {
+        "assign-targets": {
+            "out/targets.csv": "1b29d910f5b906ee278e14ac3e83db0ff84adcae44a2eba8c5bed9721b3ecb96"},
+    }
+
     @pytest.mark.parametrize("case", list(PINNED))
     def test_manifest_pinned(self, tmp_path, monkeypatch, capsys, valid, case):
         argv, config, seed, inputs, stdout = self.PINNED[case]
@@ -575,6 +622,8 @@ class TestManifestsPinned:
                 "tool_version": __version__}
         # the text, so the order of every key is pinned too
         assert Path("out/manifest.json").read_text() == json.dumps(want) + "\n"
+        for path, digest in self.OUTPUTS.get(case, {}).items():
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, path
 
     def test_digest_is_of_the_bytes_before_the_run(self, tmp_path, monkeypatch):
         # yield writes its cell back over the design it read, compactly
@@ -778,6 +827,12 @@ class TestArgumentBoundaries:
         "ff.csv": b"resistance_ohm,f01max_mhz\n3500.0,4000.0\n4000.0,38\xff0.0\n",
         "long-int.json": b'{"rows": ' + b"9" * 4301 + b"}",
         "deep.json": b"[" * 100000 + b"]" * 100000,
+        # the sum of a finite base and offset overflows
+        "inf-design.json": json.dumps({**DESIGN, "rows": 1, "cols": 3, "measured_mhz": None,
+                                       "base_frequency_mhz": 1e308,
+                                       "offsets_mhz": [[0, 1e308, 1e308]]}).encode(),
+        "far-measured.json": json.dumps({**DESIGN, "rows": 1, "cols": 2, "offsets_mhz": [[0, 50]],
+                                         "measured_mhz": [[1e308, -1e308]]}).encode(),
     }
 
     @pytest.mark.parametrize(
@@ -845,6 +900,17 @@ class TestArgumentBoundaries:
             (["fit-relaxation", "--data", "overflow.csv"], "fit overflows"),
             (["fit-relaxation", "--data", "overflow.csv", "--breakpoints", "50,150"],
              "fit overflows"),
+            # a design once wrote NaN into lattice_summary.json, and park called it infeasible
+            (["analyze-lattice", "--design", "inf-design.json"],
+             "inf-design.json: nodes[1].design_mhz must be finite, got inf\n"),
+            (["park", "--window", "20,130", "--design", "inf-design.json"],
+             "inf-design.json: nodes[1].design_mhz must be finite, got inf\n"),
+            (["assign-targets", "--design", "inf-design.json"],
+             "inf-design.json: nodes[1].design_mhz must be finite, got inf\n"),
+            (["analyze-lattice", "--design", "far-measured.json"],
+             "far-measured.json: edge (0, 1) measured_mhz detuning 1e+308 - -1e+308 overflows\n"),
+            (["park", "--window", "20,130", "--design", "far-measured.json"],
+             "far-measured.json: edge (0, 1) measured_mhz detuning 1e+308 - -1e+308 overflows\n"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):

@@ -312,6 +312,7 @@ class TestReadInput:
 class TestManifest:
     def test_digests_and_reproducibility_fields(self, tmp_path):
         digests = {"input.csv": "0" * 64}
+        (tmp_path / "out").mkdir()  # every command creates its output directory first
         fileio.write_manifest(tmp_path / "out", "yield", {"sigma": 7.7}, 7, digests)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["command"] == "yield"

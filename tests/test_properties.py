@@ -5,6 +5,7 @@ numbers they assert structural invariants that must hold for any input
 the models accept.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from jjtrim import fileio
 from jjtrim.controller import (
     RECORD_FIELDS, TARGET_FIELDS, CampaignConfig, qubit_rngs, run_campaign,
 )
-from jjtrim.freqmodel import PowerLawModel, fit_power_law, invert_R, predict_f
+from jjtrim.freqmodel import (
+    PowerLawModel, assign_target_R, fit_power_law, invert_R, predict_f,
+)
 from jjtrim.junction import sample_fabricated
 from jjtrim.lattice import (
     QubitLattice,
@@ -27,7 +30,7 @@ from jjtrim.lattice import (
     optimize_parking,
     subtract_global_offset,
 )
-from jjtrim.errors import InfeasibleError
+from jjtrim.errors import InfeasibleError, ValidationError, check
 from jjtrim.yieldmc import UnitCellDesign, tile, wilson_interval
 
 ADDITIVE_CELL = ((0.0, 50.0, 100.0), (100.0, 150.0, 200.0), (50.0, 100.0, 150.0))
@@ -75,6 +78,69 @@ class TestPowerLawProperties:
         fit = fit_power_law(r, f)
         assert abs(fit.alpha - alpha) < 1e-7
         assert abs(fit.beta - beta) / beta < 1e-6
+
+
+def oracle_targets(model, freqs, aging_budget):
+    """The per-qubit rule assign-targets applied before targets became one
+    column, in Python floats: every qubit in design order, every check in order."""
+    check("aging_budget", aging_budget, ge=0, lt=1)
+    targets = []
+    for f in freqs:
+        if not (math.isfinite(f) and f > 0):
+            raise ValidationError("frequency must be finite and positive")
+        try:
+            r = (model.beta / f) ** (1.0 / model.alpha)
+        except OverflowError:
+            r = math.inf
+        if not math.isfinite(r):
+            raise ValidationError(
+                f"inverted resistance overflows for beta={model.beta}, alpha={model.alpha}")
+        if not model.r_min <= r <= model.r_max:
+            raise ValidationError(
+                f"inverted resistance {r:.1f} Ohm for {f} MHz is outside the "
+                f"calibrated domain [{model.r_min:.1f}, {model.r_max:.1f}] Ohm")
+        targets.append(r * (1.0 - aging_budget))
+    return targets
+
+
+# Design frequencies that fail a check for most calibrations drawn below.
+FAULTS = [0.0, -5.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 1e300, 1.0]
+
+
+class TestAssignTargetsProperties:
+    @given(
+        alpha=st.floats(0.2, 0.9),
+        beta=st.floats(1e4, 1e6),
+        aging_budget=st.floats(-0.01, 0.1),  # one in eleven is negative
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_column_matches_per_qubit_oracle(self, alpha, beta, aging_budget, data):
+        model = PowerLawModel(beta=beta, alpha=alpha, residual_sigma=0.0,
+                              r_min=3000.0, r_max=9000.0)
+        inside = st.floats(beta * 8990.0**-alpha, beta * 3010.0**-alpha)
+        freqs = data.draw(st.lists(inside, min_size=1, max_size=30), label="freqs")
+        faults = data.draw(st.lists(st.tuples(st.integers(0, 30), st.one_of(
+            st.sampled_from(FAULTS), st.floats())), max_size=3), label="faults")
+        for position, f in faults:
+            freqs.insert(position, f)
+        try:
+            want = oracle_targets(model, freqs, aging_budget)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                assign_target_R(model, np.array(freqs), aging_budget)
+            assert str(got.value) == str(exc)
+            return
+        got = assign_target_R(model, np.array(freqs), aging_budget)
+        assert got.shape == (len(freqs),)
+        assert [f"{r:.4f}" for r in got] == [f"{r:.4f}" for r in want]
+        # a column's power may differ from one float's in the last bit; with
+        # no aging budget the target is the inverted resistance itself
+        inverse = oracle_targets(model, freqs, 0.0)
+        assert np.all(np.abs(assign_target_R(model, np.array(freqs), 0.0) - inverse)
+                      <= np.spacing(inverse))
+        # one frequency alone is the scalar rule itself
+        assert assign_target_R(model, freqs[0], aging_budget) == want[0]
 
 
 class TestCenteringProperties:
