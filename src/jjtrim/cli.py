@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, controller, fileio, freqmodel, junction, lattice, yieldmc
-from .errors import FitError, InfeasibleError, SchemaError, ValidationError, check
+from .errors import InfeasibleError, ValidationError, check
 
 DEFAULT_QUBITS = 221
 DEFAULT_DESIGN_RESISTANCE = 4587.8
@@ -105,7 +105,7 @@ def cmd_calibrate_freq(args, texts):
     out = _out_dir(args)
     fileio.save_calibration(out / "calibration.json", model)
     print(f"alpha {model.alpha:.4f}  beta {model.beta:.4f}  "
-          f"residual sigma {model.residual_sigma:.2f} MHz  "
+          f"residual sigma {model.residual_sigma_mhz:.2f} MHz  "
           f"domain [{model.r_min:.1f}, {model.r_max:.1f}] Ohm")
 
 
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         args.func(args, texts)
         fileio.write_manifest(args.out, args.command, {k: getattr(args, k) for k in args.recorded},
                               getattr(args, "seed", None), digests)
-    except (SchemaError, ValidationError, FitError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for line in getattr(exc, "details", ()):
             print(f"  {line}", file=sys.stderr)

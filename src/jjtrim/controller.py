@@ -31,6 +31,9 @@ MEAN_STEP_OHM = 1.9
 MAX_CAMPAIGN_QUBITS = 1_000_000
 # Pulses after which one qubit's tuning loop gives up with exit 3.
 MAX_PULSES = 10**6
+# Largest campaign, in expected pulses (the qubits' gaps to threshold over
+# MEAN_STEP_OHM), refused before the first pulse: about 25 s at 24 ns a pulse.
+MAX_CAMPAIGN_PULSES = 10**9
 
 # Targets and records are column sets: each name (its JSON key, in file order)
 # maps to a list of str ids or an array of its type, one row per qubit. The
@@ -158,8 +161,10 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
         1.0 + np.asarray(targets["relaxation_reserve"], float))
     rngs = qubit_rngs(config.master_seed, ids)
     r_last, r_tuned, pulses = np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids), int)
-    # a read past the float range is inf, as in Generator.normal; campaign_stats rejects it
+    # past the float range a read (as in Generator.normal) or the gap sum is inf, and is rejected
     with np.errstate(all="ignore"):
+        gap = float(np.maximum(threshold - r_untuned, 0).sum())
+        check("expected campaign pulses", gap / MEAN_STEP_OHM, le=MAX_CAMPAIGN_PULSES)
         for start in range(0, len(ids), _BLOCK):
             block = slice(start, start + _BLOCK)
             r_last[block], r_tuned[block], pulses[block] = _tune_block(

@@ -1,37 +1,25 @@
-"""Exception hierarchy shared across the toolkit, and the one range check
-every config field, function argument, CLI flag and file column goes through."""
+"""The toolkit's two exceptions, one per non-zero exit code, and the one range
+check every config field, function argument, CLI flag and file column goes through."""
 
 import math
 
 import numpy as np
 
 
-class JJTrimError(Exception):
-    """Base class for all toolkit errors."""
+class ValidationError(ValueError):
+    """Invalid input: a model, config, file, fit or value breaks its contract (exit 2).
 
-
-class ValidationError(JJTrimError, ValueError):
-    """A model, config, or input value violates its contract."""
-
-
-class FitError(JJTrimError, ValueError):
-    """A regression cannot be performed on the given data."""
-
-
-class SchemaError(JJTrimError, ValueError):
-    """A file does not match its declared schema.
-
-    ``details`` carries one human-readable message per offending
-    line/field so callers can report every problem at once.
+    ``details`` carries one human-readable message per offending line so
+    callers can report every problem at once.
     """
 
-    def __init__(self, message, details=None):
+    def __init__(self, message, details=()):
         super().__init__(message)
-        self.details = tuple(details or ())
+        self.details = tuple(details)
 
 
-class InfeasibleError(JJTrimError, RuntimeError):
-    """A search (parking, unit cell) or a tuning loop found no solution in its bounds."""
+class InfeasibleError(RuntimeError):
+    """A search (parking, unit cell) or a tuning loop found no solution in its bounds (exit 3)."""
 
 
 def check(name, value, gt=None, ge=None, lt=None, le=None):

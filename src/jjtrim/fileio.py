@@ -19,7 +19,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import astuple
+from contextlib import contextmanager
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -31,7 +31,7 @@ from . import __version__
 from .controller import (
     RECORD_BOUNDS, RECORD_FIELDS, TARGET_BOUNDS, TARGET_FIELDS, CampaignConfig,
 )
-from .errors import SchemaError, ValidationError, check_rows
+from .errors import ValidationError, check_rows
 from .freqmodel import PowerLawModel
 from .lattice import QubitLattice
 from .yieldmc import UnitCellDesign
@@ -130,6 +130,15 @@ def _columns(rows, table):
     return columns
 
 
+@contextmanager
+def _named(path, where=""):
+    """Prefix a ``ValidationError`` raised inside with the file (and field) it came from."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {where}{exc}") from None
+
+
 def read_input(path) -> tuple[str, str]:
     """(SHA-256 hex digest, text) of the file at ``path``, read once, so a run
     records the digest of the bytes it parses. The text is strict UTF-8; the
@@ -139,7 +148,7 @@ def read_input(path) -> tuple[str, str]:
     try:
         return hashlib.sha256(data).hexdigest(), data.decode("utf-8")
     except UnicodeDecodeError:
-        raise SchemaError(f"{path}: not valid UTF-8") from None
+        raise ValidationError(f"{path}: not valid UTF-8") from None
 
 
 def _load(path, text, schema):
@@ -148,19 +157,19 @@ def _load(path, text, schema):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError:  # an int past the interpreter's digit limit
-        raise SchemaError(f"{path}: invalid JSON: an integer of more than "
-                          f"{sys.get_int_max_str_digits()} digits") from None
+        raise ValidationError(f"{path}: invalid JSON: an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
-        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply") from None
     try:
         return _walk(data, schema)
     except _Mismatch as exc:
         problem, keys = exc.args
         fields = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(keys))
         where = f"{fields.removeprefix('.')}: " if fields else ""
-        raise SchemaError(f"{path}: {where}{problem}") from None
+        raise ValidationError(f"{path}: {where}{problem}") from None
 
 
 def _grid(path, data, key, what) -> tuple:
@@ -169,10 +178,10 @@ def _grid(path, data, key, what) -> tuple:
     if grid is None:
         return None
     if len(grid) != rows or any(len(row) != cols for row in grid):
-        raise SchemaError(f"{path}: {key} must be a {rows}x{cols} grid")
+        raise ValidationError(f"{path}: {key} must be a {rows}x{cols} grid")
     missing = [f"({r},{c})" for r, row in enumerate(grid) for c, v in enumerate(row) if v is None]
     if missing:
-        raise SchemaError(f"{path}: missing {what} at nodes {', '.join(missing)}")
+        raise ValidationError(f"{path}: missing {what} at nodes {', '.join(missing)}")
     return tuple(v for row in grid for v in row)
 
 
@@ -189,7 +198,7 @@ def _load_design(path, text) -> tuple[dict, tuple, tuple | None, tuple[float, fl
     measured = _grid(path, data, "measured_mhz", "measured frequency")
     window = tuple(data["design_window_mhz"])
     if len(window) != 2:
-        raise SchemaError(f"{path}: design_window_mhz must be [lo, hi]")
+        raise ValidationError(f"{path}: design_window_mhz must be [lo, hi]")
     return data, offsets, measured, window
 
 
@@ -197,20 +206,17 @@ def load_design(path, text) -> QubitLattice:
     """Design JSON (``_DESIGN``) -> its lattice."""
     data, offsets, measured, _window = _load_design(path, text)
     design = tuple(data["base_frequency_mhz"] + f for f in offsets)
-    try:
+    with _named(path):
         return QubitLattice(data["rows"], data["cols"], design, measured)
-    except ValidationError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
 
 
 def load_unit_cell(path, text) -> UnitCellDesign:
     """A 3x3 design JSON (``_DESIGN``) -> its unit cell: the base frequency,
     offsets and design window as written, so ``save_design`` writes them back."""
     data, offsets, _measured, window = _load_design(path, text)
-    if (data["rows"], data["cols"]) != (3, 3):
-        raise ValidationError("--design must describe a 3x3 unit cell")
-    return UnitCellDesign((offsets[:3], offsets[3:6], offsets[6:]),
-                          data["base_frequency_mhz"], window)
+    with _named(path):
+        return UnitCellDesign(np.reshape(offsets, (data["rows"], data["cols"])).tolist(),
+                              data["base_frequency_mhz"], window)
 
 
 def save_design(path, cell: UnitCellDesign) -> None:
@@ -224,19 +230,17 @@ def save_design(path, cell: UnitCellDesign) -> None:
     dump_json(path, data)
 
 
-# The JSON keys in PowerLawModel's field order.
-_CALIBRATION = dict.fromkeys(("beta", "alpha", "residual_sigma_mhz", "r_min", "r_max"), float)
-
-
 def load_calibration(path, text) -> PowerLawModel:
     data = _load(path, text, _CALIBRATION)
-    return PowerLawModel(*(data[key] for key in _CALIBRATION))
+    with _named(path):
+        return PowerLawModel(**data)
 
 
 def save_calibration(path, model: PowerLawModel) -> None:
-    dump_json(path, dict(zip(_CALIBRATION, astuple(model))))
+    dump_json(path, vars(model))
 
 
+_CALIBRATION = get_type_hints(PowerLawModel)
 _CAMPAIGN = {"config": get_type_hints(CampaignConfig),
              "targets": _Table(TARGET_FIELDS), "records": _Table(RECORD_FIELDS)}
 
@@ -270,18 +274,17 @@ def load_campaign(path, text) -> tuple[dict, dict, CampaignConfig]:
     or whose already-above flag is not ``pulses == 0``, is named by row and field.
     """
     data = _load(path, text, _CAMPAIGN)
-    try:
+    with _named(path, "config."):
         config = CampaignConfig(**data["config"])
-    except ValidationError as exc:
-        raise SchemaError(f"{path}: config.{exc}") from None
     targets, records = data["targets"], data["records"]
     check_rows(f"{path}: targets", targets, TARGET_BOUNDS)
     check_rows(f"{path}: records", records, RECORD_BOUNDS)
     above, pulses = records["already_above_target"], records["pulses"]
     if np.any(above != (pulses == 0)):
         i = int(np.argmax(above != (pulses == 0)))
-        raise SchemaError(f"{path}: records[{i}].already_above_target must be true exactly "
-                          f"when pulses is 0, got {str(above[i]).lower()} with pulses {pulses[i]}")
+        raise ValidationError(f"{path}: records[{i}].already_above_target must be true "
+                              f"exactly when pulses is 0, got {str(above[i]).lower()} "
+                              f"with pulses {pulses[i]}")
     return records, targets, config
 
 
@@ -297,10 +300,10 @@ def read_points_csv(path, text, col_x, col_y) -> tuple[np.ndarray, np.ndarray]:
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     if col_x not in header or col_y not in header:
-        raise SchemaError(f"{path}: expected columns {col_x!r} and {col_y!r}, got {header}")
+        raise ValidationError(f"{path}: expected columns {col_x!r} and {col_y!r}, got {header}")
     for col in header:
         if header.count(col) > 1:
-            raise SchemaError(f"{path}: header repeats column {col!r}: {header}")
+            raise ValidationError(f"{path}: header repeats column {col!r}: {header}")
     ix, iy = header.index(col_x), header.index(col_y)
     for rec in reader:
         if not rec:
@@ -318,7 +321,7 @@ def read_points_csv(path, text, col_x, col_y) -> tuple[np.ndarray, np.ndarray]:
             problems.append(f"line {reader.line_num}: {col_x}/{col_y} "
                             f"{rec[ix]!r}, {rec[iy]!r} are not finite numbers")
     if problems:
-        raise SchemaError(f"{path}: {len(problems)} invalid rows", details=problems)
+        raise ValidationError(f"{path}: {len(problems)} invalid rows", details=problems)
     return np.array(points).reshape(-1, 2).T
 
 

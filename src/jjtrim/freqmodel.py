@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ValidationError, check
+from .errors import ValidationError, check
 
 # The automatic breakpoint search tries every pair of FIT_CANDIDATES
 # log-spaced times, and every segment needs FIT_MIN_POINTS points.
@@ -26,18 +26,21 @@ AGING_BUDGET = 0.02
 
 @dataclass(frozen=True)
 class PowerLawModel:
-    """f = beta * R**(-alpha), with the fit's residual spread in MHz."""
+    """f = beta * R**(-alpha) on [r_min, r_max] Ohm, with the fit's residual
+    spread in MHz; the fields, in order, are the keys of ``calibration.json``."""
 
     beta: float
     alpha: float
-    residual_sigma: float
+    residual_sigma_mhz: float
     r_min: float
     r_max: float
 
     def __post_init__(self):
         check("beta", self.beta, gt=0)
         check("alpha", self.alpha, gt=0)
-        check("residual_sigma", self.residual_sigma, ge=0)
+        check("residual_sigma_mhz", self.residual_sigma_mhz, ge=0)
+        check("r_min", self.r_min, gt=0)
+        check("r_max", self.r_max, ge=self.r_min)
 
 
 def fit_power_law(r, f) -> PowerLawModel:
@@ -49,11 +52,11 @@ def fit_power_law(r, f) -> PowerLawModel:
     """
     r, f = _sorted_columns(r, f, "R and f", 2)
     if r[0] == r[-1]:
-        raise FitError(f"need >= 2 distinct resistances, got only {r[0]}")
+        raise ValidationError(f"need >= 2 distinct resistances, got only {r[0]}")
     slope, amp, _ = _line_fits(np.log(r), np.log(f), [0, len(r)])
     alpha, beta = -float(slope[0]), float(amp[0])
     if alpha <= 0:
-        raise FitError(f"fitted exponent is not positive (alpha={alpha})")
+        raise ValidationError(f"fitted exponent is not positive (alpha={alpha})")
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = float(np.std(f - beta * r**(-alpha)))
     return PowerLawModel(beta, alpha, sigma, r_min=float(r[0]), r_max=float(r[-1]))
@@ -117,9 +120,9 @@ def _sorted_columns(u, w, names, min_points):
     columns of at least ``min_points`` finite, positive values."""
     u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
     if u.shape != w.shape or u.ndim != 1 or u.size < min_points:
-        raise FitError(f"need equal-length 1-D {names} of >= {min_points} points")
+        raise ValidationError(f"need equal-length 1-D {names} of >= {min_points} points")
     if not np.all(np.isfinite([u, w]) & (np.array([u, w]) > 0)):
-        raise FitError(f"{names} must be finite and positive")
+        raise ValidationError(f"{names} must be finite and positive")
     order = np.argsort(u)
     return u[order], w[order]
 
@@ -168,7 +171,7 @@ def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> dict:
     else:
         bps = np.array(breakpoints, dtype=float).reshape(-1, 1)
         if not (np.isfinite(bps).all() and np.all(bps[1:] > bps[:-1])):
-            raise FitError(f"breakpoints must be finite and increasing: {bps[:, 0].tolist()}")
+            raise ValidationError(f"breakpoints must be finite and increasing: {bps[:, 0].tolist()}")
     # One column of segment bounds per breakpoint set.
     cut = np.searchsorted(t, bps, side="right")
     bounds = np.vstack([np.zeros_like(cut[:1]), cut, np.full_like(cut[:1], len(t))])
@@ -180,10 +183,10 @@ def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> dict:
         edges, count = (-np.inf, *bps[:, 0].tolist(), np.inf), int(hi[k, 0] - lo[k, 0])
         why = (f"{count} points, need {FIT_MIN_POINTS}" if count < FIT_MIN_POINTS
                else f"one distinct time, {t[lo[k, 0]]}")
-        raise FitError(f"segment ({edges[k]}, {edges[k + 1]}] has {why}")
+        raise ValidationError(f"segment ({edges[k]}, {edges[k + 1]}] has {why}")
     keep = valid.all(axis=0)
     if not keep.any():
-        raise FitError("no breakpoint pair leaves enough points and times per segment")
+        raise ValidationError("no breakpoint pair leaves enough points and times per segment")
     bps, bounds = bps[:, keep], bounds[:, keep]
     slope, amp, sse = _line_fits(np.log(t), np.log(y), bounds)
     k = int(sse.sum(axis=0).argmin())
@@ -192,8 +195,8 @@ def fit_segmented_power_law(t_hr, delta_r, breakpoints=None) -> dict:
         left, right = amps[:-1] * b**exps[:-1], amps[1:] * b**exps[1:]
         residual = float(np.max(np.abs(left - right) / np.maximum(left, right), initial=0.0))
     if not (np.isfinite([*exps, residual]).all() and np.all((amps > 0) & (amps < np.inf))):
-        raise FitError(f"fit overflows: exponents {exps.tolist()}, amplitudes "
-                       f"{amps.tolist()}, continuity residual {residual}")
+        raise ValidationError(f"fit overflows: exponents {exps.tolist()}, amplitudes "
+                              f"{amps.tolist()}, continuity residual {residual}")
     return {
         "breakpoints_hr": b.tolist(),
         "exponents": exps.tolist(),

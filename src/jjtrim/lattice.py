@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InfeasibleError, ValidationError, check, check_rows, check_window
+from .errors import InfeasibleError, ValidationError, check, check_rows, check_window
 
 # Candidate park offsets per qubit (max_park / step) beyond which the
 # search is refused rather than left to grow without bound.
@@ -122,7 +122,7 @@ def spread_after_centering(chips) -> float:
     deviations."""
     pooled = np.concatenate(subtract_global_offset(chips))
     if pooled.size < 2:
-        raise FitError(f"need at least 2 pooled samples, got {pooled.size}")
+        raise ValidationError(f"need at least 2 pooled samples, got {pooled.size}")
     return float(pooled.std())
 
 

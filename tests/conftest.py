@@ -10,7 +10,7 @@ from jjtrim import controller, fileio, junction
 from jjtrim.controller import (
     RECORD_BOUNDS, RECORD_FIELDS, TARGET_BOUNDS, TARGET_FIELDS, CampaignConfig,
 )
-from jjtrim.errors import SchemaError, ValidationError, check_rows
+from jjtrim.errors import ValidationError, check_rows
 
 ACCEPTANCE_LINES = []
 
@@ -120,26 +120,26 @@ def oracle_load_campaign(path, text):
     try:
         config = CampaignConfig(**data["config"])
     except ValidationError as exc:
-        raise SchemaError(f"{path}: config.{exc}") from None
+        raise ValidationError(f"{path}: config.{exc}") from None
     columns = []
     for key, fields, bounds in (("targets", TARGET_FIELDS, TARGET_BOUNDS),
                                 ("records", RECORD_FIELDS, RECORD_BOUNDS)):
         items, first = data[key], {}
         for i, qid in enumerate(item["qubit_id"] for item in items):
             if first.setdefault(qid, i) != i:
-                raise SchemaError(f"{path}: {key}[{i}].qubit_id: duplicate {reprlib.repr(qid)}")
+                raise ValidationError(f"{path}: {key}[{i}].qubit_id: duplicate {reprlib.repr(qid)}")
         try:
             columns.append({k: [item[k] for item in items] if kind is str
                             else np.array([item[k] for item in items], kind)
                             for k, kind in fields.items()})
         except OverflowError:
-            raise SchemaError(f"{path}: {key}: an integer does not fit in 64 bits") from None
+            raise ValidationError(f"{path}: {key}: an integer does not fit in 64 bits") from None
         check_rows(f"{path}: {key}", columns[-1], bounds)
     targets, records = columns
     above, pulses = records["already_above_target"], records["pulses"]
     if np.any(above != (pulses == 0)):
         i = int(np.argmax(above != (pulses == 0)))
-        raise SchemaError(f"{path}: records[{i}].already_above_target must be true exactly "
+        raise ValidationError(f"{path}: records[{i}].already_above_target must be true exactly "
                           f"when pulses is 0, got {str(above[i]).lower()} with pulses {pulses[i]}")
     return records, targets, config
 

@@ -124,7 +124,7 @@ def test_3_targeted_precision():
 
 # alpha 0.5 through 4556 MHz at 4496 Ohm: criterion 4's calibration
 MODEL_4556 = PowerLawModel(
-    beta=4556.0 * np.sqrt(4496.0), alpha=0.5, residual_sigma=0.0, r_min=4000.0, r_max=5000.0,
+    beta=4556.0 * np.sqrt(4496.0), alpha=0.5, residual_sigma_mhz=0.0, r_min=4000.0, r_max=5000.0,
 )
 
 
@@ -161,12 +161,12 @@ def test_5_power_law_calibration():
     ok = (
         abs(exact.alpha - 0.5) <= 1e-9
         and abs(noisy.alpha - 0.51) <= 0.05
-        and 10.0 <= noisy.residual_sigma <= 15.0
+        and 10.0 <= noisy.residual_sigma_mhz <= 15.0
     )
     report(
         f"5 power-law fit: exact alpha err {abs(exact.alpha - 0.5):.1e} (<=1e-9), "
         f"noisy alpha {noisy.alpha:.3f} (0.51±0.05), "
-        f"residual {noisy.residual_sigma:.1f} MHz ([10,15])",
+        f"residual {noisy.residual_sigma_mhz:.1f} MHz ([10,15])",
         ok,
     )
 
@@ -274,7 +274,7 @@ def test_10_property_suites():
     checks.append(("monotone trajectory", monotone))
 
     # predict/invert round trip at 1e-9
-    model = PowerLawModel(beta=3e5, alpha=0.5, residual_sigma=0.0, r_min=3000, r_max=9000)
+    model = PowerLawModel(beta=3e5, alpha=0.5, residual_sigma_mhz=0.0, r_min=3000, r_max=9000)
     rs = np.random.default_rng(0).uniform(3000, 9000, 200)
     rt = all(abs(invert_R(model, predict_f(model, r)) - r) <= 1e-9 * r for r in rs)
     checks.append(("predict/invert round trip 1e-9", rt))

@@ -19,7 +19,7 @@ from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
 from jjtrim.yieldmc import YieldConfig, generate_unit_cell, mc_chip_yield, tile
 
 NAN, INF = math.nan, math.inf
-MODEL = PowerLawModel(beta=280000.0, alpha=0.5, residual_sigma=1.0, r_min=3000.0, r_max=7000.0)
+MODEL = PowerLawModel(beta=280000.0, alpha=0.5, residual_sigma_mhz=1.0, r_min=3000.0, r_max=7000.0)
 PAIR = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4650.0))
 
 
@@ -91,7 +91,7 @@ class TestCheck:
         pytest.param(lambda: relaxation_delta(0.03, 4500.0, NAN), id="relaxation_delta-t_hr-nan"),
         pytest.param(lambda: campaign(target_resistance=INF),
                      id="run_campaign-target_resistance-inf"),
-        pytest.param(lambda: PowerLawModel(beta=INF, alpha=0.5, residual_sigma=1.0,
+        pytest.param(lambda: PowerLawModel(beta=INF, alpha=0.5, residual_sigma_mhz=1.0,
                                            r_min=3000.0, r_max=7000.0),
                      id="PowerLawModel-beta-inf"),
         # beta 1e-310 times R**-31 = 1e310 overflows, so sigma was once nan

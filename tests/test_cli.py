@@ -665,7 +665,7 @@ def valid(tmp_path_factory):
     (d / "design.json").write_text(json.dumps(DESIGN))
     fileio.save_calibration(
         d / "calibration.json",
-        PowerLawModel(beta=280000.0, alpha=0.51, residual_sigma=2.0, r_min=3000.0, r_max=7000.0),
+        PowerLawModel(beta=280000.0, alpha=0.51, residual_sigma_mhz=2.0, r_min=3000.0, r_max=7000.0),
     )
     assert main(["simulate-tuning", "--qubits", "4", "--seed", "1", "--out", str(d / "sim")]) == 0
     r = np.linspace(3500.0, 6500.0, 8).tolist()  # floats, whose repr is a plain number
@@ -730,6 +730,9 @@ class TestMalformedInputs:
             ("design", _set(["base_frequency_mhz"], 10**400),
              "base_frequency_mhz: expected a finite number, got 1000"),
             ("calibration", _set(["beta"], "x"), "beta: expected a finite number, got 'x'"),
+            # a field check names the file and its key
+            ("calibration", _set(["residual_sigma_mhz"], -1.0),
+             "residual_sigma_mhz must be finite and >= 0, got -1.0"),
             ("campaign", _drop("config", "noise_sigma"), "config.noise_sigma: missing"),
             ("campaign", _set(["records", 0, "extra"], 1), "records[0].extra: unknown key"),
             ("campaign", _drop("targets", 2, "relaxation_reserve"),
@@ -833,6 +836,13 @@ class TestArgumentBoundaries:
                                        "offsets_mhz": [[0, 1e308, 1e308]]}).encode(),
         "far-measured.json": json.dumps({**DESIGN, "rows": 1, "cols": 2, "offsets_mhz": [[0, 50]],
                                          "measured_mhz": [[1e308, -1e308]]}).encode(),
+        "zero-cell.json": json.dumps({**DESIGN, "measured_mhz": None,
+                                      "offsets_mhz": [[0.0] * 3] * 3}).encode(),
+        # a domain that once let any target through, and an inverted one
+        "any-domain.json": json.dumps({"beta": 1e6, "alpha": 0.5, "residual_sigma_mhz": 1.0,
+                                       "r_min": -1e308, "r_max": 1e308}).encode(),
+        "inverted-domain.json": json.dumps({"beta": 1e6, "alpha": 0.5, "residual_sigma_mhz": 1.0,
+                                            "r_min": 9000.0, "r_max": 3000.0}).encode(),
     }
 
     @pytest.mark.parametrize(
@@ -888,7 +898,7 @@ class TestArgumentBoundaries:
             (["assign-targets", "--calibration", "square.json", "--design", "nothing.json"],
              "No such file or directory: 'nothing.json'"),
             (["yield", "--sigma", "7.7", "--seed", "1", "--design", "square.json"],
-             "--design must describe a 3x3 unit cell"),
+             "square.json: unit cell must be 3x3, got shape (2, 2)\n"),
             (["fit-relaxation", "--data", "zero.csv"], "t_hr and delta_r must be finite and positive"),
             (["calibrate-freq", "--data", "header.csv"],
              "error: need equal-length 1-D R and f of >= 2 points\n"),
@@ -911,6 +921,15 @@ class TestArgumentBoundaries:
              "far-measured.json: edge (0, 1) measured_mhz detuning 1e+308 - -1e+308 overflows\n"),
             (["park", "--window", "20,130", "--design", "far-measured.json"],
              "far-measured.json: edge (0, 1) measured_mhz detuning 1e+308 - -1e+308 overflows\n"),
+            (["yield", "--sigma", "7.7", "--seed", "1", "--design", "zero-cell.json"],
+             "zero-cell.json: unit cell violates its design window: internal (0,0)-(0,1)"),
+            (["assign-targets", "--calibration", "any-domain.json"],
+             "any-domain.json: r_min must be finite and > 0, got -1e+308\n"),
+            (["assign-targets", "--calibration", "inverted-domain.json"],
+             "inverted-domain.json: r_max must be finite and >= 9000.0, got 3000.0\n"),
+            # at 1e308 Ohm a 1.9 Ohm step no longer moves the resistance
+            (["simulate-tuning", "--seed", "1", "--qubits", "1", "--design-resistance", "1e308"],
+             "expected campaign pulses must be finite and <= 1000000000, got 8.16381117271889e+305"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):
@@ -954,12 +973,25 @@ class TestArgumentBoundaries:
         assert not (tmp_path / "o").exists()
 
     def test_pulse_budget_spent_exit_3(self, tmp_path, capsys):
-        # at 1e308 Ohm a 1.9 Ohm step no longer moves the resistance
+        # about 8e6 pulses expected: past MAX_PULSES, within MAX_CAMPAIGN_PULSES
         rc = main(["simulate-tuning", "--qubits", "1", "--seed", "1",
-                   "--design-resistance", "1e308", "--out", str(tmp_path / "o")])
+                   "--design-resistance", "1e9", "--out", str(tmp_path / "o")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err == "infeasible: qubit Q000: max_pulses=1000000 exceeded\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_campaign_pulses_capped_before_first_pulse(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a qubit was pulsed before the pulse cap was checked")
+
+        monkeypatch.setattr(controller, "_tune_block", never)
+        # about 156 000 pulses a qubit, 1.6e9 in all
+        argv = ["simulate-tuning", "--seed", "2", "--qubits", "10000", "--design-resistance", "5e6"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected campaign pulses must be finite and <= 1000000000, "
+                              "got 157685")
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_target_resistance(self, tmp_path, valid, capsys):

@@ -8,6 +8,8 @@ from conftest import oracle_fabricated, oracle_record, oracle_rng, rows
 from jjtrim import controller, junction
 from jjtrim.controller import (
     CampaignConfig,
+    MAX_CAMPAIGN_PULSES,
+    MAX_CAMPAIGN_QUBITS,
     MEAN_STEP_OHM,
     RECORD_FIELDS,
     _BLOCK,
@@ -311,6 +313,23 @@ class TestCampaign:
         predicted = np.sqrt(rho.std() ** 2 + (stats["overshoot_sigma_ohm"] / r_mean) ** 2)
         sigma = stats["precision_sigma_frac"]
         assert abs(sigma**2 - predicted**2) / predicted**2 < 0.20
+
+    def test_expected_pulses_capped_before_first_pulse(self, monkeypatch):
+        # gaps to threshold of 9 + 9 + 0 Ohm (one qubit above it) are 9.5 expected
+        # pulses and run; 9 + 11 + 0 Ohm are 10.5 and fail
+        monkeypatch.setattr(controller, "MAX_CAMPAIGN_PULSES", 10)
+        targets = make_targets(["a", "b", "c"], 109.0, reserve=0.0)
+        run_campaign([100.0, 100.0, 200.0], [0.0] * 3, targets, CampaignConfig(0))
+        monkeypatch.setattr(controller, "_tune_block", None)  # no qubit is pulsed
+        with pytest.raises(ValidationError, match=r"^expected campaign pulses must be finite "
+                                                  r"and <= 10, got 10\.52"):
+            run_campaign([100.0, 98.0, 200.0], [0.0] * 3, targets, CampaignConfig(0))
+
+    def test_default_design_at_qubit_cap_within_pulse_cap(self):
+        r, _rho, targets = make_batch(10_000)
+        threshold = targets["target_resistance"] / (1 + targets["relaxation_reserve"])
+        gap = np.maximum(threshold - r, 0).mean()
+        assert MAX_CAMPAIGN_QUBITS * gap / MEAN_STEP_OHM < MAX_CAMPAIGN_PULSES
 
     def test_out_of_range_qubits_rejected(self):
         r, rho, targets = make_batch(3)

@@ -16,7 +16,7 @@ from jjtrim.controller import (
     campaign_stats,
     run_campaign,
 )
-from jjtrim.errors import JJTrimError, SchemaError
+from jjtrim.errors import ValidationError
 from jjtrim.freqmodel import PowerLawModel
 from jjtrim.junction import sample_fabricated
 from jjtrim.yieldmc import UnitCellDesign
@@ -43,13 +43,13 @@ class TestDesignJson:
 
     def test_missing_node_named(self, tmp_path):
         path = self._write(tmp_path, offsets_mhz=[[0.0, 50.0], [None, 100.0]])
-        with pytest.raises(SchemaError, match=r"\(1,0\)"):
+        with pytest.raises(ValidationError, match=r"\(1,0\)"):
             load(fileio.load_design, path)
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "design.json"
         path.write_text("{}")
-        with pytest.raises(SchemaError, match="rows"):
+        with pytest.raises(ValidationError, match="rows"):
             load(fileio.load_design, path)
 
     def test_measured_grid_optional_or_null(self, tmp_path):
@@ -76,7 +76,7 @@ class TestDesignJson:
     )
     def test_schema_errors_name_the_field(self, tmp_path, overrides, message):
         path = self._write(tmp_path, **overrides)
-        with pytest.raises(SchemaError, match=message) as err:
+        with pytest.raises(ValidationError, match=message) as err:
             load(fileio.load_design, path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -90,7 +90,7 @@ class TestDesignJson:
     def test_invalid_json_has_line(self, tmp_path):
         path = tmp_path / "design.json"
         path.write_text("{\n  broken\n}")
-        with pytest.raises(SchemaError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             load(fileio.load_design, path)
 
     def test_unit_cell_round_trip(self, tmp_path):
@@ -105,7 +105,7 @@ class TestDesignJson:
 
 class TestCalibrationJson:
     def test_round_trip(self, tmp_path):
-        model = PowerLawModel(beta=3e5, alpha=0.51, residual_sigma=12.4, r_min=3500, r_max=6500)
+        model = PowerLawModel(beta=3e5, alpha=0.51, residual_sigma_mhz=12.4, r_min=3500, r_max=6500)
         path = tmp_path / "cal.json"
         fileio.save_calibration(path, model)
         assert load(fileio.load_calibration, path) == model
@@ -122,7 +122,7 @@ class TestPointsCsv:
     def test_every_bad_line_reported(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_bytes(b"x,y\n1,2\n1,2,3\n1,nan\n1,x\n1\n")
-        with pytest.raises(SchemaError, match="4 invalid rows") as err:
+        with pytest.raises(ValidationError, match="4 invalid rows") as err:
             load(fileio.read_points_csv, path, "x", "y")
         assert [d.split(":")[0] for d in err.value.details] == [
             "line 3", "line 4", "line 5", "line 6"
@@ -131,7 +131,7 @@ class TestPointsCsv:
     def test_missing_column(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("x,z\n1,2\n")
-        with pytest.raises(SchemaError, match="expected columns 'x' and 'y'"):
+        with pytest.raises(ValidationError, match="expected columns 'x' and 'y'"):
             load(fileio.read_points_csv, path, "x", "y")
 
 
@@ -237,7 +237,7 @@ def _outcome(loader, path):
     """The loader's exit-2 text, or its columns as Python rows."""
     try:
         records, targets, config = load(loader, path)
-    except JJTrimError as exc:
+    except ValidationError as exc:
         return str(exc)
     return (rows(records), rows(targets, TARGET_FIELDS), config,
             [v.dtype.name for v in (*records.values(), *targets.values()) if type(v) is not list])
@@ -286,7 +286,7 @@ class TestCampaignReader:
             _corrupt(data, fault)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {where}: ')}"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {where}: ')}"):
             load(fileio.load_campaign, path)
 
     def test_int_in_float_field_loads_as_float64(self, tmp_path, text):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jjtrim.errors import FitError, ValidationError
+from jjtrim.errors import ValidationError
 from jjtrim.freqmodel import (
     PowerLawModel,
     assign_target_R,
@@ -21,7 +21,7 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def exact_model(alpha=0.5, beta=300000.0):
-    return PowerLawModel(beta=beta, alpha=alpha, residual_sigma=0.0, r_min=3000.0, r_max=9000.0)
+    return PowerLawModel(beta=beta, alpha=alpha, residual_sigma_mhz=0.0, r_min=3000.0, r_max=9000.0)
 
 
 class TestPowerLawFit:
@@ -30,7 +30,7 @@ class TestPowerLawFit:
         f = 300000.0 * r**-0.5
         model = fit_power_law(r, f)
         assert model.alpha == pytest.approx(0.5, abs=1e-9)
-        assert model.residual_sigma <= 1e-6
+        assert model.residual_sigma_mhz <= 1e-6
 
     def test_noisy_synthetic_band(self):
         rng = np.random.default_rng(8)
@@ -38,7 +38,7 @@ class TestPowerLawFit:
         f = 280000.0 * r**-0.51 + rng.normal(0, 12.4, 60)
         model = fit_power_law(r, f)
         assert model.alpha == pytest.approx(0.51, abs=0.05)
-        assert 10.0 <= model.residual_sigma <= 15.0
+        assert 10.0 <= model.residual_sigma_mhz <= 15.0
 
     def test_two_point_interpolation(self):
         r, f = [4000.0, 5000.0], [4800.0, 4300.0]
@@ -56,7 +56,7 @@ class TestPowerLawFit:
         ],
     )
     def test_rejects_bad_input(self, r, f, message):
-        with pytest.raises(FitError, match=message):
+        with pytest.raises(ValidationError, match=message):
             fit_power_law(r, f)
 
     def test_fit_idempotence(self):
@@ -84,7 +84,7 @@ class TestPredictInvert:
 
     def test_aging_shift_prediction(self):
         beta = 4556.0 * np.sqrt(4496.0)
-        model = PowerLawModel(beta=beta, alpha=0.5, residual_sigma=0.0, r_min=4000, r_max=5000)
+        model = PowerLawModel(beta=beta, alpha=0.5, residual_sigma_mhz=0.0, r_min=4000, r_max=5000)
         assert predict_f(model, 4496.0) == pytest.approx(4556.0)
         assert predict_f(model, 4496.0 * 1.02) == pytest.approx(4556.0 / np.sqrt(1.02), abs=0.05)
         assert predict_f(model, 4496.0 * 1.02) == pytest.approx(4511.1, abs=0.1)
@@ -177,7 +177,7 @@ def _grid_search_oracle(t_hr, delta_r, n_candidates=50):
         for j in range(i + 1, len(grid)):
             try:
                 fit = fit_segmented_power_law(t, y, breakpoints=(grid[i], grid[j]))
-            except FitError:
+            except ValidationError:
                 continue
             sse = _segmented_log_sse(t, y, fit)
             if best is None or sse < best[0]:
@@ -222,16 +222,16 @@ class TestSegmentedFit:
         assert 2.0 / 1.5 <= fit["breakpoints_hr"][1] <= 2.0 * 1.5
 
     def test_insufficient_points(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValidationError):
             fit_segmented_power_law([0.1, 1.0, 10.0], [1.0, 2.0, 3.0], breakpoints=[0.5, 5.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         t, y = _relaxation_trace(n=40)
         spoiled = np.arange(40) == 7
-        with pytest.raises(FitError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             fit_segmented_power_law(np.where(spoiled, bad, t), y)
-        with pytest.raises(FitError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             fit_segmented_power_law(t, np.where(spoiled, bad, y))
 
 
@@ -273,7 +273,7 @@ class TestSegmentedFitOracle:
         assert fit_segmented_power_law(t[perm], y[perm]) == _grid_search_oracle(t, y)
 
     def test_no_valid_pair(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValidationError):
             fit_segmented_power_law([0.1, 0.2, 0.3, 1.0, 2.0], [1.0, 1.1, 1.2, 1.5, 1.7])
 
     def test_repeated_times(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_parking, oracle_edge_detunings
 
 from jjtrim import lattice
-from jjtrim.errors import FitError, InfeasibleError, ValidationError
+from jjtrim.errors import InfeasibleError, ValidationError
 from jjtrim.lattice import (
     QubitLattice,
     detuning_error_sigma,
@@ -171,7 +171,7 @@ class TestSpread:
         assert spread_after_centering([[4.0, 6.0], [0.0, 4.0]]) == pytest.approx(2.5**0.5)
 
     def test_too_few_pooled_samples(self):
-        with pytest.raises(FitError, match="need at least 2 pooled samples, got 1"):
+        with pytest.raises(ValidationError, match="need at least 2 pooled samples, got 1"):
             spread_after_centering([[5.0]])
 
 

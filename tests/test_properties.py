@@ -66,7 +66,7 @@ class TestPowerLawProperties:
     @settings(max_examples=200)
     def test_predict_invert_round_trip(self, alpha, beta, r):
         model = PowerLawModel(
-            beta=beta, alpha=alpha, residual_sigma=0.0, r_min=3000.0, r_max=9000.0
+            beta=beta, alpha=alpha, residual_sigma_mhz=0.0, r_min=3000.0, r_max=9000.0
         )
         assert abs(invert_R(model, predict_f(model, r)) - r) <= 1e-9 * r
 
@@ -116,7 +116,7 @@ class TestAssignTargetsProperties:
     )
     @settings(max_examples=300, deadline=None)
     def test_column_matches_per_qubit_oracle(self, alpha, beta, aging_budget, data):
-        model = PowerLawModel(beta=beta, alpha=alpha, residual_sigma=0.0,
+        model = PowerLawModel(beta=beta, alpha=alpha, residual_sigma_mhz=0.0,
                               r_min=3000.0, r_max=9000.0)
         inside = st.floats(beta * 8990.0**-alpha, beta * 3010.0**-alpha)
         freqs = data.draw(st.lists(inside, min_size=1, max_size=30), label="freqs")

@@ -1,6 +1,10 @@
+import csv
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from jjtrim.yieldmc import (
     yield_curve,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 ADDITIVE_CELL = ((0.0, 50.0, 100.0), (100.0, 150.0, 200.0), (50.0, 100.0, 150.0))
 
 
@@ -398,6 +403,22 @@ class TestYieldCurve:
         rows = yield_curve(cell, sigmas_mhz=[7.7], sizes=[(2, 6)], master_seed=7, trials=10**5)
         assert rows[0]["qubits"] == 108
         assert rows[0]["yield"] > 0.0
+
+    def test_scan_script(self, tmp_path, monkeypatch, capsys):
+        path = ROOT / "scripts" / "yield_scan.py"
+        spec = importlib.util.spec_from_file_location("yield_scan", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "scan.csv"
+        monkeypatch.setattr(sys, "argv", ["yield_scan.py", "--trials", "200", "--out", str(out)])
+        script.main()
+        assert capsys.readouterr().out == f"wrote 40 rows to {out}\n"
+        with open(out, newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["qubits", "sigma_mhz", "yield", "ci_lo", "ci_hi"]
+            rows = [[float(v) for v in row] for row in reader]
+        assert len(rows) == len(script.SIGMAS_MHZ) * len(script.SIZES) == 40
+        assert all(lo <= y <= hi for _q, _s, y, lo, hi in rows)
 
 
 class TestWaferProjection:
