@@ -151,11 +151,29 @@ def read_input(path) -> tuple[str, str]:
         raise ValidationError(f"{path}: not valid UTF-8") from None
 
 
+class _RepeatedKey(Exception):
+    """Args (key,): a JSON object gives ``key`` twice; not a ``ValueError``,
+    which ``_load`` reads as the digit limit."""
+
+
+def _unique_keys(pairs) -> dict:
+    """``json``'s object hook: the object, refused if a key repeats (``json``
+    alone keeps the last value, which no schema check would see)."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        seen = set()
+        raise _RepeatedKey(next(k for k, _ in pairs if k in seen or seen.add(k)))
+    return data
+
+
 def _load(path, text, schema):
     """JSON ``text`` checked against ``schema`` (see ``_walk``); ``path`` names
     the file in every message, and a mismatch names its field."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as exc:
+        key = reprlib.repr(exc.args[0])
+        raise ValidationError(f"{path}: invalid JSON: repeated key {key}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError:  # an int past the interpreter's digit limit
@@ -172,40 +190,30 @@ def _load(path, text, schema):
         raise ValidationError(f"{path}: {where}{problem}") from None
 
 
-def _grid(path, data, key, what) -> tuple:
-    """``data[key]``, a rows x cols grid or null, flattened; a null cell names its node."""
-    rows, cols, grid = data["rows"], data["cols"], data[key]
-    if grid is None:
-        return None
-    if len(grid) != rows or any(len(row) != cols for row in grid):
-        raise ValidationError(f"{path}: {key} must be a {rows}x{cols} grid")
-    missing = [f"({r},{c})" for r, row in enumerate(grid) for c, v in enumerate(row) if v is None]
-    if missing:
-        raise ValidationError(f"{path}: missing {what} at nodes {', '.join(missing)}")
-    return tuple(v for row in grid for v in row)
+_DESIGN = {"rows": int, "cols": int, "base_frequency_mhz": float, "offsets_mhz": [[float]],
+           "design_window_mhz": [float], "measured_mhz": _Nullable([[float]])}
 
 
-_GRID = [[_Nullable(float)]]
-_DESIGN = {"rows": int, "cols": int, "base_frequency_mhz": float, "offsets_mhz": _GRID,
-           "design_window_mhz": [float], "measured_mhz": _Nullable(_GRID)}
-
-
-def _load_design(path, text) -> tuple[dict, tuple, tuple | None, tuple[float, float]]:
-    """Design JSON (``_DESIGN``) -> (document, offsets, measured, design window),
-    each grid flattened."""
+def _load_design(path, text) -> dict:
+    """Design JSON (``_DESIGN``), each grid rows x cols (or null) and the window a pair."""
     data = _load(path, text, _DESIGN)
-    offsets = _grid(path, data, "offsets_mhz", "frequency offset")
-    measured = _grid(path, data, "measured_mhz", "measured frequency")
-    window = tuple(data["design_window_mhz"])
-    if len(window) != 2:
+    rows, cols = data["rows"], data["cols"]
+    for key in ("offsets_mhz", "measured_mhz"):
+        grid = data[key]
+        if grid is not None and (len(grid) != rows or any(len(row) != cols for row in grid)):
+            raise ValidationError(f"{path}: {key} must be a {rows}x{cols} grid")
+    if len(data["design_window_mhz"]) != 2:
         raise ValidationError(f"{path}: design_window_mhz must be [lo, hi]")
-    return data, offsets, measured, window
+    return data
 
 
 def load_design(path, text) -> QubitLattice:
     """Design JSON (``_DESIGN``) -> its lattice."""
-    data, offsets, measured, _window = _load_design(path, text)
-    design = tuple(data["base_frequency_mhz"] + f for f in offsets)
+    data = _load_design(path, text)
+    base, measured = data["base_frequency_mhz"], data["measured_mhz"]
+    design = tuple(base + f for row in data["offsets_mhz"] for f in row)
+    if measured is not None:
+        measured = tuple(f for row in measured for f in row)
     with _named(path):
         return QubitLattice(data["rows"], data["cols"], design, measured)
 
@@ -213,10 +221,10 @@ def load_design(path, text) -> QubitLattice:
 def load_unit_cell(path, text) -> UnitCellDesign:
     """A 3x3 design JSON (``_DESIGN``) -> its unit cell: the base frequency,
     offsets and design window as written, so ``save_design`` writes them back."""
-    data, offsets, _measured, window = _load_design(path, text)
+    data = _load_design(path, text)
     with _named(path):
-        return UnitCellDesign(np.reshape(offsets, (data["rows"], data["cols"])).tolist(),
-                              data["base_frequency_mhz"], window)
+        return UnitCellDesign(data["offsets_mhz"], data["base_frequency_mhz"],
+                              tuple(data["design_window_mhz"]))
 
 
 def save_design(path, cell: UnitCellDesign) -> None:

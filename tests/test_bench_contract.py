@@ -6,17 +6,21 @@ per workload and run the first op of each, so dropping a flag or a manifest
 key that the benchmark relies on fails here, not only in the benchmark.
 The noiseless campaign of ``tune_bulk`` is also compared with
 ``perfbench/reference.py`` record for record, so a change of its random
-stream fails here too.
+stream fails here too. The benchmark's tracer runs over two ops, so a rename
+of a module or argument that ``perfbench/tracing.py`` reads fails here too.
 """
 
 import hashlib
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
+import jjtrim
+import jjtrim.cli
 from jjtrim.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -101,3 +105,21 @@ def test_tune_round_targets_match_reference(workloads, reference, tmp_path):
         f"Q{i:03d},{f:.4f},{reference.target_resistance(model, f, workloads.AGING_BUDGET):.4f}"
         for i, f in enumerate(op.params["design_f"])
     ]
+
+
+def test_tracer_reads_the_layers_it_wraps(workloads, tmp_path):
+    # tracing.py imports every module of LAYERS by name, and its notes read
+    # mc_chip_yield's config and fit_segmented_power_law's breakpoints
+    tracing = _perfbench_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install(jjtrim)
+    try:
+        for i, name in enumerate(["yield_sweep", "tune_round"]):
+            tracer.op = i
+            for step in workloads.WORKLOADS[name].generate(0, 1, tmp_path / name)[0].steps:
+                assert jjtrim.cli.main(step.argv) == 0, step.argv
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, [1.0, 1.0])
+    assert metrics["yieldmc.chunks"] > 0
+    assert metrics["freqmodel.candidate_pairs"] == math.comb(50, 2)

@@ -725,6 +725,12 @@ class TestMalformedInputs:
              "design_window_mhz: expected a list, got 5"),
             ("design", _set(["measured_mhz", 0, 1], "b"),
              "measured_mhz[0][1]: expected a finite number, got 'b'"),
+            # a null cell is a schema fault like any other; the walk names the first
+            ("design", _set(["offsets_mhz", 1, 0], None),
+             "offsets_mhz[1][0]: expected a finite number, got None\n"),
+            ("design", lambda d: (_set(["offsets_mhz", 1, 0], None)(d),
+                                  _set(["measured_mhz", 0, 1], None)(d)),
+             "offsets_mhz[1][0]: expected a finite number, got None\n"),
             ("design", _set(["base_frequency_mhz"], math.nan),
              "base_frequency_mhz: expected a finite number, got nan"),
             ("design", _set(["base_frequency_mhz"], 10**400),
@@ -830,6 +836,16 @@ class TestArgumentBoundaries:
         "ff.csv": b"resistance_ohm,f01max_mhz\n3500.0,4000.0\n4000.0,38\xff0.0\n",
         "long-int.json": b'{"rows": ' + b"9" * 4301 + b"}",
         "deep.json": b"[" * 100000 + b"]" * 100000,
+        # json alone reads the last of two equal keys, which no schema check sees
+        "twice-base.json": json.dumps(DESIGN)[:-1].encode() + b', "base_frequency_mhz": 4600.0}',
+        "twice-alpha.json": b'{"beta": 280000.0, "alpha": 0.51, "residual_sigma_mhz": 1.0, '
+                            b'"r_min": 3000.0, "r_max": 9000.0, "alpha": 0.5}',
+        "twice-r-tuned.json": b'{"config": {"master_seed": 1, "noise_sigma": 0.0}, "targets": '
+                              b'[{"qubit_id": "Q000", "target_resistance": 4900.0, '
+                              b'"relaxation_reserve": 0.02}], "records": [{"qubit_id": "Q000", '
+                              b'"r_untuned": 4000.0, "threshold": 4800.0, "r_last_pulse": 4799.0, '
+                              b'"r_tuned": 4950.0, "pulses": 3, "already_above_target": false, '
+                              b'"r_tuned": 4801.0}]}',
         # the sum of a finite base and offset overflows
         "inf-design.json": json.dumps({**DESIGN, "rows": 1, "cols": 3, "measured_mhz": None,
                                        "base_frequency_mhz": 1e308,
@@ -892,6 +908,12 @@ class TestArgumentBoundaries:
             (["analyze-lattice", "--design", "long-int.json"],
              "long-int.json: invalid JSON: an integer of more than 4300 digits"),
             (["analyze-lattice", "--design", "deep.json"], "deep.json: invalid JSON: nested too deeply"),
+            (["analyze-lattice", "--design", "twice-base.json"],
+             "twice-base.json: invalid JSON: repeated key 'base_frequency_mhz'\n"),
+            (["assign-targets", "--calibration", "twice-alpha.json"],
+             "twice-alpha.json: invalid JSON: repeated key 'alpha'\n"),
+            (["report", "--campaign", "twice-r-tuned.json"],
+             "twice-r-tuned.json: invalid JSON: repeated key 'r_tuned'\n"),
             # every input is read before any flag or other input is checked
             (["yield", "--sigma", "7.7", "--seed", "1", "--window", "x", "--design", "nothing.json"],
              "No such file or directory: 'nothing.json'"),
@@ -938,7 +960,7 @@ class TestArgumentBoundaries:
                   "assign-targets": ["--design", valid["design"],
                                      "--calibration", valid["calibration"]],
                   "fit-relaxation": ["--data", DATA_DIR / "relaxation_demo.csv"],
-                  "calibrate-freq": [], "yield": [], "simulate-tuning": []}[argv[0]]
+                  "calibrate-freq": [], "yield": [], "simulate-tuning": [], "report": []}[argv[0]]
         for name, content in self.INPUTS.items():
             (tmp_path / name).write_bytes(content)
         # a flag in the row overrides the valid input given before it
