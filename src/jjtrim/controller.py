@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -25,9 +26,9 @@ _BLOCK = 32  # qubits per pulse-loop block: many per array call, a small step bu
 # renewal overshoot is again exponential with the same mean, which reproduces
 # the observed last-pulse overshoot statistics with this one parameter.
 MEAN_STEP_OHM = 1.9
-# Largest campaign, in qubits: 300 000 took 6.3-7.0 s and 491 MB peak RSS on
-# a 2-vCPU guest, so this cap extrapolates to about 25 s and 1.6 GB. A larger
-# one is refused before any qubit is sampled.
+# Largest campaign, in qubits: 300 000 took 7.4-8.8 s (median 8.4 s) and 483 MB
+# peak RSS on a 2-vCPU guest, so this cap extrapolates to about 28 s and 1.6 GB.
+# A larger one is refused before any qubit is sampled.
 MAX_CAMPAIGN_QUBITS = 1_000_000
 # Pulses after which one qubit's tuning loop gives up with exit 3.
 MAX_PULSES = 10**6
@@ -117,14 +118,8 @@ class _SeedState(ISeedSequence):
         return self.state
 
 
-def qubit_rngs(master_seed: int, qubit_ids) -> Iterator[np.random.Generator]:
-    """Per-qubit streams keyed by (campaign seed, qubit id), not position,
-    so aggregate statistics are invariant under tuning order.
-
-    Each is ``default_rng(SeedSequence([master_seed, sha256(id)[:8]]))``.
-    The seed states are built for all ids in one pass and the generators one
-    at a time, as they are consumed.
-    """
+def _qubit_states(master_seed: int, qubit_ids) -> np.ndarray:
+    """The PCG64 seed state of each id's stream (``qubit_rngs``), one row per id."""
     master_seed = check("master_seed", int(master_seed), ge=0)
     # SeedSequence splits each integer into uint32 words, least significant
     # first; 0 is one word.
@@ -135,8 +130,40 @@ def qubit_rngs(master_seed: int, qubit_ids) -> Iterator[np.random.Generator]:
     words[:, : len(seed)] = seed
     words[:, -2] = qhash & _MASK32
     words[:, -1] = qhash >> 32
-    for state in _seed_states(words, len(seed) + 1 + (words[:, -1] != 0)):
-        yield np.random.Generator(np.random.PCG64(_SeedState(state)))
+    return _seed_states(words, len(seed) + 1 + (words[:, -1] != 0))
+
+
+def _stream(state) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
+def qubit_rngs(master_seed: int, qubit_ids) -> Iterator[np.random.Generator]:
+    """Per-qubit streams keyed by (campaign seed, qubit id), not position,
+    so aggregate statistics are invariant under tuning order.
+
+    Each is ``default_rng(SeedSequence([master_seed, sha256(id)[:8]]))``.
+    The seed states are built for all ids in one pass and the generators one
+    at a time, as they are consumed.
+    """
+    return map(_stream, _qubit_states(master_seed, qubit_ids))
+
+
+def _target_rows(ids) -> dict:
+    """The row of each target id; an id given twice is refused at its second
+    row, in the campaign loader's words."""
+    rows = {}
+    for i, qid in enumerate(ids):
+        if rows.setdefault(qid, i) != i:
+            raise ValidationError(f"targets[{i}].qubit_id: duplicate {reprlib.repr(qid)}")
+    return rows
+
+
+def _first_batch(gap: float) -> int:
+    """Steps in a noiseless block's first batch, given its largest gap to
+    threshold: the mean pulse count m = gap / MEAN_STEP_OHM plus 4 sqrt(m) + 16,
+    so that a qubit rarely needs more, and at most one window."""
+    m = max(gap, 0.0) / MEAN_STEP_OHM
+    return min(_STEP_BATCH, math.ceil(m + 4 * math.sqrt(m) + 16))
 
 
 def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> dict:
@@ -147,71 +174,99 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
     less the relaxation reserve, then probed ``junction.PROBE_DELAY_HR``
     later, where relaxation has added exactly its ``relax_fraction``.
     ``r_last_pulse`` is that first read; a qubit whose first read is already
-    above is flagged with zero pulses, never pulsed downward.
+    above is flagged with zero pulses, never pulsed downward. A qubit that
+    needs more than ``MAX_PULSES`` pulses fails the campaign, named by the
+    lowest row of any that do.
     """
     r_untuned = np.array(r_untuned, float)
     relax_fraction = np.asarray(relax_fraction, float)
     ids = list(targets["qubit_id"])
     if not len(r_untuned) == len(relax_fraction) == len(ids):
         raise ValidationError(f"qubit/target length mismatch: {len(r_untuned)} vs {len(ids)}")
+    _target_rows(ids)
     check_rows("targets", targets, TARGET_BOUNDS)
     check_rows("qubits", {"r_untuned": r_untuned, "relax_fraction": relax_fraction},
                {"r_untuned": {"gt": 0}, "relax_fraction": {"ge": 0}})
     threshold = np.asarray(targets["target_resistance"], float) / (
         1.0 + np.asarray(targets["relaxation_reserve"], float))
-    rngs = qubit_rngs(config.master_seed, ids)
     r_last, r_tuned, pulses = np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids), int)
     # past the float range a read (as in Generator.normal) or the gap sum is inf, and is rejected
     with np.errstate(all="ignore"):
-        gap = float(np.maximum(threshold - r_untuned, 0).sum())
-        check("expected campaign pulses", gap / MEAN_STEP_OHM, le=MAX_CAMPAIGN_PULSES)
+        gap = threshold - r_untuned
+        check("expected campaign pulses", float(np.maximum(gap, 0).sum()) / MEAN_STEP_OHM,
+              le=MAX_CAMPAIGN_PULSES)
+        states = _qubit_states(config.master_seed, ids)
+        # Blocks of like gaps, so one first batch fits each block's qubits;
+        # each block's streams are built from their states as it starts.
+        order = np.argsort(gap, kind="stable")
         for start in range(0, len(ids), _BLOCK):
-            block = slice(start, start + _BLOCK)
+            block = order[start:start + _BLOCK]
             r_last[block], r_tuned[block], pulses[block] = _tune_block(
                 r_untuned[block], relax_fraction[block], threshold[block],
-                list(islice(rngs, _BLOCK)), ids[block], config.noise_sigma,
+                [_stream(state) for state in states[block]], config.noise_sigma,
             )
+    # gap order can tune a failing qubit before a lower row that also fails
+    over = np.flatnonzero(pulses > MAX_PULSES)
+    if over.size:
+        raise InfeasibleError(f"qubit {ids[over[0]]}: max_pulses={MAX_PULSES} exceeded")
     return {"qubit_id": ids, "r_untuned": r_untuned, "threshold": threshold,
             "r_last_pulse": r_last, "r_tuned": r_tuned, "pulses": pulses,
             "already_above_target": pulses == 0}
 
 
-def _tune_block(r, rho, threshold, rngs, ids, noise):
-    """``run_campaign`` on one block: (last read, probe, pulses) per qubit.
+def _tune_block(r, rho, threshold, rngs, noise):
+    """``run_campaign`` on one block: (last read, probe, pulses) per qubit;
+    a qubit that never crossed has ``MAX_PULSES + 1`` pulses.
 
-    Each qubit still below its threshold draws its next ``_STEP_BATCH``
-    exponential steps, then with a noisy probe as many read errors, and the
-    block finds every first crossing at once. A noisy probe also draws one
-    error for the first read and one for the probe; a noiseless one draws nothing.
+    Steps come in windows of ``_STEP_BATCH``. In each batch every qubit still
+    below its threshold draws the rest of its window (a noiseless block's
+    first batch only ``_first_batch`` steps), then with a noisy probe as many
+    read errors, and the block finds every first crossing at once.
+    ``standard_exponential`` draws the same steps however they are split, and
+    a batch that goes on inside a window adds the window's running sum to its
+    first step, so its ``cumsum`` goes on from the window's and each read is
+    the float that the whole window in one batch gives. A noisy stream
+    interleaves a window of steps with a window of errors, so its first batch
+    is a whole window. A noisy probe also draws one error for the first read
+    and one for the probe; a noiseless one draws nothing.
     """
 
     def probe(r):
         return r + noise * np.array([g.standard_normal() for g in rngs]) if noise > 0 else r
 
-    read, r = probe(r).copy(), r.copy()
+    first = _STEP_BATCH if noise > 0 else _first_batch(float((threshold - r).max()))
+    read, r = probe(r).copy(), r.copy()  # r: each qubit's resistance at its window's start
+    carry = np.empty(len(r))  # the steps summed so far in the current window
     pulses = np.zeros(len(r), np.int64)
     active = np.flatnonzero(read < threshold)
     done = 0
-    while active.size:
-        n = min(_STEP_BATCH, MAX_PULSES - done)
-        if n <= 0:
-            raise InfeasibleError(f"qubit {ids[active[0]]}: max_pulses={MAX_PULSES} exceeded")
+    while active.size and done < MAX_PULSES:
+        n = min(first if done == 0 else _STEP_BATCH - done % _STEP_BATCH, MAX_PULSES - done)
         steps = np.empty((active.size, n))
         errors = np.empty_like(steps) if noise > 0 else None
         for row, i in enumerate(active.tolist()):
             rngs[i].standard_exponential(out=steps[row])
             if noise > 0:
                 rngs[i].standard_normal(out=errors[row])
-        cum = r[active, None] + np.cumsum(MEAN_STEP_OHM * steps, axis=1)
+        steps *= MEAN_STEP_OHM
+        if done % _STEP_BATCH:  # inside a window: go on from its running sum
+            steps[:, 0] += carry[active]
+        run = np.cumsum(steps, axis=1)
+        cum = r[active, None] + run
         reads = cum + noise * errors if noise > 0 else cum
         crossed = reads >= threshold[active, None]
         hit = crossed.argmax(axis=1)
         stop = crossed[np.arange(active.size), hit]
         k, h = active[stop], hit[stop]
         r[k], read[k], pulses[k] = cum[stop, h], reads[stop, h], done + h + 1
-        r[active[~stop]] = cum[~stop, -1]
-        active = active[~stop]
+        left = ~stop
+        active = active[left]
         done += n
+        if done % _STEP_BATCH:
+            carry[active] = run[left, -1]
+        else:  # a window ends, and the next starts where it did
+            r[active] = cum[left, -1]
+    pulses[active] = MAX_PULSES + 1
     return read, probe(r + rho * r), pulses
 
 
@@ -230,7 +285,7 @@ def campaign_stats(records, targets) -> dict[str, float]:
     tuned = ~np.asarray(records["already_above_target"], bool)
     if not tuned.any():
         raise ValidationError("no tuned records to aggregate")
-    index = {qid: i for i, qid in enumerate(targets["qubit_id"])}
+    index = _target_rows(targets["qubit_id"])
     try:
         rows = [index[qid] for qid in compress(records["qubit_id"], tuned)]
     except KeyError as exc:

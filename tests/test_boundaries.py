@@ -1,15 +1,15 @@
 """The one range rule: every checked number is finite and inside its bounds.
 
 ``errors.check`` and ``errors.check_window`` hold the rule; the table below
-holds one non-finite or reversed input per library boundary that once let
-it through.
+holds one non-finite, reversed or repeated input per library boundary that
+once let it through.
 """
 
 import math
 
 import pytest
 
-from jjtrim.controller import CampaignConfig, run_campaign
+from jjtrim.controller import CampaignConfig, campaign_stats, run_campaign
 from jjtrim.errors import ValidationError, check, check_window
 from jjtrim.freqmodel import (
     PowerLawModel, fit_power_law, freq_equiv_sigma, invert_R, predict_f,
@@ -21,6 +21,16 @@ from jjtrim.yieldmc import YieldConfig, generate_unit_cell, mc_chip_yield, tile
 NAN, INF = math.nan, math.inf
 MODEL = PowerLawModel(beta=280000.0, alpha=0.5, residual_sigma_mhz=1.0, r_min=3000.0, r_max=7000.0)
 PAIR = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4650.0))
+
+
+# Two targets of one id, and records of them: each qubit once drew the same
+# stream and was looked up as the last target of its id.
+REPEATED = {"qubit_id": ["A", "A"], "target_resistance": [4400.0, 5000.0],
+            "relaxation_reserve": [0.0289] * 2}
+REPEATED_RECORDS = {"qubit_id": ["A", "A"], "r_untuned": [4000.0, 4100.0],
+                    "threshold": [4276.4, 4859.6], "r_last_pulse": [4277.0, 4860.0],
+                    "r_tuned": [4405.0, 5006.0], "pulses": [147, 400],
+                    "already_above_target": [False, False]}
 
 
 def campaign(r_untuned=4500.0, relax_fraction=0.03, target_resistance=4600.0):
@@ -105,6 +115,11 @@ class TestCheck:
         pytest.param(lambda: detuning_error_sigma(NAN), id="detuning_error_sigma-nan"),
         pytest.param(lambda: optimize_parking(PAIR, (NAN, 130.0), 50.0, 1.0),
                      id="optimize_parking-window-nan"),
+        pytest.param(lambda: run_campaign([4000.0, 4100.0], [0.03] * 2, REPEATED,
+                                          CampaignConfig(master_seed=1)),
+                     id="run_campaign-qubit_id-repeated"),
+        pytest.param(lambda: campaign_stats(REPEATED_RECORDS, REPEATED),
+                     id="campaign_stats-qubit_id-repeated"),
     ],
 )
 def test_non_finite_rejected(build):

@@ -34,6 +34,17 @@ def make_batch(n, design=4587.8, seed=7, reserve=0.0289, target_frac=0.98):
     return r, rho, make_targets(ids, design * target_frac, reserve)
 
 
+def mixed_batch(n, seed=23):
+    """``make_batch`` with targets uniform in 0.8-1.5x design and reserves in
+    0-0.1: some qubits start above their threshold, some cross in their first
+    window of steps and some only after two or more."""
+    r, rho, targets = make_batch(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    targets["target_resistance"] = 4587.8 * rng.uniform(0.8, 1.5, n)
+    targets["relaxation_reserve"] = rng.uniform(0.0, 0.1, n)
+    return r, rho, targets
+
+
 def tune_one(r, rho, target, reserve=0.0289, seed=0, noise=0.0, qid="q"):
     """One qubit's record, as a dict of Python values."""
     targets = make_targets([qid], target, reserve)
@@ -154,20 +165,69 @@ class TestOracles:
             assert rows(records) == oracle_campaign(r, rho, targets, 5, noise)
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
-    def test_max_pulses_guard_names_oracle_qubit(self, monkeypatch, noise):
-        # a budget of 600 pulses is one full batch and one of 88. In the
-        # second block, qubits 3 and 9 need about 1000 pulses and qubit 5
-        # about 550; the oracle meets qubit 3 first.
+    def test_mixed_block_matches_scalar_oracle(self, noise):
+        # the block of the 32 smallest gaps holds qubits above their
+        # threshold, qubits that cross in their first window and qubits that
+        # cross after two or more; the largest gap is a block of its own
+        r, rho, targets = mixed_batch(_BLOCK + 1)
+        records = run_campaign(r, rho, targets, CampaignConfig(23, noise))
+        want = oracle_campaign(r, rho, targets, 23, noise)
+        assert rows(records) == want
+        first_block = np.argsort(records["threshold"] - r, kind="stable")[:_BLOCK]
+        pulses = records["pulses"][first_block]
+        assert (pulses == 0).any()
+        assert ((0 < pulses) & (pulses <= _STEP_BATCH)).any()
+        assert (pulses > 2 * _STEP_BATCH).any()
+
+    @pytest.mark.parametrize("first", [1, 7])
+    def test_short_first_batch_matches_scalar_oracle(self, monkeypatch, first):
+        # a real first batch almost never falls short of a qubit's crossing;
+        # a forced short one carries each window's running sum across batches
+        gaps = []
+
+        def short(gap):
+            gaps.append(gap)
+            return first
+
+        monkeypatch.setattr(controller, "_first_batch", short)
+        r, rho, targets = mixed_batch(_BLOCK + 1)
+        records = run_campaign(r, rho, targets, CampaignConfig(23))
+        assert rows(records) == oracle_campaign(r, rho, targets, 23, 0.0)
+        assert len(gaps) == 2  # one first batch per block
+        assert (records["pulses"] > first).sum() > _BLOCK // 2
+
+    def test_first_batch_size(self):
+        # the mean pulse count plus 4 of its deviations and 16, at most a window
+        assert controller._first_batch(-5.0) == 16
+        assert controller._first_batch(400 * MEAN_STEP_OHM) == 400 + 80 + 16
+        assert controller._first_batch(500 * MEAN_STEP_OHM) == _STEP_BATCH
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    @pytest.mark.parametrize("n, needs, in_block, named", [
+        # qubits 3 and 9 of the second 32 need about 1000 pulses and qubit 5
+        # about 550; all three sort into the last block, and the oracle
+        # meets qubit 3 first
+        (2 * _BLOCK, {_BLOCK + 3: 1000, _BLOCK + 5: 550, _BLOCK + 9: 1000},
+         {_BLOCK + 3: 1, _BLOCK + 5: 1, _BLOCK + 9: 1}, _BLOCK + 3),
+        # qubit 0 has the larger gap, so it sorts into the block after the
+        # one where qubit 5 fails; the oracle still meets qubit 0 first
+        (_BLOCK + 1, {0: 1000, 5: 700}, {0: 1, 5: 0}, 0),
+    ], ids=["one-block", "across-blocks"])
+    def test_max_pulses_guard_names_oracle_qubit(self, monkeypatch, noise, n, needs, in_block,
+                                                 named):
+        # a budget of 600 pulses is one full batch and one of 88
         monkeypatch.setattr(controller, "MAX_PULSES", 600)
-        r, rho, targets = make_batch(2 * _BLOCK)
+        r, rho, targets = make_batch(n)
         threshold = targets["target_resistance"][0] / 1.0289
-        r[_BLOCK + np.array([3, 9])] = threshold - 1000 * MEAN_STEP_OHM
-        r[_BLOCK + 5] = threshold - 550 * MEAN_STEP_OHM
+        for i, pulses in needs.items():
+            r[i] = threshold - pulses * MEAN_STEP_OHM
+        blocks = np.argsort(np.argsort(threshold - r, kind="stable")) // _BLOCK
+        assert {i: blocks[i] for i in needs} == in_block
         with pytest.raises(InfeasibleError) as got:
             run_campaign(r, rho, targets, CampaignConfig(7, noise))
         with pytest.raises(InfeasibleError) as want:
             oracle_campaign(r, rho, targets, 7, noise)
-        message = f"qubit Q{_BLOCK + 3:03d}: max_pulses=600 exceeded"
+        message = f"qubit Q{named:03d}: max_pulses=600 exceeded"
         assert str(got.value) == str(want.value) == message
 
 
@@ -313,6 +373,13 @@ class TestCampaign:
         predicted = np.sqrt(rho.std() ** 2 + (stats["overshoot_sigma_ohm"] / r_mean) ** 2)
         sigma = stats["precision_sigma_frac"]
         assert abs(sigma**2 - predicted**2) / predicted**2 < 0.20
+
+    def test_repeated_target_id_named_as_the_loader_names_it(self):
+        targets = make_targets(["A", "B", "A"], 4400.0)
+        with pytest.raises(ValidationError, match=r"^targets\[2\]\.qubit_id: duplicate 'A'$"):
+            run_campaign([4000.0] * 3, [0.03] * 3, targets, CampaignConfig(1))
+        with pytest.raises(ValidationError, match=r"^targets\[2\]\.qubit_id: duplicate 'A'$"):
+            campaign_stats(_records(_record("A"), _record("B")), targets)
 
     def test_expected_pulses_capped_before_first_pulse(self, monkeypatch):
         # gaps to threshold of 9 + 9 + 0 Ohm (one qubit above it) are 9.5 expected

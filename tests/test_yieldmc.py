@@ -91,6 +91,24 @@ class TestUnitCell:
         assert capsys.readouterr().err == f"infeasible: {message}\n"
         assert not out.exists()
 
+    def test_no_cell_keeps_a_wider_margin_than_thirty_mhz(self):
+        # Each row and column of a 3x3 torus cell is a 3-cycle of its edges.
+        # For x <= y <= z with every |delta| a margin m inside [lo, hi],
+        # z - x = (y - x) + (z - y) >= 2 (lo + m) and z - x <= hi - m, so
+        # m <= (hi - 2 lo) / 3: 30 MHz in the yield window, over all 26**3
+        # offset triples of the search grid.
+        lo, hi = YIELD_WINDOW_MHZ
+        grid = np.arange(0.0, 251.0, 10.0)
+        x, y, z = np.meshgrid(grid, grid, grid, indexing="ij")
+        delta = np.abs(np.stack([x - y, y - z, z - x]))
+        margin = np.minimum(delta - lo, hi - delta).min(axis=0)
+        assert margin.size == 26**3 == 17_576
+        assert margin.max() <= (hi - 2 * lo) / 3 == 30.0
+        assert margin[0, 5, 10] == 30.0  # offsets (0, 50, 100)
+        cell = [[50.0 * ((r + c) % 3) for c in range(3)] for r in range(3)]
+        assert unit_cell_violations(cell) == []
+        assert unit_cell_violations(cell, YIELD_WINDOW_MHZ) == []
+
     def test_generated_cells_pass_independent_checker(self):
         for seed in range(100):
             cell = generate_unit_cell(seed=seed)
