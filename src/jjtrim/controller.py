@@ -54,7 +54,7 @@ class CampaignConfig:
     noise_sigma: float = 0.0  # room-temperature probe noise, Ohm; 0 is a noiseless probe
 
     def __post_init__(self):
-        check("master_seed", self.master_seed, ge=0)
+        check("master_seed", self.master_seed, ge=0, integer=True)
         check("noise_sigma", self.noise_sigma, ge=0)
 
 
@@ -120,7 +120,7 @@ class _SeedState(ISeedSequence):
 
 def _qubit_states(master_seed: int, qubit_ids) -> np.ndarray:
     """The PCG64 seed state of each id's stream (``qubit_rngs``), one row per id."""
-    master_seed = check("master_seed", int(master_seed), ge=0)
+    master_seed = int(check("master_seed", master_seed, ge=0, integer=True))
     # SeedSequence splits each integer into uint32 words, least significant
     # first; 0 is one word.
     seed = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]

@@ -22,16 +22,18 @@ class InfeasibleError(RuntimeError):
     """A search (parking, unit cell) or a tuning loop found no solution in its bounds (exit 3)."""
 
 
-def check(name, value, gt=None, ge=None, lt=None, le=None):
+def check(name, value, gt=None, ge=None, lt=None, le=None, integer=False):
     """``value`` if it is finite and within the given bounds, else a
     ValidationError naming ``name`` and the rule.
 
     A Python int is compared as it is, never converted to float, so a huge
     integer flag fails its bounds instead of overflowing; one too long for
-    ``str`` is named by its size.
+    ``str`` is named by its size. With ``integer``, as for a seed or a count,
+    a float or a bool is refused instead of being truncated.
     """
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if (
-        (type(value) is int or math.isfinite(value))
+        (whole if integer else type(value) is int or math.isfinite(value))
         and (gt is None or value > gt)
         and (ge is None or value >= ge)
         and (lt is None or value < lt)
@@ -40,7 +42,9 @@ def check(name, value, gt=None, ge=None, lt=None, le=None):
         return value
     bounds = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
     rule = " and ".join(f"{op} {bound}" for op, bound in bounds if bound is not None)
-    if type(value) is not int:
+    if integer and not whole:
+        rule = f"an integer {rule}".rstrip()
+    elif type(value) is not int:
         rule = f"finite and {rule}" if rule else "finite"
     try:
         shown = str(value)

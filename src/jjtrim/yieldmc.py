@@ -9,7 +9,6 @@ perturbed by independent Gaussian spread.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -154,9 +153,10 @@ class YieldConfig:
 
     def __post_init__(self):
         check("sigma_f", self.sigma_f_mhz, ge=0)
-        check("trials", self.trials, ge=1)
+        check("master_seed", self.master_seed, ge=0, integer=True)
+        check("trials", self.trials, ge=1, integer=True)
         check_window("window", self.window_mhz)
-        check("n_threads", self.n_threads, ge=1, le=MAX_THREADS)
+        check("n_threads", self.n_threads, ge=1, le=MAX_THREADS, integer=True)
 
 
 def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -178,9 +178,9 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> dict:
     and draws each column only for the trials still passing: column 0 is
     one (trials, rows) normal draw, and each later column is drawn, in
     trial order, for the survivors of the columns before it. A column's
-    vertical edges are tested first, then its horizontal edges to the
-    previous column, and the trials that fail are dropped; the chunk ends
-    when the last column is tested or no trial is left.
+    vertical edges and its horizontal edges to the previous column are
+    tested together, and the trials that fail any of them are dropped; the
+    chunk ends when the last column is tested or no trial is left.
 
     Every chunk is a pure function of (master_seed, c), so the result is
     bit-identical for any thread count or execution order. A lattice
@@ -188,41 +188,70 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> dict:
     """
     check(f"trials on {lattice.n_qubits} qubits", config.trials,
           le=MAX_QUBIT_TRIALS // lattice.n_qubits)
-    design = np.array(lattice.design_f01max).reshape(lattice.rows, lattice.cols)
+    rows = lattice.rows
+    design = np.array(lattice.design_f01max).reshape(rows, lattice.cols)
     lo, hi = config.window_mhz
-
-    def in_window(d: np.ndarray) -> np.ndarray:
-        """Which rows of d have every |entry| in the window; d is overwritten."""
-        np.abs(d, out=d)
-        return ((d >= lo) & (d <= hi)).all(axis=1)
+    # One trial's row of flags, read as a single void scalar, when it passes.
+    all_pass = np.ones(rows, dtype=bool).view(f"V{rows}")[0]
 
     n_chunks = -(-config.trials // config.chunk_trials)
 
     def run_chunk(c: int) -> int:
         nt = min(config.chunk_trials, config.trials - c * config.chunk_trials)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(config.master_seed), c])
-        )
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, c]))
+        # Column j works on the first n * rows entries, for the n trials that
+        # passed the columns before it.
+        draw, diff = np.empty(nt * rows), np.empty(nt * rows)
+        flags, scratch = np.empty(nt * rows, dtype=bool), np.empty(nt * rows, dtype=bool)
+
+        def window_and(d: np.ndarray, f: np.ndarray) -> None:
+            """f &= (lo <= |d| <= hi) entry by entry; d is overwritten."""
+            t = scratch[:len(d)]
+            np.abs(d, out=d)
+            np.greater_equal(d, lo, out=t)
+            f &= t
+            np.less_equal(d, hi, out=t)
+            f &= t
+
+        n = nt
         # At a huge sigma a difference can overflow or be inf - inf; the inf
         # or NaN then fails its trial, which is the right answer.
         with np.errstate(over="ignore", invalid="ignore"):
             prev = None
             for j in range(lattice.cols):
-                n = nt if prev is None else len(prev)
-                col = rng.normal(0.0, config.sigma_f_mhz, size=(n, lattice.rows))
+                m = n * rows
+                flat, d, f = draw[:m], diff[:m], flags[:m]
+                # The stream's rng.normal(0, sigma, (n, rows)), up to the sign
+                # of a zero.
+                rng.standard_normal(out=flat)
+                flat *= config.sigma_f_mhz
+                col = flat.reshape(n, rows)
                 col += design[:, j]
-                ok = in_window(col[:, 1:] - col[:, :-1])
+                # flat[k + 1] - flat[k] is a vertical edge, except where k
+                # ends a trial's row and the difference runs into the next
+                # trial (or, for the last k, past the draws): those flags are
+                # set after the test.
+                np.subtract(flat[1:], flat[:-1], out=d[:-1])
+                d[-1] = 0.0
+                f[:] = True
+                window_and(d, f)
+                f[rows - 1::rows] = True
                 if prev is not None:
                     prev -= col
-                    ok &= in_window(prev)
-                prev = col[ok]
-                if not len(prev):
+                    window_and(prev.reshape(-1), f)
+                prev = col[f.view(f"V{rows}") == all_pass]
+                n = len(prev)
+                if not n:
                     break
-        return len(prev)
+        return n
 
     if config.n_threads == 1:
         passes = sum(run_chunk(c) for c in range(n_chunks))
     else:
+        # Imported here, not at module load: concurrent.futures pulls in
+        # logging, queue and traceback, which only a threaded run needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
             passes = sum(pool.map(run_chunk, range(n_chunks)))
 

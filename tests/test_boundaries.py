@@ -1,12 +1,14 @@
-"""The one range rule: every checked number is finite and inside its bounds.
+"""The one range rule: every checked number is finite and inside its bounds,
+and every seed or count is an integer.
 
-``errors.check`` and ``errors.check_window`` hold the rule; the table below
-holds one non-finite, reversed or repeated input per library boundary that
-once let it through.
+``errors.check`` and ``errors.check_window`` hold the rule; the tables below
+hold one non-finite, reversed, repeated or fractional input per library
+boundary that once let it through.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from jjtrim.controller import CampaignConfig, campaign_stats, run_campaign
@@ -14,7 +16,7 @@ from jjtrim.errors import ValidationError, check, check_window
 from jjtrim.freqmodel import (
     PowerLawModel, fit_power_law, freq_equiv_sigma, invert_R, predict_f,
 )
-from jjtrim.junction import relaxation_delta, relaxation_shape
+from jjtrim.junction import relaxation_delta, relaxation_shape, sample_fabricated
 from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
 from jjtrim.yieldmc import YieldConfig, generate_unit_cell, mc_chip_yield, tile
 
@@ -58,12 +60,18 @@ class TestCheck:
             # past sys.get_int_max_str_digits(), str() itself raises
             pytest.param(10**5000, {"le": 10}, "x must be <= 10, got an integer of 16610 bits",
                          id="int-past-str-limit"),
+            (2.0, {"ge": 1, "integer": True}, "x must be an integer >= 1, got 2.0"),
+            (True, {"integer": True}, "x must be an integer, got True"),
+            (-1, {"ge": 0, "integer": True}, "x must be >= 0, got -1"),
         ],
     )
     def test_message_names_the_rule(self, value, bounds, message):
         with pytest.raises(ValidationError) as exc:
             check("x", value, **bounds)
         assert str(exc.value) == message
+
+    def test_integer_accepts_numpy_int(self):
+        assert check("x", np.int64(3), ge=1, integer=True) == 3
 
     def test_huge_int_is_not_converted(self):
         assert check("n", 10**400, ge=1) == 10**400
@@ -125,6 +133,34 @@ class TestCheck:
 def test_non_finite_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # each once tuned or drew exactly as seed 1, or as 1 trial or thread
+        (lambda: CampaignConfig(1.5), "master_seed must be an integer >= 0, got 1.5"),
+        (lambda: CampaignConfig(True), "master_seed must be an integer >= 0, got True"),
+        (lambda: sample_fabricated(4500.0, 1.5, ["q"]),
+         "master_seed must be an integer >= 0, got 1.5"),
+        (lambda: YieldConfig(18.4, 1.5), "master_seed must be an integer >= 0, got 1.5"),
+        (lambda: YieldConfig(18.4, 1.9), "master_seed must be an integer >= 0, got 1.9"),
+        (lambda: YieldConfig(18.4, True), "master_seed must be an integer >= 0, got True"),
+        # NumPy refused it unnamed, and only once the Monte Carlo started
+        (lambda: YieldConfig(18.4, -1), "master_seed must be >= 0, got -1"),
+        (lambda: YieldConfig(7.7, 1, trials=2.5), "trials must be an integer >= 1, got 2.5"),
+        (lambda: YieldConfig(7.7, 1, trials=True), "trials must be an integer >= 1, got True"),
+        (lambda: YieldConfig(7.7, 1, n_threads=1.5),
+         "n_threads must be an integer >= 1 and <= 64, got 1.5"),
+    ],
+    ids=["campaign-seed-float", "campaign-seed-bool", "sample_fabricated-seed-float",
+         "yield-seed-float", "yield-seed-float-1.9", "yield-seed-bool", "yield-seed-negative",
+         "yield-trials-float", "yield-trials-bool", "yield-threads-float"],
+)
+def test_integer_field_refuses_float_bool_or_negative(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("f", [NAN, [4500.0, NAN], INF], ids=["nan", "array-nan", "inf"])

@@ -268,6 +268,86 @@ class TestSliceKernelOracle:
                 assert wilson_overlap(one, expected, trials)
 
 
+def survivor_passes(lattice, config):
+    """Oracle: the survivor kernel's column step on 2-D columns, as first
+    written. Each column is one ``rng.normal`` draw of (trials, rows); its
+    vertical edges are a strided difference and then its horizontal edges
+    to the previous column, each tested with ``all(axis=1)``.
+
+    It reads the same streams in the same order as ``mc_chip_yield``, so the
+    passes must be equal, not only close.
+    """
+    design = np.array(lattice.design_f01max).reshape(lattice.rows, lattice.cols)
+    lo, hi = config.window_mhz
+
+    def in_window(d):
+        d = np.abs(d)
+        return ((d >= lo) & (d <= hi)).all(axis=1)
+
+    passes = 0
+    for c in range(-(-config.trials // config.chunk_trials)):
+        nt = min(config.chunk_trials, config.trials - c * config.chunk_trials)
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, c]))
+        alive = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(lattice.cols):
+                n = nt if alive is None else len(alive)
+                col = rng.normal(0.0, config.sigma_f_mhz, size=(n, lattice.rows))
+                col += design[:, j]
+                ok = in_window(col[:, 1:] - col[:, :-1])
+                if alive is not None:
+                    ok &= in_window(alive - col)
+                alive = col[ok]
+                if not len(alive):
+                    break
+        passes += len(alive)
+    return passes
+
+
+def random_design(seed, huge=None):
+    """A seeded 1-6 x 1-6 ``alternating_lattice``; ``huge``, if given,
+    replaces the frequency of one seeded node."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(v) for v in rng.integers(1, 7, size=2))
+    lat = alternating_lattice(rows, cols, seed)
+    if huge is None:
+        return lat
+    f = list(lat.design_f01max)
+    f[rng.integers(len(f))] = huge
+    return replace(lat, design_f01max=tuple(f))
+
+
+COLUMN_STEP_LATTICES = {
+    **ORACLE_LATTICES,
+    **{f"random{s}": functools.partial(random_design, s) for s in (1, 2, 3, 4)},
+    "random5-huge": functools.partial(random_design, 5, 1e308),
+    "random6-huge": functools.partial(random_design, 6, -1e308),
+    # every design edge exactly 20 or 130 MHz, on the yield window's edges
+    "boundary2x3": lambda: QubitLattice(
+        rows=2, cols=3, design_f01max=(4500.0, 4520.0, 4650.0, 4630.0, 4650.0, 4520.0)
+    ),
+}
+
+
+class TestColumnStepOracle:
+    """The flat column step against the 2-D one it replaced: the same passes
+    for every stream, window, spread, trial count and thread count."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 7.7, 93.5, 1e300])
+    @pytest.mark.parametrize("name", sorted(COLUMN_STEP_LATTICES))
+    def test_passes_equal_2d_column_step(self, name, sigma):
+        lat = COLUMN_STEP_LATTICES[name]()
+        # lo > 0; lo <= 0; and a hi that a 1e308 node's edges can pass
+        for window in (YIELD_WINDOW_MHZ, (-5.0, 90.0), (-5.0, 1e308)):
+            # chunk_trials (4096) divides neither 4097 nor 5000
+            for trials in (1, 4097, 5000):
+                cfg = YieldConfig(sigma_f_mhz=sigma, master_seed=13, window_mhz=window,
+                                  trials=trials)
+                expected = survivor_passes(lat, cfg)
+                for t in (1, 2):
+                    assert mc_chip_yield(lat, replace(cfg, n_threads=t))["passes"] == expected
+
+
 def transfer_yields(lattice, sigma, h, window=YIELD_WINDOW_MHZ, span=5.0):
     """Oracle: the yield of columns 0..j of a lattice, for every j, by a
     column transfer operator (Kramers & Wannier, Phys. Rev. 60, 252, 1941).
@@ -430,13 +510,15 @@ class TestYieldCurve:
         out = tmp_path / "scan.csv"
         monkeypatch.setattr(sys, "argv", ["yield_scan.py", "--trials", "200", "--out", str(out)])
         script.main()
-        assert capsys.readouterr().out == f"wrote 40 rows to {out}\n"
+        assert capsys.readouterr().out == f"wrote 80 rows to {out}\n"
         with open(out, newline="") as fh:
             reader = csv.reader(fh)
-            assert next(reader) == ["qubits", "sigma_mhz", "yield", "ci_lo", "ci_hi"]
-            rows = [[float(v) for v in row] for row in reader]
-        assert len(rows) == len(script.SIGMAS_MHZ) * len(script.SIZES) == 40
-        assert all(lo <= y <= hi for _q, _s, y, lo, hi in rows)
+            assert next(reader) == ["cell", "qubits", "sigma_mhz", "yield", "ci_lo", "ci_hi"]
+            rows = [[row[0], *(float(v) for v in row[1:])] for row in reader]
+        assert len(rows) == 2 * len(script.SIGMAS_MHZ) * len(script.SIZES) == 80
+        assert [row[0] for row in rows] == ["seed7"] * 40 + ["max_margin"] * 40
+        assert all(lo <= y <= hi for _c, _q, _s, y, lo, hi in rows)
+        assert script.MAX_MARGIN_CELL.offsets_mhz[1] == (50.0, 100.0, 0.0)
 
 
 class TestWaferProjection:
