@@ -53,6 +53,14 @@ def check(name, value, gt=None, ge=None, lt=None, le=None, integer=False):
     raise ValidationError(f"{name} must be {rule}, got {shown}")
 
 
+def check_float(name, value) -> float:
+    """``check(name, value)`` as a float; an int too large for a float is not finite."""
+    try:
+        return float(check(name, value))
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got a {value.bit_length()}-bit int") from None
+
+
 _COMPARE = {"gt": np.greater, "ge": np.greater_equal, "lt": np.less}
 
 

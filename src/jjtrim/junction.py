@@ -9,6 +9,10 @@ piecewise power-law trajectory; the regimes differ only in exponent.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
+from operator import mul
+
 import numpy as np
 
 from .controller import qubit_rngs
@@ -36,24 +40,14 @@ RELAX_EXPONENTS = (0.30, 0.24, 0.16, 0.11)
 PROBE_DELAY_HR = 5.0
 
 
-def _relax_amplitudes():
-    amps = [1.0]
-    for k, b in enumerate(RELAX_BREAKPOINTS_HR):
-        amps.append(amps[k] * b ** (RELAX_EXPONENTS[k] - RELAX_EXPONENTS[k + 1]))
-    return tuple(amps)
-
-
-_RELAX_AMPLITUDES = _relax_amplitudes()
+_RELAX_AMPLITUDES = tuple(accumulate(
+    (b ** (e - f) for b, e, f in zip(RELAX_BREAKPOINTS_HR, RELAX_EXPONENTS, RELAX_EXPONENTS[1:])),
+    mul, initial=1.0))
 
 
 def _shape_unnormalized(t_hr: float) -> float:
-    if t_hr == 0:
-        return 0.0
-    k = 0
-    for b in RELAX_BREAKPOINTS_HR:
-        if t_hr <= b:
-            break
-        k += 1
+    # A t_hr on a breakpoint takes the regime below it; 0.0 ** e is 0.0.
+    k = bisect_left(RELAX_BREAKPOINTS_HR, t_hr)
     return _RELAX_AMPLITUDES[k] * t_hr ** RELAX_EXPONENTS[k]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check, check_rows, check_window
+from .errors import InfeasibleError, ValidationError, check, check_float, check_rows, check_window
 
 # Candidate park offsets per qubit (max_park / step) beyond which the
 # search is refused rather than left to grow without bound.
@@ -40,20 +40,20 @@ class QubitLattice:
     measured_f01max: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        check("rows", self.rows, ge=1)
-        check("cols", self.cols, ge=1)
-        n = self.rows * self.cols
-        design = tuple(float(f) for f in self.design_f01max)
-        object.__setattr__(self, "design_f01max", design)
-        if len(design) != n:
-            raise ValidationError(f"expected {n} design frequencies, got {len(design)}")
-        grids = {"design_mhz": design}
-        if self.measured_f01max is not None:
-            meas = tuple(float(f) for f in self.measured_f01max)
-            object.__setattr__(self, "measured_f01max", meas)
-            if len(meas) != n:
-                raise ValidationError(f"expected {n} measured frequencies, got {len(meas)}")
-            grids["measured_mhz"] = meas
+        check("rows", self.rows, ge=1, integer=True)
+        check("cols", self.cols, ge=1, integer=True)
+        n, grids = self.rows * self.cols, {}
+        names = ("design",) if self.measured_f01max is None else ("design", "measured")
+        for name in names:
+            grid = tuple(getattr(self, f"{name}_f01max"))  # read twice if a node overflows
+            try:
+                grid = tuple(map(float, grid))
+            except OverflowError:  # an int too large for a float, named by its node
+                grid = tuple(check_float(f"nodes[{i}].{name}_mhz", f) for i, f in enumerate(grid))
+            object.__setattr__(self, f"{name}_f01max", grid)
+            if len(grid) != n:
+                raise ValidationError(f"expected {n} {name} frequencies, got {len(grid)}")
+            grids[f"{name}_mhz"] = grid
         f = np.array(list(grids.values())).reshape(len(grids), self.rows, self.cols)
         if not np.isfinite(f).all():
             check_rows("nodes", grids, dict.fromkeys(grids, {}))
@@ -114,7 +114,14 @@ def subtract_global_offset(chips) -> list[np.ndarray]:
     for i, c in enumerate(chips):
         if c.size == 0:
             raise ValidationError(f"chip {i} has no deviations")
-    return [c - c.mean() for c in chips]
+    with np.errstate(all="ignore"):  # a chip that is not finite once centred is named below
+        centred = [c - c.mean() for c in chips]
+    for i, (c, d) in enumerate(zip(chips, centred)):
+        if not np.isfinite(d).all():
+            j = int(np.argmin(np.isfinite(c)))  # 0 if every deviation is finite
+            check(f"chip {i} deviation {j}", c[j].item())
+            raise ValidationError(f"chip {i}: centring on its mean overflows")
+    return centred
 
 
 def spread_after_centering(chips) -> float:
@@ -166,6 +173,7 @@ def optimize_parking(
           le=MAX_PARK_OFFSETS)
     freqs = lattice.measured_f01max or lattice.design_f01max
 
+    # Built in ascending |offset|, downward first: the order the search ranks.
     candidates = [0.0]
     k = 1
     while k * step_mhz <= max_park_mhz:
@@ -173,7 +181,6 @@ def optimize_parking(
         if symmetric:
             candidates.append(k * step_mhz)
         k += 1
-    candidates.sort(key=abs)
 
     search = _ParkingSearch(freqs, lattice.edges(), window, candidates)
     best = search.solve()

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check, check_window
+from .errors import InfeasibleError, ValidationError, check, check_float, check_window
 from .lattice import QubitLattice
 
 DESIGN_WINDOW_MHZ = (40.0, 110.0)
@@ -75,8 +75,10 @@ class UnitCellDesign:
     design_window_mhz: tuple[float, float] = DESIGN_WINDOW_MHZ
 
     def __post_init__(self):
-        offs = tuple(tuple(float(v) for v in row) for row in self.offsets_mhz)
+        offs = tuple(tuple(check_float(f"offsets_mhz[{r}][{c}]", v) for c, v in enumerate(row))
+                     for r, row in enumerate(self.offsets_mhz))
         object.__setattr__(self, "offsets_mhz", offs)
+        check_float("base_frequency_mhz", self.base_frequency_mhz)
         bad = unit_cell_violations(offs, self.design_window_mhz)
         if bad:
             raise ValidationError(
@@ -128,17 +130,12 @@ def generate_unit_cell(seed) -> UnitCellDesign:
 
 def tile(cell: UnitCellDesign, m: int, n: int) -> QubitLattice:
     """(3m)x(3n) lattice of identical translated copies of the cell."""
-    check("m", m, ge=1)
-    check("n", n, ge=1)
+    check("m", m, ge=1, integer=True)
+    check("n", n, ge=1, integer=True)
     check(f"qubits in a {m}x{n} tiling", 9 * m * n, le=MAX_TILE_QUBITS)
-    rows, cols = 3 * m, 3 * n
-    offs = cell.offsets_mhz
-    freqs = [
-        cell.base_frequency_mhz + offs[r % 3][c % 3]
-        for r in range(rows)
-        for c in range(cols)
-    ]
-    return QubitLattice(rows=rows, cols=cols, design_f01max=tuple(freqs))
+    with np.errstate(over="ignore"):  # QubitLattice names a node whose sum overflows
+        grid = cell.base_frequency_mhz + np.tile(cell.offsets_mhz, (m, n))
+    return QubitLattice(3 * m, 3 * n, grid.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,9 @@ class YieldConfig:
 
 
 def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion over 1 to MAX_QUBIT_TRIALS trials."""
+    check("trials", trials, ge=1, le=MAX_QUBIT_TRIALS, integer=True)
+    check("passes", passes, ge=0, le=trials, integer=True)
     p = passes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -281,5 +280,5 @@ def yield_curve(
 
 def wafer_projection(yield_fraction: float, dice: int = DEFAULT_DICE_PER_WAFER) -> int:
     """Expected yielded chips per wafer of ``dice`` dice."""
-    check("dice", dice, ge=0, lt=MAX_DICE)
-    return round(check("yield_fraction", yield_fraction, ge=0) * dice)
+    check("dice", dice, ge=0, lt=MAX_DICE, integer=True)
+    return round(check("yield_fraction", yield_fraction, ge=0, le=1) * dice)

@@ -31,6 +31,7 @@ from jjtrim.lattice import (
     subtract_global_offset,
 )
 from jjtrim.yieldmc import (
+    UnitCellDesign,
     YieldConfig,
     generate_unit_cell,
     mc_chip_yield,
@@ -254,6 +255,17 @@ def test_9_yield_reproduction():
         f"108-qubit at 7.7 -> {big[0]['yield']:.4f} (>0), {elapsed:.1f} s",
         ok,
     )
+
+
+def test_9_max_margin_cell_yield():
+    # Informational (ROADMAP item 19): the cell 50 * ((r + c) mod 3) MHz keeps
+    # every edge 30 MHz inside 20-130 MHz, against 20 MHz for the seed-7 cell
+    # that criterion 9 is pinned to.
+    cell = UnitCellDesign([[50.0 * ((r + c) % 3) for c in range(3)] for r in range(3)])
+    config = YieldConfig(sigma_f_mhz=7.7, master_seed=7, trials=10**5)
+    small, big = (mc_chip_yield(tile(cell, *size), config)["yield"] for size in ((1, 1), (2, 6)))
+    scoreboard(f"[INFO] 9 max-margin cell 50*((r+c) mod 3) at sigma 7.7: "
+               f"9-qubit {small:.3f}, 108-qubit {big:.3f}")
 
 
 def test_10_property_suites():

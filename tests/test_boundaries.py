@@ -12,17 +12,25 @@ import numpy as np
 import pytest
 
 from jjtrim.controller import CampaignConfig, campaign_stats, run_campaign
-from jjtrim.errors import ValidationError, check, check_window
+from jjtrim.errors import ValidationError, check, check_float, check_window
 from jjtrim.freqmodel import (
     PowerLawModel, fit_power_law, freq_equiv_sigma, invert_R, predict_f,
 )
 from jjtrim.junction import relaxation_delta, relaxation_shape, sample_fabricated
-from jjtrim.lattice import QubitLattice, detuning_error_sigma, optimize_parking
-from jjtrim.yieldmc import YieldConfig, generate_unit_cell, mc_chip_yield, tile
+from jjtrim.lattice import (
+    QubitLattice, detuning_error_sigma, optimize_parking, spread_after_centering,
+    subtract_global_offset,
+)
+from jjtrim.yieldmc import (
+    UnitCellDesign, YieldConfig, generate_unit_cell, mc_chip_yield, tile, wafer_projection,
+    wilson_interval,
+)
 
 NAN, INF = math.nan, math.inf
 MODEL = PowerLawModel(beta=280000.0, alpha=0.5, residual_sigma_mhz=1.0, r_min=3000.0, r_max=7000.0)
 PAIR = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4650.0))
+CELL = generate_unit_cell(seed=7)
+ROWS = [list(row) for row in CELL.offsets_mhz]
 
 
 # Two targets of one id, and records of them: each qubit once drew the same
@@ -90,6 +98,14 @@ class TestCheck:
             mc_chip_yield(tile(generate_unit_cell(seed=7), 1, 1),
                           YieldConfig(7.7, 1, trials=10**5000))
 
+    def test_check_float(self):
+        assert check_float("x", 3) == 3.0 and type(check_float("x", 3)) is float
+        with pytest.raises(ValidationError, match="^x must be finite, got nan$"):
+            check_float("x", NAN)
+        # float() would raise OverflowError
+        with pytest.raises(ValidationError, match="^x must be finite, got a 1329-bit int$"):
+            check_float("x", -(10**400))
+
     @pytest.mark.parametrize("window", [(NAN, 130.0), (20.0, INF), (130.0, 20.0), (20.0, 20.0)])
     def test_window_rejected(self, window):
         with pytest.raises(ValidationError, match="w must be finite with lo < hi"):
@@ -152,10 +168,25 @@ def test_non_finite_rejected(build):
         (lambda: YieldConfig(7.7, 1, trials=True), "trials must be an integer >= 1, got True"),
         (lambda: YieldConfig(7.7, 1, n_threads=1.5),
          "n_threads must be an integer >= 1 and <= 64, got 1.5"),
+        # a bool tiled one cell; a float raised a bare TypeError
+        (lambda: tile(CELL, True, 1), "m must be an integer >= 1, got True"),
+        (lambda: tile(CELL, 1.5, 1), "m must be an integer >= 1, got 1.5"),
+        (lambda: tile(CELL, 1, 2.0), "n must be an integer >= 1, got 2.0"),
+        (lambda: QubitLattice(2.0, 1, (1.0, 2.0)), "rows must be an integer >= 1, got 2.0"),
+        (lambda: QubitLattice(True, 2, (1.0, 2.0)), "rows must be an integer >= 1, got True"),
+        (lambda: QubitLattice(1, 2.0, (1.0, 2.0)), "cols must be an integer >= 1, got 2.0"),
+        # 2.5 dice projected 1 chip, True dice 0
+        (lambda: wafer_projection(0.5, dice=2.5),
+         f"dice must be an integer >= 0 and < {2**53}, got 2.5"),
+        (lambda: wafer_projection(0.5, dice=True),
+         f"dice must be an integer >= 0 and < {2**53}, got True"),
+        (lambda: wilson_interval(1.0, 3), "passes must be an integer >= 0 and <= 3, got 1.0"),
     ],
     ids=["campaign-seed-float", "campaign-seed-bool", "sample_fabricated-seed-float",
          "yield-seed-float", "yield-seed-float-1.9", "yield-seed-bool", "yield-seed-negative",
-         "yield-trials-float", "yield-trials-bool", "yield-threads-float"],
+         "yield-trials-float", "yield-trials-bool", "yield-threads-float", "tile-m-bool",
+         "tile-m-float", "tile-n-float", "lattice-rows-float", "lattice-rows-bool",
+         "lattice-cols-float", "wafer-dice-float", "wafer-dice-bool", "wilson-passes-float"],
 )
 def test_integer_field_refuses_float_bool_or_negative(build, message):
     with pytest.raises(ValidationError) as exc:
@@ -186,6 +217,58 @@ def test_invert_R_names_non_finite_frequency(f):
     ids=["design-node", "measured-node", "design-edge", "measured-edge"],
 )
 def test_lattice_names_node_or_edge(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # more chips than dice
+        (lambda: wafer_projection(2.0, dice=10),
+         "yield_fraction must be finite and >= 0 and <= 1, got 2.0"),
+        # ZeroDivisionError, math domain errors and an OverflowError
+        (lambda: wilson_interval(0, 0), "trials must be >= 1 and <= 10000000000, got 0"),
+        (lambda: wilson_interval(5, 3), "passes must be >= 0 and <= 3, got 5"),
+        (lambda: wilson_interval(-1, 3), "passes must be >= 0 and <= 3, got -1"),
+        (lambda: wilson_interval(1, 10**200),
+         f"trials must be >= 1 and <= 10000000000, got {10**200}"),
+        # nan centred to [nan, nan] and a spread of nan; 1e308 + 1e308 to [-inf, -inf]
+        (lambda: subtract_global_offset([[1.0, NAN]]), "chip 0 deviation 1 must be finite, got nan"),
+        (lambda: spread_after_centering([[1.0, NAN]]),
+         "chip 0 deviation 1 must be finite, got nan"),
+        (lambda: subtract_global_offset([[0.0], [1.0, INF]]),
+         "chip 1 deviation 1 must be finite, got inf"),
+        (lambda: subtract_global_offset([[1e308, 1e308]]),
+         "chip 0: centring on its mean overflows"),
+        # the mean is finite, but a deviation minus it is not
+        (lambda: subtract_global_offset([[1.7e308, -1.7e308, -1.7e308]]),
+         "chip 0: centring on its mean overflows"),
+        # accepted, and save_design would have written Infinity
+        (lambda: UnitCellDesign(CELL.offsets_mhz, base_frequency_mhz=INF),
+         "base_frequency_mhz must be finite, got inf"),
+        (lambda: UnitCellDesign(CELL.offsets_mhz, base_frequency_mhz=10**400),
+         "base_frequency_mhz must be finite, got a 1329-bit int"),
+        # bare OverflowErrors
+        (lambda: UnitCellDesign([[10**400, *ROWS[0][1:]], *ROWS[1:]]),
+         "offsets_mhz[0][0] must be finite, got a 1329-bit int"),
+        (lambda: QubitLattice(1, 1, (10**400,)),
+         "nodes[0].design_mhz must be finite, got a 1329-bit int"),
+        (lambda: QubitLattice(1, 2, (1.0, 2.0), (1.0, -(10**400))),
+         "nodes[1].measured_mhz must be finite, got a 1329-bit int"),
+        (lambda: QubitLattice(1, 2, (f for f in (1.0, 10**400))),
+         "nodes[1].design_mhz must be finite, got a 1329-bit int"),
+        # inf - inf warned while the torus edges were checked
+        (lambda: UnitCellDesign([[INF] * 3] * 3), "offsets_mhz[0][0] must be finite, got inf"),
+    ],
+    ids=["wafer-yield-above-one", "wilson-no-trials", "wilson-passes-above-trials",
+         "wilson-passes-negative", "wilson-trials-huge", "centre-nan", "spread-nan",
+         "centre-inf", "centre-mean-overflows", "centre-difference-overflows",
+         "cell-base-inf", "cell-base-huge-int", "cell-offset-huge-int", "lattice-design-huge-int",
+         "lattice-measured-huge-int", "lattice-generator-huge-int", "cell-offsets-inf"],
+)
+def test_value_out_of_range_or_beyond_a_float(build, message):
     with pytest.raises(ValidationError) as exc:
         build()
     assert str(exc.value) == message

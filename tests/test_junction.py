@@ -7,6 +7,7 @@ import pytest
 from jjtrim import junction
 from jjtrim.errors import ValidationError
 from jjtrim.junction import (
+    PROBE_DELAY_HR,
     RELAX_BREAKPOINTS_HR,
     RELAX_EXPONENTS,
     relaxation_delta,
@@ -19,6 +20,27 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def ids(n):
     return [f"Q{i:03d}" for i in range(n)]
+
+
+def loop_amplitudes():
+    """Each regime's amplitude glued to the one before it, one breakpoint at a time."""
+    amps = [1.0]
+    for k, b in enumerate(RELAX_BREAKPOINTS_HR):
+        amps.append(amps[k] * b ** (RELAX_EXPONENTS[k] - RELAX_EXPONENTS[k + 1]))
+    return tuple(amps)
+
+
+def loop_shape_unnormalized(t_hr):
+    """The unnormalized trajectory, its regime found by walking the
+    breakpoints: the oracle for ``junction._shape_unnormalized``."""
+    if t_hr == 0:
+        return 0.0
+    k = 0
+    for b in RELAX_BREAKPOINTS_HR:
+        if t_hr <= b:
+            break
+        k += 1
+    return loop_amplitudes()[k] * t_hr ** RELAX_EXPONENTS[k]
 
 
 class TestFabrication:
@@ -82,6 +104,18 @@ class TestRelaxation:
             s = np.array([relaxation_shape(x) for x in t])
             slope = np.polyfit(np.log(t), np.log(s), 1)[0]
             assert slope == pytest.approx(RELAX_EXPONENTS[k], abs=1e-6)
+
+    def test_shape_matches_breakpoint_walk_bit_for_bit(self):
+        assert junction._RELAX_AMPLITUDES == loop_amplitudes()
+        assert junction._RELAX_NORM == loop_shape_unnormalized(PROBE_DELAY_HR)
+        near = [np.nextafter(b, edge) for b in RELAX_BREAKPOINTS_HR for edge in (0.0, np.inf)]
+        times = [*np.geomspace(1e-6, 1e6, 20_001).tolist(), *RELAX_BREAKPOINTS_HR,
+                 *map(float, near), 0.0, -0.0, 0, 1e-300, 1e300]
+        got = np.array([relaxation_shape(t) for t in times])
+        norm = loop_shape_unnormalized(PROBE_DELAY_HR)
+        want = np.array([loop_shape_unnormalized(t) / norm for t in times])
+        # compared as bit patterns, so a -0.0 would not pass for 0.0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):

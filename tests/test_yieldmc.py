@@ -118,7 +118,29 @@ class TestUnitCell:
         assert generate_unit_cell(seed=3).offsets_mhz == generate_unit_cell(seed=3).offsets_mhz
 
 
+def lookup_tile(cell, m, n):
+    """Each node's offset looked up by its position in the cell: the oracle for ``tile``."""
+    rows, cols = 3 * m, 3 * n
+    offs = cell.offsets_mhz
+    freqs = [cell.base_frequency_mhz + offs[r % 3][c % 3] for r in range(rows) for c in range(cols)]
+    return QubitLattice(rows=rows, cols=cols, design_f01max=tuple(freqs))
+
+
 class TestTiling:
+    @pytest.mark.parametrize("seed", [7, 1, 3])
+    def test_matches_cell_lookup(self, seed):
+        cell = generate_unit_cell(seed=seed)
+        for m, n in [(1, 1), (2, 6), (6, 6), (6, 18), (100, 111)]:
+            lat, want = tile(cell, m, n), lookup_tile(cell, m, n)
+            assert lat == want
+            assert set(map(type, lat.design_f01max)) == {float}
+
+    def test_overflowing_node_named_without_warning(self):
+        # a window of [0, 10] admits a flat cell; base + offset is inf
+        cell = UnitCellDesign(((1e308,) * 3,) * 3, 1e308, design_window_mhz=(0.0, 10.0))
+        with pytest.raises(ValidationError, match=r"nodes\[0\]\.design_mhz must be finite, got inf"):
+            tile(cell, 1, 1)
+
     def test_single_cell(self):
         lat = tile(UnitCellDesign(offsets_mhz=ADDITIVE_CELL), 1, 1)
         assert lat.n_qubits == 9
