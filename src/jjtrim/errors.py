@@ -1,7 +1,10 @@
-"""The toolkit's two exceptions, one per non-zero exit code, and the one range
-check every config field, function argument, CLI flag and file column goes through."""
+"""The toolkit's two exceptions, one per non-zero exit code, and the one rule
+every config field, function argument, CLI flag and file column goes through:
+a real number is an int or float that a float can hold, returned as a float,
+and an integer field takes only an int, compared exactly."""
 
-import math
+import operator
+import sys
 
 import numpy as np
 
@@ -22,66 +25,62 @@ class InfeasibleError(RuntimeError):
     """A search (parking, unit cell) or a tuning loop found no solution in its bounds (exit 3)."""
 
 
-def check(name, value, gt=None, ge=None, lt=None, le=None, integer=False):
-    """``value`` if it is finite and within the given bounds, else a
-    ValidationError naming ``name`` and the rule.
+# Each bound's symbol and comparison (elementwise on an array), in message order.
+_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge),
+           "lt": ("<", operator.lt), "le": ("<=", operator.le)}
 
-    A Python int is compared as it is, never converted to float, so a huge
-    integer flag fails its bounds instead of overflowing; one too long for
-    ``str`` is named by its size. With ``integer``, as for a seed or a count,
-    a float or a bool is refused instead of being truncated.
-    """
+
+def is_real(value):
+    """Whether a float holds ``value`` (elementwise on an array): NaN, +-inf
+    and an int beyond the float range fail this comparison."""
+    return abs(value) <= sys.float_info.max
+
+
+def _shown(value):
+    try:
+        return str(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"
+
+
+def check(name, value, integer=False, **bounds):
+    """``value`` as a float if it is real and within ``bounds`` (``gt``, ``ge``,
+    ``lt``, ``le``; compared before any conversion), else a ValidationError
+    naming ``name`` and the rule. With ``integer``, as for a seed or a count, it
+    must be an int (a float or a bool is refused, never truncated), returned as is."""
     whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if (
-        (whole if integer else type(value) is int or math.isfinite(value))
-        and (gt is None or value > gt)
-        and (ge is None or value >= ge)
-        and (lt is None or value < lt)
-        and (le is None or value <= le)
-    ):
-        return value
-    bounds = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
-    rule = " and ".join(f"{op} {bound}" for op, bound in bounds if bound is not None)
+    inside = whole or not integer
+    for op, bound in bounds.items():
+        inside = inside and _BOUNDS[op][1](value, bound)
+    if inside and (integer or is_real(value)):
+        return value if integer else float(value)
+    rule = " and ".join(f"{sym} {bounds[op]}" for op, (sym, _) in _BOUNDS.items() if op in bounds)
     if integer and not whole:
         rule = f"an integer {rule}".rstrip()
-    elif type(value) is not int:
+    elif type(value) is not int or inside:
         rule = f"finite and {rule}" if rule else "finite"
-    try:
-        shown = str(value)
-    except ValueError:  # an int past sys.get_int_max_str_digits()
-        shown = f"an integer of {value.bit_length()} bits"
+    shown = f"a {value.bit_length()}-bit int" if type(value) is int and inside else _shown(value)
     raise ValidationError(f"{name} must be {rule}, got {shown}")
-
-
-def check_float(name, value) -> float:
-    """``check(name, value)`` as a float; an int too large for a float is not finite."""
-    try:
-        return float(check(name, value))
-    except OverflowError:
-        raise ValidationError(f"{name} must be finite, got a {value.bit_length()}-bit int") from None
-
-
-_COMPARE = {"gt": np.greater, "ge": np.greater_equal, "lt": np.less}
 
 
 def check_rows(where, columns, bounds):
     """``check`` on every row of a column set at once; ``bounds`` maps a column
     to ``check``'s bounds. The first failing row raises ``check``'s error for
     its first failing column, named ``where[row].column``."""
-    ok = True
+    ok, columns = True, {name: np.asarray(columns[name]) for name in bounds}
     for name, rule in bounds.items():
-        ok = ok & np.isfinite(columns[name])
+        ok = ok & is_real(columns[name])
         for op, bound in rule.items():
-            ok = ok & _COMPARE[op](columns[name], bound)
+            ok = ok & _BOUNDS[op][1](columns[name], bound)
     if not np.all(ok):
         row = int(np.argmin(ok))
         for name, rule in bounds.items():
-            check(f"{where}[{row}].{name}", np.asarray(columns[name])[row].item(), **rule)
+            check(f"{where}[{row}].{name}", columns[name].tolist()[row], **rule)
 
 
 def check_window(name, window):
-    """``window`` as a (lo, hi) pair if both edges are finite and lo < hi."""
+    """``window`` as a (lo, hi) pair of floats if both edges are real and lo < hi."""
     lo, hi = window
-    if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
-        return lo, hi
-    raise ValidationError(f"{name} must be finite with lo < hi, got {tuple(window)}")
+    if is_real(lo) and is_real(hi) and lo < hi:
+        return float(lo), float(hi)
+    raise ValidationError(f"{name} must be finite with lo < hi, got ({_shown(lo)}, {_shown(hi)})")

@@ -31,7 +31,7 @@ from . import __version__
 from .controller import (
     RECORD_BOUNDS, RECORD_FIELDS, TARGET_BOUNDS, TARGET_FIELDS, CampaignConfig,
 )
-from .errors import ValidationError, check_rows
+from .errors import ValidationError, check_rows, is_real
 from .freqmodel import PowerLawModel
 from .lattice import QubitLattice
 from .yieldmc import UnitCellDesign
@@ -65,8 +65,7 @@ def _walk(value, schema):
     """
     kind = type(value)
     if schema is float:
-        # A comparison, not math.isfinite: an int too large for a float fails it.
-        if (kind is float or kind is int) and abs(value) <= sys.float_info.max:
+        if (kind is float or kind is int) and is_real(value):
             return float(value)
     elif kind is schema:
         return value

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check, check_float, check_rows, check_window
+from .errors import InfeasibleError, ValidationError, check, check_rows, check_window
 
 # Candidate park offsets per qubit (max_park / step) beyond which the
 # search is refused rather than left to grow without bound.
@@ -45,24 +45,20 @@ class QubitLattice:
         n, grids = self.rows * self.cols, {}
         names = ("design",) if self.measured_f01max is None else ("design", "measured")
         for name in names:
-            grid = tuple(getattr(self, f"{name}_f01max"))  # read twice if a node overflows
-            try:
-                grid = tuple(map(float, grid))
-            except OverflowError:  # an int too large for a float, named by its node
-                grid = tuple(check_float(f"nodes[{i}].{name}_mhz", f) for i, f in enumerate(grid))
-            object.__setattr__(self, f"{name}_f01max", grid)
+            grid = tuple(getattr(self, f"{name}_f01max"))
             if len(grid) != n:
                 raise ValidationError(f"expected {n} {name} frequencies, got {len(grid)}")
             grids[f"{name}_mhz"] = grid
-        f = np.array(list(grids.values())).reshape(len(grids), self.rows, self.cols)
-        if not np.isfinite(f).all():
-            check_rows("nodes", grids, dict.fromkeys(grids, {}))
+        check_rows("nodes", grids, dict.fromkeys(grids, {}))  # each node a float can hold
+        f = np.array(list(grids.values()), dtype=float).reshape(len(grids), self.rows, self.cols)
+        for name, grid in zip(names, f.reshape(len(names), n).tolist()):
+            object.__setattr__(self, f"{name}_f01max", tuple(grid))
         with np.errstate(over="ignore"):
             steps = ((1, f[:, :, 1:] - f[:, :, :-1]), (self.cols, f[:, 1:] - f[:, :-1]))
         for step, d in steps:  # right, then lower neighbours
             if not np.isfinite(d).all():
                 k, r, c = np.unravel_index(np.argmin(np.isfinite(d)), d.shape)
-                (name, g), a = list(grids.items())[k], int(r * self.cols + c)
+                name, g, a = list(grids)[k], f[k].ravel().tolist(), int(r * self.cols + c)
                 raise ValidationError(
                     f"edge ({a}, {a + step}) {name} detuning {g[a]} - {g[a + step]} overflows")
 
@@ -130,7 +126,11 @@ def spread_after_centering(chips) -> float:
     pooled = np.concatenate(subtract_global_offset(chips))
     if pooled.size < 2:
         raise ValidationError(f"need at least 2 pooled samples, got {pooled.size}")
-    return float(pooled.std())
+    with np.errstate(over="ignore"):  # a deviation past sqrt(float max) squares to inf
+        spread = float(pooled.std())
+    if not math.isfinite(spread):
+        raise ValidationError(f"the pooled spread of {pooled.size} centred deviations overflows")
+    return spread
 
 
 def detuning_error_sigma(sigma_f_mhz: float) -> float:

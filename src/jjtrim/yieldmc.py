@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check, check_float, check_window
+from .errors import InfeasibleError, ValidationError, check, check_window
 from .lattice import QubitLattice
 
 DESIGN_WINDOW_MHZ = (40.0, 110.0)
@@ -75,11 +75,12 @@ class UnitCellDesign:
     design_window_mhz: tuple[float, float] = DESIGN_WINDOW_MHZ
 
     def __post_init__(self):
-        offs = tuple(tuple(check_float(f"offsets_mhz[{r}][{c}]", v) for c, v in enumerate(row))
+        offs = tuple(tuple(check(f"offsets_mhz[{r}][{c}]", v) for c, v in enumerate(row))
                      for r, row in enumerate(self.offsets_mhz))
         object.__setattr__(self, "offsets_mhz", offs)
-        check_float("base_frequency_mhz", self.base_frequency_mhz)
-        bad = unit_cell_violations(offs, self.design_window_mhz)
+        check("base_frequency_mhz", self.base_frequency_mhz)
+        window = [check(f"design_window_mhz[{i}]", e) for i, e in enumerate(self.design_window_mhz)]
+        bad = unit_cell_violations(offs, window)
         if bad:
             raise ValidationError(
                 "unit cell violates its design window: " + "; ".join(bad)
@@ -160,6 +161,7 @@ def wilson_interval(passes: int, trials: int, z: float = 1.959964) -> tuple[floa
     """95% Wilson score interval for a binomial proportion over 1 to MAX_QUBIT_TRIALS trials."""
     check("trials", trials, ge=1, le=MAX_QUBIT_TRIALS, integer=True)
     check("passes", passes, ge=0, le=trials, integer=True)
+    z = check("z", z, gt=0)
     p = passes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -2,23 +2,24 @@
 and every seed or count is an integer.
 
 ``errors.check`` and ``errors.check_window`` hold the rule; the tables below
-hold one non-finite, reversed, repeated or fractional input per library
-boundary that once let it through.
+hold one non-finite, huge, reversed, repeated or fractional input per library
+boundary that once let it through or raised a bare error on it.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from jjtrim.controller import CampaignConfig, campaign_stats, run_campaign
-from jjtrim.errors import ValidationError, check, check_float, check_window
+from jjtrim.errors import ValidationError, check, check_rows, check_window
 from jjtrim.freqmodel import (
     PowerLawModel, fit_power_law, freq_equiv_sigma, invert_R, predict_f,
 )
 from jjtrim.junction import relaxation_delta, relaxation_shape, sample_fabricated
 from jjtrim.lattice import (
-    QubitLattice, detuning_error_sigma, optimize_parking, spread_after_centering,
+    QubitLattice, detuning_error_sigma, edge_detunings, optimize_parking, spread_after_centering,
     subtract_global_offset,
 )
 from jjtrim.yieldmc import (
@@ -82,7 +83,10 @@ class TestCheck:
         assert check("x", np.int64(3), ge=1, integer=True) == 3
 
     def test_huge_int_is_not_converted(self):
-        assert check("n", 10**400, ge=1) == 10**400
+        # a real field refuses it by name; an integer field keeps it exact
+        with pytest.raises(ValidationError, match="^n must be finite and >= 1, got a 1329-bit"):
+            check("n", 10**400, ge=1)
+        assert check("n", 10**400, ge=1, integer=True) == 10**400
         with pytest.raises(ValidationError, match="n must be >= 1"):
             check("n", -(10**400), ge=1)
         # 2**53 + 1 as a float would equal its cap
@@ -99,20 +103,27 @@ class TestCheck:
                           YieldConfig(7.7, 1, trials=10**5000))
 
     def test_check_float(self):
-        assert check_float("x", 3) == 3.0 and type(check_float("x", 3)) is float
+        assert check("x", 3) == 3.0 and type(check("x", 3)) is float
         with pytest.raises(ValidationError, match="^x must be finite, got nan$"):
-            check_float("x", NAN)
+            check("x", NAN)
         # float() would raise OverflowError
         with pytest.raises(ValidationError, match="^x must be finite, got a 1329-bit int$"):
-            check_float("x", -(10**400))
+            check("x", -(10**400))
 
-    @pytest.mark.parametrize("window", [(NAN, 130.0), (20.0, INF), (130.0, 20.0), (20.0, 20.0)])
+    def test_rows_take_every_bound(self):
+        check_rows("t", {"a": [0.0, -1.0]}, {"a": {"le": 0}})
+        with pytest.raises(ValidationError, match=r"^t\[1\]\.a must be finite and <= 0, got 0.5$"):
+            check_rows("t", {"a": [0.0, 0.5]}, {"a": {"le": 0}})
+
+    @pytest.mark.parametrize("window", [(NAN, 130.0), (20.0, INF), (130.0, 20.0), (20.0, 20.0),
+                                        (0, 10**400), (0, 10**5000)])
     def test_window_rejected(self, window):
         with pytest.raises(ValidationError, match="w must be finite with lo < hi"):
             check_window("w", window)
 
     def test_window_returned_as_pair(self):
         assert check_window("w", [20.0, 130.0]) == (20.0, 130.0)
+        assert list(map(type, check_window("w", (20, 130)))) == [float, float]
 
 
 @pytest.mark.parametrize(
@@ -245,6 +256,9 @@ def test_lattice_names_node_or_edge(build, message):
         # the mean is finite, but a deviation minus it is not
         (lambda: subtract_global_offset([[1.7e308, -1.7e308, -1.7e308]]),
          "chip 0: centring on its mean overflows"),
+        # centred, but numpy warned that the square of 1e200 overflows
+        (lambda: spread_after_centering([[1e200, -1e200]]),
+         "the pooled spread of 2 centred deviations overflows"),
         # accepted, and save_design would have written Infinity
         (lambda: UnitCellDesign(CELL.offsets_mhz, base_frequency_mhz=INF),
          "base_frequency_mhz must be finite, got inf"),
@@ -259,16 +273,58 @@ def test_lattice_names_node_or_edge(build, message):
          "nodes[1].measured_mhz must be finite, got a 1329-bit int"),
         (lambda: QubitLattice(1, 2, (f for f in (1.0, 10**400))),
          "nodes[1].design_mhz must be finite, got a 1329-bit int"),
+        # float() rounded it to the largest float
+        (lambda: QubitLattice(1, 1, (int(sys.float_info.max) + 1,)),
+         "nodes[0].design_mhz must be finite, got a 1024-bit int"),
         # inf - inf warned while the torus edges were checked
         (lambda: UnitCellDesign([[INF] * 3] * 3), "offsets_mhz[0][0] must be finite, got inf"),
     ],
     ids=["wafer-yield-above-one", "wilson-no-trials", "wilson-passes-above-trials",
          "wilson-passes-negative", "wilson-trials-huge", "centre-nan", "spread-nan",
-         "centre-inf", "centre-mean-overflows", "centre-difference-overflows",
+         "centre-inf", "centre-mean-overflows", "centre-difference-overflows", "spread-overflows",
          "cell-base-inf", "cell-base-huge-int", "cell-offset-huge-int", "lattice-design-huge-int",
-         "lattice-measured-huge-int", "lattice-generator-huge-int", "cell-offsets-inf"],
+         "lattice-measured-huge-int", "lattice-generator-huge-int", "lattice-int-past-float-max",
+         "cell-offsets-inf"],
 )
 def test_value_out_of_range_or_beyond_a_float(build, message):
     with pytest.raises(ValidationError) as exc:
         build()
     assert str(exc.value) == message
+
+
+HUGE = 10**400
+
+
+# Each was accepted, or raised a bare OverflowError once a float was made of it.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: relaxation_shape(HUGE), "t_hr must be finite and >= 0"),
+        (lambda: relaxation_delta(0.03, HUGE, 5.0), "r_stop must be finite and > 0"),
+        (lambda: sample_fabricated(HUGE, 1, ["q"]), "design_resistance must be finite and > 0"),
+        (lambda: detuning_error_sigma(HUGE), "sigma_f_mhz must be finite and >= 0"),
+        (lambda: optimize_parking(PAIR, (20.0, 130.0), HUGE, 1.0),
+         "max_park must be finite and >= 0"),
+        (lambda: optimize_parking(PAIR, (0, HUGE), 50.0, 1.0),
+         "window must be finite with lo < hi"),
+        (lambda: edge_detunings(PAIR, (0, HUGE)), "window must be finite with lo < hi"),
+        (lambda: freq_equiv_sigma(MODEL, HUGE, 0.003), "f_pred must be finite and > 0"),
+        (lambda: PowerLawModel(HUGE, 0.5, 1.0, 3000.0, 7000.0), "beta must be finite and > 0"),
+        (lambda: CampaignConfig(0, noise_sigma=HUGE), "noise_sigma must be finite and >= 0"),
+        (lambda: YieldConfig(HUGE, 1), "sigma_f must be finite and >= 0"),
+        (lambda: YieldConfig(7.7, 1, window_mhz=(0, HUGE)), "window must be finite with lo < hi"),
+        (lambda: UnitCellDesign(CELL.offsets_mhz, design_window_mhz=(0, HUGE)),
+         "design_window_mhz[1] must be finite"),
+        (lambda: wilson_interval(1, 3, z=HUGE), "z must be finite and > 0"),
+    ],
+    ids=["relaxation_shape-t_hr", "relaxation_delta-r_stop", "sample_fabricated-design",
+         "detuning_error_sigma", "optimize_parking-max_park", "optimize_parking-window",
+         "edge_detunings-window", "freq_equiv_sigma-f_pred", "PowerLawModel-beta",
+         "CampaignConfig-noise_sigma", "YieldConfig-sigma_f", "YieldConfig-window",
+         "UnitCellDesign-window", "wilson_interval-z"],
+)
+def test_int_beyond_float_range_refused_by_name(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    window = message.endswith("lo < hi")
+    assert str(exc.value) == message + (f", got (0, {HUGE})" if window else ", got a 1329-bit int")
