@@ -21,19 +21,24 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import InfeasibleError, ValidationError, check, check_rows
 
 _STEP_BATCH = 512
-_BLOCK = 32  # qubits per pulse-loop block: many per array call, a small step buffer
+_BLOCK = 256  # qubits per walk block: many per array call, a step buffer of at most 1 MB
+# Probe-noise sigmas below its threshold that a qubit walks pulse by pulse;
+# below them a read crosses with probability at most Q(6) = 1e-9 (``_jump``).
+_WALK_SIGMAS = 6.0
 # Mean per-pulse resistance increment, Ohm. Steps are exponential: their
 # renewal overshoot is again exponential with the same mean, which reproduces
 # the observed last-pulse overshoot statistics with this one parameter.
 MEAN_STEP_OHM = 1.9
-# Largest campaign, in qubits: 300 000 took 7.4-8.8 s (median 8.4 s) and 483 MB
-# peak RSS on a 2-vCPU guest, so this cap extrapolates to about 28 s and 1.6 GB.
+# Largest campaign, in qubits: 300 000 took 4.7-6.8 s (median 5.4 s) and 482 MB
+# peak RSS on a 2-vCPU guest, so this cap extrapolates to about 18 s and 1.6 GB.
 # A larger one is refused before any qubit is sampled.
 MAX_CAMPAIGN_QUBITS = 1_000_000
 # Pulses after which one qubit's tuning loop gives up with exit 3.
 MAX_PULSES = 10**6
 # Largest campaign, in expected pulses (the qubits' gaps to threshold over
-# MEAN_STEP_OHM), refused before the first pulse: about 25 s at 24 ns a pulse.
+# MEAN_STEP_OHM), refused before the first pulse. The jump draws a qubit's
+# pulses up to its walk at once, but a qubit whose probe noise spans its gap
+# still walks all of it, up to its gap / MEAN_STEP_OHM pulses.
 MAX_CAMPAIGN_PULSES = 10**9
 
 # Targets and records are column sets: each name (its JSON key, in file order)
@@ -159,11 +164,57 @@ def _target_rows(ids) -> dict:
 
 
 def _first_batch(gap: float) -> int:
-    """Steps in a noiseless block's first batch, given its largest gap to
-    threshold: the mean pulse count m = gap / MEAN_STEP_OHM plus 4 sqrt(m) + 16,
-    so that a qubit rarely needs more, and at most one window."""
-    m = max(gap, 0.0) / MEAN_STEP_OHM
+    """Steps in the walk's first batch, given the gap it covers: the mean
+    pulse count m = gap / MEAN_STEP_OHM plus 4 sqrt(m) + 16, so that a qubit
+    rarely needs more, and at most ``_STEP_BATCH`` (also for an infinite gap)."""
+    m = min(max(gap, 0.0) / MEAN_STEP_OHM, _STEP_BATCH)
     return min(_STEP_BATCH, math.ceil(m + 4 * math.sqrt(m) + 16))
+
+
+def _normal_tail(z: float) -> float:
+    """Q(z) = erfc(z / sqrt 2) / 2, the chance that a standard normal draw is at least z."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _tail_draw(rng, a: float) -> float:
+    """A standard normal draw conditioned on being at least ``a`` > 0, by
+    Marsaglia's tail method (*Technometrics* 6(1), 1964): from each pair of
+    uniforms (u, v), x = sqrt(a^2 - 2 ln(1 - u)) is kept when v x < a."""
+    while True:
+        u, v = rng.random(2).tolist()
+        x = math.sqrt(a * a - 2.0 * math.log1p(-u))
+        if v * x < a:
+            return x
+
+
+def _jump(rng, r, low, threshold, noise, bound):
+    """One qubit's pulses from ``r`` up to ``low``, by renewal law, as
+    (resistance, read, pulses): the pulses are the points of a Poisson
+    process of rate 1 / MEAN_STEP_OHM on the resistance axis.
+
+    A read at x below ``low`` crosses the threshold with probability
+    Q((threshold - x) / noise) <= ``bound``, so the crossings are found by
+    thinning (Lewis & Shedler, *Naval Res. Logist. Q.* 26(3), 1979):
+    Poisson(span bound / mu) candidates at uniform positions, each kept with
+    probability Q(...) / ``bound``. The qubit stops at the first kept one,
+    its read drawn from the normal tail past the threshold, redrawn until
+    it is at or above it in floating point; its pulse index is 1 + the
+    candidates before it + Poisson((x - r)(1 - bound) / mu). Otherwise it
+    reaches ``low`` after the candidates and Poisson(span (1 - bound) / mu)
+    other pulses, with no read at or above the threshold (-inf).
+    """
+    span = low - r
+    k = int(rng.poisson(span * bound / MEAN_STEP_OHM)) if bound else 0
+    if k:
+        positions = np.sort(r + span * rng.random(k)).tolist()
+        for j, (x, v) in enumerate(zip(positions, rng.random(k).tolist())):
+            a = (threshold - x) / noise
+            if v * bound < _normal_tail(a):
+                a, read = max(a, _WALK_SIGMAS), -math.inf  # a is below it only by rounding
+                while read < threshold:
+                    read = x + noise * _tail_draw(rng, a)
+                return x, read, 1 + j + int(rng.poisson((x - r) * (1 - bound) / MEAN_STEP_OHM))
+    return low, -math.inf, k + int(rng.poisson(span * (1 - bound) / MEAN_STEP_OHM))
 
 
 def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> dict:
@@ -178,8 +229,6 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
     needs more than ``MAX_PULSES`` pulses fails the campaign, named by the
     lowest row of any that do.
     """
-    r_untuned = np.array(r_untuned, float)
-    relax_fraction = np.asarray(relax_fraction, float)
     ids = list(targets["qubit_id"])
     if not len(r_untuned) == len(relax_fraction) == len(ids):
         raise ValidationError(f"qubit/target length mismatch: {len(r_untuned)} vs {len(ids)}")
@@ -187,28 +236,28 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
     check_rows("targets", targets, TARGET_BOUNDS)
     check_rows("qubits", {"r_untuned": r_untuned, "relax_fraction": relax_fraction},
                {"r_untuned": {"gt": 0}, "relax_fraction": {"ge": 0}})
+    r_untuned = np.array(r_untuned, float)
+    relax_fraction = np.asarray(relax_fraction, float)
     threshold = np.asarray(targets["target_resistance"], float) / (
         1.0 + np.asarray(targets["relaxation_reserve"], float))
     r_last, r_tuned, pulses = np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids), int)
     # past the float range a read (as in Generator.normal) or the gap sum is inf, and is rejected
     with np.errstate(all="ignore"):
-        gap = threshold - r_untuned
-        check("expected campaign pulses", float(np.maximum(gap, 0).sum()) / MEAN_STEP_OHM,
+        check("expected campaign pulses",
+              float(np.maximum(threshold - r_untuned, 0).sum()) / MEAN_STEP_OHM,
               le=MAX_CAMPAIGN_PULSES)
         states = _qubit_states(config.master_seed, ids)
-        # Blocks of like gaps, so one first batch fits each block's qubits;
-        # each block's streams are built from their states as it starts.
-        order = np.argsort(gap, kind="stable")
+        # Blocks in row order, so the first block with a failing qubit holds
+        # the lowest failing row; each block's streams are built as it starts.
         for start in range(0, len(ids), _BLOCK):
-            block = order[start:start + _BLOCK]
+            block = slice(start, start + _BLOCK)
             r_last[block], r_tuned[block], pulses[block] = _tune_block(
                 r_untuned[block], relax_fraction[block], threshold[block],
                 [_stream(state) for state in states[block]], config.noise_sigma,
             )
-    # gap order can tune a failing qubit before a lower row that also fails
-    over = np.flatnonzero(pulses > MAX_PULSES)
-    if over.size:
-        raise InfeasibleError(f"qubit {ids[over[0]]}: max_pulses={MAX_PULSES} exceeded")
+            over = start + np.flatnonzero(pulses[block] > MAX_PULSES)
+            if over.size:
+                raise InfeasibleError(f"qubit {ids[over[0]]}: max_pulses={MAX_PULSES} exceeded")
     return {"qubit_id": ids, "r_untuned": r_untuned, "threshold": threshold,
             "r_last_pulse": r_last, "r_tuned": r_tuned, "pulses": pulses,
             "already_above_target": pulses == 0}
@@ -216,32 +265,50 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
 
 def _tune_block(r, rho, threshold, rngs, noise):
     """``run_campaign`` on one block: (last read, probe, pulses) per qubit;
-    a qubit that never crossed has ``MAX_PULSES + 1`` pulses.
+    a qubit still below its threshold past ``MAX_PULSES`` pulses stops there,
+    with more than ``MAX_PULSES``.
 
-    Steps come in windows of ``_STEP_BATCH``. In each batch every qubit still
-    below its threshold draws the rest of its window (a noiseless block's
-    first batch only ``_first_batch`` steps), then with a noisy probe as many
-    read errors, and the block finds every first crossing at once.
-    ``standard_exponential`` draws the same steps however they are split, and
-    a batch that goes on inside a window adds the window's running sum to its
-    first step, so its ``cumsum`` goes on from the window's and each read is
-    the float that the whole window in one batch gives. A noisy stream
-    interleaves a window of steps with a window of errors, so its first batch
-    is a whole window. A noisy probe also draws one error for the first read
-    and one for the probe; a noiseless one draws nothing.
+    A qubit jumps, then walks. Below low = threshold - ``_WALK_SIGMAS`` noise
+    a read crosses with probability at most Q(``_WALK_SIGMAS``) (1e-9), and
+    ``_jump`` takes a qubit there by renewal law, finding any crossing
+    below it by thinning; with a noiseless probe low is the threshold and
+    no read below it crosses. The rest is walked pulse by pulse: in each
+    batch every walking qubit draws its steps into its row (the first batch
+    ``_first_batch(_WALK_SIGMAS noise)`` steps, each later one
+    ``_STEP_BATCH``), and the block finds every first crossing at once.
+
+    Each qubit's stream draws, in this order: with a noisy probe, the first
+    read's error (``standard_normal``); if that read is below the threshold
+    and the qubit below low, the jump's ``poisson`` candidate count, their
+    positions and their acceptances (``random``, one per candidate), the
+    crossing's tail read (``random`` pairs), and the ``poisson`` count of
+    the other pulses; then each walk batch's ``standard_exponential`` steps
+    and, with a noisy probe, as many read errors; and with a noisy probe the
+    probe's error. A noiseless probe draws no error and no candidate.
     """
 
     def probe(r):
         return r + noise * np.array([g.standard_normal() for g in rngs]) if noise > 0 else r
 
-    first = _STEP_BATCH if noise > 0 else _first_batch(float((threshold - r).max()))
-    read, r = probe(r).copy(), r.copy()  # r: each qubit's resistance at its window's start
-    carry = np.empty(len(r))  # the steps summed so far in the current window
+    read, r = probe(r).copy(), r.copy()  # r: each qubit's resistance after its last pulse
     pulses = np.zeros(len(r), np.int64)
+    low = threshold - _WALK_SIGMAS * noise
+    bound = _normal_tail(_WALK_SIGMAS) if noise > 0 else 0.0
+    jumps = np.flatnonzero((read < threshold) & (r < low))
+    if jumps.size:  # (resistance, read, pulses) rows; a count below 2**53 is exact as a float
+        r[jumps], read[jumps], pulses[jumps] = np.array([
+            _jump(rngs[i], *args, noise, bound) for i, *args in zip(
+                jumps.tolist(), r[jumps].tolist(), low[jumps].tolist(), threshold[jumps].tolist())
+        ]).T
     active = np.flatnonzero(read < threshold)
-    done = 0
-    while active.size and done < MAX_PULSES:
-        n = min(first if done == 0 else _STEP_BATCH - done % _STEP_BATCH, MAX_PULSES - done)
+    first, done = _first_batch(_WALK_SIGMAS * noise), 0
+    while True:
+        over = pulses[active] + done > MAX_PULSES
+        pulses[active[over]] += done
+        active = active[~over]
+        if not active.size:
+            break
+        n = first if done == 0 else _STEP_BATCH
         steps = np.empty((active.size, n))
         errors = np.empty_like(steps) if noise > 0 else None
         for row, i in enumerate(active.tolist()):
@@ -249,24 +316,16 @@ def _tune_block(r, rho, threshold, rngs, noise):
             if noise > 0:
                 rngs[i].standard_normal(out=errors[row])
         steps *= MEAN_STEP_OHM
-        if done % _STEP_BATCH:  # inside a window: go on from its running sum
-            steps[:, 0] += carry[active]
-        run = np.cumsum(steps, axis=1)
-        cum = r[active, None] + run
+        cum = r[active, None] + np.cumsum(steps, axis=1)
         reads = cum + noise * errors if noise > 0 else cum
         crossed = reads >= threshold[active, None]
         hit = crossed.argmax(axis=1)
         stop = crossed[np.arange(active.size), hit]
         k, h = active[stop], hit[stop]
-        r[k], read[k], pulses[k] = cum[stop, h], reads[stop, h], done + h + 1
-        left = ~stop
-        active = active[left]
+        r[k], read[k], pulses[k] = cum[stop, h], reads[stop, h], pulses[k] + done + h + 1
+        r[active[~stop]] = cum[~stop, -1]
+        active = active[~stop]
         done += n
-        if done % _STEP_BATCH:
-            carry[active] = run[left, -1]
-        else:  # a window ends, and the next starts where it did
-            r[active] = cum[left, -1]
-    pulses[active] = MAX_PULSES + 1
     return read, probe(r + rho * r), pulses
 
 

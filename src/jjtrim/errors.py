@@ -36,6 +36,28 @@ def is_real(value):
     return abs(value) <= sys.float_info.max
 
 
+# An int beyond the float range as NaN, any other element as it is.
+_huge_int_as_nan = np.frompyfunc(lambda v: np.nan if type(v) is int and not is_real(v) else v, 1, 1)
+
+
+def floats(values):
+    """``values`` as a float array in which an int beyond the float range reads
+    NaN, for the caller's finite test to refuse: numpy's own conversion raises
+    a bare OverflowError on such an int, which only an object array can hold.
+    Every other element converts as numpy converts it (None reads NaN)."""
+    values = np.asarray(values)
+    if values.dtype == object:
+        values = _huge_int_as_nan(values)
+    return np.asarray(values, float)
+
+
+def item(values, i):
+    """Element ``i`` of an array, for ``check`` to test and name: an int or a
+    float as given, anything else (None reads NaN) as ``floats`` makes it."""
+    value = values.tolist()[i]
+    return value if type(value) in (int, float) else floats(values[i : i + 1])[0].item()
+
+
 def _shown(value):
     try:
         return str(value)
@@ -50,8 +72,8 @@ def check(name, value, integer=False, **bounds):
     must be an int (a float or a bool is refused, never truncated), returned as is."""
     whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     inside = whole or not integer
-    for op, bound in bounds.items():
-        inside = inside and _BOUNDS[op][1](value, bound)
+    for op, bound in bounds.items():  # a numpy bound would convert a huge int value
+        inside = inside and _BOUNDS[op][1](value, float(bound))
     if inside and (integer or is_real(value)):
         return value if integer else float(value)
     rule = " and ".join(f"{sym} {bounds[op]}" for op, (sym, _) in _BOUNDS.items() if op in bounds)
@@ -69,13 +91,14 @@ def check_rows(where, columns, bounds):
     its first failing column, named ``where[row].column``."""
     ok, columns = True, {name: np.asarray(columns[name]) for name in bounds}
     for name, rule in bounds.items():
-        ok = ok & is_real(columns[name])
+        values = floats(columns[name])
+        ok = ok & is_real(values)
         for op, bound in rule.items():
-            ok = ok & _BOUNDS[op][1](columns[name], bound)
+            ok = ok & _BOUNDS[op][1](values, bound)
     if not np.all(ok):
         row = int(np.argmin(ok))
         for name, rule in bounds.items():
-            check(f"{where}[{row}].{name}", columns[name].tolist()[row], **rule)
+            check(f"{where}[{row}].{name}", item(columns[name], row), **rule)
 
 
 def check_window(name, window):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check
+from .errors import ValidationError, check, floats
 
 # The automatic breakpoint search tries every pair of FIT_CANDIDATES
 # log-spaced times, and every segment needs FIT_MIN_POINTS points.
@@ -64,7 +64,7 @@ def fit_power_law(r, f) -> PowerLawModel:
 
 def predict_f(model: PowerLawModel, r):
     """Predicted frequency (MHz) at resistance r (Ohm)."""
-    r = np.asarray(r, dtype=float)
+    r = floats(r)
     if not np.all(np.isfinite(r) & (r > 0)):
         raise ValidationError("resistance must be finite and positive")
     out = model.beta * r**(-model.alpha)
@@ -73,7 +73,7 @@ def predict_f(model: PowerLawModel, r):
 
 def invert_R(model: PowerLawModel, f):
     """Resistance (Ohm) whose predicted frequency is f (MHz)."""
-    f = np.asarray(f, dtype=float)
+    f = floats(f)
     if not np.all(np.isfinite(f) & (f > 0)):
         raise ValidationError("frequency must be finite and positive")
     out = _inverse(model, f)
@@ -93,7 +93,7 @@ def assign_target_R(model: PowerLawModel, f_design, aging_budget: float = AGING_
     """Target resistances for a column of design frequencies (a float for one),
     deflated by the aging budget; the first faulty one raises what it raises alone."""
     check("aging_budget", aging_budget, ge=0, lt=1)
-    f = np.asarray(f_design, dtype=float)
+    f = floats(f_design)
     r = _inverse(model, f)
     ok = np.isfinite(f) & (f > 0) & np.isfinite(r) & (model.r_min <= r) & (r <= model.r_max)
     if not np.all(ok):
@@ -118,7 +118,7 @@ def freq_equiv_sigma(model: PowerLawModel, f_pred: float, sigma_r_rel: float) ->
 def _sorted_columns(u, w, names, min_points):
     """u and w as float arrays sorted by u, once both are equal-length 1-D
     columns of at least ``min_points`` finite, positive values."""
-    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    u, w = floats(u), floats(w)
     if u.shape != w.shape or u.ndim != 1 or u.size < min_points:
         raise ValidationError(f"need equal-length 1-D {names} of >= {min_points} points")
     if not np.all(np.isfinite([u, w]) & (np.array([u, w]) > 0)):

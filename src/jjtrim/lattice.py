@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check, check_rows, check_window
+from .errors import (
+    InfeasibleError, ValidationError, check, check_rows, check_window, floats, is_real, item,
+)
 
 # Candidate park offsets per qubit (max_park / step) beyond which the
 # search is refused rather than left to grow without bound.
@@ -104,18 +106,18 @@ def edge_detunings(lattice: QubitLattice, window: tuple[float, float] | None = N
 
 def subtract_global_offset(chips) -> list[np.ndarray]:
     """Center each chip's frequency deviations on its own mean."""
-    chips = [np.asarray(list(c), dtype=float) for c in chips]
+    chips = [np.asarray(list(c)) for c in chips]
     if not chips:
         raise ValidationError("need at least one chip")
     for i, c in enumerate(chips):
         if c.size == 0:
             raise ValidationError(f"chip {i} has no deviations")
     with np.errstate(all="ignore"):  # a chip that is not finite once centred is named below
-        centred = [c - c.mean() for c in chips]
+        centred = [c - c.mean() for c in map(floats, chips)]
     for i, (c, d) in enumerate(zip(chips, centred)):
         if not np.isfinite(d).all():
-            j = int(np.argmin(np.isfinite(c)))  # 0 if every deviation is finite
-            check(f"chip {i} deviation {j}", c[j].item())
+            j = int(np.argmin(is_real(floats(c))))  # 0 if every deviation is real
+            check(f"chip {i} deviation {j}", item(c, j))
             raise ValidationError(f"chip {i}: centring on its mean overflows")
     return centred
 

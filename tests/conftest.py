@@ -53,10 +53,75 @@ def oracle_fabricated(design_resistance, rng):
     return float(r), float(rho)
 
 
+def _normal_tail(z):
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 def oracle_record(r_untuned, relax_fraction, target, noise, rng):
-    """One qubit tuned alone, batch by batch: the oracle for
+    """One qubit tuned alone, jump then walk, drawing from ``rng`` in the
+    order ``controller._tune_block`` documents: the oracle for
     ``controller.run_campaign``. ``target`` is a row of the target columns;
     the record is a dict of Python values in ``RECORD_FIELDS`` order."""
+    mu, sigmas = controller.MEAN_STEP_OHM, controller._WALK_SIGMAS
+
+    def probe(r):
+        return r + float(rng.normal(0.0, noise)) if noise > 0 else r
+
+    def tail_read(x, a):
+        # Marsaglia's normal tail past a, redrawn until the read crosses
+        while True:
+            u, v = rng.random(2).tolist()
+            z = math.sqrt(a * a - 2.0 * math.log1p(-u))
+            if v * z < a and x + noise * z >= threshold:
+                return x + noise * z
+
+    def failed():
+        return controller.InfeasibleError(
+            f"qubit {target['qubit_id']}: max_pulses={controller.MAX_PULSES} exceeded")
+
+    threshold = target["target_resistance"] / (1.0 + target["relaxation_reserve"])
+    r, read, pulses = r_untuned, probe(r_untuned), 0
+    low = threshold - sigmas * noise
+    if read < threshold and r < low:
+        bound = _normal_tail(sigmas) if noise > 0 else 0.0
+        span = low - r
+        count = int(rng.poisson(span * bound / mu))
+        xs = sorted(r + span * u for u in rng.random(count).tolist()) if count else []
+        keep = rng.random(count).tolist() if count else []
+        kept = [j for j, x in enumerate(xs)
+                if keep[j] * bound < _normal_tail((threshold - x) / noise)]
+        if kept:
+            x = xs[kept[0]]
+            read = tail_read(x, max((threshold - x) / noise, sigmas))
+            pulses = 1 + kept[0] + int(rng.poisson((x - r) * (1 - bound) / mu))
+            r = x
+        else:
+            pulses = count + int(rng.poisson(span * (1 - bound) / mu))
+            r = low
+    n = controller._first_batch(sigmas * noise)
+    while read < threshold:
+        if pulses > controller.MAX_PULSES:
+            raise failed()
+        cum = r + np.cumsum(rng.exponential(mu, n))
+        reads = cum + rng.normal(0.0, noise, n) if noise > 0 else cum
+        hit = int(np.argmax(reads >= threshold))
+        if reads[hit] >= threshold:
+            r, read, pulses = float(cum[hit]), float(reads[hit]), pulses + hit + 1
+        else:
+            r, pulses, n = float(cum[-1]), pulses + n, controller._STEP_BATCH
+    if pulses > controller.MAX_PULSES:
+        raise failed()
+    return {"qubit_id": target["qubit_id"], "r_untuned": r_untuned, "threshold": threshold,
+            "r_last_pulse": read, "r_tuned": probe(r + relax_fraction * r), "pulses": pulses,
+            "already_above_target": pulses == 0}
+
+
+def per_pulse_record(r_untuned, relax_fraction, target, noise, rng):
+    """One qubit tuned by drawing every pulse, as campaigns were tuned before
+    the jump: windows of 512 steps (and 512 read errors with a noisy probe),
+    stopping at the first read at or above the threshold. The law oracle for
+    ``controller.run_campaign``: its records follow the same distribution,
+    from other draws."""
 
     def probe(r):
         return r + float(rng.normal(0.0, noise)) if noise > 0 else r
@@ -66,22 +131,34 @@ def oracle_record(r_untuned, relax_fraction, target, noise, rng):
     read = probe(r)
     pulses = 0
     while read < threshold:
-        n = min(controller._STEP_BATCH, controller.MAX_PULSES - pulses)
-        if n <= 0:
-            raise controller.InfeasibleError(
-                f"qubit {target['qubit_id']}: max_pulses={controller.MAX_PULSES} exceeded")
-        cum = r + np.cumsum(rng.exponential(controller.MEAN_STEP_OHM, n))
-        reads = cum + rng.normal(0.0, noise, n) if noise > 0 else cum
+        cum = r + np.cumsum(rng.exponential(controller.MEAN_STEP_OHM, 512))
+        reads = cum + rng.normal(0.0, noise, 512) if noise > 0 else cum
         crossed = reads >= threshold
         hit = int(crossed.argmax())
         if crossed[hit]:
             r, pulses, read = float(cum[hit]), pulses + hit + 1, float(reads[hit])
             break
-        pulses += n
+        pulses += 512
         r = float(cum[-1])
     return {"qubit_id": target["qubit_id"], "r_untuned": r_untuned, "threshold": threshold,
             "r_last_pulse": read, "r_tuned": probe(r + relax_fraction * r), "pulses": pulses,
             "already_above_target": pulses == 0}
+
+
+def ks_2samp(x, y):
+    """The two-sample Kolmogorov-Smirnov p-value of samples x and y, from the
+    asymptotic Kolmogorov series with Stephens' small-sample correction; it is
+    conservative for discrete samples (pulse counts)."""
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    d = np.abs(np.searchsorted(x, both, "right") / len(x)
+               - np.searchsorted(y, both, "right") / len(y)).max()
+    ne = len(x) * len(y) / (len(x) + len(y))
+    lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
+    if lam < 0.3:  # the series converges slowly here, where p > 0.99999
+        return 1.0
+    k = np.arange(1, 101)
+    return float(np.clip(2 * np.sum((-1.0) ** (k - 1) * np.exp(-2 * (k * lam) ** 2)), 0, 1))
 
 
 def rows(columns, fields=controller.RECORD_FIELDS):

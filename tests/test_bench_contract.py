@@ -5,8 +5,8 @@ manifest ``config`` it expects back. These tests parse every argv of two ops
 per workload and run the first op of each, so dropping a flag or a manifest
 key that the benchmark relies on fails here, not only in the benchmark.
 The noiseless campaign of ``tune_bulk`` is also compared with
-``perfbench/reference.py`` record for record, so a change of its random
-stream fails here too. The benchmark's tracer runs over two ops, so a rename
+``perfbench/reference.py``: its fabrication columns value for value, so a
+change of that stream fails here too, and its tuning columns by their means. The benchmark's tracer runs over two ops, so a rename
 of a module or argument that ``perfbench/tracing.py`` reads fails here too.
 """
 
@@ -14,6 +14,7 @@ import hashlib
 import importlib
 import json
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -78,16 +79,27 @@ def test_first_op_writes_expected_manifests(workloads, tmp_path, name):
 
 
 def test_tune_bulk_records_match_reference(workloads, reference, tmp_path):
-    # the noisy stream is left out: reference.py still draws it pulse by pulse
+    # reference.py reproduces the fabrication stream draw for draw, but tunes
+    # every pulse, so the tuning columns are compared as perfbench/checks.py
+    # compares them: their means within CAMPAIGN_Z standard errors
     op = workloads.WORKLOADS["tune_bulk"].generate(0, 2, tmp_path)[0]
     sim, p = op.steps[0], op.params
     assert p["noise"] == 0.0
     assert main(sim.argv) == 0
     records = json.loads((sim.out / "campaign.json").read_text(encoding="utf-8"))["records"]
-    assert records == reference.campaign_records(
+    want = reference.campaign_records(
         p["seed"], p["qubits"], p["noise"],
         workloads.DESIGN_RESISTANCE, workloads.AGING_BUDGET, workloads.RESERVE,
     )
+    exact = ("qubit_id", "r_untuned", "threshold", "already_above_target")
+    assert [[rec[k] for k in exact] for rec in records] == [[rec[k] for k in exact] for rec in want]
+    z_max = _perfbench_module("checks").CAMPAIGN_Z
+    tuned = [[rec for rec in recs if not rec["already_above_target"]] for recs in (records, want)]
+    for column, value in (("pulses", lambda rec: rec["pulses"]),
+                          ("overshoot", lambda rec: rec["r_last_pulse"] - rec["threshold"])):
+        got, ref = ([value(rec) for rec in recs] for recs in tuned)
+        z = (statistics.fmean(got) - statistics.fmean(ref)) / statistics.pstdev(ref) * len(ref) ** 0.5
+        assert abs(z) <= z_max, column
 
 
 def test_tune_round_targets_match_reference(workloads, reference, tmp_path):

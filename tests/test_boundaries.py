@@ -15,7 +15,8 @@ import pytest
 from jjtrim.controller import CampaignConfig, campaign_stats, run_campaign
 from jjtrim.errors import ValidationError, check, check_rows, check_window
 from jjtrim.freqmodel import (
-    PowerLawModel, fit_power_law, freq_equiv_sigma, invert_R, predict_f,
+    PowerLawModel, assign_target_R, fit_power_law, fit_segmented_power_law, freq_equiv_sigma,
+    invert_R, predict_f,
 )
 from jjtrim.junction import relaxation_delta, relaxation_shape, sample_fabricated
 from jjtrim.lattice import (
@@ -328,3 +329,44 @@ def test_int_beyond_float_range_refused_by_name(build, message):
         build()
     window = message.endswith("lo < hi")
     assert str(exc.value) == message + (f", got (0, {HUGE})" if window else ", got a 1329-bit int")
+
+
+# Each raised a bare OverflowError when its column was converted to floats;
+# a message without a value is the one a NaN in that column gets.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: campaign(r_untuned=HUGE),
+         "qubits[0].r_untuned must be finite and > 0, got a 1329-bit int"),
+        (lambda: campaign(relax_fraction=HUGE),
+         "qubits[0].relax_fraction must be finite and >= 0, got a 1329-bit int"),
+        (lambda: predict_f(MODEL, [4000.0, HUGE]), "resistance must be finite and positive"),
+        (lambda: invert_R(MODEL, HUGE), "frequency must be finite and positive"),
+        (lambda: assign_target_R(MODEL, [4600.0, HUGE]), "frequency must be finite and positive"),
+        (lambda: fit_power_law([3000.0, 4000.0, HUGE], [5000.0, 4300.0, 4000.0]),
+         "R and f must be finite and positive"),
+        (lambda: fit_segmented_power_law([0.1, 0.2, 0.3, 1.0, 2.0, 3.0, 5.0, 6.0, HUGE],
+                                         [1.0] * 9, breakpoints=[0.5, 4.0]),
+         "t_hr and delta_r must be finite and positive"),
+        (lambda: subtract_global_offset([[1.0], [2.0, HUGE]]),
+         "chip 1 deviation 1 must be finite, got a 1329-bit int"),
+        # a numpy bound made numpy convert the int
+        (lambda: PowerLawModel(1.0, 0.5, 1.0, np.float64(3000.0), HUGE),
+         "r_max must be finite and >= 3000.0, got a 1329-bit int"),
+        # None in a column still reads NaN, as numpy's own conversion reads it
+        (lambda: predict_f(MODEL, [4000.0, None]), "resistance must be finite and positive"),
+        (lambda: subtract_global_offset([[1.0, None]]),
+         "chip 0 deviation 1 must be finite, got nan"),
+        (lambda: campaign(r_untuned=None), "qubits[0].r_untuned must be finite and > 0, got nan"),
+        (lambda: campaign(target_resistance=None),
+         "targets[0].target_resistance must be finite and > 0, got nan"),
+    ],
+    ids=["run_campaign-r_untuned", "run_campaign-relax_fraction", "predict_f", "invert_R",
+         "assign_target_R", "fit_power_law", "fit_segmented_power_law", "subtract_global_offset",
+         "check-numpy-bound", "predict_f-None", "subtract_global_offset-None",
+         "run_campaign-r_untuned-None", "run_campaign-target_resistance-None"],
+)
+def test_int_beyond_float_range_in_a_column_refused_by_name(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -1,9 +1,10 @@
 import hashlib
+import math
 import types
 
 import numpy as np
 import pytest
-from conftest import oracle_fabricated, oracle_record, oracle_rng, rows
+from conftest import ks_2samp, oracle_fabricated, oracle_record, oracle_rng, per_pulse_record, rows
 
 from jjtrim import controller, junction
 from jjtrim.controller import (
@@ -36,8 +37,8 @@ def make_batch(n, design=4587.8, seed=7, reserve=0.0289, target_frac=0.98):
 
 def mixed_batch(n, seed=23):
     """``make_batch`` with targets uniform in 0.8-1.5x design and reserves in
-    0-0.1: some qubits start above their threshold, some cross in their first
-    window of steps and some only after two or more."""
+    0-0.1: some qubits start above their threshold, some cross within 512
+    pulses and some only after more than 1024."""
     r, rho, targets = make_batch(n, seed=seed)
     rng = np.random.default_rng(seed)
     targets["target_resistance"] = 4587.8 * rng.uniform(0.8, 1.5, n)
@@ -89,36 +90,11 @@ class TestTuneQubit:
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
             tune_one(100.0, 0.0, 10000.0, noise=0.1)
 
-    def test_noisy_stop_matches_per_pulse_oracle(self):
-        # the crossing spans several step batches; a scalar walk over the
-        # same draws must stop on the same pulse
-        threshold = 4625.9 / 1.0289
-        r0 = threshold - 2000.0
-        rec = tune_one(r0, 0.0289, 4625.9, seed=3, noise=0.5, qid="far")
 
-        rng = oracle_rng(3, "far")
-        assert r0 + rng.normal(0.0, 0.5) < threshold  # the first read
-
-        def pulses_and_read_errors():
-            while True:
-                steps = rng.exponential(MEAN_STEP_OHM, _STEP_BATCH)
-                yield from zip(steps, rng.normal(0.0, 0.5, _STEP_BATCH))
-
-        r = r0
-        for pulses, (step, err) in enumerate(pulses_and_read_errors(), start=1):
-            r += step
-            if r + err >= threshold:
-                break
-        assert pulses > _STEP_BATCH
-        assert rec["pulses"] == pulses
-        assert rec["r_last_pulse"] == pytest.approx(r + err, rel=1e-12)
-        assert rec["r_last_pulse"] >= rec["threshold"]
-
-
-def oracle_campaign(r, rho, targets, seed, noise):
-    """Every qubit through the scalar oracles, one at a time."""
+def oracle_campaign(r, rho, targets, seed, noise, record=oracle_record):
+    """Every qubit through a scalar oracle (``record``), one at a time."""
     return [
-        oracle_record(r_i, rho_i, target, noise, oracle_rng(seed, target["qubit_id"]))
+        record(r_i, rho_i, target, noise, oracle_rng(seed, target["qubit_id"]))
         for r_i, rho_i, target in zip(r.tolist(), rho.tolist(),
                                       rows(targets, controller.TARGET_FIELDS))
     ]
@@ -164,71 +140,127 @@ class TestOracles:
             records = run_campaign(r, rho, targets, CampaignConfig(5, noise))
             assert rows(records) == oracle_campaign(r, rho, targets, 5, noise)
 
-    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    @pytest.mark.parametrize("noise", [0.0, 0.5, 20.0])
     def test_mixed_block_matches_scalar_oracle(self, noise):
-        # the block of the 32 smallest gaps holds qubits above their
-        # threshold, qubits that cross in their first window and qubits that
-        # cross after two or more; the largest gap is a block of its own
+        # the first block holds qubits above their threshold, qubits that
+        # cross within 512 pulses and qubits that need more than 1024; the
+        # last row is a block of its own
         r, rho, targets = mixed_batch(_BLOCK + 1)
         records = run_campaign(r, rho, targets, CampaignConfig(23, noise))
-        want = oracle_campaign(r, rho, targets, 23, noise)
-        assert rows(records) == want
-        first_block = np.argsort(records["threshold"] - r, kind="stable")[:_BLOCK]
-        pulses = records["pulses"][first_block]
+        assert rows(records) == oracle_campaign(r, rho, targets, 23, noise)
+        pulses = records["pulses"][:_BLOCK]
         assert (pulses == 0).any()
         assert ((0 < pulses) & (pulses <= _STEP_BATCH)).any()
         assert (pulses > 2 * _STEP_BATCH).any()
 
     @pytest.mark.parametrize("first", [1, 7])
     def test_short_first_batch_matches_scalar_oracle(self, monkeypatch, first):
-        # a real first batch almost never falls short of a qubit's crossing;
-        # a forced short one carries each window's running sum across batches
-        gaps = []
+        # a real first batch almost never falls short of a walk's crossing;
+        # a forced short one makes walks go on in later batches
+        gaps, batches = [], []
 
         def short(gap):
             gaps.append(gap)
             return first
 
+        class Counted:  # a qubit's stream, counting the steps of each walk batch
+            def __init__(self, state):
+                self.rng = stream(state)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_exponential(self, out):
+                batches.append(out.size)
+                return self.rng.standard_exponential(out=out)
+
+        stream = controller._stream
         monkeypatch.setattr(controller, "_first_batch", short)
+        monkeypatch.setattr(controller, "_stream", Counted)
         r, rho, targets = mixed_batch(_BLOCK + 1)
-        records = run_campaign(r, rho, targets, CampaignConfig(23))
-        assert rows(records) == oracle_campaign(r, rho, targets, 23, 0.0)
-        assert len(gaps) == 2  # one first batch per block
-        assert (records["pulses"] > first).sum() > _BLOCK // 2
+        records = run_campaign(r, rho, targets, CampaignConfig(23, 2.0))
+        assert gaps == [controller._WALK_SIGMAS * 2.0] * 2  # one first batch per block
+        assert batches.count(_STEP_BATCH) > _BLOCK // 4
+        assert rows(records) == oracle_campaign(r, rho, targets, 23, 2.0)
 
     def test_first_batch_size(self):
-        # the mean pulse count plus 4 of its deviations and 16, at most a window
+        # the mean pulse count plus 4 of its deviations and 16, at most a
+        # window, also for a gap past the float range
         assert controller._first_batch(-5.0) == 16
         assert controller._first_batch(400 * MEAN_STEP_OHM) == 400 + 80 + 16
         assert controller._first_batch(500 * MEAN_STEP_OHM) == _STEP_BATCH
+        assert controller._first_batch(math.inf) == _STEP_BATCH
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
-    @pytest.mark.parametrize("n, needs, in_block, named", [
-        # qubits 3 and 9 of the second 32 need about 1000 pulses and qubit 5
-        # about 550; all three sort into the last block, and the oracle
-        # meets qubit 3 first
-        (2 * _BLOCK, {_BLOCK + 3: 1000, _BLOCK + 5: 550, _BLOCK + 9: 1000},
-         {_BLOCK + 3: 1, _BLOCK + 5: 1, _BLOCK + 9: 1}, _BLOCK + 3),
-        # qubit 0 has the larger gap, so it sorts into the block after the
-        # one where qubit 5 fails; the oracle still meets qubit 0 first
-        (_BLOCK + 1, {0: 1000, 5: 700}, {0: 1, 5: 0}, 0),
+    @pytest.mark.parametrize("n, needs, named", [
+        # rows 3 and 9 of the second block need about 1000 pulses and row 5
+        # about 550, within the budget
+        (2 * _BLOCK, {_BLOCK + 3: 1000, _BLOCK + 5: 550, _BLOCK + 9: 1000}, _BLOCK + 3),
+        # a failing row in the first block is named before one in the second
+        (2 * _BLOCK + 1, {_BLOCK + 1: 1000, 7: 1000}, 7),
     ], ids=["one-block", "across-blocks"])
-    def test_max_pulses_guard_names_oracle_qubit(self, monkeypatch, noise, n, needs, in_block,
-                                                 named):
-        # a budget of 600 pulses is one full batch and one of 88
+    def test_max_pulses_guard_names_oracle_qubit(self, monkeypatch, noise, n, needs, named):
         monkeypatch.setattr(controller, "MAX_PULSES", 600)
         r, rho, targets = make_batch(n)
         threshold = targets["target_resistance"][0] / 1.0289
         for i, pulses in needs.items():
             r[i] = threshold - pulses * MEAN_STEP_OHM
-        blocks = np.argsort(np.argsort(threshold - r, kind="stable")) // _BLOCK
-        assert {i: blocks[i] for i in needs} == in_block
         with pytest.raises(InfeasibleError) as got:
             run_campaign(r, rho, targets, CampaignConfig(7, noise))
         with pytest.raises(InfeasibleError) as want:
             oracle_campaign(r, rho, targets, 7, noise)
         message = f"qubit Q{named:03d}: max_pulses=600 exceeded"
         assert str(got.value) == str(want.value) == message
+
+
+class TestLaw:
+    """The jump and walk against the per-pulse loop, as distributions: two
+    independent samples of the same qubits, one from each."""
+
+    @pytest.mark.parametrize("noise, walk_sigmas", [(0.0, 6.0), (0.5, 6.0), (20.0, 6.0),
+                                                    (20.0, 0.5), (20.0, 0.3)])
+    def test_records_follow_per_pulse_law(self, monkeypatch, noise, walk_sigmas):
+        # with walk_sigmas forced below 1, most qubits cross below the walk,
+        # where the jump finds the crossing by thinning
+        monkeypatch.setattr(controller, "_WALK_SIGMAS", walk_sigmas)
+        tails, tail_draw = [], controller._tail_draw
+        monkeypatch.setattr(controller, "_tail_draw",
+                            lambda rng, a: tails.append(a) or tail_draw(rng, a))
+        r, rho, targets = make_batch(3000, seed=31)
+        got = run_campaign(r, rho, targets, CampaignConfig(31, noise))
+        want = oracle_campaign(r, rho, targets, 32, noise, record=per_pulse_record)
+        want = {k: np.array([rec[k] for rec in want]) for k in RECORD_FIELDS}
+        for records in (got, want):  # the shared part of the pulse count, and the overshoot
+            records["pulses"] = records["pulses"] - (records["threshold"] - r) / MEAN_STEP_OHM
+            records["r_last_pulse"] = records["r_last_pulse"] - records["threshold"]
+        for name in ("pulses", "r_last_pulse", "r_tuned"):
+            assert ks_2samp(got[name], want[name]) >= 0.01, name
+        if walk_sigmas < 1:
+            assert len(tails) > len(r) // 2
+            assert min(tails) >= walk_sigmas
+        else:
+            assert not tails
+
+    @pytest.mark.parametrize("noise", [0.5, 20.0, 1e-3])
+    def test_every_crossing_read_at_or_above_threshold(self, monkeypatch, noise):
+        # exactly, in floating point, as the campaign checker requires; with
+        # walk_sigmas 0.3 most crossings are tail reads
+        monkeypatch.setattr(controller, "_WALK_SIGMAS", 0.3)
+        r, rho, targets = mixed_batch(500, seed=5)
+        records = run_campaign(r, rho, targets, CampaignConfig(5, noise))
+        pulsed = records["pulses"] > 0
+        assert pulsed.sum() > 300
+        assert (records["r_last_pulse"][pulsed] >= records["threshold"][pulsed]).all()
+
+    @pytest.mark.parametrize("a", [0.5, 3.0, 8.0])
+    def test_tail_draws(self, a):
+        # a standard normal conditioned on >= a has mean phi(a) / Q(a) and
+        # variance 1 + a m - m^2
+        rng = np.random.default_rng(11)
+        x = np.array([controller._tail_draw(rng, a) for _ in range(20_000)])
+        assert (x >= a).all()
+        m = math.exp(-a * a / 2) / math.sqrt(2 * math.pi) / controller._normal_tail(a)
+        assert abs(x.mean() - m) <= 4 * math.sqrt((1 + a * m - m * m) / len(x))
 
 
 class TestQubitStreams:
@@ -287,20 +319,20 @@ class TestCampaign:
             run_campaign(r[:2], rho[:2], targets, CampaignConfig(master_seed=0))
 
     def test_noiseless_and_noisy_records_pinned(self):
-        # digests of the records at a fixed seed: the noiseless ones were
-        # recorded before the pulse loops were merged, the noisy ones
-        # (0.5 Ohm probe noise) before the scalar junction model was
-        # retired. Any drift of either stream fails here. Targets at 120%
-        # of design take several step batches per qubit.
+        # digests of the records at a fixed seed, recorded when the jump and
+        # walk replaced the per-pulse loop (each record equal to the scalar
+        # oracle then); the noisy ones have 0.5 Ohm probe noise. Any drift of
+        # either stream fails here. Targets at 120% of design put each qubit
+        # about 650 pulses below its threshold.
         pinned = [
-            (0.0, 0.98, 7335,
-             "fac618ebe8462f0aaf99da2ce659667256bcdffb3b479c7832a3b8f52c146c19"),
-            (0.0, 1.2, 33007,
-             "e0a95dd82544d1cfe88cdbe5abadae920b6c2614b8f5758f7c5470c1c34da6f6"),
-            (0.5, 0.98, 7326,
-             "e910c7b256e4e97c48ea4af874fec9706739f211459d33891fb3dac262885f2a"),
-            (0.5, 1.2, 33094,
-             "e4ddef9c2b02137508ef7f350a298e55c443f251a93362f1e3348dd023118c80"),
+            (0.0, 0.98, 7207,
+             "c8c1a25fb06299e9bb27c9e8295e4869bf117bc96ef0e448103291cfdf573555"),
+            (0.0, 1.2, 32796,
+             "f863ea767627134483b8829a6909822cb806c4f825b0aa10adb8debaf80e8f67"),
+            (0.5, 0.98, 7285,
+             "0d763d7258772cf4b78f53292b5b560f9bdcfacb96583c706ee43df7286771ad"),
+            (0.5, 1.2, 32883,
+             "9fe3b3fd193fc36a5bb7224f831ae92c22dc8ad449622546003a089f6872c314"),
         ]
         for noise, target_frac, pulses, digest in pinned:
             r, rho, targets = make_batch(50, seed=11, target_frac=target_frac)
@@ -459,12 +491,12 @@ class TestStatistics:
 
     def test_statistics_pinned(self):
         # sha256 of the repr of the eight statistics, keys in report order,
-        # for the 221-qubit seed-7 batch; recorded from the statistics code
-        # that the one campaign_stats replaced, so any drift of a value, a
-        # key or their order fails here.
+        # for the 221-qubit seed-7 batch; recorded when the jump and walk
+        # replaced the per-pulse loop, so any drift of a value, a key or
+        # their order fails here.
         pinned = {
-            0.0: "723b03a123ed1f875f03757b94077fe1a0321019da49d6fc4da24cc763c68c03",
-            0.5: "1f0a6d458167eb60ac1c2eb5e0cf34526649eee368a8fcca412c647ed18e6787",
+            0.0: "0c1d00733e2e474d66a23d436a634b2c559e8a4a3b901e6d3dbd55aa95136821",
+            0.5: "f1d858fc8d893cd359d0efab38a14508489f48fd7a57a19fccbdb7f2d067b1c1",
         }
         r, rho, targets = make_batch(221)
         for noise, digest in pinned.items():
