@@ -23,7 +23,7 @@ from .errors import InfeasibleError, ValidationError, check, check_rows
 _STEP_BATCH = 512
 _BLOCK = 256  # qubits per walk block: many per array call, a step buffer of at most 1 MB
 # Probe-noise sigmas below its threshold that a qubit walks pulse by pulse;
-# below them a read crosses with probability at most Q(6) = 1e-9 (``_jump``).
+# below them a read crosses with probability at most Q(6) = 1e-9 (``_start``).
 _WALK_SIGMAS = 6.0
 # Mean per-pulse resistance increment, Ohm. Steps are exponential: their
 # renewal overshoot is again exponential with the same mean, which reproduces
@@ -187,22 +187,28 @@ def _tail_draw(rng, a: float) -> float:
             return x
 
 
-def _jump(rng, r, low, threshold, noise, bound):
-    """One qubit's pulses from ``r`` up to ``low``, by renewal law, as
-    (resistance, read, pulses): the pulses are the points of a Poisson
-    process of rate 1 / MEAN_STEP_OHM on the resistance axis.
+def _start(rng, r, threshold, noise, bound):
+    """One qubit's first read and its jump, as (resistance, read, pulses).
 
-    A read at x below ``low`` crosses the threshold with probability
-    Q((threshold - x) / noise) <= ``bound``, so the crossings are found by
-    thinning (Lewis & Shedler, *Naval Res. Logist. Q.* 26(3), 1979):
-    Poisson(span bound / mu) candidates at uniform positions, each kept with
-    probability Q(...) / ``bound``. The qubit stops at the first kept one,
-    its read drawn from the normal tail past the threshold, redrawn until
-    it is at or above it in floating point; its pulse index is 1 + the
-    candidates before it + Poisson((x - r)(1 - bound) / mu). Otherwise it
-    reaches ``low`` after the candidates and Poisson(span (1 - bound) / mu)
-    other pulses, with no read at or above the threshold (-inf).
+    A qubit whose read is below ``threshold`` and which starts below low =
+    threshold - ``_WALK_SIGMAS`` noise jumps to low by renewal law: its
+    pulses are the points of a Poisson process of rate 1 / MEAN_STEP_OHM on
+    the resistance axis. A read at x below low crosses the threshold with
+    probability Q((threshold - x) / noise) <= ``bound``, so the crossings
+    are found by thinning (Lewis & Shedler, *Naval Res. Logist. Q.* 26(3),
+    1979): Poisson(span bound / mu) candidates at uniform positions, each
+    kept with probability Q(...) / ``bound``. The qubit stops at the first
+    kept one, its read drawn from the normal tail past the threshold,
+    redrawn until it is at or above it in floating point; its pulse index
+    is 1 + the candidates before it + Poisson((x - r)(1 - bound) / mu).
+    Otherwise it reaches low after the candidates and Poisson(span (1 -
+    bound) / mu) other pulses, with no read at or above the threshold
+    (-inf). Any other qubit stays at ``r`` with its read and no pulse.
     """
+    read = r + noise * rng.standard_normal() if noise > 0 else r
+    low = threshold - _WALK_SIGMAS * noise
+    if not (read < threshold and r < low):
+        return r, read, 0
     span = low - r
     k = int(rng.poisson(span * bound / MEAN_STEP_OHM)) if bound else 0
     if k:
@@ -270,7 +276,7 @@ def _tune_block(r, rho, threshold, rngs, noise):
 
     A qubit jumps, then walks. Below low = threshold - ``_WALK_SIGMAS`` noise
     a read crosses with probability at most Q(``_WALK_SIGMAS``) (1e-9), and
-    ``_jump`` takes a qubit there by renewal law, finding any crossing
+    ``_start`` takes a qubit there by renewal law, finding any crossing
     below it by thinning; with a noiseless probe low is the threshold and
     no read below it crosses. The rest is walked pulse by pulse: in each
     batch every walking qubit draws its steps into its row (the first batch
@@ -286,29 +292,13 @@ def _tune_block(r, rho, threshold, rngs, noise):
     and, with a noisy probe, as many read errors; and with a noisy probe the
     probe's error. A noiseless probe draws no error and no candidate.
     """
-
-    def probe(r):
-        return r + noise * np.array([g.standard_normal() for g in rngs]) if noise > 0 else r
-
-    read, r = probe(r).copy(), r.copy()  # r: each qubit's resistance after its last pulse
-    pulses = np.zeros(len(r), np.int64)
-    low = threshold - _WALK_SIGMAS * noise
     bound = _normal_tail(_WALK_SIGMAS) if noise > 0 else 0.0
-    jumps = np.flatnonzero((read < threshold) & (r < low))
-    if jumps.size:  # (resistance, read, pulses) rows; a count below 2**53 is exact as a float
-        r[jumps], read[jumps], pulses[jumps] = np.array([
-            _jump(rngs[i], *args, noise, bound) for i, *args in zip(
-                jumps.tolist(), r[jumps].tolist(), low[jumps].tolist(), threshold[jumps].tolist())
-        ]).T
+    # r: each qubit's resistance after its last pulse
+    r, read, pulses = map(np.array, zip(*[
+        _start(g, x, t, noise, bound) for g, x, t in zip(rngs, r.tolist(), threshold.tolist())]))
+    n = _first_batch(_WALK_SIGMAS * noise)
     active = np.flatnonzero(read < threshold)
-    first, done = _first_batch(_WALK_SIGMAS * noise), 0
-    while True:
-        over = pulses[active] + done > MAX_PULSES
-        pulses[active[over]] += done
-        active = active[~over]
-        if not active.size:
-            break
-        n = first if done == 0 else _STEP_BATCH
+    while (active := active[pulses[active] <= MAX_PULSES]).size:
         steps = np.empty((active.size, n))
         errors = np.empty_like(steps) if noise > 0 else None
         for row, i in enumerate(active.tolist()):
@@ -322,11 +312,14 @@ def _tune_block(r, rho, threshold, rngs, noise):
         hit = crossed.argmax(axis=1)
         stop = crossed[np.arange(active.size), hit]
         k, h = active[stop], hit[stop]
-        r[k], read[k], pulses[k] = cum[stop, h], reads[stop, h], pulses[k] + done + h + 1
-        r[active[~stop]] = cum[~stop, -1]
+        r[k], read[k], pulses[k] = cum[stop, h], reads[stop, h], pulses[k] + h + 1
         active = active[~stop]
-        done += n
-    return read, probe(r + rho * r), pulses
+        r[active], pulses[active] = cum[~stop, -1], pulses[active] + n
+        n = _STEP_BATCH
+    r_tuned = r + rho * r
+    if noise > 0:
+        r_tuned += noise * np.array([g.standard_normal() for g in rngs])
+    return read, r_tuned, pulses
 
 
 def campaign_stats(records, targets) -> dict[str, float]:

@@ -251,6 +251,8 @@ class _ParkingSearch:
         exists."""
         if not self.violating:
             return (0,) * len(self.freqs)
+        if not self.nonzero.size:  # no offset to park a node at
+            return None
         for k in range(1, len(self.freqs) + 1):
             self.deepen(k)
             if self.best is not None:

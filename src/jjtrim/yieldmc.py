@@ -261,25 +261,6 @@ def mc_chip_yield(lattice: QubitLattice, config: YieldConfig) -> dict:
             "yield": passes / config.trials, "ci_lo": ci_lo, "ci_hi": ci_hi, "passes": passes}
 
 
-def yield_curve(
-    cell: UnitCellDesign,
-    sigmas_mhz,
-    sizes,
-    master_seed: int,
-    trials: int = 10**5,
-) -> list[dict]:
-    """Yield table over chip sizes and frequency spreads: one
-    ``mc_chip_yield`` dict per (size, sigma), ready for CSV plot-data
-    emission."""
-    rows = []
-    for m, n in sizes:
-        lat = tile(cell, m, n)
-        for sigma in sigmas_mhz:
-            cfg = YieldConfig(sigma_f_mhz=sigma, master_seed=master_seed, trials=trials)
-            rows.append(mc_chip_yield(lat, cfg))
-    return rows
-
-
 def wafer_projection(yield_fraction: float, dice: int = DEFAULT_DICE_PER_WAFER) -> int:
     """Expected yielded chips per wafer of ``dice`` dice."""
     check("dice", dice, ge=0, lt=MAX_DICE, integer=True)

@@ -37,7 +37,6 @@ from jjtrim.yieldmc import (
     mc_chip_yield,
     tile,
     wafer_projection,
-    yield_curve,
 )
 
 DESIGN_R = DEFAULT_DESIGN_RESISTANCE
@@ -236,7 +235,7 @@ def test_9_yield_reproduction():
     for sigma in (18.4, 7.7, 93.5):
         res = mc_chip_yield(chip, YieldConfig(sigma_f_mhz=sigma, master_seed=7, trials=10**5))
         ys[sigma] = res
-    big = yield_curve(cell, sigmas_mhz=[7.7], sizes=[(2, 6)], master_seed=7, trials=10**5)
+    big = mc_chip_yield(tile(cell, 2, 6), YieldConfig(sigma_f_mhz=7.7, master_seed=7, trials=10**5))
     chips = wafer_projection(ys[18.4]["yield"])
     elapsed = time.perf_counter() - start
     ok = (
@@ -244,15 +243,15 @@ def test_9_yield_reproduction():
         and 0.75 <= ys[7.7]["yield"] <= 0.95
         and ys[93.5]["yield"] < 0.005
         and abs(chips - round(ys[18.4]["yield"] * 212)) <= 2
-        and big[0]["qubits"] == 108
-        and big[0]["yield"] > 0.0
+        and big["qubits"] == 108
+        and big["yield"] > 0.0
         and elapsed < 30.0
     )
     report(
         f"9 yield: sigma 18.4 -> {ys[18.4]['yield']:.3f} ([0.08,0.30], "
         f"{chips} chips/wafer), 7.7 -> {ys[7.7]['yield']:.3f} ([0.75,0.95]), "
         f"93.5 -> {ys[93.5]['yield']:.4f} (<0.005), "
-        f"108-qubit at 7.7 -> {big[0]['yield']:.4f} (>0), {elapsed:.1f} s",
+        f"108-qubit at 7.7 -> {big['yield']:.4f} (>0), {elapsed:.1f} s",
         ok,
     )
 
@@ -322,10 +321,8 @@ def test_10_property_suites():
     checks.append(("thread-count invariance", runs[0]["passes"] == runs[1]["passes"]))
 
     # yield monotone in chip size and sigma within 3x CI width
-    rows = yield_curve(
-        cell, sigmas_mhz=[7.7, 18.4], sizes=[(1, 1), (1, 2), (2, 2)],
-        master_seed=7, trials=20000,
-    )
+    rows = [mc_chip_yield(tile(cell, m, n), YieldConfig(sigma_f_mhz=s, master_seed=7, trials=20000))
+            for m, n in ((1, 1), (1, 2), (2, 2)) for s in (7.7, 18.4)]
     mono = True
     keyfuncs = [
         (lambda r: r["sigma_mhz"], lambda r: r["qubits"]),

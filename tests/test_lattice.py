@@ -323,6 +323,24 @@ class TestParking:
         with pytest.raises(InfeasibleError, match="node budget"):
             optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
 
+    def test_no_offset_below_max_park_proves_no_plan(self, monkeypatch):
+        # a max park below the step leaves offset 0 only, so an edge out of
+        # window has no plan, which the search says within a small budget
+        lat = QubitLattice(rows=6, cols=6, design_f01max=(5000.0,) * 36)
+        monkeypatch.setattr(lattice, "MAX_PARK_NODES", 1000)
+        with pytest.raises(InfeasibleError) as got:
+            optimize_parking(lat, (20.0, 130.0), max_park_mhz=0.5, step_mhz=1.0)
+        assert str(got.value) == (
+            "no parking plan within +/-0.5 MHz satisfies the window (20.0, 130.0); "
+            f"violating edges without parking: {lat.edges()}")
+
+    def test_no_offset_below_max_park_keeps_a_satisfying_lattice(self):
+        # with offset 0 only, a lattice already in window still gets its plan
+        lat = cell_lattice()
+        plan = optimize_parking(lat, (20.0, 130.0), max_park_mhz=0.5, step_mhz=1.0)
+        assert plan["parked_count"] == 0
+        assert tuple(plan["offsets_mhz"]) == (0.0,) * len(lat.design_f01max)
+
     def test_infeasible_lists_edges(self):
         lat = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4600.0))
         with pytest.raises(InfeasibleError, match="violating"):

@@ -23,7 +23,6 @@ from jjtrim.yieldmc import (
     unit_cell_violations,
     wafer_projection,
     wilson_interval,
-    yield_curve,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -491,39 +490,6 @@ class TestLatticesWithFewEdges:
 
 
 class TestYieldCurve:
-    def test_monotone_in_size_and_sigma(self):
-        cell = generate_unit_cell(seed=7)
-        rows = yield_curve(
-            cell,
-            sigmas_mhz=[7.7, 18.4],
-            sizes=[(1, 1), (1, 2), (2, 2)],
-            master_seed=7,
-            trials=20000,
-        )
-        by_sigma = {}
-        by_size = {}
-        for r in rows:
-            by_sigma.setdefault(r["sigma_mhz"], []).append(r)
-            by_size.setdefault(r["qubits"], []).append(r)
-        # non-increasing in qubit count for fixed sigma, within 3x CI width
-        for sigma, grp in by_sigma.items():
-            grp.sort(key=lambda r: r["qubits"])
-            for a, b in zip(grp, grp[1:]):
-                slack = 3.0 * (a["ci_hi"] - a["ci_lo"])
-                assert b["yield"] <= a["yield"] + slack
-        # non-increasing in sigma for fixed size
-        for q, grp in by_size.items():
-            grp.sort(key=lambda r: r["sigma_mhz"])
-            for a, b in zip(grp, grp[1:]):
-                slack = 3.0 * (a["ci_hi"] - a["ci_lo"])
-                assert b["yield"] <= a["yield"] + slack
-
-    def test_hundred_qubit_scale_survives_at_projected_precision(self):
-        cell = generate_unit_cell(seed=7)
-        rows = yield_curve(cell, sigmas_mhz=[7.7], sizes=[(2, 6)], master_seed=7, trials=10**5)
-        assert rows[0]["qubits"] == 108
-        assert rows[0]["yield"] > 0.0
-
     def test_scan_script(self, tmp_path, monkeypatch, capsys):
         path = ROOT / "scripts" / "yield_scan.py"
         spec = importlib.util.spec_from_file_location("yield_scan", path)
@@ -532,15 +498,20 @@ class TestYieldCurve:
         out = tmp_path / "scan.csv"
         monkeypatch.setattr(sys, "argv", ["yield_scan.py", "--trials", "200", "--out", str(out)])
         script.main()
-        assert capsys.readouterr().out == f"wrote 80 rows to {out}\n"
+        assert capsys.readouterr().out == f"wrote 120 rows to {out}\n"
         with open(out, newline="") as fh:
             reader = csv.reader(fh)
             assert next(reader) == ["cell", "qubits", "sigma_mhz", "yield", "ci_lo", "ci_hi"]
             rows = [[row[0], *(float(v) for v in row[1:])] for row in reader]
-        assert len(rows) == 2 * len(script.SIGMAS_MHZ) * len(script.SIZES) == 80
-        assert [row[0] for row in rows] == ["seed7"] * 40 + ["max_margin"] * 40
+        assert len(rows) == 3 * len(script.SIGMAS_MHZ) * len(script.SIZES) == 120
+        assert [row[0] for row in rows] == ["seed7"] * 40 + ["max_margin"] * 40 + ["checkerboard"] * 40
+        assert [row[1:3] for row in rows[80:]] == [row[1:3] for row in rows[:40]]
         assert all(lo <= y <= hi for _c, _q, _s, y, lo, hi in rows)
         assert script.MAX_MARGIN_CELL.offsets_mhz[1] == (50.0, 100.0, 0.0)
+        board = script.checkerboard(1, 2)
+        assert (board.rows, board.cols) == (3, 6)
+        assert set(edge_detunings(board)["abs_mhz"]) == {75.0}
+        assert board.design_f01max[:7] == (4500.0, 4575.0) * 3 + (4575.0,)
 
 
 class TestWaferProjection:
