@@ -20,10 +20,9 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InfeasibleError, ValidationError, check, check_rows
 
-_STEP_BATCH = 512
-_BLOCK = 256  # qubits per walk block: many per array call, a step buffer of at most 1 MB
-# Probe-noise sigmas below its threshold that a qubit walks pulse by pulse;
-# below them a read crosses with probability at most Q(6) = 1e-9 (``_start``).
+# Probe-noise sigmas below its threshold that a qubit walks pulse by pulse,
+# at about 1 us a pulse (two scalar draws); below them a read crosses with
+# probability at most Q(6) = 1e-9, and the qubit jumps there (``_tune``).
 _WALK_SIGMAS = 6.0
 # Mean per-pulse resistance increment, Ohm. Steps are exponential: their
 # renewal overshoot is again exponential with the same mean, which reproduces
@@ -38,7 +37,8 @@ MAX_PULSES = 10**6
 # Largest campaign, in expected pulses (the qubits' gaps to threshold over
 # MEAN_STEP_OHM), refused before the first pulse. The jump draws a qubit's
 # pulses up to its walk at once, but a qubit whose probe noise spans its gap
-# still walks all of it, up to its gap / MEAN_STEP_OHM pulses.
+# walks all of it one pulse at a time, up to its gap / MEAN_STEP_OHM pulses:
+# at about 1 us a walked pulse, a campaign at this cap takes up to about 17 min.
 MAX_CAMPAIGN_PULSES = 10**9
 
 # Targets and records are column sets: each name (its JSON key, in file order)
@@ -163,14 +163,6 @@ def _target_rows(ids) -> dict:
     return rows
 
 
-def _first_batch(gap: float) -> int:
-    """Steps in the walk's first batch, given the gap it covers: the mean
-    pulse count m = gap / MEAN_STEP_OHM plus 4 sqrt(m) + 16, so that a qubit
-    rarely needs more, and at most ``_STEP_BATCH`` (also for an infinite gap)."""
-    m = min(max(gap, 0.0) / MEAN_STEP_OHM, _STEP_BATCH)
-    return min(_STEP_BATCH, math.ceil(m + 4 * math.sqrt(m) + 16))
-
-
 def _normal_tail(z: float) -> float:
     """Q(z) = erfc(z / sqrt 2) / 2, the chance that a standard normal draw is at least z."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -187,40 +179,66 @@ def _tail_draw(rng, a: float) -> float:
             return x
 
 
-def _start(rng, r, threshold, noise, bound):
-    """One qubit's first read and its jump, as (resistance, read, pulses).
+def _tune(rng, r, rho, threshold, noise, bound):
+    """One qubit tuned from ``r``: (last read, probe, pulses); a qubit still
+    below its threshold past ``MAX_PULSES`` pulses stops there, with more
+    than ``MAX_PULSES``.
 
-    A qubit whose read is below ``threshold`` and which starts below low =
-    threshold - ``_WALK_SIGMAS`` noise jumps to low by renewal law: its
-    pulses are the points of a Poisson process of rate 1 / MEAN_STEP_OHM on
-    the resistance axis. A read at x below low crosses the threshold with
-    probability Q((threshold - x) / noise) <= ``bound``, so the crossings
-    are found by thinning (Lewis & Shedler, *Naval Res. Logist. Q.* 26(3),
-    1979): Poisson(span bound / mu) candidates at uniform positions, each
-    kept with probability Q(...) / ``bound``. The qubit stops at the first
-    kept one, its read drawn from the normal tail past the threshold,
-    redrawn until it is at or above it in floating point; its pulse index
-    is 1 + the candidates before it + Poisson((x - r)(1 - bound) / mu).
-    Otherwise it reaches low after the candidates and Poisson(span (1 -
-    bound) / mu) other pulses, with no read at or above the threshold
-    (-inf). Any other qubit stays at ``r`` with its read and no pulse.
+    A qubit jumps, then walks. A qubit whose first read is below
+    ``threshold`` and which starts below low = threshold - ``_WALK_SIGMAS``
+    noise jumps to low by renewal law: its pulses are the points of a
+    Poisson process of rate 1 / MEAN_STEP_OHM on the resistance axis. A
+    read at x below low crosses the threshold with probability Q((threshold
+    - x) / noise) <= ``bound``, so the crossings are found by thinning
+    (Lewis & Shedler, *Naval Res. Logist. Q.* 26(3), 1979): Poisson(span
+    bound / mu) candidates at uniform positions, each kept with probability
+    Q(...) / ``bound``. The qubit stops at the first kept one, its read
+    drawn from the normal tail past the threshold, redrawn until it is at
+    or above it in floating point; its pulse index is 1 + the candidates
+    before it + Poisson((x - r)(1 - bound) / mu). Otherwise it reaches low
+    after the candidates and Poisson(span (1 - bound) / mu) other pulses.
+    A qubit whose read is still below the threshold then walks, one step
+    and one read at a time, until a read crosses; with a noiseless probe
+    low is the threshold, no candidate is drawn, and the walk ends on its
+    first step. A qubit whose first read is at or above the threshold is
+    never pulsed. The probe then adds the relaxation fraction ``rho``.
+
+    The stream draws, in this order: with a noisy probe, the first read's
+    error (``standard_normal``); if that read is below the threshold and
+    the qubit below low, the jump's ``poisson`` candidate count, their
+    positions and their acceptances (``random``, one per candidate), the
+    crossing's tail read (``random`` pairs), and the ``poisson`` count of
+    the other pulses; then each walked pulse's ``standard_exponential``
+    step and, with a noisy probe, its read error; and with a noisy probe
+    the probe's error. A noiseless probe draws no error and no candidate.
     """
     read = r + noise * rng.standard_normal() if noise > 0 else r
     low = threshold - _WALK_SIGMAS * noise
-    if not (read < threshold and r < low):
-        return r, read, 0
-    span = low - r
-    k = int(rng.poisson(span * bound / MEAN_STEP_OHM)) if bound else 0
-    if k:
-        positions = np.sort(r + span * rng.random(k)).tolist()
-        for j, (x, v) in enumerate(zip(positions, rng.random(k).tolist())):
-            a = (threshold - x) / noise
-            if v * bound < _normal_tail(a):
-                a, read = max(a, _WALK_SIGMAS), -math.inf  # a is below it only by rounding
-                while read < threshold:
-                    read = x + noise * _tail_draw(rng, a)
-                return x, read, 1 + j + int(rng.poisson((x - r) * (1 - bound) / MEAN_STEP_OHM))
-    return low, -math.inf, k + int(rng.poisson(span * (1 - bound) / MEAN_STEP_OHM))
+    pulses = 0
+    if read < threshold and r < low:
+        span = low - r
+        k = kept = int(rng.poisson(span * bound / MEAN_STEP_OHM)) if bound else 0
+        if k:
+            u = rng.random((2, k))  # the positions, then the acceptances
+            positions = np.sort(r + span * u[0]).tolist()
+            kept = next((j for j, (x, v) in enumerate(zip(positions, u[1].tolist()))
+                         if v * bound < _normal_tail((threshold - x) / noise)), k)
+        if kept < k:
+            x = positions[kept]
+            a = max((threshold - x) / noise, _WALK_SIGMAS)  # below it only by rounding
+            while read < threshold:
+                read = x + noise * _tail_draw(rng, a)
+            r, pulses = x, 1 + kept + int(rng.poisson((x - r) * (1 - bound) / MEAN_STEP_OHM))
+        else:
+            r, pulses = low, k + int(rng.poisson(span * (1 - bound) / MEAN_STEP_OHM))
+    while read < threshold and pulses <= MAX_PULSES:
+        r += MEAN_STEP_OHM * rng.standard_exponential()
+        read = r + noise * rng.standard_normal() if noise > 0 else r
+        pulses += 1
+    r_tuned = r + rho * r
+    if noise > 0:
+        r_tuned += noise * rng.standard_normal()
+    return read, r_tuned, pulses
 
 
 def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> dict:
@@ -231,9 +249,9 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
     less the relaxation reserve, then probed ``junction.PROBE_DELAY_HR``
     later, where relaxation has added exactly its ``relax_fraction``.
     ``r_last_pulse`` is that first read; a qubit whose first read is already
-    above is flagged with zero pulses, never pulsed downward. A qubit that
-    needs more than ``MAX_PULSES`` pulses fails the campaign, named by the
-    lowest row of any that do.
+    above is flagged with zero pulses, never pulsed downward. Qubits are
+    tuned in row order, and the first that needs more than ``MAX_PULSES``
+    pulses fails the campaign before any later row is tuned.
     """
     ids = list(targets["qubit_id"])
     if not len(r_untuned) == len(relax_fraction) == len(ids):
@@ -247,79 +265,22 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
     threshold = np.asarray(targets["target_resistance"], float) / (
         1.0 + np.asarray(targets["relaxation_reserve"], float))
     r_last, r_tuned, pulses = np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids), int)
+    noise = config.noise_sigma
+    bound = _normal_tail(_WALK_SIGMAS) if noise > 0 else 0.0
     # past the float range a read (as in Generator.normal) or the gap sum is inf, and is rejected
     with np.errstate(all="ignore"):
         check("expected campaign pulses",
               float(np.maximum(threshold - r_untuned, 0).sum()) / MEAN_STEP_OHM,
               le=MAX_CAMPAIGN_PULSES)
-        states = _qubit_states(config.master_seed, ids)
-        # Blocks in row order, so the first block with a failing qubit holds
-        # the lowest failing row; each block's streams are built as it starts.
-        for start in range(0, len(ids), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            r_last[block], r_tuned[block], pulses[block] = _tune_block(
-                r_untuned[block], relax_fraction[block], threshold[block],
-                [_stream(state) for state in states[block]], config.noise_sigma,
-            )
-            over = start + np.flatnonzero(pulses[block] > MAX_PULSES)
-            if over.size:
-                raise InfeasibleError(f"qubit {ids[over[0]]}: max_pulses={MAX_PULSES} exceeded")
+        qubits = zip(qubit_rngs(config.master_seed, ids), map(float, r_untuned),
+                     map(float, relax_fraction), map(float, threshold))
+        for i, (rng, r, rho, t) in enumerate(qubits):
+            r_last[i], r_tuned[i], pulses[i] = _tune(rng, r, rho, t, noise, bound)
+            if pulses[i] > MAX_PULSES:
+                raise InfeasibleError(f"qubit {ids[i]}: max_pulses={MAX_PULSES} exceeded")
     return {"qubit_id": ids, "r_untuned": r_untuned, "threshold": threshold,
             "r_last_pulse": r_last, "r_tuned": r_tuned, "pulses": pulses,
             "already_above_target": pulses == 0}
-
-
-def _tune_block(r, rho, threshold, rngs, noise):
-    """``run_campaign`` on one block: (last read, probe, pulses) per qubit;
-    a qubit still below its threshold past ``MAX_PULSES`` pulses stops there,
-    with more than ``MAX_PULSES``.
-
-    A qubit jumps, then walks. Below low = threshold - ``_WALK_SIGMAS`` noise
-    a read crosses with probability at most Q(``_WALK_SIGMAS``) (1e-9), and
-    ``_start`` takes a qubit there by renewal law, finding any crossing
-    below it by thinning; with a noiseless probe low is the threshold and
-    no read below it crosses. The rest is walked pulse by pulse: in each
-    batch every walking qubit draws its steps into its row (the first batch
-    ``_first_batch(_WALK_SIGMAS noise)`` steps, each later one
-    ``_STEP_BATCH``), and the block finds every first crossing at once.
-
-    Each qubit's stream draws, in this order: with a noisy probe, the first
-    read's error (``standard_normal``); if that read is below the threshold
-    and the qubit below low, the jump's ``poisson`` candidate count, their
-    positions and their acceptances (``random``, one per candidate), the
-    crossing's tail read (``random`` pairs), and the ``poisson`` count of
-    the other pulses; then each walk batch's ``standard_exponential`` steps
-    and, with a noisy probe, as many read errors; and with a noisy probe the
-    probe's error. A noiseless probe draws no error and no candidate.
-    """
-    bound = _normal_tail(_WALK_SIGMAS) if noise > 0 else 0.0
-    # r: each qubit's resistance after its last pulse
-    r, read, pulses = map(np.array, zip(*[
-        _start(g, x, t, noise, bound) for g, x, t in zip(rngs, r.tolist(), threshold.tolist())]))
-    n = _first_batch(_WALK_SIGMAS * noise)
-    active = np.flatnonzero(read < threshold)
-    while (active := active[pulses[active] <= MAX_PULSES]).size:
-        steps = np.empty((active.size, n))
-        errors = np.empty_like(steps) if noise > 0 else None
-        for row, i in enumerate(active.tolist()):
-            rngs[i].standard_exponential(out=steps[row])
-            if noise > 0:
-                rngs[i].standard_normal(out=errors[row])
-        steps *= MEAN_STEP_OHM
-        cum = r[active, None] + np.cumsum(steps, axis=1)
-        reads = cum + noise * errors if noise > 0 else cum
-        crossed = reads >= threshold[active, None]
-        hit = crossed.argmax(axis=1)
-        stop = crossed[np.arange(active.size), hit]
-        k, h = active[stop], hit[stop]
-        r[k], read[k], pulses[k] = cum[stop, h], reads[stop, h], pulses[k] + h + 1
-        active = active[~stop]
-        r[active], pulses[active] = cum[~stop, -1], pulses[active] + n
-        n = _STEP_BATCH
-    r_tuned = r + rho * r
-    if noise > 0:
-        r_tuned += noise * np.array([g.standard_normal() for g in rngs])
-    return read, r_tuned, pulses
 
 
 def campaign_stats(records, targets) -> dict[str, float]:

@@ -58,8 +58,8 @@ def _normal_tail(z):
 
 
 def oracle_record(r_untuned, relax_fraction, target, noise, rng):
-    """One qubit tuned alone, jump then walk, drawing from ``rng`` in the
-    order ``controller._tune_block`` documents: the oracle for
+    """One qubit tuned alone, jump then a walk one pulse at a time, drawing
+    from ``rng`` in the order ``controller._tune`` documents: the oracle for
     ``controller.run_campaign``. ``target`` is a row of the target columns;
     the record is a dict of Python values in ``RECORD_FIELDS`` order."""
     mu, sigmas = controller.MEAN_STEP_OHM, controller._WALK_SIGMAS
@@ -74,10 +74,6 @@ def oracle_record(r_untuned, relax_fraction, target, noise, rng):
             z = math.sqrt(a * a - 2.0 * math.log1p(-u))
             if v * z < a and x + noise * z >= threshold:
                 return x + noise * z
-
-    def failed():
-        return controller.InfeasibleError(
-            f"qubit {target['qubit_id']}: max_pulses={controller.MAX_PULSES} exceeded")
 
     threshold = target["target_resistance"] / (1.0 + target["relaxation_reserve"])
     r, read, pulses = r_untuned, probe(r_untuned), 0
@@ -98,19 +94,12 @@ def oracle_record(r_untuned, relax_fraction, target, noise, rng):
         else:
             pulses = count + int(rng.poisson(span * (1 - bound) / mu))
             r = low
-    n = controller._first_batch(sigmas * noise)
-    while read < threshold:
-        if pulses > controller.MAX_PULSES:
-            raise failed()
-        cum = r + np.cumsum(rng.exponential(mu, n))
-        reads = cum + rng.normal(0.0, noise, n) if noise > 0 else cum
-        hit = int(np.argmax(reads >= threshold))
-        if reads[hit] >= threshold:
-            r, read, pulses = float(cum[hit]), float(reads[hit]), pulses + hit + 1
-        else:
-            r, pulses, n = float(cum[-1]), pulses + n, controller._STEP_BATCH
+    while read < threshold and pulses <= controller.MAX_PULSES:
+        r += float(rng.exponential(mu))
+        read, pulses = probe(r), pulses + 1
     if pulses > controller.MAX_PULSES:
-        raise failed()
+        raise controller.InfeasibleError(
+            f"qubit {target['qubit_id']}: max_pulses={controller.MAX_PULSES} exceeded")
     return {"qubit_id": target["qubit_id"], "r_untuned": r_untuned, "threshold": threshold,
             "r_last_pulse": read, "r_tuned": probe(r + relax_fraction * r), "pulses": pulses,
             "already_above_target": pulses == 0}

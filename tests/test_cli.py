@@ -76,14 +76,14 @@ class TestSimulateTuning:
 
     @pytest.mark.parametrize("noise", ["1e308", "1e200", "5e-324"])
     def test_extreme_noise_exits_cleanly(self, tmp_path, noise):
-        # at 1e308 the walk covers 6e308, an infinite gap below the threshold,
-        # and its first batch must stay a finite size; the reads overflow and
-        # the statistics are refused
+        # at 1e308 low, 6e308 below the threshold, is -inf, so no qubit jumps
+        # and each walks; the reads overflow and the statistics are refused
         argv = ["simulate-tuning", "--qubits", "40", "--seed", "1", "--noise", noise]
         assert main([*argv, "--out", str(tmp_path / "o")]) in (0, 2)
 
     # sha256 of every file a campaign and its report write, recorded when the
-    # jump and walk replaced the per-pulse loop; any byte of drift fails here
+    # jump and walk replaced the per-pulse loop (the noisy one again when the
+    # walk went pulse by pulse); any byte of drift fails here
     PINNED = {
         ("--qubits", "2000"): (
             "023ee3d6acbbab7bb14ffb3d61a92b2be7ea7f5f03e0f00f7778ad1f2b5a70e9",
@@ -91,9 +91,9 @@ class TestSimulateTuning:
             "4b988a45feb462bee64e35f6a537377df597cbbe37c2f2dd436c748ededda155",
         ),
         ("--qubits", "221", "--noise", "0.5"): (
-            "134e7be302d0a126ac533e555617e38e172313c0c97556da5268f6aaceeecfd3",
-            "b679234e91eff6a2ca57f1211bfb701dbbd7361a21c8e38c6860c6ff8bfd2c50",
-            "79c99267a3c49eb6981e37a7610ec51d2bf86f65e697b135eaf499b98117509c",
+            "a92a9827c6badebbbc095f6c215461e77b7c0b02a4cba6f3a66fd8d40b3a4d23",
+            "752566f2a570b6f8f6aaaf5a8fb357c61e100d22572b89ea41acbeb177274c02",
+            "39b86734f6576460732eef787baddf353775b9a088afce859a61d0f9d6bab259",
         ),
     }
 
@@ -535,8 +535,8 @@ class TestManifestsPinned:
             ["simulate-tuning", "--qubits", "4", "--seed", "7", "--noise", "0.5"],
             {"qubits": 4, "design_resistance": 4587.8, "aging_budget": 0.02, "reserve": 0.0289,
              "noise": 0.5}, 7, [],
-            "tuned 4 qubits to target 4496.0 Ohm\nprecision: mean -0.095%  sigma 0.397%\n"
-            "overshoot: mean 1.98 Ohm  sigma 2.18 Ohm\nreserve:   mean 2.746%  sigma 0.431%\n"),
+            "tuned 4 qubits to target 4496.0 Ohm\nprecision: mean -0.084%  sigma 0.408%\n"
+            "overshoot: mean 2.32 Ohm  sigma 1.47 Ohm\nreserve:   mean 2.749%  sigma 0.440%\n"),
         "simulate-tuning-all-flags": (
             ["simulate-tuning", "--qubits", "3", "--seed", "3", "--design-resistance", "5000",
              "--reserve", "0.03", "--aging-budget", "0.01"],
@@ -1017,7 +1017,7 @@ class TestArgumentBoundaries:
         def never(*args):
             raise AssertionError("a qubit was pulsed before the pulse cap was checked")
 
-        monkeypatch.setattr(controller, "_tune_block", never)
+        monkeypatch.setattr(controller, "_tune", never)
         # about 156 000 pulses a qubit, 1.6e9 in all
         argv = ["simulate-tuning", "--seed", "2", "--qubits", "10000", "--design-resistance", "5e6"]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2

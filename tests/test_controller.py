@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import types
@@ -13,8 +14,6 @@ from jjtrim.controller import (
     MAX_CAMPAIGN_QUBITS,
     MEAN_STEP_OHM,
     RECORD_FIELDS,
-    _BLOCK,
-    _STEP_BATCH,
     campaign_stats,
     qubit_rngs,
     run_campaign,
@@ -90,6 +89,30 @@ class TestTuneQubit:
         with pytest.raises(InfeasibleError, match="qubit q: max_pulses=10 exceeded"):
             tune_one(100.0, 0.0, 10000.0, noise=0.1)
 
+    @pytest.mark.parametrize("noise", [0.0, 20.0])
+    def test_walk_draws_one_step_and_one_read_per_pulse(self, monkeypatch, noise):
+        # a qubit 120 Ohm below its 1000 Ohm threshold: noiseless, it jumps
+        # (one Poisson count, no candidate) and walks one step; at 20 Ohm it
+        # starts at low, so it never jumps and every pulse is walked
+        calls = collections.Counter()
+
+        class Counted:  # a qubit's stream, counting the draws asked of it
+            def __init__(self, state):
+                self.rng = stream(state)
+
+            def __getattr__(self, name):
+                calls[name] += 1
+                return getattr(self.rng, name)
+
+        stream = controller._stream
+        monkeypatch.setattr(controller, "_stream", Counted)
+        pulses = tune_one(880.0, 0.0, 1000.0, reserve=0.0, seed=3, noise=noise)["pulses"]
+        if noise:
+            assert pulses > 1
+            assert calls == {"standard_exponential": pulses, "standard_normal": pulses + 2}
+        else:
+            assert calls == {"poisson": 1, "standard_exponential": 1}
+
 
 def oracle_campaign(r, rho, targets, seed, noise, record=oracle_record):
     """Every qubit through a scalar oracle (``record``), one at a time."""
@@ -101,11 +124,11 @@ def oracle_campaign(r, rho, targets, seed, noise, record=oracle_record):
 
 
 class TestOracles:
-    """The column pass against one scalar qubit at a time, record for record."""
+    """The campaign against one scalar qubit at a time, record for record."""
 
     @pytest.mark.parametrize("target_frac", [0.98, 1.2])
     @pytest.mark.parametrize("noise", [0.0, 0.5])
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 300])
     def test_records_match_scalar_oracle(self, n, noise, target_frac):
         r, rho, targets = make_batch(n, seed=19, target_frac=target_frac)
         # every fifth qubit from the second on starts above its threshold
@@ -115,10 +138,10 @@ class TestOracles:
         assert rows(records) == want
         assert sum(rec["already_above_target"] for rec in want) >= len(r[1::5])
         if target_frac > 1:
-            assert max(rec["pulses"] for rec in want) > _STEP_BATCH
+            assert max(rec["pulses"] for rec in want) > 512
 
     def test_fabrication_matches_scalar_oracle(self):
-        ids = [f"Q{i:03d}" for i in range(2 * _BLOCK + 5)]
+        ids = [f"Q{i:03d}" for i in range(517)]
         r, rho = sample_fabricated(4587.8, 5, ids)
         want = [oracle_fabricated(4587.8, oracle_rng(5, "fab:" + q)) for q in ids]
         assert list(zip(r.tolist(), rho.tolist())) == want
@@ -142,62 +165,23 @@ class TestOracles:
 
     @pytest.mark.parametrize("noise", [0.0, 0.5, 20.0])
     def test_mixed_block_matches_scalar_oracle(self, noise):
-        # the first block holds qubits above their threshold, qubits that
-        # cross within 512 pulses and qubits that need more than 1024; the
-        # last row is a block of its own
-        r, rho, targets = mixed_batch(_BLOCK + 1)
+        # the batch holds qubits above their threshold, qubits that cross
+        # within 512 pulses and qubits that need more than 1024
+        r, rho, targets = mixed_batch(257)
         records = run_campaign(r, rho, targets, CampaignConfig(23, noise))
         assert rows(records) == oracle_campaign(r, rho, targets, 23, noise)
-        pulses = records["pulses"][:_BLOCK]
+        pulses = records["pulses"]
         assert (pulses == 0).any()
-        assert ((0 < pulses) & (pulses <= _STEP_BATCH)).any()
-        assert (pulses > 2 * _STEP_BATCH).any()
-
-    @pytest.mark.parametrize("first", [1, 7])
-    def test_short_first_batch_matches_scalar_oracle(self, monkeypatch, first):
-        # a real first batch almost never falls short of a walk's crossing;
-        # a forced short one makes walks go on in later batches
-        gaps, batches = [], []
-
-        def short(gap):
-            gaps.append(gap)
-            return first
-
-        class Counted:  # a qubit's stream, counting the steps of each walk batch
-            def __init__(self, state):
-                self.rng = stream(state)
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def standard_exponential(self, out):
-                batches.append(out.size)
-                return self.rng.standard_exponential(out=out)
-
-        stream = controller._stream
-        monkeypatch.setattr(controller, "_first_batch", short)
-        monkeypatch.setattr(controller, "_stream", Counted)
-        r, rho, targets = mixed_batch(_BLOCK + 1)
-        records = run_campaign(r, rho, targets, CampaignConfig(23, 2.0))
-        assert gaps == [controller._WALK_SIGMAS * 2.0] * 2  # one first batch per block
-        assert batches.count(_STEP_BATCH) > _BLOCK // 4
-        assert rows(records) == oracle_campaign(r, rho, targets, 23, 2.0)
-
-    def test_first_batch_size(self):
-        # the mean pulse count plus 4 of its deviations and 16, at most a
-        # window, also for a gap past the float range
-        assert controller._first_batch(-5.0) == 16
-        assert controller._first_batch(400 * MEAN_STEP_OHM) == 400 + 80 + 16
-        assert controller._first_batch(500 * MEAN_STEP_OHM) == _STEP_BATCH
-        assert controller._first_batch(math.inf) == _STEP_BATCH
+        assert ((0 < pulses) & (pulses <= 512)).any()
+        assert (pulses > 1024).any()
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     @pytest.mark.parametrize("n, needs, named", [
-        # rows 3 and 9 of the second block need about 1000 pulses and row 5
-        # about 550, within the budget
-        (2 * _BLOCK, {_BLOCK + 3: 1000, _BLOCK + 5: 550, _BLOCK + 9: 1000}, _BLOCK + 3),
-        # a failing row in the first block is named before one in the second
-        (2 * _BLOCK + 1, {_BLOCK + 1: 1000, 7: 1000}, 7),
+        # rows 259 and 265 need about 1000 pulses and row 261 about 550,
+        # within the budget: the lower failing row is named
+        (512, {259: 1000, 261: 550, 265: 1000}, 259),
+        # a failing row is named before a later one, whichever is listed first
+        (513, {257: 1000, 7: 1000}, 7),
     ], ids=["one-block", "across-blocks"])
     def test_max_pulses_guard_names_oracle_qubit(self, monkeypatch, noise, n, needs, named):
         monkeypatch.setattr(controller, "MAX_PULSES", 600)
@@ -321,7 +305,8 @@ class TestCampaign:
     def test_noiseless_and_noisy_records_pinned(self):
         # digests of the records at a fixed seed, recorded when the jump and
         # walk replaced the per-pulse loop (each record equal to the scalar
-        # oracle then); the noisy ones have 0.5 Ohm probe noise. Any drift of
+        # oracle then); the noisy ones have 0.5 Ohm probe noise and were
+        # recorded again when the walk went pulse by pulse. Any drift of
         # either stream fails here. Targets at 120% of design put each qubit
         # about 650 pulses below its threshold.
         pinned = [
@@ -329,10 +314,10 @@ class TestCampaign:
              "c8c1a25fb06299e9bb27c9e8295e4869bf117bc96ef0e448103291cfdf573555"),
             (0.0, 1.2, 32796,
              "f863ea767627134483b8829a6909822cb806c4f825b0aa10adb8debaf80e8f67"),
-            (0.5, 0.98, 7285,
-             "0d763d7258772cf4b78f53292b5b560f9bdcfacb96583c706ee43df7286771ad"),
-            (0.5, 1.2, 32883,
-             "9fe3b3fd193fc36a5bb7224f831ae92c22dc8ad449622546003a089f6872c314"),
+            (0.5, 0.98, 7274,
+             "7f731f6ada9218d8fd65f214a93c3c8a62c4c14441ff62ba34efde8b49bbc4b7"),
+            (0.5, 1.2, 32874,
+             "4c777b98a57fb54f6205fbde53673994dc22fe130a84a95641bb50fb2f5b8064"),
         ]
         for noise, target_frac, pulses, digest in pinned:
             r, rho, targets = make_batch(50, seed=11, target_frac=target_frac)
@@ -419,10 +404,23 @@ class TestCampaign:
         monkeypatch.setattr(controller, "MAX_CAMPAIGN_PULSES", 10)
         targets = make_targets(["a", "b", "c"], 109.0, reserve=0.0)
         run_campaign([100.0, 100.0, 200.0], [0.0] * 3, targets, CampaignConfig(0))
-        monkeypatch.setattr(controller, "_tune_block", None)  # no qubit is pulsed
+        monkeypatch.setattr(controller, "_tune", None)  # no qubit is pulsed
         with pytest.raises(ValidationError, match=r"^expected campaign pulses must be finite "
                                                   r"and <= 10, got 10\.52"):
             run_campaign([100.0, 98.0, 200.0], [0.0] * 3, targets, CampaignConfig(0))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_campaign_stops_at_first_failing_row(self, monkeypatch, noise):
+        # row 7 of 300 needs about 1000 pulses, past a budget of 600: it is
+        # named before any later row's stream is built, with a noisy probe too
+        r, rho, targets = make_batch(300)
+        r[7] = targets["target_resistance"][7] / 1.0289 - 1000 * MEAN_STEP_OHM
+        monkeypatch.setattr(controller, "MAX_PULSES", 600)
+        built, stream = [], controller._stream
+        monkeypatch.setattr(controller, "_stream", lambda state: built.append(state) or stream(state))
+        with pytest.raises(InfeasibleError, match="^qubit Q007: max_pulses=600 exceeded$"):
+            run_campaign(r, rho, targets, CampaignConfig(7, noise))
+        assert len(built) == 8
 
     def test_default_design_at_qubit_cap_within_pulse_cap(self):
         r, _rho, targets = make_batch(10_000)
@@ -492,11 +490,12 @@ class TestStatistics:
     def test_statistics_pinned(self):
         # sha256 of the repr of the eight statistics, keys in report order,
         # for the 221-qubit seed-7 batch; recorded when the jump and walk
-        # replaced the per-pulse loop, so any drift of a value, a key or
-        # their order fails here.
+        # replaced the per-pulse loop (the noisy one again when the walk went
+        # pulse by pulse), so any drift of a value, a key or their order
+        # fails here.
         pinned = {
             0.0: "0c1d00733e2e474d66a23d436a634b2c559e8a4a3b901e6d3dbd55aa95136821",
-            0.5: "f1d858fc8d893cd359d0efab38a14508489f48fd7a57a19fccbdb7f2d067b1c1",
+            0.5: "cbe636500687b16a4411d6b166fa96e1a397bc089b498c1d2f21caeb6801980f",
         }
         r, rho, targets = make_batch(221)
         for noise, digest in pinned.items():
