@@ -13,8 +13,12 @@ run length ``<t>`` are the ``workloads`` and ``run_seconds`` of the change's
 ``BENCHMARK.json``. Prints one JSON object: per workload, the seeds, which
 side ran first, whether every op of every run was correct, and per end-to-end
 metric of ``BENCHMARK.json`` each side's runs, median and quartiles
-(``statistics.quantiles(n=4)``) and the number of pairs the change won (a tie
-counts for neither side).
+(``statistics.quantiles(n=4)``), the number of pairs the change won (a tie
+counts for neither side), and two verdicts in the metric's ``better``
+direction: ``gain_holds``, when the change won at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's quartile distance, and
+``within_bound``, when the change's median is no worse than the parent's by
+more than the metric's ``bound``, a fraction of the parent's median.
 """
 
 import argparse
@@ -36,18 +40,23 @@ def quartiles(runs):
     return q1, median, q3
 
 
-def summarize(parent, change, better):
+def summarize(parent, change, better, bound):
     """One metric over paired runs (``parent[i]`` beside ``change[i]``): each
-    side's runs, median and quartiles, and the pairs the change won when
-    ``better`` is ``"lower"`` or ``"higher"``."""
+    side's runs, median and quartiles, the pairs the change won, and the
+    verdicts of the module docstring, when ``better`` is ``"lower"`` or
+    ``"higher"`` and ``bound`` is the metric's allowed relative loss."""
     if len(parent) != len(change):
         raise ValueError(f"{len(parent)} parent runs against {len(change)} change runs")
     sign = 1 if better == "higher" else -1
-    summary = {"pairs": len(parent),
-               "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change))}
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    summary = {"pairs": len(parent), "change_wins": wins}
     for side, runs in zip(SIDES, (parent, change)):
         q1, median, q3 = quartiles(runs)
         summary[side] = {"q1": q1, "median": median, "q3": q3, "runs": list(runs)}
+    base = summary["parent"]
+    gain = sign * (summary["change"]["median"] - base["median"])
+    summary["gain_holds"] = 10 * wins >= 9 * len(parent) and gain > base["q3"] - base["q1"]
+    summary["within_bound"] = gain >= -bound * abs(base["median"])
     return summary
 
 
@@ -62,7 +71,8 @@ def run_once(tree, workload, seed, seconds):
 
 
 def compare(trees, workloads, pairs, seed, seconds, metrics):
-    """Every workload's pairs, summarised as the module docstring says."""
+    """Every workload's pairs, summarised as the module docstring says;
+    ``metrics`` maps each metric's name to its (better, bound)."""
     result = {}
     for workload in workloads:
         seeds = [seed + i for i in range(pairs)]
@@ -79,8 +89,8 @@ def compare(trees, workloads, pairs, seed, seconds, metrics):
             "all_ops_correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
             "metrics": {
                 name: summarize(*([r["metrics"][name]["value"] for r in runs[side]]
-                                  for side in SIDES), better)
-                for name, better in metrics.items()
+                                  for side in SIDES), better, bound)
+                for name, (better, bound) in metrics.items()
             },
         }
     return result
@@ -99,7 +109,7 @@ def main(argv=None):
             compileall.compile_dir(tree / part, quiet=1)
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in benchmark["workloads"]]
-    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     result = compare(trees, workloads, args.pairs, args.seed, benchmark["run_seconds"], metrics)
     print(json.dumps(result, indent=1))
 

@@ -21,9 +21,10 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import InfeasibleError, ValidationError, check, check_rows
 
 # Probe-noise sigmas below its threshold that a qubit walks pulse by pulse,
-# at about 1 us a pulse (two scalar draws); below them a read crosses with
-# probability at most Q(6) = 1e-9, and the qubit jumps there (``_tune``).
-_WALK_SIGMAS = 6.0
+# at about 1 us a pulse (two scalar draws); below them no read crosses, since
+# NumPy's float64 ziggurat draws no standard normal above 12.23, and the
+# qubit jumps there (``_tune``).
+_WALK_SIGMAS = 12.5
 # Mean per-pulse resistance increment, Ohm. Steps are exponential: their
 # renewal overshoot is again exponential with the same mean, which reproduces
 # the observed last-pulse overshoot statistics with this one parameter.
@@ -32,14 +33,14 @@ MEAN_STEP_OHM = 1.9
 # peak RSS on a 2-vCPU guest, so this cap extrapolates to about 18 s and 1.6 GB.
 # A larger one is refused before any qubit is sampled.
 MAX_CAMPAIGN_QUBITS = 1_000_000
-# Pulses after which one qubit's tuning loop gives up with exit 3.
+# Pulses after which one qubit's tuning loop gives up with exit 3; a qubit
+# whose gap to threshold is more steps than this is refused before any pulse.
 MAX_PULSES = 10**6
-# Largest campaign, in expected pulses (the qubits' gaps to threshold over
-# MEAN_STEP_OHM), refused before the first pulse. The jump draws a qubit's
-# pulses up to its walk at once, but a qubit whose probe noise spans its gap
-# walks all of it one pulse at a time, up to its gap / MEAN_STEP_OHM pulses:
-# at about 1 us a walked pulse, a campaign at this cap takes up to about 17 min.
-MAX_CAMPAIGN_PULSES = 10**9
+# Largest campaign, in expected walked pulses (each qubit's min(gap,
+# _WALK_SIGMAS noise) / MEAN_STEP_OHM), refused before the first pulse. The
+# jump draws the rest at once; at about 1 us a walked pulse, a campaign at
+# this cap walks for about two minutes.
+MAX_CAMPAIGN_PULSES = 10**8
 
 # Targets and records are column sets: each name (its JSON key, in file order)
 # maps to a list of str ids or an array of its type, one row per qubit. The
@@ -163,23 +164,7 @@ def _target_rows(ids) -> dict:
     return rows
 
 
-def _normal_tail(z: float) -> float:
-    """Q(z) = erfc(z / sqrt 2) / 2, the chance that a standard normal draw is at least z."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def _tail_draw(rng, a: float) -> float:
-    """A standard normal draw conditioned on being at least ``a`` > 0, by
-    Marsaglia's tail method (*Technometrics* 6(1), 1964): from each pair of
-    uniforms (u, v), x = sqrt(a^2 - 2 ln(1 - u)) is kept when v x < a."""
-    while True:
-        u, v = rng.random(2).tolist()
-        x = math.sqrt(a * a - 2.0 * math.log1p(-u))
-        if v * x < a:
-            return x
-
-
-def _tune(rng, r, rho, threshold, noise, bound):
+def _tune(rng, r, rho, threshold, noise):
     """One qubit tuned from ``r``: (last read, probe, pulses); a qubit still
     below its threshold past ``MAX_PULSES`` pulses stops there, with more
     than ``MAX_PULSES``.
@@ -187,50 +172,29 @@ def _tune(rng, r, rho, threshold, noise, bound):
     A qubit jumps, then walks. A qubit whose first read is below
     ``threshold`` and which starts below low = threshold - ``_WALK_SIGMAS``
     noise jumps to low by renewal law: its pulses are the points of a
-    Poisson process of rate 1 / MEAN_STEP_OHM on the resistance axis. A
-    read at x below low crosses the threshold with probability Q((threshold
-    - x) / noise) <= ``bound``, so the crossings are found by thinning
-    (Lewis & Shedler, *Naval Res. Logist. Q.* 26(3), 1979): Poisson(span
-    bound / mu) candidates at uniform positions, each kept with probability
-    Q(...) / ``bound``. The qubit stops at the first kept one, its read
-    drawn from the normal tail past the threshold, redrawn until it is at
-    or above it in floating point; its pulse index is 1 + the candidates
-    before it + Poisson((x - r)(1 - bound) / mu). Otherwise it reaches low
-    after the candidates and Poisson(span (1 - bound) / mu) other pulses.
-    A qubit whose read is still below the threshold then walks, one step
-    and one read at a time, until a read crosses; with a noiseless probe
-    low is the threshold, no candidate is drawn, and the walk ends on its
-    first step. A qubit whose first read is at or above the threshold is
-    never pulsed. The probe then adds the relaxation fraction ``rho``.
+    Poisson process of rate 1 / MEAN_STEP_OHM on the resistance axis, so it
+    reaches low after Poisson((low - r) / MEAN_STEP_OHM) pulses. No read
+    below low crosses the threshold, as that takes a standard normal draw
+    above ``_WALK_SIGMAS``: NumPy's float64 ziggurat returns none above
+    3.654 + sqrt(2 * 53 ln 2) = 12.23 (its tail start plus the most its
+    53-bit uniforms let a tail draw add), and Q(12.5) is 4e-36 besides. A
+    qubit whose read is still below the threshold then walks, one step and
+    one read at a time, until a read crosses; with a noiseless probe low is
+    the threshold and the walk ends on its first step. A qubit whose first
+    read is at or above the threshold is never pulsed. The probe then adds
+    the relaxation fraction ``rho``.
 
     The stream draws, in this order: with a noisy probe, the first read's
     error (``standard_normal``); if that read is below the threshold and
-    the qubit below low, the jump's ``poisson`` candidate count, their
-    positions and their acceptances (``random``, one per candidate), the
-    crossing's tail read (``random`` pairs), and the ``poisson`` count of
-    the other pulses; then each walked pulse's ``standard_exponential``
-    step and, with a noisy probe, its read error; and with a noisy probe
-    the probe's error. A noiseless probe draws no error and no candidate.
+    the qubit below low, the jump's ``poisson`` count; then each walked
+    pulse's ``standard_exponential`` step and, with a noisy probe, its read
+    error; and with a noisy probe the probe's error.
     """
     read = r + noise * rng.standard_normal() if noise > 0 else r
     low = threshold - _WALK_SIGMAS * noise
     pulses = 0
     if read < threshold and r < low:
-        span = low - r
-        k = kept = int(rng.poisson(span * bound / MEAN_STEP_OHM)) if bound else 0
-        if k:
-            u = rng.random((2, k))  # the positions, then the acceptances
-            positions = np.sort(r + span * u[0]).tolist()
-            kept = next((j for j, (x, v) in enumerate(zip(positions, u[1].tolist()))
-                         if v * bound < _normal_tail((threshold - x) / noise)), k)
-        if kept < k:
-            x = positions[kept]
-            a = max((threshold - x) / noise, _WALK_SIGMAS)  # below it only by rounding
-            while read < threshold:
-                read = x + noise * _tail_draw(rng, a)
-            r, pulses = x, 1 + kept + int(rng.poisson((x - r) * (1 - bound) / MEAN_STEP_OHM))
-        else:
-            r, pulses = low, k + int(rng.poisson(span * (1 - bound) / MEAN_STEP_OHM))
+        r, pulses = low, int(rng.poisson((low - r) / MEAN_STEP_OHM))
     while read < threshold and pulses <= MAX_PULSES:
         r += MEAN_STEP_OHM * rng.standard_exponential()
         read = r + noise * rng.standard_normal() if noise > 0 else r
@@ -249,7 +213,10 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
     less the relaxation reserve, then probed ``junction.PROBE_DELAY_HR``
     later, where relaxation has added exactly its ``relax_fraction``.
     ``r_last_pulse`` is that first read; a qubit whose first read is already
-    above is flagged with zero pulses, never pulsed downward. Qubits are
+    above is flagged with zero pulses, never pulsed downward. Before any
+    stream is built, a campaign expecting more than ``MAX_CAMPAIGN_PULSES``
+    walked pulses is refused, and then the first qubit whose gap to its
+    threshold is more than ``MAX_PULSES`` steps fails it. Qubits are then
     tuned in row order, and the first that needs more than ``MAX_PULSES``
     pulses fails the campaign before any later row is tuned.
     """
@@ -266,16 +233,19 @@ def run_campaign(r_untuned, relax_fraction, targets, config: CampaignConfig) -> 
         1.0 + np.asarray(targets["relaxation_reserve"], float))
     r_last, r_tuned, pulses = np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids), int)
     noise = config.noise_sigma
-    bound = _normal_tail(_WALK_SIGMAS) if noise > 0 else 0.0
-    # past the float range a read (as in Generator.normal) or the gap sum is inf, and is rejected
+    gap = np.maximum(threshold - r_untuned, 0)
+    # past the float range a read (as in Generator.normal) or the walked sum is inf, and is rejected
     with np.errstate(all="ignore"):
-        check("expected campaign pulses",
-              float(np.maximum(threshold - r_untuned, 0).sum()) / MEAN_STEP_OHM,
+        check("expected walked pulses",
+              float(np.minimum(gap, _WALK_SIGMAS * noise).sum()) / MEAN_STEP_OHM,
               le=MAX_CAMPAIGN_PULSES)
+        far = np.flatnonzero(gap / MEAN_STEP_OHM > MAX_PULSES)
+        if far.size:
+            raise InfeasibleError(f"qubit {ids[far[0]]}: max_pulses={MAX_PULSES} exceeded")
         qubits = zip(qubit_rngs(config.master_seed, ids), map(float, r_untuned),
                      map(float, relax_fraction), map(float, threshold))
         for i, (rng, r, rho, t) in enumerate(qubits):
-            r_last[i], r_tuned[i], pulses[i] = _tune(rng, r, rho, t, noise, bound)
+            r_last[i], r_tuned[i], pulses[i] = _tune(rng, r, rho, t, noise)
             if pulses[i] > MAX_PULSES:
                 raise InfeasibleError(f"qubit {ids[i]}: max_pulses={MAX_PULSES} exceeded")
     return {"qubit_id": ids, "r_untuned": r_untuned, "threshold": threshold,

@@ -166,7 +166,8 @@ def optimize_parking(
     violating edge, then by the neighbours of a parked component that has
     no offsets, and the first k with a plan is optimal. Raises
     InfeasibleError when no assignment exists, or when the search spends
-    ``MAX_PARK_NODES`` nodes first.
+    ``MAX_PARK_NODES`` nodes first; then it names the k it was searching,
+    as no smaller count has a plan.
     """
     window = check_window("window", window)
     check("step", step_mhz, gt=0)
@@ -234,6 +235,7 @@ class _ParkingSearch:
             (a, b) for a, b in edges if not self.lo <= abs(freqs[a] - freqs[b]) <= self.hi
         ]
         self.nodes = 0
+        self.k = 0          # the parked count searched; no smaller one has a plan
         self.domains = {}   # (node, parked neighbours) -> candidate indices
         self.feasible = {}  # parked component -> whether any offsets fit it
         self.best = None    # (max |offset|, sum |offset|, candidate index per node)
@@ -243,7 +245,8 @@ class _ParkingSearch:
         if self.nodes > MAX_PARK_NODES:
             raise InfeasibleError(
                 f"parking search hit its node budget ({MAX_PARK_NODES} search nodes) "
-                f"before finding an optimal plan or proving that none exists"
+                f"before finding an optimal plan or proving that none exists; "
+                f"every plan parks {self.k} or more qubits"
             )
 
     def solve(self):
@@ -263,6 +266,7 @@ class _ParkingSearch:
         """Search every parked set of size k. The grid is connected, so a
         branch either reaches size k or is pruned: a parked component has
         no unparked neighbour only when it is the whole grid."""
+        self.k = k
         # Each entry holds a parked set and its parent's uncovered edges.
         seen, todo = set(), [(frozenset(), self.violating)]
         while todo:

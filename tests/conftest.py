@@ -53,53 +53,32 @@ def oracle_fabricated(design_resistance, rng):
     return float(r), float(rho)
 
 
-def _normal_tail(z):
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 def oracle_record(r_untuned, relax_fraction, target, noise, rng):
     """One qubit tuned alone, jump then a walk one pulse at a time, drawing
     from ``rng`` in the order ``controller._tune`` documents: the oracle for
     ``controller.run_campaign``. ``target`` is a row of the target columns;
     the record is a dict of Python values in ``RECORD_FIELDS`` order."""
-    mu, sigmas = controller.MEAN_STEP_OHM, controller._WALK_SIGMAS
+    mu = controller.MEAN_STEP_OHM
 
     def probe(r):
         return r + float(rng.normal(0.0, noise)) if noise > 0 else r
 
-    def tail_read(x, a):
-        # Marsaglia's normal tail past a, redrawn until the read crosses
-        while True:
-            u, v = rng.random(2).tolist()
-            z = math.sqrt(a * a - 2.0 * math.log1p(-u))
-            if v * z < a and x + noise * z >= threshold:
-                return x + noise * z
+    def infeasible():
+        return controller.InfeasibleError(
+            f"qubit {target['qubit_id']}: max_pulses={controller.MAX_PULSES} exceeded")
 
     threshold = target["target_resistance"] / (1.0 + target["relaxation_reserve"])
+    if (threshold - r_untuned) / mu > controller.MAX_PULSES:
+        raise infeasible()
     r, read, pulses = r_untuned, probe(r_untuned), 0
-    low = threshold - sigmas * noise
+    low = threshold - controller._WALK_SIGMAS * noise
     if read < threshold and r < low:
-        bound = _normal_tail(sigmas) if noise > 0 else 0.0
-        span = low - r
-        count = int(rng.poisson(span * bound / mu))
-        xs = sorted(r + span * u for u in rng.random(count).tolist()) if count else []
-        keep = rng.random(count).tolist() if count else []
-        kept = [j for j, x in enumerate(xs)
-                if keep[j] * bound < _normal_tail((threshold - x) / noise)]
-        if kept:
-            x = xs[kept[0]]
-            read = tail_read(x, max((threshold - x) / noise, sigmas))
-            pulses = 1 + kept[0] + int(rng.poisson((x - r) * (1 - bound) / mu))
-            r = x
-        else:
-            pulses = count + int(rng.poisson(span * (1 - bound) / mu))
-            r = low
+        r, pulses = low, int(rng.poisson((low - r) / mu))
     while read < threshold and pulses <= controller.MAX_PULSES:
         r += float(rng.exponential(mu))
         read, pulses = probe(r), pulses + 1
     if pulses > controller.MAX_PULSES:
-        raise controller.InfeasibleError(
-            f"qubit {target['qubit_id']}: max_pulses={controller.MAX_PULSES} exceeded")
+        raise infeasible()
     return {"qubit_id": target["qubit_id"], "r_untuned": r_untuned, "threshold": threshold,
             "r_last_pulse": read, "r_tuned": probe(r + relax_fraction * r), "pulses": pulses,
             "already_above_target": pulses == 0}

@@ -76,14 +76,15 @@ class TestSimulateTuning:
 
     @pytest.mark.parametrize("noise", ["1e308", "1e200", "5e-324"])
     def test_extreme_noise_exits_cleanly(self, tmp_path, noise):
-        # at 1e308 low, 6e308 below the threshold, is -inf, so no qubit jumps
+        # at 1e308 low, 1.25e309 below the threshold, is -inf, so no qubit jumps
         # and each walks; the reads overflow and the statistics are refused
         argv = ["simulate-tuning", "--qubits", "40", "--seed", "1", "--noise", noise]
         assert main([*argv, "--out", str(tmp_path / "o")]) in (0, 2)
 
     # sha256 of every file a campaign and its report write, recorded when the
     # jump and walk replaced the per-pulse loop (the noisy one again when the
-    # walk went pulse by pulse); any byte of drift fails here
+    # walk went pulse by pulse and when it grew to 12.5 probe sigmas); any
+    # byte of drift fails here
     PINNED = {
         ("--qubits", "2000"): (
             "023ee3d6acbbab7bb14ffb3d61a92b2be7ea7f5f03e0f00f7778ad1f2b5a70e9",
@@ -91,9 +92,9 @@ class TestSimulateTuning:
             "4b988a45feb462bee64e35f6a537377df597cbbe37c2f2dd436c748ededda155",
         ),
         ("--qubits", "221", "--noise", "0.5"): (
-            "a92a9827c6badebbbc095f6c215461e77b7c0b02a4cba6f3a66fd8d40b3a4d23",
-            "752566f2a570b6f8f6aaaf5a8fb357c61e100d22572b89ea41acbeb177274c02",
-            "39b86734f6576460732eef787baddf353775b9a088afce859a61d0f9d6bab259",
+            "1105c4027dbcac1e1a50073965fc74262fd26cb6af0f4dadd14cbb9589fea849",
+            "77146883afc152a8a32f1afe992f93d85b86637fef903aafe270a8b12e3d4146",
+            "b5c997613770eafadea047df700b48f4866585db85a8fa14c14e66d3f11ed65f",
         ),
     }
 
@@ -528,15 +529,16 @@ class TestManifestsPinned:
     # Every subcommand's manifest config (in key order), master seed, input
     # files and stdout, recorded while each command still wrote its own
     # manifest; the stdout of simulate-tuning and report re-recorded when the
-    # jump and walk replaced the per-pulse loop. Paths are relative to the
+    # jump and walk replaced the per-pulse loop, and the noisy simulate-tuning
+    # when its walk grew to 12.5 probe sigmas. Paths are relative to the
     # run's directory.
     PINNED = {
         "simulate-tuning": (
             ["simulate-tuning", "--qubits", "4", "--seed", "7", "--noise", "0.5"],
             {"qubits": 4, "design_resistance": 4587.8, "aging_budget": 0.02, "reserve": 0.0289,
              "noise": 0.5}, 7, [],
-            "tuned 4 qubits to target 4496.0 Ohm\nprecision: mean -0.084%  sigma 0.408%\n"
-            "overshoot: mean 2.32 Ohm  sigma 1.47 Ohm\nreserve:   mean 2.749%  sigma 0.440%\n"),
+            "tuned 4 qubits to target 4496.0 Ohm\nprecision: mean -0.089%  sigma 0.404%\n"
+            "overshoot: mean 1.74 Ohm  sigma 0.56 Ohm\nreserve:   mean 2.758%  sigma 0.421%\n"),
         "simulate-tuning-all-flags": (
             ["simulate-tuning", "--qubits", "3", "--seed", "3", "--design-resistance", "5000",
              "--reserve", "0.03", "--aging-budget", "0.01"],
@@ -959,9 +961,6 @@ class TestArgumentBoundaries:
              "any-domain.json: r_min must be finite and > 0, got -1e+308\n"),
             (["assign-targets", "--calibration", "inverted-domain.json"],
              "inverted-domain.json: r_max must be finite and >= 9000.0, got 3000.0\n"),
-            # at 1e308 Ohm a 1.9 Ohm step no longer moves the resistance
-            (["simulate-tuning", "--seed", "1", "--qubits", "1", "--design-resistance", "1e308"],
-             "expected campaign pulses must be finite and <= 1000000000, got 8.16381117271889e+305"),
         ],
     )
     def test_rejected(self, tmp_path, valid, capsys, argv, message):
@@ -1004,26 +1003,34 @@ class TestArgumentBoundaries:
         assert capsys.readouterr().err.count(message) == 2
         assert not (tmp_path / "o").exists()
 
-    def test_pulse_budget_spent_exit_3(self, tmp_path, capsys):
-        # about 8e6 pulses expected: past MAX_PULSES, within MAX_CAMPAIGN_PULSES
-        rc = main(["simulate-tuning", "--qubits", "1", "--seed", "1",
-                   "--design-resistance", "1e9", "--out", str(tmp_path / "o")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert err == "infeasible: qubit Q000: max_pulses=1000000 exceeded\n"
-        assert not (tmp_path / "o").exists()
-
-    def test_campaign_pulses_capped_before_first_pulse(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def unpulsed(self, monkeypatch):
         def never(*args):
-            raise AssertionError("a qubit was pulsed before the pulse cap was checked")
+            raise AssertionError("tuning streams were built before the campaign was checked")
 
-        monkeypatch.setattr(controller, "_tune", never)
-        # about 156 000 pulses a qubit, 1.6e9 in all
-        argv = ["simulate-tuning", "--seed", "2", "--qubits", "10000", "--design-resistance", "5e6"]
+        monkeypatch.setattr(controller, "qubit_rngs", never)
+
+    def test_pulse_budget_spent_exit_3(self, tmp_path, capsys, unpulsed):
+        # about 8e6 pulses from its gap, past MAX_PULSES, and (at 1e308 Ohm,
+        # where a 1.9 Ohm step no longer moves the resistance) about 8e305:
+        # each is refused before any stream is built
+        for design in ("1e9", "1e308"):
+            rc = main(["simulate-tuning", "--qubits", "1", "--seed", "1",
+                       "--design-resistance", design, "--out", str(tmp_path / "o")])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert err == "infeasible: qubit Q000: max_pulses=1000000 exceeded\n"
+            assert not (tmp_path / "o").exists()
+
+    def test_campaign_pulses_capped_before_first_pulse(self, tmp_path, capsys, unpulsed):
+        # the 5e4 Ohm probe noise spans each gap, so each qubit expects to
+        # walk all of its about 152 000 pulses, 1.5e8 in all
+        argv = ["simulate-tuning", "--seed", "2", "--qubits", "1000", "--design-resistance", "5e6",
+                "--noise", "5e4"]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: expected campaign pulses must be finite and <= 1000000000, "
-                              "got 157685")
+        assert err.startswith("error: expected walked pulses must be finite and <= 100000000, "
+                              "got 152313568.5")
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_target_resistance(self, tmp_path, valid, capsys):

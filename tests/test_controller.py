@@ -92,8 +92,9 @@ class TestTuneQubit:
     @pytest.mark.parametrize("noise", [0.0, 20.0])
     def test_walk_draws_one_step_and_one_read_per_pulse(self, monkeypatch, noise):
         # a qubit 120 Ohm below its 1000 Ohm threshold: noiseless, it jumps
-        # (one Poisson count, no candidate) and walks one step; at 20 Ohm it
-        # starts at low, so it never jumps and every pulse is walked
+        # (one Poisson count) and walks one step; at 20 Ohm it starts above
+        # low, 250 Ohm below the threshold, so it never jumps and every pulse
+        # is walked
         calls = collections.Counter()
 
         class Counted:  # a qubit's stream, counting the draws asked of it
@@ -201,15 +202,8 @@ class TestLaw:
     """The jump and walk against the per-pulse loop, as distributions: two
     independent samples of the same qubits, one from each."""
 
-    @pytest.mark.parametrize("noise, walk_sigmas", [(0.0, 6.0), (0.5, 6.0), (20.0, 6.0),
-                                                    (20.0, 0.5), (20.0, 0.3)])
-    def test_records_follow_per_pulse_law(self, monkeypatch, noise, walk_sigmas):
-        # with walk_sigmas forced below 1, most qubits cross below the walk,
-        # where the jump finds the crossing by thinning
-        monkeypatch.setattr(controller, "_WALK_SIGMAS", walk_sigmas)
-        tails, tail_draw = [], controller._tail_draw
-        monkeypatch.setattr(controller, "_tail_draw",
-                            lambda rng, a: tails.append(a) or tail_draw(rng, a))
+    @pytest.mark.parametrize("noise", [0.0, 0.5, 20.0])
+    def test_records_follow_per_pulse_law(self, noise):
         r, rho, targets = make_batch(3000, seed=31)
         got = run_campaign(r, rho, targets, CampaignConfig(31, noise))
         want = oracle_campaign(r, rho, targets, 32, noise, record=per_pulse_record)
@@ -219,32 +213,23 @@ class TestLaw:
             records["r_last_pulse"] = records["r_last_pulse"] - records["threshold"]
         for name in ("pulses", "r_last_pulse", "r_tuned"):
             assert ks_2samp(got[name], want[name]) >= 0.01, name
-        if walk_sigmas < 1:
-            assert len(tails) > len(r) // 2
-            assert min(tails) >= walk_sigmas
-        else:
-            assert not tails
 
     @pytest.mark.parametrize("noise", [0.5, 20.0, 1e-3])
-    def test_every_crossing_read_at_or_above_threshold(self, monkeypatch, noise):
-        # exactly, in floating point, as the campaign checker requires; with
-        # walk_sigmas 0.3 most crossings are tail reads
-        monkeypatch.setattr(controller, "_WALK_SIGMAS", 0.3)
+    def test_every_crossing_read_at_or_above_threshold(self, noise):
+        # exactly, in floating point, as the campaign checker requires
         r, rho, targets = mixed_batch(500, seed=5)
         records = run_campaign(r, rho, targets, CampaignConfig(5, noise))
         pulsed = records["pulses"] > 0
         assert pulsed.sum() > 300
         assert (records["r_last_pulse"][pulsed] >= records["threshold"][pulsed]).all()
 
-    @pytest.mark.parametrize("a", [0.5, 3.0, 8.0])
-    def test_tail_draws(self, a):
-        # a standard normal conditioned on >= a has mean phi(a) / Q(a) and
-        # variance 1 + a m - m^2
-        rng = np.random.default_rng(11)
-        x = np.array([controller._tail_draw(rng, a) for _ in range(20_000)])
-        assert (x >= a).all()
-        m = math.exp(-a * a / 2) / math.sqrt(2 * math.pi) / controller._normal_tail(a)
-        assert abs(x.mean() - m) <= 4 * math.sqrt((1 + a * m - m * m) / len(x))
+    def test_no_read_below_the_walk_crosses(self):
+        # NumPy's float64 ziggurat draws a standard normal above its tail
+        # start r only as r + x, kept when x^2 < -2 ln(1 - u) for a 53-bit
+        # uniform u, so no draw reaches r + sqrt(2 * 53 ln 2); the normal
+        # tail past the walk is negligible besides
+        assert controller._WALK_SIGMAS > 3.6541528853610088 + math.sqrt(2 * 53 * math.log(2))
+        assert 0.5 * math.erfc(controller._WALK_SIGMAS / math.sqrt(2)) < 1e-35
 
 
 class TestQubitStreams:
@@ -306,7 +291,8 @@ class TestCampaign:
         # digests of the records at a fixed seed, recorded when the jump and
         # walk replaced the per-pulse loop (each record equal to the scalar
         # oracle then); the noisy ones have 0.5 Ohm probe noise and were
-        # recorded again when the walk went pulse by pulse. Any drift of
+        # recorded again when the walk went pulse by pulse and when it grew
+        # from 6 to 12.5 probe sigmas. Any drift of
         # either stream fails here. Targets at 120% of design put each qubit
         # about 650 pulses below its threshold.
         pinned = [
@@ -314,10 +300,10 @@ class TestCampaign:
              "c8c1a25fb06299e9bb27c9e8295e4869bf117bc96ef0e448103291cfdf573555"),
             (0.0, 1.2, 32796,
              "f863ea767627134483b8829a6909822cb806c4f825b0aa10adb8debaf80e8f67"),
-            (0.5, 0.98, 7274,
-             "7f731f6ada9218d8fd65f214a93c3c8a62c4c14441ff62ba34efde8b49bbc4b7"),
-            (0.5, 1.2, 32874,
-             "4c777b98a57fb54f6205fbde53673994dc22fe130a84a95641bb50fb2f5b8064"),
+            (0.5, 0.98, 7459,
+             "15e8f49c3e8c318eff4125ebebcca10c233e141dc51fde098cdf90c528445e65"),
+            (0.5, 1.2, 33380,
+             "03fb87f416b0704a94bca0d4e9889239f99514bc4f1943f84130a9e642e2691c"),
         ]
         for noise, target_frac, pulses, digest in pinned:
             r, rho, targets = make_batch(50, seed=11, target_frac=target_frac)
@@ -399,34 +385,56 @@ class TestCampaign:
             campaign_stats(_records(_record("A"), _record("B")), targets)
 
     def test_expected_pulses_capped_before_first_pulse(self, monkeypatch):
-        # gaps to threshold of 9 + 9 + 0 Ohm (one qubit above it) are 9.5 expected
-        # pulses and run; 9 + 11 + 0 Ohm are 10.5 and fail
+        # at 1 Ohm probe noise a qubit walks at most its last 12.5 Ohm: gaps to
+        # threshold of 5 + 100 + 0 Ohm (one qubit above it) walk 17.5 Ohm,
+        # 9.2 expected pulses, and run; 7.5 + 100 + 0 Ohm walk 20 Ohm, 10.5
+        # pulses, and fail
         monkeypatch.setattr(controller, "MAX_CAMPAIGN_PULSES", 10)
         targets = make_targets(["a", "b", "c"], 109.0, reserve=0.0)
-        run_campaign([100.0, 100.0, 200.0], [0.0] * 3, targets, CampaignConfig(0))
-        monkeypatch.setattr(controller, "_tune", None)  # no qubit is pulsed
-        with pytest.raises(ValidationError, match=r"^expected campaign pulses must be finite "
+        run_campaign([104.0, 9.0, 200.0], [0.0] * 3, targets, CampaignConfig(0, 1.0))
+        monkeypatch.setattr(controller, "_stream", None)  # no stream is built
+        with pytest.raises(ValidationError, match=r"^expected walked pulses must be finite "
                                                   r"and <= 10, got 10\.52"):
-            run_campaign([100.0, 98.0, 200.0], [0.0] * 3, targets, CampaignConfig(0))
+            run_campaign([101.5, 9.0, 200.0], [0.0] * 3, targets, CampaignConfig(0, 1.0))
 
-    @pytest.mark.parametrize("noise", [0.0, 0.5])
-    def test_campaign_stops_at_first_failing_row(self, monkeypatch, noise):
-        # row 7 of 300 needs about 1000 pulses, past a budget of 600: it is
-        # named before any later row's stream is built, with a noisy probe too
+    @pytest.mark.parametrize("noise, row", [(0.0, 8), (0.5, 7)], ids=["0.0", "0.5"])
+    def test_campaign_stops_at_first_failing_row(self, monkeypatch, noise, row):
+        # the row is 595 steps below its threshold, within a budget of 600,
+        # but its seeded draws need more: it is named, as the oracle names
+        # it, before any later row's stream is built
         r, rho, targets = make_batch(300)
-        r[7] = targets["target_resistance"][7] / 1.0289 - 1000 * MEAN_STEP_OHM
+        r[row] = targets["target_resistance"][row] / 1.0289 - 595 * MEAN_STEP_OHM
         monkeypatch.setattr(controller, "MAX_PULSES", 600)
         built, stream = [], controller._stream
         monkeypatch.setattr(controller, "_stream", lambda state: built.append(state) or stream(state))
-        with pytest.raises(InfeasibleError, match="^qubit Q007: max_pulses=600 exceeded$"):
+        message = f"^qubit Q{row:03d}: max_pulses=600 exceeded$"
+        with pytest.raises(InfeasibleError, match=message):
             run_campaign(r, rho, targets, CampaignConfig(7, noise))
-        assert len(built) == 8
+        assert len(built) == row + 1
+        with pytest.raises(InfeasibleError, match=message):
+            oracle_campaign(r, rho, targets, 7, noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_gap_past_max_pulses_refused_before_any_stream(self, monkeypatch, noise):
+        # row 200 is 1000 steps below its threshold, past a budget of 600, so
+        # it is named before any stream is built, and before row 7, which
+        # would fail only from its draws
+        r, rho, targets = make_batch(300)
+        threshold = targets["target_resistance"][0] / 1.0289
+        r[7], r[200] = threshold - 595 * MEAN_STEP_OHM, threshold - 1000 * MEAN_STEP_OHM
+        monkeypatch.setattr(controller, "MAX_PULSES", 600)
+        monkeypatch.setattr(controller, "_stream", None)
+        with pytest.raises(InfeasibleError, match="^qubit Q200: max_pulses=600 exceeded$"):
+            run_campaign(r, rho, targets, CampaignConfig(7, noise))
 
     def test_default_design_at_qubit_cap_within_pulse_cap(self):
+        # about 3.1e6 walked pulses at the 0.5 Ohm probe noise of a tuning round
         r, _rho, targets = make_batch(10_000)
         threshold = targets["target_resistance"] / (1 + targets["relaxation_reserve"])
-        gap = np.maximum(threshold - r, 0).mean()
-        assert MAX_CAMPAIGN_QUBITS * gap / MEAN_STEP_OHM < MAX_CAMPAIGN_PULSES
+        gap = np.maximum(threshold - r, 0)
+        walked = np.minimum(gap, controller._WALK_SIGMAS * 0.5).mean() / MEAN_STEP_OHM
+        assert 2e6 < MAX_CAMPAIGN_QUBITS * walked < MAX_CAMPAIGN_PULSES
+        assert gap.max() / MEAN_STEP_OHM < controller.MAX_PULSES
 
     def test_out_of_range_qubits_rejected(self):
         r, rho, targets = make_batch(3)
@@ -491,11 +499,11 @@ class TestStatistics:
         # sha256 of the repr of the eight statistics, keys in report order,
         # for the 221-qubit seed-7 batch; recorded when the jump and walk
         # replaced the per-pulse loop (the noisy one again when the walk went
-        # pulse by pulse), so any drift of a value, a key or their order
-        # fails here.
+        # pulse by pulse and when it grew to 12.5 probe sigmas), so any
+        # drift of a value, a key or their order fails here.
         pinned = {
             0.0: "0c1d00733e2e474d66a23d436a634b2c559e8a4a3b901e6d3dbd55aa95136821",
-            0.5: "cbe636500687b16a4411d6b166fa96e1a397bc089b498c1d2f21caeb6801980f",
+            0.5: "efb8f14fd9eaed1cd4334299562f30ea0c12fb2429849b075cdcf1e2c425d13d",
         }
         r, rho, targets = make_batch(221)
         for noise, digest in pinned.items():

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import sys
@@ -301,6 +303,39 @@ class TestCampaignReader:
         assert records["r_tuned"].dtype == np.float64 and records["r_tuned"][2] == 5000.0
         assert targets["target_resistance"].dtype == np.float64
         assert _outcome(fileio.load_campaign, path) == _outcome(oracle_load_campaign, path)
+
+
+class TestWriteCsv:
+    HEADER = ["qubit_id", "value", "pulses", "above", "f_mhz"]
+    ROWS = [("a,b", 0.1, 3, True, 4500.0),
+            ('say "hi"', 1e-300, -7, False, 1 / 3),
+            ("two\nlines", 2.5, 0, True, 1e6)]
+
+    @staticmethod
+    def oracle(header, rows, formats):
+        """The file as ``csv.writer`` writes it one row at a time, each
+        formatted column formatted first."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, formats[c]) if c in formats else v
+                             for c, v in zip(header, row)])
+        return out.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [ROWS, []], ids=["rows", "no-rows"])
+    @pytest.mark.parametrize("formats", [{}, {"f_mhz": ".3f"}], ids=["repr", "formatted"])
+    def test_matches_row_by_row_writer(self, tmp_path, rows, formats):
+        path = tmp_path / "out.csv"
+        fileio.write_csv(path, self.HEADER, iter(rows), formats or None)
+        assert path.read_bytes() == self.oracle(self.HEADER, rows, formats)
+
+    def test_quotes_ids_and_writes_reprs(self, tmp_path):
+        path = tmp_path / "out.csv"
+        fileio.write_csv(path, self.HEADER, self.ROWS, {"f_mhz": ".3f"})
+        assert path.read_bytes() == (
+            b'qubit_id,value,pulses,above,f_mhz\n"a,b",0.1,3,True,4500.000\n'
+            b'"say ""hi""",1e-300,-7,False,0.333\n"two\nlines",2.5,0,True,1000000.000\n')
 
 
 class TestReadInput:

@@ -318,10 +318,22 @@ class TestParking:
         assert parks_into_window(lat, plan, (20.0, 130.0))
 
     def test_node_budget_raises(self, monkeypatch):
+        # the message names the parked count searched when the budget ran
+        # out: every smaller count was searched and has no plan
         lat = QubitLattice(rows=1, cols=2, design_f01max=(4600.0, 4610.0))
         monkeypatch.setattr(lattice, "MAX_PARK_NODES", 3)
-        with pytest.raises(InfeasibleError, match="node budget"):
+        with pytest.raises(InfeasibleError, match="node budget .*; every plan parks 1 or more "
+                                                  "qubits$"):
             optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
+        # a tiled chip whose best plan parks 5 qubits: 100 nodes reach that count
+        base = tile(generate_unit_cell(seed=7), 2, 6)
+        freqs = np.array(base.design_f01max) + np.random.default_rng(8).normal(0.0, 7.7, 108)
+        lat = QubitLattice(rows=6, cols=18, design_f01max=tuple(freqs))
+        monkeypatch.setattr(lattice, "MAX_PARK_NODES", 100)
+        with pytest.raises(InfeasibleError, match="; every plan parks 5 or more qubits$"):
+            optimize_parking(lat, (20.0, 130.0), max_park_mhz=50.0, step_mhz=1.0)
+        monkeypatch.setattr(lattice, "MAX_PARK_NODES", 10**4)
+        assert optimize_parking(lat, (20.0, 130.0), 50.0, 1.0)["parked_count"] == 5
 
     def test_no_offset_below_max_park_proves_no_plan(self, monkeypatch):
         # a max park below the step leaves offset 0 only, so an edge out of
