@@ -165,9 +165,39 @@ def _unique_keys(pairs) -> dict:
     return data
 
 
+def _keys(data) -> int:
+    """The keys of object ``data``, of the objects among its values and of
+    the objects in lists of objects among its values: at most the keys of
+    all its objects, and so at most the ``:`` of its text."""
+    if type(data) is not dict:
+        return 0
+    count = len(data)
+    for value in data.values():
+        if type(value) is dict:
+            count += len(value)
+        elif type(value) is list and set(map(type, value)) == {dict}:
+            count += sum(map(len, value))
+    return count
+
+
 def _load(path, text, schema):
     """JSON ``text`` checked against ``schema`` (see ``_walk``); ``path`` names
-    the file in every message, and a mismatch names its field."""
+    the file in every message, and a mismatch names its field.
+
+    A text whose ``:`` are all keys that ``_keys`` counts repeats no key in
+    any object, and is parsed once, by ``json`` alone; any other text, or
+    one that fails to parse or to match, is parsed again with
+    ``_unique_keys``, which names a repeated key before any later fault."""
+    try:
+        data = json.loads(text)
+        unique = _keys(data) == text.count(":")
+    except (ValueError, RecursionError):
+        unique = False
+    if unique:
+        try:
+            return _walk(data, schema)
+        except _Mismatch:
+            pass
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except _RepeatedKey as exc:

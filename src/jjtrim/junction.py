@@ -15,7 +15,7 @@ from operator import mul
 
 import numpy as np
 
-from .controller import qubit_rngs
+from .controller import QubitStreams
 from .errors import check
 
 # Per-qubit relaxation fraction: fraction of the last-pulse resistance
@@ -64,27 +64,25 @@ def sample_fabricated(
 ) -> tuple[np.ndarray, np.ndarray]:
     """As-fabricated (resistance, relax_fraction) columns, one row per qubit id.
 
-    Qubit ``id`` draws from its fabrication stream, the ``controller.qubit_rngs``
+    Qubit ``id`` draws from its fabrication stream, the ``controller.QubitStreams``
     stream of ``fab:<id>``, apart from the stream that tunes it. Resistance ~
     Normal(design * (1 + FAB_MEAN_OFFSET_FRAC), design * FAB_SIGMA_FRAC)
-    truncated at > 0, then an independent relaxation fraction truncated at
-    >= 0; each value is redrawn from its stream until it fits.
+    truncated at > 0, and an independent relaxation fraction truncated at
+    >= 0: each qubit draws pairs of standard normals (``normal_pairs``), one
+    for each, until both fit.
     """
     # A design at or below zero would never draw a positive resistance.
     check("design_resistance", design_resistance, gt=0)
     loc = (design_resistance * (1.0 + FAB_MEAN_OFFSET_FRAC), RELAX_FRACTION_MEAN)
     scale = (design_resistance * FAB_SIGMA_FRAC, RELAX_FRACTION_SIGMA)
-    z = np.empty((len(ids), 2))
-    for rng, row in zip(qubit_rngs(master_seed, [f"fab:{q}" for q in ids]), z):
-        rng.standard_normal(out=row)
-    # loc + scale * z is Generator.normal(loc, scale) bit for bit
-    r = loc[0] + scale[0] * z[:, 0]
-    rho = loc[1] + scale[1] * z[:, 1]
-    # A redraw takes a fresh copy of the qubit's stream; it replays z[i] first.
-    for i in np.flatnonzero((r <= 0) | (rho < 0)):
-        draws = iter(next(qubit_rngs(master_seed, [f"fab:{ids[i]}"])).standard_normal, None)
-        r[i] = next(x for x in (loc[0] + scale[0] * d for d in draws) if x > 0)
-        rho[i] = next(x for x in (loc[1] + scale[1] * d for d in draws) if x >= 0)
+    streams = QubitStreams(master_seed, [f"fab:{q}" for q in ids])
+    r, rho = np.empty(len(ids)), np.empty(len(ids))
+    todo = np.arange(len(ids))
+    while todo.size:
+        z_r, z_rho = streams.normal_pairs(todo)
+        r[todo] = loc[0] + scale[0] * z_r
+        rho[todo] = loc[1] + scale[1] * z_rho
+        todo = todo[(r[todo] <= 0) | (rho[todo] < 0)]
     return r, rho
 
 

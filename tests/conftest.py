@@ -30,38 +30,90 @@ def precision_closed_form(target, reserve):
     return a_mean * b_mean - 1.0, math.sqrt(a_sq * b_sq - (a_mean * b_mean) ** 2)
 
 
-def oracle_rng(master_seed, qubit_id):
-    """A qubit's stream as NumPy's SeedSequence builds it, one key at a time:
-    the oracle for ``controller.qubit_rngs``."""
-    digest = hashlib.sha256(str(qubit_id).encode("utf-8")).digest()
-    qhash = int.from_bytes(digest[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), qhash]))
+def generator(master_seed, key):
+    """A NumPy ``Generator`` keyed as a campaign stream is: independent draws
+    for the law oracle (``per_pulse_record``)."""
+    digest = hashlib.sha256(str(key).encode("utf-8")).digest()
+    return np.random.default_rng([int(master_seed), int.from_bytes(digest[:8], "big")])
 
 
-def oracle_fabricated(design_resistance, rng):
-    """One qubit's (resistance, relax_fraction), each drawn by a scalar
-    truncation loop: the oracle for ``junction.sample_fabricated``."""
+class OracleStream:
+    """A key's stream as NumPy builds it, ``PCG64(SeedSequence([master_seed,
+    sha256(key)[:8]]))``, read one raw word at a time and made into draws by
+    scalar ``math`` formulas: the oracle for ``controller.QubitStreams`` and
+    its transforms."""
+
+    def __init__(self, master_seed, key):
+        digest = hashlib.sha256(str(key).encode("utf-8")).digest()
+        seq = np.random.SeedSequence([int(master_seed), int.from_bytes(digest[:8], "big")])
+        self.bits = np.random.PCG64(seq)
+
+    def uniform(self):
+        return (int(self.bits.random_raw()) >> 11) * 2.0**-53
+
+    def exponential(self):
+        return -math.log1p(-self.uniform())
+
+    def normal_pair(self):
+        radius = math.sqrt(2 * self.exponential())
+        angle = 2 * math.pi * self.uniform()
+        return radius * math.cos(angle), radius * math.sin(angle)
+
+    def normal(self):
+        return self.normal_pair()[0]
+
+    def poisson(self, lam):
+        """Inversion of one uniform below lam = 10; PTRS (Hoermann 1993) from 10."""
+        if lam < 10:
+            u, x = self.uniform(), 0
+            p = cdf = math.exp(-lam)
+            while cdf <= u and p > 0:
+                x += 1
+                p *= lam / x
+                cdf += p
+            return x
+        b = 0.931 + 2.53 * math.sqrt(lam)
+        a = -0.059 + 0.02483 * b
+        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+        vr = 0.9277 - 3.6224 / (b - 2)
+        while True:
+            u = self.uniform() - 0.5
+            v = self.uniform()
+            us = 0.5 - abs(u)
+            if us == 0:  # k is -inf
+                continue
+            k = math.floor((2 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            if v == 0 or (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
+                          <= -lam + k * math.log(lam) - math.lgamma(k + 1)):
+                return k
+
+
+def oracle_fabricated(design_resistance, stream):
+    """One qubit's (resistance, relax_fraction), drawn by a scalar loop over
+    normal pairs until both fit: the oracle for ``junction.sample_fabricated``."""
     while True:
-        r = rng.normal(design_resistance * (1.0 + junction.FAB_MEAN_OFFSET_FRAC),
-                       design_resistance * junction.FAB_SIGMA_FRAC)
-        if r > 0:
-            break
-    while True:
-        rho = rng.normal(junction.RELAX_FRACTION_MEAN, junction.RELAX_FRACTION_SIGMA)
-        if rho >= 0:
-            break
-    return float(r), float(rho)
+        z_r, z_rho = stream.normal_pair()
+        r = (design_resistance * (1.0 + junction.FAB_MEAN_OFFSET_FRAC)
+             + design_resistance * junction.FAB_SIGMA_FRAC * z_r)
+        rho = junction.RELAX_FRACTION_MEAN + junction.RELAX_FRACTION_SIGMA * z_rho
+        if r > 0 and rho >= 0:
+            return r, rho
 
 
-def oracle_record(r_untuned, relax_fraction, target, noise, rng):
-    """One qubit tuned alone, jump then a walk one pulse at a time, drawing
-    from ``rng`` in the order ``controller._tune`` documents: the oracle for
+def oracle_record(r_untuned, relax_fraction, target, noise, stream):
+    """One qubit tuned alone, a jump then a walk one pulse at a time, reading
+    ``stream`` (an ``OracleStream``) in the order ``controller.run_campaign``
+    documents, every word of a walk block included: the oracle for
     ``controller.run_campaign``. ``target`` is a row of the target columns;
     the record is a dict of Python values in ``RECORD_FIELDS`` order."""
     mu = controller.MEAN_STEP_OHM
 
     def probe(r):
-        return r + float(rng.normal(0.0, noise)) if noise > 0 else r
+        return r + noise * stream.normal() if noise > 0 else r
 
     def infeasible():
         return controller.InfeasibleError(
@@ -73,10 +125,19 @@ def oracle_record(r_untuned, relax_fraction, target, noise, rng):
     r, read, pulses = r_untuned, probe(r_untuned), 0
     low = threshold - controller._WALK_SIGMAS * noise
     if read < threshold and r < low:
-        r, pulses = low, int(rng.poisson((low - r) / mu))
+        r, pulses = low, stream.poisson((low - r) / mu)
+    block = 0
     while read < threshold and pulses <= controller.MAX_PULSES:
-        r += float(rng.exponential(mu))
-        read, pulses = probe(r), pulses + 1
+        block += 1
+        crossed = False
+        for _ in range(min(block, controller._MAX_BLOCK)):
+            step = mu * stream.exponential()
+            z = stream.normal() if noise > 0 else 0.0
+            if not crossed:
+                r += step
+                read = r + noise * z if noise > 0 else r
+                pulses += 1
+                crossed = not read < threshold
     if pulses > controller.MAX_PULSES:
         raise infeasible()
     return {"qubit_id": target["qubit_id"], "r_untuned": r_untuned, "threshold": threshold,
@@ -127,6 +188,13 @@ def ks_2samp(x, y):
         return 1.0
     k = np.arange(1, 101)
     return float(np.clip(2 * np.sum((-1.0) ** (k - 1) * np.exp(-2 * (k * lam) ** 2)), 0, 1))
+
+
+def chi2_pvalue(stat, df):
+    """The upper tail of the chi-square law with ``df`` degrees of freedom at
+    ``stat``, by the Wilson-Hilferty cube-root normal approximation."""
+    z = ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    return 0.5 * math.erfc(z / math.sqrt(2))
 
 
 def rows(columns, fields=controller.RECORD_FIELDS):

@@ -5,9 +5,11 @@ manifest ``config`` it expects back. These tests parse every argv of two ops
 per workload and run the first op of each, so dropping a flag or a manifest
 key that the benchmark relies on fails here, not only in the benchmark.
 The noiseless campaign of ``tune_bulk`` is also compared with
-``perfbench/reference.py``: its fabrication columns value for value, so a
-change of that stream fails here too, and its tuning columns by their means. The benchmark's tracer runs over two ops, so a rename
-of a module or argument that ``perfbench/tracing.py`` reads fails here too.
+``perfbench/reference.py``, which draws its own streams: its ids and
+thresholds value for value, and the columns its streams set by their laws,
+so a change of the fabrication or tuning law fails here too. The
+benchmark's tracer runs over two ops, so a rename of a module or argument
+that ``perfbench/tracing.py`` reads fails here too.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import ks_2samp
 
 import jjtrim
 import jjtrim.cli
@@ -79,9 +82,10 @@ def test_first_op_writes_expected_manifests(workloads, tmp_path, name):
 
 
 def test_tune_bulk_records_match_reference(workloads, reference, tmp_path):
-    # reference.py reproduces the fabrication stream draw for draw, but tunes
-    # every pulse, so the tuning columns are compared as perfbench/checks.py
-    # compares them: their means within CAMPAIGN_Z standard errors
+    # reference.py draws every column from NumPy Generator methods, so the
+    # stream-dependent columns are compared as perfbench/checks.py compares
+    # them, their means within CAMPAIGN_Z standard errors, and the
+    # fabricated resistances by a two-sample KS test as well
     op = workloads.WORKLOADS["tune_bulk"].generate(0, 2, tmp_path)[0]
     sim, p = op.steps[0], op.params
     assert p["noise"] == 0.0
@@ -91,15 +95,22 @@ def test_tune_bulk_records_match_reference(workloads, reference, tmp_path):
         p["seed"], p["qubits"], p["noise"],
         workloads.DESIGN_RESISTANCE, workloads.AGING_BUDGET, workloads.RESERVE,
     )
-    exact = ("qubit_id", "r_untuned", "threshold", "already_above_target")
+    exact = ("qubit_id", "threshold")
     assert [[rec[k] for k in exact] for rec in records] == [[rec[k] for k in exact] for rec in want]
     z_max = _perfbench_module("checks").CAMPAIGN_Z
+
+    def z(got, ref):
+        return (statistics.fmean(got) - statistics.fmean(ref)) / statistics.pstdev(ref) * len(ref) ** 0.5
+
+    for column in ("r_untuned", "already_above_target"):
+        got, ref = ([float(rec[column]) for rec in recs] for recs in (records, want))
+        assert abs(z(got, ref)) <= z_max, column
+    assert ks_2samp([rec["r_untuned"] for rec in records], [rec["r_untuned"] for rec in want]) >= 0.01
     tuned = [[rec for rec in recs if not rec["already_above_target"]] for recs in (records, want)]
     for column, value in (("pulses", lambda rec: rec["pulses"]),
                           ("overshoot", lambda rec: rec["r_last_pulse"] - rec["threshold"])):
         got, ref = ([value(rec) for rec in recs] for recs in tuned)
-        z = (statistics.fmean(got) - statistics.fmean(ref)) / statistics.pstdev(ref) * len(ref) ** 0.5
-        assert abs(z) <= z_max, column
+        assert abs(z(got, ref)) <= z_max, column
 
 
 def test_tune_round_targets_match_reference(workloads, reference, tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import load, oracle_fabricated, oracle_record, oracle_rng, rows
+from conftest import OracleStream, load, oracle_fabricated, oracle_record, rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,8 +59,8 @@ class TestSimulateTuning:
         assert config.master_seed == seed
         design = json.loads((tmp_path / "manifest.json").read_text())["config"]["design_resistance"]
         want = [
-            oracle_record(*oracle_fabricated(design, oracle_rng(seed, "fab:" + t["qubit_id"])),
-                          t, 0.0, oracle_rng(seed, t["qubit_id"]))
+            oracle_record(*oracle_fabricated(design, OracleStream(seed, "fab:" + t["qubit_id"])),
+                          t, 0.0, OracleStream(seed, t["qubit_id"]))
             for t in rows(targets, controller.TARGET_FIELDS)
         ]
         assert targets["qubit_id"] == ["Q000", "Q001", "Q002"]
@@ -82,19 +82,18 @@ class TestSimulateTuning:
         assert main([*argv, "--out", str(tmp_path / "o")]) in (0, 2)
 
     # sha256 of every file a campaign and its report write, recorded when the
-    # jump and walk replaced the per-pulse loop (the noisy one again when the
-    # walk went pulse by pulse and when it grew to 12.5 probe sigmas); any
-    # byte of drift fails here
+    # campaign streams became arrays of PCG64 states read through jjtrim's own
+    # transforms; any byte of drift fails here
     PINNED = {
         ("--qubits", "2000"): (
-            "023ee3d6acbbab7bb14ffb3d61a92b2be7ea7f5f03e0f00f7778ad1f2b5a70e9",
-            "171b17983c2510821ed5a69cebd0a692981d9454604e5d647c380fa3347dbc35",
-            "4b988a45feb462bee64e35f6a537377df597cbbe37c2f2dd436c748ededda155",
+            "90fc48fcee75d75fcb63f2831244a1fbfe9410f27d68e4ca66ca51982c5a95ef",
+            "dc3034f0385b8e121507533fd9706da856c0129f331445fb2509acf677da4c09",
+            "b3d63365d3368ef41671de945b5a1417e6a681fc01df4cd3baaf2205ef66f762",
         ),
         ("--qubits", "221", "--noise", "0.5"): (
-            "1105c4027dbcac1e1a50073965fc74262fd26cb6af0f4dadd14cbb9589fea849",
-            "77146883afc152a8a32f1afe992f93d85b86637fef903aafe270a8b12e3d4146",
-            "b5c997613770eafadea047df700b48f4866585db85a8fa14c14e66d3f11ed65f",
+            "657e49af53af4e91b25dc55c36281b68caebc04098e1a1b5a1fc234dcdb7b440",
+            "9ee6ecef94fae6d6a1df0d1629bf0699cdc8cea4a1edd498241304805c4533da",
+            "557560ed5eb229ac6ab5380e93878825e2b1177ecb2eab6fa7b6516eef38861e",
         ),
     }
 
@@ -529,23 +528,22 @@ class TestManifestsPinned:
     # Every subcommand's manifest config (in key order), master seed, input
     # files and stdout, recorded while each command still wrote its own
     # manifest; the stdout of simulate-tuning and report re-recorded when the
-    # jump and walk replaced the per-pulse loop, and the noisy simulate-tuning
-    # when its walk grew to 12.5 probe sigmas. Paths are relative to the
-    # run's directory.
+    # campaign streams became arrays of PCG64 states read through jjtrim's own
+    # transforms. Paths are relative to the run's directory.
     PINNED = {
         "simulate-tuning": (
             ["simulate-tuning", "--qubits", "4", "--seed", "7", "--noise", "0.5"],
             {"qubits": 4, "design_resistance": 4587.8, "aging_budget": 0.02, "reserve": 0.0289,
              "noise": 0.5}, 7, [],
-            "tuned 4 qubits to target 4496.0 Ohm\nprecision: mean -0.089%  sigma 0.404%\n"
-            "overshoot: mean 1.74 Ohm  sigma 0.56 Ohm\nreserve:   mean 2.758%  sigma 0.421%\n"),
+            "tuned 4 qubits to target 4496.0 Ohm\nprecision: mean -0.051%  sigma 0.347%\n"
+            "overshoot: mean 3.91 Ohm  sigma 5.17 Ohm\nreserve:   mean 2.745%  sigma 0.272%\n"),
         "simulate-tuning-all-flags": (
             ["simulate-tuning", "--qubits", "3", "--seed", "3", "--design-resistance", "5000",
              "--reserve", "0.03", "--aging-budget", "0.01"],
             {"qubits": 3, "design_resistance": 5000.0, "aging_budget": 0.01, "reserve": 0.03,
              "noise": 0.0}, 3, [],
-            "tuned 3 qubits to target 4950.0 Ohm\nprecision: mean -0.072%  sigma 0.176%\n"
-            "overshoot: mean 1.55 Ohm  sigma 0.73 Ohm\nreserve:   mean 2.893%  sigma 0.167%\n"),
+            "tuned 3 qubits to target 4950.0 Ohm\nprecision: mean -0.157%  sigma 0.240%\n"
+            "overshoot: mean 1.32 Ohm  sigma 0.75 Ohm\nreserve:   mean 2.811%  sigma 0.234%\n"),
         "calibrate-freq": (
             ["calibrate-freq", "--data", "points.csv"],
             {"data": "points.csv"}, None, ["points.csv"],
@@ -596,7 +594,7 @@ class TestManifestsPinned:
         "report": (
             ["report", "--campaign", "sim/campaign.json"],
             {}, None, ["sim/campaign.json"],
-            "4 qubits  precision sigma 0.085%  mean +0.094%\n"),
+            "4 qubits  precision sigma 0.331%  mean +0.201%\n"),
     }
 
     # sha256 of result files, beside the manifest, for the cases that pin them.
@@ -790,7 +788,7 @@ class TestMalformedInputs:
              "records[1].r_untuned must be finite and > 0, got -3.0"),
             ("campaign", _set(["records", 2, "already_above_target"], True),
              "records[2].already_above_target must be true exactly when pulses is 0, "
-             "got true with pulses 144"),
+             "got true with pulses 153"),
             ("campaign", _set(["records", 3, "pulses"], 0),
              "records[3].already_above_target must be true exactly when pulses is 0, "
              "got false with pulses 0"),
@@ -1008,7 +1006,7 @@ class TestArgumentBoundaries:
         def never(*args):
             raise AssertionError("tuning streams were built before the campaign was checked")
 
-        monkeypatch.setattr(controller, "qubit_rngs", never)
+        monkeypatch.setattr(controller, "QubitStreams", never)
 
     def test_pulse_budget_spent_exit_3(self, tmp_path, capsys, unpulsed):
         # about 8e6 pulses from its gap, past MAX_PULSES, and (at 1e308 Ohm,
@@ -1024,13 +1022,13 @@ class TestArgumentBoundaries:
 
     def test_campaign_pulses_capped_before_first_pulse(self, tmp_path, capsys, unpulsed):
         # the 5e4 Ohm probe noise spans each gap, so each qubit expects to
-        # walk all of its about 152 000 pulses, 1.5e8 in all
+        # walk all of its about 150 000 pulses, 1.5e8 in all
         argv = ["simulate-tuning", "--seed", "2", "--qubits", "1000", "--design-resistance", "5e6",
                 "--noise", "5e4"]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: expected walked pulses must be finite and <= 100000000, "
-                              "got 152313568.5")
+                              "got 149543107.1")
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_target_resistance(self, tmp_path, valid, capsys):

@@ -1,11 +1,13 @@
-import collections
 import hashlib
 import math
 import types
 
 import numpy as np
 import pytest
-from conftest import ks_2samp, oracle_fabricated, oracle_record, oracle_rng, per_pulse_record, rows
+from conftest import (
+    OracleStream, chi2_pvalue, generator, ks_2samp, oracle_fabricated, oracle_record,
+    per_pulse_record, rows,
+)
 
 from jjtrim import controller, junction
 from jjtrim.controller import (
@@ -14,8 +16,8 @@ from jjtrim.controller import (
     MAX_CAMPAIGN_QUBITS,
     MEAN_STEP_OHM,
     RECORD_FIELDS,
+    QubitStreams,
     campaign_stats,
-    qubit_rngs,
     run_campaign,
 )
 from jjtrim.errors import InfeasibleError, ValidationError
@@ -90,35 +92,31 @@ class TestTuneQubit:
             tune_one(100.0, 0.0, 10000.0, noise=0.1)
 
     @pytest.mark.parametrize("noise", [0.0, 20.0])
-    def test_walk_draws_one_step_and_one_read_per_pulse(self, monkeypatch, noise):
+    def test_stream_read_in_blocks(self, monkeypatch, noise):
         # a qubit 120 Ohm below its 1000 Ohm threshold: noiseless, it jumps
-        # (one Poisson count) and walks one step; at 20 Ohm it starts above
-        # low, 250 Ohm below the threshold, so it never jumps and every pulse
-        # is walked
-        calls = collections.Counter()
-
-        class Counted:  # a qubit's stream, counting the draws asked of it
-            def __init__(self, state):
-                self.rng = stream(state)
-
-            def __getattr__(self, name):
-                calls[name] += 1
-                return getattr(self.rng, name)
-
-        stream = controller._stream
-        monkeypatch.setattr(controller, "_stream", Counted)
+        # (a Poisson count of mean 63, two words a try) and walks one block of
+        # one step; at 20 Ohm it starts above low, 172 Ohm below the
+        # threshold, so it never jumps, and reads two words for its first read,
+        # blocks of 1, 2, 3, ... pulses of three words each, and two for its probe
+        reads = []
+        words = QubitStreams.words
+        monkeypatch.setattr(QubitStreams, "words",
+                            lambda self, rows, k: reads.append(k) or words(self, rows, k))
         pulses = tune_one(880.0, 0.0, 1000.0, reserve=0.0, seed=3, noise=noise)["pulses"]
+        assert reads[0] == 1  # the seeding step
         if noise:
-            assert pulses > 1
-            assert calls == {"standard_exponential": pulses, "standard_normal": pulses + 2}
+            blocks = len(reads) - 3
+            assert reads == [1, 2, *(3 * b for b in range(1, blocks + 1)), 2]
+            assert blocks * (blocks - 1) // 2 < pulses <= blocks * (blocks + 1) // 2
         else:
-            assert calls == {"poisson": 1, "standard_exponential": 1}
+            assert pulses > 1 and set(reads[1:-1]) == {2} and reads[-1] == 1
 
 
-def oracle_campaign(r, rho, targets, seed, noise, record=oracle_record):
-    """Every qubit through a scalar oracle (``record``), one at a time."""
+def oracle_campaign(r, rho, targets, seed, noise, record=oracle_record, stream=OracleStream):
+    """Every qubit through a scalar oracle (``record``), one at a time, each
+    reading its ``stream`` of (seed, id)."""
     return [
-        record(r_i, rho_i, target, noise, oracle_rng(seed, target["qubit_id"]))
+        record(r_i, rho_i, target, noise, stream(seed, target["qubit_id"]))
         for r_i, rho_i, target in zip(r.tolist(), rho.tolist(),
                                       rows(targets, controller.TARGET_FIELDS))
     ]
@@ -144,7 +142,7 @@ class TestOracles:
     def test_fabrication_matches_scalar_oracle(self):
         ids = [f"Q{i:03d}" for i in range(517)]
         r, rho = sample_fabricated(4587.8, 5, ids)
-        want = [oracle_fabricated(4587.8, oracle_rng(5, "fab:" + q)) for q in ids]
+        want = [oracle_fabricated(4587.8, OracleStream(5, "fab:" + q)) for q in ids]
         assert list(zip(r.tolist(), rho.tolist())) == want
 
     def test_forced_redraws_match_scalar_oracle(self, monkeypatch):
@@ -154,10 +152,10 @@ class TestOracles:
         monkeypatch.setattr(junction, "RELAX_FRACTION_SIGMA", 0.03)
         ids = [f"Q{i:03d}" for i in range(100)]
         r, rho = sample_fabricated(4587.8, 5, ids)
-        want = [oracle_fabricated(4587.8, oracle_rng(5, "fab:" + q)) for q in ids]
+        want = [oracle_fabricated(4587.8, OracleStream(5, "fab:" + q)) for q in ids]
         assert list(zip(r.tolist(), rho.tolist())) == want
         first = 4587.8 * (1.0 + junction.FAB_MEAN_OFFSET_FRAC) + 4587.8 * 2.0 * np.array(
-            [oracle_rng(5, "fab:" + q).standard_normal() for q in ids])
+            [OracleStream(5, "fab:" + q).normal() for q in ids])
         assert 20 <= np.sum(first <= 0) <= 50
         targets = make_targets(ids, 4587.8 * 0.98)
         for noise in (0.0, 0.5):
@@ -175,6 +173,21 @@ class TestOracles:
         assert (pulses == 0).any()
         assert ((0 < pulses) & (pulses <= 512)).any()
         assert (pulses > 1024).any()
+
+    @pytest.mark.parametrize("walk_rows", [7, None])
+    def test_rows_walked_in_chunks_in_any_order_match_scalar_oracle(self, monkeypatch, walk_rows):
+        # 1400 qubits in a shuffled order, over 1024 of them pulsed, walk in
+        # two chunks of _WALK_ROWS, or in chunks of 7; every record is the
+        # oracle's all the same
+        r, rho, targets = mixed_batch(1400, seed=29)
+        order = np.random.default_rng(29).permutation(1400)
+        r, rho, targets = r[order], rho[order], {
+            k: [v[i] for i in order] if k == "qubit_id" else v[order] for k, v in targets.items()}
+        if walk_rows:
+            monkeypatch.setattr(controller, "_WALK_ROWS", walk_rows)
+        records = run_campaign(r, rho, targets, CampaignConfig(29, 0.5))
+        assert rows(records) == oracle_campaign(r, rho, targets, 29, 0.5)
+        assert (records["pulses"] > 0).sum() > controller._WALK_ROWS
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     @pytest.mark.parametrize("n, needs, named", [
@@ -206,7 +219,7 @@ class TestLaw:
     def test_records_follow_per_pulse_law(self, noise):
         r, rho, targets = make_batch(3000, seed=31)
         got = run_campaign(r, rho, targets, CampaignConfig(31, noise))
-        want = oracle_campaign(r, rho, targets, 32, noise, record=per_pulse_record)
+        want = oracle_campaign(r, rho, targets, 32, noise, record=per_pulse_record, stream=generator)
         want = {k: np.array([rec[k] for rec in want]) for k in RECORD_FIELDS}
         for records in (got, want):  # the shared part of the pulse count, and the overshoot
             records["pulses"] = records["pulses"] - (records["threshold"] - r) / MEAN_STEP_OHM
@@ -223,27 +236,106 @@ class TestLaw:
         assert pulsed.sum() > 300
         assert (records["r_last_pulse"][pulsed] >= records["threshold"][pulsed]).all()
 
-    def test_no_read_below_the_walk_crosses(self):
-        # NumPy's float64 ziggurat draws a standard normal above its tail
-        # start r only as r + x, kept when x^2 < -2 ln(1 - u) for a 53-bit
-        # uniform u, so no draw reaches r + sqrt(2 * 53 ln 2); the normal
-        # tail past the walk is negligible besides
-        assert controller._WALK_SIGMAS > 3.6541528853610088 + math.sqrt(2 * 53 * math.log(2))
-        assert 0.5 * math.erfc(controller._WALK_SIGMAS / math.sqrt(2)) < 1e-35
+
+class FixedWords:
+    """Streams whose row i reads ``PCG64(seed + i).random_raw`` one word at a time."""
+
+    def __init__(self, n, seed):
+        self.rows = [iter(np.random.PCG64(seed + i).random_raw(64).tolist()) for i in range(n)]
+
+    def words(self, rows, k):
+        return np.array([[next(self.rows[i]) for i in rows] for _ in range(k)],
+                        np.uint64).reshape(k, len(rows))
+
+
+class TestTransforms:
+    """Raw words to draws: pinned values, so that an edit of a transform, or
+    a NumPy ufunc in place of a ``math`` function, fails here by name. The
+    fifth and sixth words are uniforms whose -log1p(-u) NumPy's AVX-512
+    ``log1p`` rounds otherwise than libm."""
+
+    WORDS = np.array([0, 1 << 11, 2**63, 0x0123456789ABCDEF, 0x6474A1D01DA07F0E,
+                      0xCE6420C04B82EBE2, 2**64 - 1], np.uint64)
+
+    def test_exponentials_pinned(self):
+        assert [x.hex() for x in controller._exponentials(self.WORDS).tolist()] == [
+            "0x0.0p+0", "0x1.0000000000000p-53", "0x1.62e42fefa39efp-1",
+            "0x1.23eb991354e4bp-8", "0x1.fe343f76c2614p-2", "0x1.a41914798e392p+0",
+            "0x1.25e4f7b2737fap+5"]
+
+    def test_normals_pinned(self):
+        assert [x.hex() for x in controller._normals(self.WORDS, self.WORDS[::-1]).tolist()] == [
+            "0x0.0p+0", "0x1.6236ef13800c5p-28", "-0x1.d63e7b43eefe6p-1",
+            "0x1.82743771e2249p-4", "-0x1.ff19ec0969073p-1", "0x1.cfc733f54c738p+0",
+            "0x1.124b2800eda48p+3"]
+
+    def test_largest_normal_below_walk_sigmas(self):
+        # the largest word gives the largest exponential, 53 ln 2, and the
+        # zero word an angle of 0, where cos is 1: no normal is larger in size
+        top = controller._normals(self.WORDS[-1:], self.WORDS[:1])[0]
+        assert top == pytest.approx(math.sqrt(2 * 53 * math.log(2)), rel=1e-15)
+        assert top == math.sqrt(2 * controller._exponentials(self.WORDS).max())
+        assert top < controller._WALK_SIGMAS
+
+    @pytest.mark.parametrize("seed, counts", [
+        (100, [0, 6, 7, 8, 164, 998456]),
+        (200, [0, 8, 9, 13, 151, 1001591]),
+        (300, [0, 2, 12, 7, 152, 1000640]),
+    ])
+    def test_poisson_counts_pinned(self, seed, counts):
+        lam = np.array([0, 3, 9.99, 10, 150, 1e6])
+        assert controller._poisson(FixedWords(6, seed), np.arange(6), lam).tolist() == counts
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 9.99, 10.0, 10.5, 150.0, 1e6])
+    def test_poisson_matches_scalar_oracle(self, lam):
+        # 2000 rows, with their PTRS tries rejected and retried row by row
+        keys = [f"Q{i}" for i in range(2000)]
+        got = controller._poisson(QubitStreams(9, keys), np.arange(2000), np.full(2000, lam))
+        assert got.tolist() == [OracleStream(9, key).poisson(lam) for key in keys]
+
+    @pytest.mark.parametrize("lam", [3.0, 9.99, 10.0, 150.0])
+    def test_poisson_law(self, lam):
+        # chi-square over counts whose expected number is at least 20, the
+        # tails pooled into the end bins
+        n = 40_000
+        counts = controller._poisson(QubitStreams(17, range(n)), np.arange(n), np.full(n, lam))
+        x = np.arange(int(lam + 12 * math.sqrt(lam) + 20))
+        pmf = np.exp([-lam + k * math.log(lam) - math.lgamma(k + 1) for k in x.tolist()])
+        inside = np.flatnonzero(n * pmf >= 20)
+        lo, hi = inside[0], inside[-1]
+        expected = n * pmf[lo:hi + 1]
+        expected[0] += n * pmf[:lo].sum()
+        expected[-1] = n - expected[:-1].sum()
+        observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1)
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2_pvalue(stat, len(expected) - 1) >= 0.001, stat
 
 
 class TestQubitStreams:
     # SeedSequence splits each integer into uint32 words: these seeds give
-    # one, two and three seed words, so rows of three to five words, and a
-    # row longer than the pool of four mixes its extra words last
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3]
+    # one, two, three and seven seed words, so rows of three to nine words,
+    # and a row longer than the pool of four mixes its extra words last
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3, 2**200]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_first_draws_match_seed_sequence(self, seed):
-        # 6 seeds x 1700 ids: over 10^4 (seed, id) pairs
+    def test_words_match_pcg64(self, seed):
+        # reads of 1, 3, 255 and 256 words in turn, the last two past the
+        # walk's longest block of three-word pulses at 85 and 86 pulses
+        keys = ["", "fab:Q000", "qübit-Ω", "Q001"]
+        streams = QubitStreams(seed, keys)
+        got = np.concatenate([streams.words(slice(None), k) for k in (1, 3, 255, 256)])
+        for key, column in zip(keys, got.T, strict=True):
+            assert np.array_equal(column, OracleStream(seed, key).bits.random_raw(515)), key
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_words_match_oracle(self, seed):
+        # 7 seeds x 1700 ids: over 10^4 (seed, id) pairs, read for a subset
+        # of rows that skips every third
         ids = [f"Q{i:03d}" for i in range(850)] + [f"fab:Q{i:03d}" for i in range(850)]
-        for qid, rng in zip(ids, qubit_rngs(seed, ids), strict=True):
-            assert np.array_equal(rng.random(3), oracle_rng(seed, qid).random(3)), qid
+        rows = np.flatnonzero(np.arange(len(ids)) % 3 != 2)
+        got = QubitStreams(seed, ids).words(rows, 3)
+        for i, column in zip(rows, got.T, strict=True):
+            assert column.tolist() == OracleStream(seed, ids[i]).bits.random_raw(3).tolist(), ids[i]
 
     def test_seed_states_match_seed_sequence(self):
         # one batch of mixed lengths: a hash below 2**32 (one hash word), a
@@ -264,16 +356,21 @@ class TestQubitStreams:
         # digest is replaced to reach the one-word hash
         digest = types.SimpleNamespace(digest=lambda: qhash.to_bytes(8, "big") + bytes(24))
         monkeypatch.setattr(controller, "hashlib", types.SimpleNamespace(sha256=lambda _: digest))
-        (rng,) = qubit_rngs(seed, ["any"])
-        want = np.random.default_rng(np.random.SeedSequence([seed, qhash]))
-        assert np.array_equal(rng.random(3), want.random(3))
+        got = QubitStreams(seed, ["any"]).words(slice(None), 3)[:, 0]
+        want = np.random.PCG64(np.random.SeedSequence([seed, qhash])).random_raw(3)
+        assert np.array_equal(got, want)
 
     def test_no_ids_no_streams(self):
-        assert list(qubit_rngs(5, [])) == []
+        assert QubitStreams(5, []).words(slice(None), 3).shape == (3, 0)
+
+    @pytest.mark.parametrize("k", [0, 3 * controller._MAX_BLOCK + 1])
+    def test_read_outside_jump_table_refused(self, k):
+        with pytest.raises(ValidationError, match=f"^k must be > 0 and <= {3 * controller._MAX_BLOCK}"):
+            QubitStreams(5, ["Q000"]).words(slice(None), k)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="master_seed must be >= 0"):
-            next(qubit_rngs(-1, ["Q000"]))
+            QubitStreams(-1, ["Q000"])
 
 
 class TestCampaign:
@@ -288,22 +385,21 @@ class TestCampaign:
             run_campaign(r[:2], rho[:2], targets, CampaignConfig(master_seed=0))
 
     def test_noiseless_and_noisy_records_pinned(self):
-        # digests of the records at a fixed seed, recorded when the jump and
-        # walk replaced the per-pulse loop (each record equal to the scalar
-        # oracle then); the noisy ones have 0.5 Ohm probe noise and were
-        # recorded again when the walk went pulse by pulse and when it grew
-        # from 6 to 12.5 probe sigmas. Any drift of
-        # either stream fails here. Targets at 120% of design put each qubit
-        # about 650 pulses below its threshold.
+        # digests of the records at a fixed seed, recorded when the campaign
+        # streams became arrays of PCG64 states read through jjtrim's own
+        # transforms (each record equal to the scalar oracle then); the noisy
+        # ones have 0.5 Ohm probe noise. Any drift of either stream fails
+        # here. Targets at 120% of design put each qubit about 650 pulses
+        # below its threshold.
         pinned = [
-            (0.0, 0.98, 7207,
-             "c8c1a25fb06299e9bb27c9e8295e4869bf117bc96ef0e448103291cfdf573555"),
-            (0.0, 1.2, 32796,
-             "f863ea767627134483b8829a6909822cb806c4f825b0aa10adb8debaf80e8f67"),
-            (0.5, 0.98, 7459,
-             "15e8f49c3e8c318eff4125ebebcca10c233e141dc51fde098cdf90c528445e65"),
-            (0.5, 1.2, 33380,
-             "03fb87f416b0704a94bca0d4e9889239f99514bc4f1943f84130a9e642e2691c"),
+            (0.0, 0.98, 6106,
+             "084385fc597b4c882e26d1e25a8cdbca188de304a52bfbfe9f01eca10149ed34"),
+            (0.0, 1.2, 31684,
+             "67c2bf59f1a74272b53169c70babada69d72a507c9b772d76adec2fe3a08dc0c"),
+            (0.5, 0.98, 6208,
+             "8f2401904689be1ff544da75c47d8215352043777008b4cf968084920dfeb5d2"),
+            (0.5, 1.2, 31792,
+             "646ff4af739fd65226f0d1ecaf54258120459c405fa109105f0549135058a529"),
         ]
         for noise, target_frac, pulses, digest in pinned:
             r, rho, targets = make_batch(50, seed=11, target_frac=target_frac)
@@ -385,34 +481,35 @@ class TestCampaign:
             campaign_stats(_records(_record("A"), _record("B")), targets)
 
     def test_expected_pulses_capped_before_first_pulse(self, monkeypatch):
-        # at 1 Ohm probe noise a qubit walks at most its last 12.5 Ohm: gaps to
-        # threshold of 5 + 100 + 0 Ohm (one qubit above it) walk 17.5 Ohm,
-        # 9.2 expected pulses, and run; 7.5 + 100 + 0 Ohm walk 20 Ohm, 10.5
+        # at 1 Ohm probe noise a qubit walks at most its last 8.6 Ohm: gaps to
+        # threshold of 5 + 100 + 0 Ohm (one qubit above it) walk 13.6 Ohm,
+        # 7.2 expected pulses, and run; 7.5 + 100 + 0 Ohm walk 16.1 Ohm, 8.5
         # pulses, and fail
-        monkeypatch.setattr(controller, "MAX_CAMPAIGN_PULSES", 10)
+        monkeypatch.setattr(controller, "MAX_CAMPAIGN_PULSES", 8)
         targets = make_targets(["a", "b", "c"], 109.0, reserve=0.0)
         run_campaign([104.0, 9.0, 200.0], [0.0] * 3, targets, CampaignConfig(0, 1.0))
-        monkeypatch.setattr(controller, "_stream", None)  # no stream is built
+        monkeypatch.setattr(controller, "QubitStreams", None)  # no stream is built
         with pytest.raises(ValidationError, match=r"^expected walked pulses must be finite "
-                                                  r"and <= 10, got 10\.52"):
+                                                  r"and <= 8, got 8\.47"):
             run_campaign([101.5, 9.0, 200.0], [0.0] * 3, targets, CampaignConfig(0, 1.0))
 
     @pytest.mark.parametrize("noise, row", [(0.0, 8), (0.5, 7)], ids=["0.0", "0.5"])
-    def test_campaign_stops_at_first_failing_row(self, monkeypatch, noise, row):
-        # the row is 595 steps below its threshold, within a budget of 600,
-        # but its seeded draws need more: it is named, as the oracle names
-        # it, before any later row's stream is built
+    def test_campaign_names_lowest_failing_row(self, monkeypatch, noise, row):
+        # rows 1, ``row`` and 20 are 595 steps below their thresholds, within
+        # a budget of 600; row 1's seeded draws need no more, but those of
+        # ``row`` and 20 do: every row is tuned at once, and the lower failing
+        # row is named, as the oracle, which tunes rows in order, names it
         r, rho, targets = make_batch(300)
-        r[row] = targets["target_resistance"][row] / 1.0289 - 595 * MEAN_STEP_OHM
+        for i in (1, row, 20):
+            r[i] = targets["target_resistance"][i] / 1.0289 - 595 * MEAN_STEP_OHM
         monkeypatch.setattr(controller, "MAX_PULSES", 600)
-        built, stream = [], controller._stream
-        monkeypatch.setattr(controller, "_stream", lambda state: built.append(state) or stream(state))
         message = f"^qubit Q{row:03d}: max_pulses=600 exceeded$"
         with pytest.raises(InfeasibleError, match=message):
             run_campaign(r, rho, targets, CampaignConfig(7, noise))
-        assert len(built) == row + 1
         with pytest.raises(InfeasibleError, match=message):
             oracle_campaign(r, rho, targets, 7, noise)
+        assert rows(run_campaign(r[:row], rho[:row], {k: v[:row] for k, v in targets.items()},
+                                 CampaignConfig(7, noise)))[1]["pulses"] <= 600
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     def test_gap_past_max_pulses_refused_before_any_stream(self, monkeypatch, noise):
@@ -423,12 +520,12 @@ class TestCampaign:
         threshold = targets["target_resistance"][0] / 1.0289
         r[7], r[200] = threshold - 595 * MEAN_STEP_OHM, threshold - 1000 * MEAN_STEP_OHM
         monkeypatch.setattr(controller, "MAX_PULSES", 600)
-        monkeypatch.setattr(controller, "_stream", None)
+        monkeypatch.setattr(controller, "QubitStreams", None)
         with pytest.raises(InfeasibleError, match="^qubit Q200: max_pulses=600 exceeded$"):
             run_campaign(r, rho, targets, CampaignConfig(7, noise))
 
     def test_default_design_at_qubit_cap_within_pulse_cap(self):
-        # about 3.1e6 walked pulses at the 0.5 Ohm probe noise of a tuning round
+        # about 2.2e6 walked pulses at the 0.5 Ohm probe noise of a tuning round
         r, _rho, targets = make_batch(10_000)
         threshold = targets["target_resistance"] / (1 + targets["relaxation_reserve"])
         gap = np.maximum(threshold - r, 0)
@@ -497,13 +594,12 @@ class TestStatistics:
 
     def test_statistics_pinned(self):
         # sha256 of the repr of the eight statistics, keys in report order,
-        # for the 221-qubit seed-7 batch; recorded when the jump and walk
-        # replaced the per-pulse loop (the noisy one again when the walk went
-        # pulse by pulse and when it grew to 12.5 probe sigmas), so any
-        # drift of a value, a key or their order fails here.
+        # for the 221-qubit seed-7 batch; recorded when the campaign streams
+        # became arrays of PCG64 states read through jjtrim's own transforms,
+        # so any drift of a value, a key or their order fails here.
         pinned = {
-            0.0: "0c1d00733e2e474d66a23d436a634b2c559e8a4a3b901e6d3dbd55aa95136821",
-            0.5: "efb8f14fd9eaed1cd4334299562f30ea0c12fb2429849b075cdcf1e2c425d13d",
+            0.0: "2478995709d0a63fc8e15d288b4c99f2202a3328511b1835e9e6934dabd8cb14",
+            0.5: "9a7345fe480f6d201c56d06bd654bd1db99908eb4ff14ad6be5749aacca4df90",
         }
         r, rho, targets = make_batch(221)
         for noise, digest in pinned.items():

@@ -293,6 +293,38 @@ class TestCampaignReader:
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {where}: ')}"):
             load(fileio.load_campaign, path)
 
+    def test_ids_with_colons_load_as_the_oracle_through_the_fallback(self, tmp_path, text,
+                                                                     monkeypatch):
+        # a ':' in an id outnumbers the keys, so the text is parsed again with
+        # the repeated-key hook; a text of plain ids is parsed once, without it
+        hooked = []
+        unique_keys = fileio._unique_keys
+        monkeypatch.setattr(fileio, "_unique_keys", lambda pairs: hooked.append(1) or unique_keys(pairs))
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        plain = _outcome(fileio.load_campaign, path)
+        assert not hooked
+        path.write_text(text.replace('"Q00', '"fab:Q:00'))
+        got = _outcome(fileio.load_campaign, path)
+        assert hooked
+        assert got == _outcome(oracle_load_campaign, path)
+        assert [row["qubit_id"] for row in got[0]] == [f"fab:Q:00{i}" for i in range(4)]
+        assert [{**row, "qubit_id": None} for row in got[0]] == [
+            {**row, "qubit_id": None} for row in plain[0]]
+
+    def test_repeated_key_in_late_row_named_before_early_schema_fault(self, tmp_path, text):
+        data = json.loads(text)
+        _corrupt(data, ("records", 0, "r_tuned", "x"))
+        late = json.dumps(data).rsplit('{"qubit_id": "Q003", ', 1)
+        path = tmp_path / "c.json"
+        path.write_text('{"qubit_id": "Q003", "r_tuned": 1.0, '.join(late))
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'{path}: invalid JSON: repeated key ')}'r_tuned'$"):
+            load(fileio.load_campaign, path)
+        path.write_text(json.dumps(data))  # without the repeated key, the schema fault
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: records[0].r_tuned: ')}"):
+            load(fileio.load_campaign, path)
+
     def test_int_in_float_field_loads_as_float64(self, tmp_path, text):
         data = json.loads(text)
         data["records"][2]["r_tuned"] = 5000

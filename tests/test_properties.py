@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load, oracle_rng
+from conftest import OracleStream, load
 
 from jjtrim import fileio
 from jjtrim.controller import (
-    RECORD_FIELDS, TARGET_FIELDS, CampaignConfig, qubit_rngs, run_campaign,
+    RECORD_FIELDS, TARGET_FIELDS, CampaignConfig, QubitStreams, run_campaign,
 )
 from jjtrim.freqmodel import (
     PowerLawModel, assign_target_R, fit_power_law, invert_R, predict_f,
@@ -207,8 +207,8 @@ class TestSeedingProperties:
     @given(master=st.integers(0, 2**80), qid=st.text(min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_per_qubit_stream_reproducible(self, master, qid):
-        (rng,) = qubit_rngs(master, [qid])
-        assert np.array_equal(rng.random(4), oracle_rng(master, qid).random(4))
+        got = QubitStreams(master, [qid]).words(slice(None), 4)[:, 0]
+        assert np.array_equal(got, OracleStream(master, qid).bits.random_raw(4))
 
     @given(
         target=st.floats(1000.0, 9000.0),
